@@ -3,7 +3,8 @@
 Outputs are deterministic: JSON with sorted keys and all floating-point
 numbers rendered as decimal strings with 12 significant digits; sample emits
 RFC-4180 CSV.  Exit codes: 0 success/pass, 1 verification mismatch,
-2 usage or parameter error.
+2 usage or parameter error, 3 internal failure (a broken invariant, a contour
+collision or a degenerate oracle vector).
 """
 
 from __future__ import annotations
@@ -15,11 +16,18 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import HardMismatchError, QhjSpectraError
+from .errors import (
+    ContourCollisionError,
+    DegenerateVectorError,
+    HardMismatchError,
+    InvariantViolationError,
+    QhjSpectraError,
+)
 from .oracle import GridSpec, default_grid, verify_qes
 from .potential import PotentialParams, Variant, classify_symmetry, evaluate_potential
 from .qhj import (
@@ -34,6 +42,7 @@ from .solver import (
     build_pencil,
     evaluate_wavefunction,
     reproduce_paper_tables,
+    solve_classification,
     solve_levels,
     wavefunction,
 )
@@ -43,6 +52,10 @@ CONFIG_ENV_VAR = "QHJ_SPECTRA_CONFIG"
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
+
+# Failures of the computation itself rather than of its inputs.
+INTERNAL_ERRORS = (InvariantViolationError, ContourCollisionError, DegenerateVectorError)
 
 
 class UsageError(QhjSpectraError):
@@ -76,10 +89,14 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(document: dict, output_path: str | None) -> None:
-    text = json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
+def _emit(document, output_path: str | None) -> None:
+    """Write a JSON document, or CSV text as is, to output_path or stdout."""
+    if isinstance(document, str):
+        text = document
+    else:
+        text = json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as handle:
+        with open(output_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -99,30 +116,22 @@ def _load_config(args) -> dict:
     return config
 
 
-class _Settings:
-    """Flag values merged over config-file values (flags win)."""
-
-    def __init__(self, args):
-        self._args = args
-        self._config = _load_config(args)
-
-    def get(self, name, default=None):
-        value = getattr(self._args, name, None)
-        if value is not None:
-            return value
-        return self._config.get(name, default)
+def _settings(args) -> dict:
+    """Config-file values overlaid by the flags that were given (flags win)."""
+    flags = {name: value for name, value in vars(args).items() if value is not None}
+    return {**_load_config(args), **flags}
 
 
-def _require_number(settings, name, display=None) -> float:
-    value = settings.get(name)
+def _require_number(settings, name, default=None) -> float:
+    value = settings.get(name, default)
     if value is None:
-        raise UsageError(f"--{display or name} is required")
+        raise UsageError(f"--{name} is required")
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"--{display or name} must be a number, got {value!r}")
+        raise UsageError(f"--{name} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise UsageError(f"--{display or name} must be finite")
+        raise UsageError(f"--{name} must be finite")
     return value
 
 
@@ -135,15 +144,15 @@ def _variant_from(settings) -> Variant:
         raise UsageError(f"unknown variant {tag!r}; expected one of: {valid}")
 
 
-def _base_params(settings, need_v2: bool = True) -> PotentialParams:
-    v1 = _require_number(settings, "v1")
-    alpha = _require_number(settings, "alpha")
+def _v1_alpha(settings, default=None) -> tuple[float, float]:
+    """V1 and alpha from the settings, both finite and positive."""
+    v1 = _require_number(settings, "v1", default)
+    alpha = _require_number(settings, "alpha", default)
     if v1 <= 0.0:
         raise UsageError("v1 must be positive")
     if alpha <= 0.0:
         raise UsageError("alpha must be positive")
-    v2 = _require_number(settings, "v2") if need_v2 else 0.0
-    return PotentialParams(v1=v1, v2=v2, alpha=alpha)
+    return v1, alpha
 
 
 def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
@@ -151,13 +160,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
 
     Exactly one of --v2, (--set and --n), --lambda selects the working point.
     """
-    v1 = _require_number(settings, "v1")
-    alpha = _require_number(settings, "alpha")
-    if v1 <= 0.0:
-        raise UsageError("v1 must be positive")
-    if alpha <= 0.0:
-        raise UsageError("alpha must be positive")
-
+    v1, alpha = _v1_alpha(settings)
     v2 = settings.get("v2")
     set_index = settings.get("set")
     n = settings.get("n")
@@ -199,7 +202,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
 
     params = PotentialParams(v1=v1, v2=float(v2), alpha=alpha)
     lam = infinity_analysis(params).lam
-    classification = enumerate_qes_sets(lam, tolerance=1e-9)
+    classification = enumerate_qes_sets(lam)
     if not classification.sets:
         raise UsageError(
             f"no admissible QES sets at V2 = {params.v2!r} (lambda = {lam!r})"
@@ -229,45 +232,43 @@ def _set_payload(qes_set: QesSet) -> dict:
     }
 
 
+def _parameters(params: PotentialParams) -> dict:
+    return {"v1": params.v1, "v2": params.v2, "alpha": params.alpha}
+
+
 def _solve_payload(params: PotentialParams, classification: QesClassification):
     levels = []
-    for qes_set in classification.sets:
-        for level in solve_levels(build_pencil(qes_set, params), params):
-            wf = wavefunction(level, params)
-            levels.append(
-                {
-                    "set": qes_set.set_index,
-                    "n": qes_set.n,
-                    "energy": level.energy,
-                    "parity": level.parity,
-                    "node_count": level.node_count,
-                    "coefficients": list(level.coefficients),
-                    "wavefunction": {
-                        "p1": wf.p1,
-                        "p2": wf.p2,
-                        "C": wf.c_rate,
-                        "alpha": wf.alpha,
-                        "coefficients": list(wf.coefficients),
-                        "parity": wf.parity,
-                    },
-                }
-            )
-    levels.sort(key=lambda row: float(row["energy"]))
+    for level in solve_classification(params, classification):
+        wf = wavefunction(level, params)
+        levels.append(
+            {
+                "set": level.qes_set.set_index,
+                "n": level.qes_set.n,
+                "energy": level.energy,
+                "parity": level.parity,
+                "node_count": level.node_count,
+                "coefficients": list(level.coefficients),
+                "wavefunction": {
+                    "p1": wf.p1,
+                    "p2": wf.p2,
+                    "C": wf.c_rate,
+                    "alpha": wf.alpha,
+                    "coefficients": list(wf.coefficients),
+                    "parity": wf.parity,
+                },
+            }
+        )
     return levels
 
 
 def cmd_classify(settings) -> tuple[int, dict]:
     variant = _variant_from(settings)
-    params = _base_params(settings)
+    v1, alpha = _v1_alpha(settings)
+    params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
     report = classify_symmetry(params, variant)
     document = {
         "command": "classify",
-        "parameters": {
-            "v1": params.v1,
-            "v2": params.v2,
-            "alpha": params.alpha,
-            "variant": variant.value,
-        },
+        "parameters": {**_parameters(params), "variant": variant.value},
         "symmetry": {
             "variant": variant.value,
             "pt_symmetric": report.pt_symmetric,
@@ -298,7 +299,7 @@ def cmd_solve(settings) -> tuple[int, dict]:
     params, classification = _working_point(settings)
     document = {
         "command": "solve",
-        "parameters": {"v1": params.v1, "v2": params.v2, "alpha": params.alpha},
+        "parameters": _parameters(params),
         "lambda": classification.lam,
         "sets": [_set_payload(q) for q in classification.sets],
         "levels": _solve_payload(params, classification),
@@ -314,29 +315,27 @@ def cmd_verify(settings) -> tuple[int, dict]:
     total = sum(q.n + 1 for q in classification.sets)
     grid = _grid_from(settings, params, total)
 
+    document = {
+        "command": "verify",
+        "parameters": _parameters(params),
+        "lambda": classification.lam,
+    }
     analytic_levels = None
-    adjudication_note = None
     if settings.get("assert_paper_table_33"):
         # Substitute the published Table 3.3 set-4 energy (a duplicate of the
         # set-3 value) and let the oracle decide.
-        from .solver import solve_classification
-
         levels = solve_classification(params, classification)
-        printed = -(params.alpha**2) / 4.0 - params.alpha * math.sqrt(params.v1)
-        replaced = []
-        found = False
-        for level in levels:
-            if level.qes_set.set_index == 4:
-                found = True
-                level = QesLevelReplacement(level, printed)
-            replaced.append(level)
-        if not found:
+        if not any(level.qes_set.set_index == 4 for level in levels):
             raise UsageError(
                 "--assert-paper-table-3.3 needs a working point containing "
                 "set 4 (integer lambda)"
             )
-        analytic_levels = replaced
-        adjudication_note = (
+        printed = -(params.alpha**2) / 4.0 - params.alpha * math.sqrt(params.v1)
+        analytic_levels = [
+            replace(level, energy=printed) if level.qes_set.set_index == 4 else level
+            for level in levels
+        ]
+        document["adjudication"] = (
             "asserting the published Table 3.3 set-4 energy "
             f"{printed} against the oracle"
         )
@@ -350,30 +349,15 @@ def cmd_verify(settings) -> tuple[int, dict]:
             analytic_levels=analytic_levels,
         )
     except HardMismatchError as exc:
-        document = {
-            "command": "verify",
-            "parameters": {
-                "v1": params.v1,
-                "v2": params.v2,
-                "alpha": params.alpha,
-            },
-            "lambda": classification.lam,
-            "overall_pass": False,
-            "hard_mismatch": str(exc),
-        }
-        if adjudication_note:
-            document["adjudication"] = adjudication_note
+        document.update(overall_pass=False, hard_mismatch=str(exc))
         return EXIT_MISMATCH, document
 
-    document = {
-        "command": "verify",
-        "parameters": {"v1": params.v1, "v2": params.v2, "alpha": params.alpha},
-        "lambda": classification.lam,
-        "tolerance": tolerance,
-        "grid": {"L": grid.half_width_L, "N": grid.point_count_N},
-        "overall_pass": report.overall_pass,
-        "convergence_order_estimate": report.convergence_order_estimate,
-        "levels": [
+    document.update(
+        tolerance=tolerance,
+        grid={"L": grid.half_width_L, "N": grid.point_count_N},
+        overall_pass=report.overall_pass,
+        convergence_order_estimate=report.convergence_order_estimate,
+        levels=[
             {
                 "set": row.set_index,
                 "n": row.n,
@@ -390,25 +374,14 @@ def cmd_verify(settings) -> tuple[int, dict]:
             }
             for row in report.rows
         ],
-        "unmatched_but_expected": list(report.unmatched_oracle),
-    }
-    if adjudication_note:
-        document["adjudication"] = adjudication_note
+        unmatched_but_expected=list(report.unmatched_oracle),
+    )
     return (EXIT_OK if report.overall_pass else EXIT_MISMATCH), document
 
 
-class QesLevelReplacement:
-    """A QesLevel proxy with a substituted energy (paper-adjudication mode)."""
-
-    def __init__(self, level, energy):
-        self._level = level
-        self.energy = float(energy)
-
-    def __getattr__(self, name):
-        return getattr(self._level, name)
-
-
 def cmd_sample(settings) -> tuple[int, str]:
+    # Columns stay grouped by set (set order, then energy within a set), so
+    # this does not use solve_classification, which sorts across sets.
     params, classification = _working_point(settings)
     points = int(settings.get("points", 1001))
     if points < 2:
@@ -445,14 +418,7 @@ def cmd_sample(settings) -> tuple[int, str]:
 
 
 def cmd_table(settings) -> tuple[int, dict]:
-    v1 = settings.get("v1", 1.0)
-    alpha = settings.get("alpha", 1.0)
-    v1, alpha = float(v1), float(alpha)
-    if v1 <= 0.0:
-        raise UsageError("v1 must be positive")
-    if alpha <= 0.0:
-        raise UsageError("alpha must be positive")
-    document = reproduce_paper_tables(v1, alpha)
+    document = reproduce_paper_tables(*_v1_alpha(settings, default=1.0))
     document["command"] = "table"
     return EXIT_OK, document
 
@@ -518,37 +484,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "classify": cmd_classify,
+    "solve": cmd_solve,
+    "verify": cmd_verify,
+    "sample": cmd_sample,
+    "table": cmd_table,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        settings = _Settings(args)
-        output_path = settings.get("output")
-        if args.command == "classify":
-            code, document = cmd_classify(settings)
-        elif args.command == "solve":
-            code, document = cmd_solve(settings)
-        elif args.command == "verify":
-            code, document = cmd_verify(settings)
-        elif args.command == "sample":
-            code, text = cmd_sample(settings)
-            if output_path:
-                with open(output_path, "w", encoding="utf-8", newline="") as handle:
-                    handle.write(text)
-            else:
-                sys.stdout.write(text)
-            return code
-        elif args.command == "table":
-            code, document = cmd_table(settings)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        _emit({"error": {"type": "usage", "message": str(exc)}}, None)
-        return EXIT_USAGE
+        settings = _settings(args)
+        code, document = COMMANDS[args.command](settings)
     except QhjSpectraError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, None)
-        return EXIT_USAGE
-    _emit(document, output_path)
+        kind = "usage" if isinstance(exc, UsageError) else type(exc).__name__
+        _emit({"error": {"type": kind, "message": str(exc)}}, None)
+        return EXIT_INTERNAL if isinstance(exc, INTERNAL_ERRORS) else EXIT_USAGE
+    _emit(document, settings.get("output"))
     return code
 
 

@@ -25,6 +25,9 @@ from .qhj import QesClassification
 from .solver import QesLevel, solve_classification
 
 MAX_POINTS = 200_000
+# Oracle eigenvalues solved beyond the analytic levels, so that the highest
+# analytic level is matched against eigenvalues on both sides of it.
+EXTRA_ORACLE_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,6 @@ def verify_qes(
     tolerance: float = 1e-6,
     grid: GridSpec | None = None,
     analytic_levels: list[QesLevel] | None = None,
-    extra_oracle_levels: int = 4,
 ) -> VerificationReport:
     """Adjudicate every analytic level against the two-grid oracle.
 
@@ -182,9 +184,7 @@ def verify_qes(
     if grid is None:
         grid = default_grid(params, levels_needed=len(analytic_levels))
 
-    k = min(
-        len(analytic_levels) + extra_oracle_levels, grid.point_count_N // 10
-    )
+    k = min(len(analytic_levels) + EXTRA_ORACLE_LEVELS, grid.point_count_N // 10)
     coarse = lowest_eigenvalues(params, grid, k)
     fine = lowest_eigenvalues(params, grid.refined(), k)
     coarse_e = np.asarray(coarse.eigenvalues)

@@ -23,6 +23,9 @@ from .potential import PotentialParams
 _QUARTER = Fraction(1, 4)
 _THREE_QUARTERS = Fraction(3, 4)
 
+# How far lam - b1 - b1' may sit from an integer and still admit a set.
+INTEGER_TOLERANCE = 1e-9
+
 # Residue pair (b1 at y=+1, b1' at y=-1) for each set index.  Sets 3 and 4
 # follow the convention in which set 3 is the even-parity member (b1 = 1/4);
 # this is the assignment consistent with the closed-form energies
@@ -150,28 +153,18 @@ def _exact_sqrt(value: Fraction) -> Fraction | None:
 def indicial_residues(coefficient):
     """Both roots of b^2 - b + coefficient = 0, ascending.
 
-    Exact Fractions when the discriminant is a perfect rational square,
-    floats otherwise.
+    Exact Fractions when the coefficient is rational and the discriminant is
+    a perfect rational square, floats otherwise.
     """
-    if isinstance(coefficient, (Fraction, int)):
-        c = Fraction(coefficient)
-        disc = 1 - 4 * c
-        if disc < 0:
-            raise ComplexResidueError(
-                f"discriminant 1 - 4*{c} < 0: complex residues"
-            )
-        root = _exact_sqrt(disc)
-        if root is not None:
-            return ((1 - root) / 2, (1 + root) / 2)
-        r = math.sqrt(float(disc))
-        return ((1.0 - r) / 2.0, (1.0 + r) / 2.0)
-    disc = 1.0 - 4.0 * float(coefficient)
-    if disc < 0.0:
-        raise ComplexResidueError(
-            f"discriminant 1 - 4*{coefficient} < 0: complex residues"
-        )
-    r = math.sqrt(disc)
-    return ((1.0 - r) / 2.0, (1.0 + r) / 2.0)
+    exact = isinstance(coefficient, (Fraction, int))
+    c = Fraction(coefficient) if exact else float(coefficient)
+    disc = 1 - 4 * c
+    if disc < 0:
+        raise ComplexResidueError(f"discriminant 1 - 4*{c} < 0: complex residues")
+    root = _exact_sqrt(disc) if exact else None
+    if root is None:
+        root = math.sqrt(disc)
+    return ((1 - root) / 2, (1 + root) / 2)
 
 
 def fixed_pole_analysis(term: RiccatiFixedTerm, location: int) -> FixedPoleAnalysis:
@@ -205,7 +198,7 @@ def infinity_analysis(params: PotentialParams) -> InfinityAnalysis:
     )
 
 
-def enumerate_qes_sets(lam: float, tolerance: float = 1e-9) -> QesClassification:
+def enumerate_qes_sets(lam: float) -> QesClassification:
     """Admit each residue pair whose n = lam - b1 - b1' is a nonnegative integer.
 
     Half-odd lam admits sets 1 and 2, integer lam admits sets 3 and 4;
@@ -213,14 +206,12 @@ def enumerate_qes_sets(lam: float, tolerance: float = 1e-9) -> QesClassification
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be nonnegative")
     sets = []
     for index in sorted(SET_RESIDUES):
         b1, b1p = SET_RESIDUES[index]
         n_real = lam - float(b1) - float(b1p)
         n = round(n_real)
-        if n >= 0 and abs(n_real - n) <= tolerance:
+        if n >= 0 and abs(n_real - n) <= INTEGER_TOLERANCE:
             sets.append(QesSet(set_index=index, b1=b1, b1_prime=b1p, n=n))
     total = sum(q.n + 1 for q in sets)
     return QesClassification(lam=lam, sets=tuple(sets), total_levels=total)

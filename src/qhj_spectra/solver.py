@@ -15,7 +15,7 @@ in the test suite; the recursion below is validated there, not trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,7 +27,7 @@ from .errors import (
     QmfPoleError,
 )
 from .potential import PotentialParams, Variant, evaluate_potential
-from .qhj import QesClassification, QesSet, enumerate_qes_sets, qes_target_v2
+from .qhj import SET_RESIDUES, QesClassification, QesSet, qes_target_v2
 
 _LOG2 = math.log(2.0)
 
@@ -213,16 +213,7 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     )
     grid = np.linspace(-5.0 / params.alpha, 5.0 / params.alpha, 2001)
     log_abs, _ = _raw_log_abs_sign(wf, grid)
-    log_norm = float(np.max(log_abs[np.isfinite(log_abs)]))
-    return ClosedFormWavefunction(
-        p1=wf.p1,
-        p2=wf.p2,
-        c_rate=wf.c_rate,
-        coefficients=wf.coefficients,
-        alpha=wf.alpha,
-        parity=wf.parity,
-        log_norm=log_norm,
-    )
+    return replace(wf, log_norm=float(np.max(log_abs[np.isfinite(log_abs)])))
 
 
 def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
@@ -375,8 +366,76 @@ def count_moving_poles(level: QesLevel) -> int:
     return int(count)
 
 
-def _format_term(value: float) -> float:
-    return float(value)
+# Published energy rows: (table, set, n, printed closed form in alpha and
+# sqrt(V1)).  Each set's n fixes V2 = -2 sqrt(V1) alpha (b1 + b1' + n).
+_PRINTED_ENERGIES = (
+    ("3.2", 1, 1, lambda alpha, root: -(alpha**2) / 4.0 + alpha * root),
+    ("3.2", 2, 0, lambda alpha, root: -(alpha**2)),
+    ("3.3", 3, 0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
+    # The published set-4 row duplicates the set-3 value.
+    ("3.3", 4, 0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
+)
+
+# Published wavefunction rows, adjudicated structurally; each table's rows
+# follow its energy rows.
+_WAVEFUNCTION_ROWS = (
+    {
+        "table": "3.2",
+        "set": 2,
+        "quantity": "wavefunction",
+        "printed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) sinh(alpha x)",
+        "computed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) sinh(alpha x)",
+        "flag": "matches-paper",
+    },
+    {
+        "table": "3.2",
+        "set": 1,
+        "quantity": "wavefunction",
+        "printed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) (gamma cosh(alpha x) + beta)",
+        "computed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) (c1 cosh(alpha x) + c0)",
+        "flag": "not-adjudicated",
+        "note": (
+            "same functional shape; the printed gamma expressions depend "
+            "on an undefined auxiliary quantity and are not reproduced"
+        ),
+    },
+    {
+        "table": "3.3",
+        "set": "3-4",
+        "quantity": "wavefunction",
+        "printed": "(cosh(alpha x) +- 1) prefactors",
+        "computed": "(cosh(alpha x) +- 1)^(1/2) prefactors",
+        "flag": "paper-typo-suspected",
+        "note": "the published prefactors are missing the square root",
+    },
+)
+
+# Table 3.1 as printed: (M condition, QES condition, n in terms of M) per set.
+_M_CONDITIONS = {
+    1: ("M odd, M >= 1", "M = 2n + 1", "(M - 1)/2"),
+    2: ("M odd, M >= 3", "M = 2n + 3", "(M - 3)/2"),
+    3: ("M even, M >= 2", "M = 2n + 2", "(M - 2)/2"),
+    4: ("M even, M >= 2", "M = 2n + 2", "(M - 2)/2"),
+}
+
+
+def _energy_row(
+    table: str, set_index: int, n: int, printed: float, v1: float, alpha: float
+) -> dict:
+    """One printed energy against the solved levels of its set."""
+    b1, b1p = SET_RESIDUES[set_index]
+    qes_set = QesSet(set_index=set_index, b1=b1, b1_prime=b1p, n=n)
+    params = PotentialParams(v1=v1, v2=qes_target_v2(qes_set, v1, alpha), alpha=alpha)
+    computed = [lvl.energy for lvl in solve_levels(build_pencil(qes_set, params), params)]
+    matches = any(abs(printed - e) <= 1e-9 * max(1.0, abs(e)) for e in computed)
+    return {
+        "table": table,
+        "set": set_index,
+        "quantity": "energy",
+        "printed": printed,
+        "computed": computed,
+        "flag": "matches-paper" if matches else "paper-typo-suspected",
+    }
 
 
 def reproduce_paper_tables(v1: float, alpha: float) -> dict:
@@ -388,137 +447,28 @@ def reproduce_paper_tables(v1: float, alpha: float) -> dict:
     independently confirms the computed side in the test suite).  Wavefunction
     prefactor rows are adjudicated structurally.
     """
-    params_m3 = PotentialParams(v1=v1, v2=-3.0 * math.sqrt(v1) * alpha, alpha=alpha)
-    params_m2 = PotentialParams(v1=v1, v2=-2.0 * math.sqrt(v1) * alpha, alpha=alpha)
-    sqrt_v1 = math.sqrt(v1)
-
-    def computed_energies(params: PotentialParams, set_index: int, n: int):
-        classification = enumerate_qes_sets(
-            -params.v2 / (2.0 * sqrt_v1 * alpha)
-        )
-        chosen = [q for q in classification.sets if q.set_index == set_index]
-        if len(chosen) != 1 or chosen[0].n != n:
-            raise InvariantViolationError(
-                f"set {set_index} with n = {n} not admissible at V2 = {params.v2}"
-            )
-        return [lvl.energy for lvl in solve_levels(build_pencil(chosen[0], params), params)]
-
-    def energy_flag(printed: float, computed: list[float]) -> str:
-        if any(abs(printed - e) <= 1e-9 * max(1.0, abs(e)) for e in computed):
-            return "matches-paper"
-        return "paper-typo-suspected"
-
-    table_3_1 = []
-    conditions = {
-        1: ("M odd, M >= 1", "M = 2n + 1", "(M - 1)/2"),
-        2: ("M odd, M >= 3", "M = 2n + 3", "(M - 3)/2"),
-        3: ("M even, M >= 2", "M = 2n + 2", "(M - 2)/2"),
-        4: ("M even, M >= 2", "M = 2n + 2", "(M - 2)/2"),
-    }
-    from .qhj import SET_RESIDUES
-
-    for index in sorted(SET_RESIDUES):
-        b1, b1p = SET_RESIDUES[index]
-        printed_cond, qes_cond, n_formula = conditions[index]
-        table_3_1.append(
-            {
-                "set": index,
-                "b1": str(b1),
-                "b1_prime": str(b1p),
-                "n_from_m": n_formula,
-                "printed_m_condition": printed_cond,
-                "printed_qes_condition": qes_cond,
-                "printed_m_definition": "M = V2 / (2 sqrt(V1) alpha)",
-                "reconciled_m_definition": "M = 2 lambda = |V2| / (sqrt(V1) alpha)",
-            }
-        )
+    table_3_1 = [
+        {
+            "set": index,
+            "b1": str(b1),
+            "b1_prime": str(b1p),
+            "n_from_m": _M_CONDITIONS[index][2],
+            "printed_m_condition": _M_CONDITIONS[index][0],
+            "printed_qes_condition": _M_CONDITIONS[index][1],
+            "printed_m_definition": "M = V2 / (2 sqrt(V1) alpha)",
+            "reconciled_m_definition": "M = 2 lambda = |V2| / (sqrt(V1) alpha)",
+        }
+        for index, (b1, b1p) in sorted(SET_RESIDUES.items())
+    ]
 
     rows = []
-
-    e_set1 = computed_energies(params_m3, 1, 1)
-    printed_set1 = -(alpha**2) / 4.0 + alpha * sqrt_v1
-    rows.append(
-        {
-            "table": "3.2",
-            "set": 1,
-            "quantity": "energy",
-            "printed": _format_term(printed_set1),
-            "computed": [_format_term(e) for e in e_set1],
-            "flag": energy_flag(printed_set1, e_set1),
-        }
-    )
-    e_set2 = computed_energies(params_m3, 2, 0)
-    printed_set2 = -(alpha**2)
-    rows.append(
-        {
-            "table": "3.2",
-            "set": 2,
-            "quantity": "energy",
-            "printed": _format_term(printed_set2),
-            "computed": [_format_term(e) for e in e_set2],
-            "flag": energy_flag(printed_set2, e_set2),
-        }
-    )
-    rows.append(
-        {
-            "table": "3.2",
-            "set": 2,
-            "quantity": "wavefunction",
-            "printed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) sinh(alpha x)",
-            "computed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) sinh(alpha x)",
-            "flag": "matches-paper",
-        }
-    )
-    rows.append(
-        {
-            "table": "3.2",
-            "set": 1,
-            "quantity": "wavefunction",
-            "printed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) (gamma cosh(alpha x) + beta)",
-            "computed": "exp(-(sqrt(V1)/alpha) cosh(alpha x)) (c1 cosh(alpha x) + c0)",
-            "flag": "not-adjudicated",
-            "note": (
-                "same functional shape; the printed gamma expressions depend "
-                "on an undefined auxiliary quantity and are not reproduced"
-            ),
-        }
-    )
-
-    e_set3 = computed_energies(params_m2, 3, 0)
-    printed_set3 = -(alpha**2) / 4.0 - alpha * sqrt_v1
-    rows.append(
-        {
-            "table": "3.3",
-            "set": 3,
-            "quantity": "energy",
-            "printed": _format_term(printed_set3),
-            "computed": [_format_term(e) for e in e_set3],
-            "flag": energy_flag(printed_set3, e_set3),
-        }
-    )
-    e_set4 = computed_energies(params_m2, 4, 0)
-    printed_set4 = -(alpha**2) / 4.0 - alpha * sqrt_v1  # printed duplicate of set 3
-    rows.append(
-        {
-            "table": "3.3",
-            "set": 4,
-            "quantity": "energy",
-            "printed": _format_term(printed_set4),
-            "computed": [_format_term(e) for e in e_set4],
-            "flag": energy_flag(printed_set4, e_set4),
-        }
-    )
-    rows.append(
-        {
-            "table": "3.3",
-            "set": "3-4",
-            "quantity": "wavefunction",
-            "printed": "(cosh(alpha x) +- 1) prefactors",
-            "computed": "(cosh(alpha x) +- 1)^(1/2) prefactors",
-            "flag": "paper-typo-suspected",
-            "note": "the published prefactors are missing the square root",
-        }
-    )
+    for table in ("3.2", "3.3"):
+        rows += [
+            _energy_row(table, index, n, printed(alpha, math.sqrt(v1)), v1, alpha)
+            for tbl, index, n, printed in _PRINTED_ENERGIES
+            if tbl == table
+        ]
+        rows += [dict(row) for row in _WAVEFUNCTION_ROWS if row["table"] == table]
 
     flags = [row["flag"] for row in rows]
     return {

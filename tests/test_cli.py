@@ -6,7 +6,14 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from qhj_spectra import cli
 from qhj_spectra.cli import main
+from qhj_spectra.errors import (
+    ContourCollisionError,
+    DegenerateVectorError,
+    InadmissibleParametersError,
+    InvariantViolationError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +178,23 @@ class TestSample:
         odd_column = header.index("psi_set2_n0_E-1")
         assert float(mid[odd_column]) == 0.0
 
+    def test_columns_grouped_by_set_then_energy(self, capsys):
+        # at lambda = 2 the set-3 and set-4 energies interleave, so a sort
+        # across sets would reorder these columns
+        code, out = run_cli(
+            capsys, "sample", "--v1", "1", "--alpha", "1", "--lambda", "2",
+            "--points", "5",
+        )
+        assert code == 0
+        header = next(csv.reader(io.StringIO(out)))
+        psi = header[2:]
+        assert [name.split("_")[1] for name in psi] == ["set3", "set3", "set4", "set4"]
+        for group in (psi[:2], psi[2:]):
+            energies = [float(name.split("_E")[1]) for name in group]
+            assert energies == sorted(energies)
+        energies = [float(name.split("_E")[1]) for name in psi]
+        assert energies != sorted(energies)
+
 
 class TestTable:
     def test_flag_contract(self, capsys, schema):
@@ -185,6 +209,50 @@ class TestTable:
         }
         assert by_key[("3.2", "2", "energy")] == "matches-paper"
         assert by_key[("3.3", "3", "energy")] == "matches-paper"
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--v1", "nan"], None), (["--alpha", "inf"], None), ([], {"v1": "abc"})],
+        ids=["v1-nan", "alpha-inf", "config-v1-abc"],
+    )
+    def test_invalid_v1_alpha_is_usage_error(
+        self, capsys, schema, tmp_path, flags, config
+    ):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            flags = ["--config", str(path)]
+        code, doc = run_json(capsys, "table", *flags)
+        assert code == 2
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "usage"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (InvariantViolationError, 3),
+            (ContourCollisionError, 3),
+            (DegenerateVectorError, 3),
+            (InadmissibleParametersError, 2),
+        ],
+    )
+    def test_internal_failures_exit_three(
+        self, capsys, schema, monkeypatch, error, expected
+    ):
+        def failing_verify(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "verify_qes", failing_verify)
+        code, doc = run_json(
+            capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1"
+        )
+        assert code == expected
+        jsonschema.validate(doc, schema)
+        assert doc == {
+            "error": {"type": error.__name__, "message": "injected failure"}
+        }
 
 
 class TestContract:

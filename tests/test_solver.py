@@ -355,3 +355,43 @@ class TestPaperTables:
         assert by_key[("3.2", "2", "energy")]["computed"] == [pytest.approx(-1.0)]
         assert by_key[("3.3", "3", "energy")]["computed"] == [pytest.approx(-1.25)]
         assert by_key[("3.3", "4", "energy")]["computed"] == [pytest.approx(0.75)]
+
+    @pytest.mark.parametrize("v1, alpha", [(1.0, 1.0), (2.0, 0.5)])
+    def test_row_order_and_flags(self, v1, alpha):
+        report = reproduce_paper_tables(v1, alpha)
+        rows = [
+            (row["table"], str(row["set"]), row["quantity"], row["flag"])
+            for row in report["rows"]
+        ]
+        assert rows == [
+            ("3.2", "1", "energy", "paper-typo-suspected"),
+            ("3.2", "2", "energy", "matches-paper"),
+            ("3.2", "2", "wavefunction", "matches-paper"),
+            ("3.2", "1", "wavefunction", "not-adjudicated"),
+            ("3.3", "3", "energy", "matches-paper"),
+            ("3.3", "4", "energy", "paper-typo-suspected"),
+            ("3.3", "3-4", "wavefunction", "paper-typo-suspected"),
+        ]
+        assert report["parameters"] == {"v1": v1, "alpha": alpha}
+
+    @pytest.mark.parametrize("v1, alpha", [(1.0, 1.0), (2.0, 0.5)])
+    def test_energies_equal_closed_forms(self, v1, alpha):
+        report = reproduce_paper_tables(v1, alpha)
+        a2, root = alpha**2, math.sqrt(v1)
+        set1 = math.sqrt(1.0 + 16.0 * v1 / a2)  # set 1, n = 1
+        expected = {
+            ("3.2", 1): (-a2 / 4.0 + alpha * root, [-a2 * (1 + set1) / 2, -a2 * (1 - set1) / 2]),
+            ("3.2", 2): (-a2, [-a2]),
+            ("3.3", 3): (-a2 / 4.0 - alpha * root, [-a2 / 4.0 - alpha * root]),
+            # the printed set-4 value duplicates set 3
+            ("3.3", 4): (-a2 / 4.0 - alpha * root, [-a2 / 4.0 + alpha * root]),
+        }
+        rows = {
+            (row["table"], row["set"]): row
+            for row in report["rows"]
+            if row["quantity"] == "energy"
+        }
+        assert rows.keys() == expected.keys()
+        for key, (printed, computed) in expected.items():
+            assert rows[key]["printed"] == pytest.approx(printed, rel=1e-14)
+            assert rows[key]["computed"] == pytest.approx(computed, rel=1e-9)
