@@ -123,16 +123,24 @@ def _settings(args) -> dict:
 
 
 def _require_number(settings, name, default=None) -> float:
+    flag = "--" + name.replace("_", "-")
     value = settings.get(name, default)
     if value is None:
-        raise UsageError(f"--{name} is required")
+        raise UsageError(f"{flag} is required")
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"--{name} must be a number, got {value!r}")
+        raise UsageError(f"{flag} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise UsageError(f"--{name} must be finite")
+        raise UsageError(f"{flag} must be finite")
     return value
+
+
+def _require_whole(settings, name, default=None) -> int:
+    value = _require_number(settings, name, default)
+    if not value.is_integer():
+        raise UsageError(f"--{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _variant_from(settings) -> Variant:
@@ -161,21 +169,17 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
     Exactly one of --v2, (--set and --n), --lambda selects the working point.
     """
     v1, alpha = _v1_alpha(settings)
-    v2 = settings.get("v2")
-    set_index = settings.get("set")
-    n = settings.get("n")
-    lam = settings.get("lambda")
-    chosen = [v2 is not None, set_index is not None, lam is not None]
+    chosen = [settings.get(name) is not None for name in ("v2", "set", "lambda")]
     if sum(chosen) != 1:
         raise UsageError(
             "exactly one of --v2, --set/--n, --lambda must select the "
             "working point"
         )
 
-    if set_index is not None:
-        if n is None:
+    if settings.get("set") is not None:
+        if settings.get("n") is None:
             raise UsageError("--set requires --n")
-        set_index, n = int(set_index), int(n)
+        set_index, n = _require_whole(settings, "set"), _require_whole(settings, "n")
         if set_index not in SET_RESIDUES:
             raise UsageError(f"--set must be 1..4, got {set_index}")
         if n < 0:
@@ -190,8 +194,8 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         )
         return params, classification
 
-    if lam is not None:
-        lam = float(lam)
+    if settings.get("lambda") is not None:
+        lam = _require_number(settings, "lambda")
         classification = enumerate_qes_sets(lam)
         if not classification.sets:
             raise UsageError(f"no admissible QES sets for lambda = {lam!r}")
@@ -200,7 +204,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         )
         return params, classification
 
-    params = PotentialParams(v1=v1, v2=float(v2), alpha=alpha)
+    params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
     lam = infinity_analysis(params).lam
     classification = enumerate_qes_sets(lam)
     if not classification.sets:
@@ -212,14 +216,13 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
 
 def _grid_from(settings, params, levels_needed):
     grid = default_grid(params, levels_needed=levels_needed)
-    big_l = settings.get("L")
-    n_points = settings.get("N")
-    if big_l is None and n_points is None:
-        return grid
-    return GridSpec(
-        half_width_L=float(big_l) if big_l is not None else grid.half_width_L,
-        point_count_N=int(n_points) if n_points is not None else grid.point_count_N,
-    )
+    try:
+        return GridSpec(
+            half_width_L=_require_number(settings, "L", grid.half_width_L),
+            point_count_N=_require_whole(settings, "N", grid.point_count_N),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _set_payload(qes_set: QesSet) -> dict:
@@ -309,7 +312,7 @@ def cmd_solve(settings) -> tuple[int, dict]:
 
 def cmd_verify(settings) -> tuple[int, dict]:
     params, classification = _working_point(settings)
-    tolerance = float(settings.get("tol", 1e-6))
+    tolerance = _require_number(settings, "tol", 1e-6)
     if tolerance <= 0.0:
         raise UsageError("tolerance must be positive")
     total = sum(q.n + 1 for q in classification.sets)
@@ -383,13 +386,11 @@ def cmd_sample(settings) -> tuple[int, str]:
     # Columns stay grouped by set (set order, then energy within a set), so
     # this does not use solve_classification, which sorts across sets.
     params, classification = _working_point(settings)
-    points = int(settings.get("points", 1001))
+    points = _require_whole(settings, "points", 1001)
     if points < 2:
         raise UsageError("--points must be at least 2")
-    x_min = settings.get("x_min")
-    x_max = settings.get("x_max")
-    x_min = float(x_min) if x_min is not None else -5.0 / params.alpha
-    x_max = float(x_max) if x_max is not None else 5.0 / params.alpha
+    x_min = _require_number(settings, "x_min", -5.0 / params.alpha)
+    x_max = _require_number(settings, "x_max", 5.0 / params.alpha)
     if not x_min < x_max:
         raise UsageError("--x-min must be below --x-max")
     x = np.linspace(x_min, x_max, points)

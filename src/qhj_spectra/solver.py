@@ -10,6 +10,11 @@ Schrodinger equation and matching powers of y yields a four-diagonal matrix H
 whose eigenvalues give E = -alpha^2 * eig(H) and whose eigenvectors are the
 coefficients of P_n.  Every release must pass the residual and oracle checks
 in the test suite; the recursion below is validated there, not trusted.
+
+Moving poles (zeros of P_n in y > 1) are counted twice, independently: by
+np.roots, and by the argument principle on an ellipse around the physical
+region that is sized by a root bound and integrated with the periodic
+trapezoid rule, so the contour never locates a root.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ContourCollisionError,
@@ -30,6 +34,15 @@ from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import SET_RESIDUES, QesClassification, QesSet, qes_target_v2
 
 _LOG2 = math.log(2.0)
+
+# Moving-pole contour: left vertex offset from the fixed pole y = 1, ellipse
+# half-height, agreement between successive trapezoid passes, and the range
+# of node counts tried.
+_CONTOUR_LEFT_OFFSET = 1e-6
+_CONTOUR_HALF_HEIGHT = 0.5
+_CONTOUR_TOLERANCE = 1e-9
+_CONTOUR_MIN_NODES = 64
+_CONTOUR_MAX_NODES = 2**16
 
 
 @dataclass(frozen=True)
@@ -96,16 +109,9 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
     return SpectralPencil(matrix=matrix, qes_set=qes_set, s=s)
 
 
-def _polynomial_roots(coefficients: tuple[float, ...]) -> np.ndarray:
-    """Roots of P(y) = sum c_k y^k; empty for degree 0."""
-    if len(coefficients) == 1:
-        return np.empty(0, dtype=complex)
-    return np.roots(np.asarray(coefficients[::-1], dtype=float))
-
-
 def _node_count(coefficients: tuple[float, ...], parity: str) -> int:
     """Real-line node count: 2 per real polynomial root in y > 1, +1 if odd."""
-    roots = _polynomial_roots(coefficients)
+    roots = np.roots(np.asarray(coefficients[::-1], dtype=float))
     count = 0
     for r in roots:
         if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
@@ -244,8 +250,8 @@ def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
     y = math.cosh(a * x)
     desc = np.asarray(wf.coefficients[::-1])
     p = float(np.polyval(desc, y))
-    dp = float(np.polyval(np.polyder(desc), y)) if len(desc) > 1 else 0.0
-    ddp = float(np.polyval(np.polyder(desc, 2), y)) if len(desc) > 2 else 0.0
+    dp = float(np.polyval(np.polyder(desc), y))
+    ddp = float(np.polyval(np.polyder(desc, 2), y))
     if abs(p) < 1e-12 * _poly_scale(wf.coefficients, y):
         raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
     if wf.p1 > 0.0 and x == 0.0:
@@ -298,60 +304,49 @@ def schrodinger_residual(
     return (v - energy - big_lp - big_l * big_l) * psi
 
 
-def _rectangle_count(
-    coefficients: tuple[float, ...], left: float, right: float, half_height: float
-) -> complex:
-    """(1/2 pi i) * contour integral of P'/P over the rectangle boundary."""
-    desc = np.asarray(coefficients[::-1], dtype=float)
-    dersc = np.polyder(desc)
+def _root_bound(desc: np.ndarray) -> float:
+    """Fujiwara bound 2 max_k |c_(n-k)|^(1/k) on every root of a monic polynomial.
 
-    corners = [
-        complex(left, -half_height),
-        complex(right, -half_height),
-        complex(right, half_height),
-        complex(left, half_height),
-        complex(left, -half_height),
-    ]
-    total = 0.0 + 0.0j
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        dz = z1 - z0
-
-        def integrand(t, z0=z0, dz=dz):
-            z = z0 + t * dz
-            return np.polyval(dersc, z) / np.polyval(desc, z) * dz
-
-        value, _ = quad(integrand, 0.0, 1.0, complex_func=True, limit=200)
-        total += value
-    return total / (2.0j * math.pi)
+    desc holds the coefficients from the leading one down: desc[k] = c_(n-k).
+    """
+    return 2.0 * max(
+        (abs(desc[k]) ** (1.0 / k) for k in range(1, len(desc))), default=0.0
+    )
 
 
 def moving_pole_contour_value(level: QesLevel) -> complex:
-    """Raw argument-principle integral over the physical-region rectangle."""
-    n = len(level.coefficients) - 1
-    if n == 0:
-        return 0.0 + 0.0j
-    right = 1.0 + (n + 2) * (1.0 + 1.0 / level.s)
-    roots = _polynomial_roots(level.coefficients)
-    delta, half_height = 1e-6, 0.5
-    for _ in range(6):
-        left = 1.0 + delta
-        edges_ok = True
-        for r in roots:
-            dist = min(
-                abs(r.real - left),
-                abs(r.real - right),
-                abs(abs(r.imag) - half_height),
-            )
-            if dist < 1e-8:
-                edges_ok = False
-                break
-        if edges_ok:
-            return _rectangle_count(level.coefficients, left, right, half_height)
-        delta *= 3.7
-        half_height *= 1.13
-        right *= 1.01
+    """Raw (1/2 pi i) * contour integral of P'/P around the physical region.
+
+    The contour is an ellipse of half-height 1/2 through y = 1 + 1e-6 and
+    y = 1 + B, where B is a root bound, so no root needs to be located.  The
+    periodic trapezoid rule converges exponentially for this analytic
+    integrand: the node count doubles until two passes agree, and a zero on
+    the contour stalls that convergence and raises ContourCollisionError.
+    P is evaluated in z = y - 1, where it stays accurate even when its zeros
+    crowd the fixed pole y = 1; B bounds the roots in z.
+    """
+    # Coefficients of P(1 + z), by composing P with the polynomial 1 + z.
+    shift = np.poly1d([1.0, 1.0])
+    desc = np.polyval(np.asarray(level.coefficients[::-1]), shift).coeffs
+    ddesc = np.polyder(desc)
+    left, right = _CONTOUR_LEFT_OFFSET, _root_bound(desc)
+    center, a, b = 0.5 * (right + left), 0.5 * (right - left), _CONTOUR_HALF_HEIGHT
+    previous = None
+    nodes = _CONTOUR_MIN_NODES
+    while nodes <= _CONTOUR_MAX_NODES:
+        theta = 2.0 * math.pi * np.arange(nodes) / nodes
+        z = center + a * np.cos(theta) + 1j * b * np.sin(theta)
+        dz = -a * np.sin(theta) + 1j * b * np.cos(theta)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            integrand = np.polyval(ddesc, z) / np.polyval(desc, z) * dz
+        value = complex(np.mean(integrand)) / 1j
+        if previous is not None and abs(value - previous) <= _CONTOUR_TOLERANCE:
+            return value
+        previous = value
+        nodes *= 2
     raise ContourCollisionError(
-        "a polynomial zero stays within 1e-8 of every attempted contour"
+        f"contour integral did not converge with {_CONTOUR_MAX_NODES} nodes; "
+        "a polynomial zero lies on or near the contour"
     )
 
 

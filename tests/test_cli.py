@@ -230,6 +230,41 @@ class TestTable:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["solve", "--lambda", "nan"], None),
+            (["solve", "--lambda", "inf"], None),
+            (["solve", "--v2", "nan"], None),
+            (["verify", "--lambda", "1", "--L", "-1"], None),
+            (["verify", "--lambda", "1", "--N", "100"], None),
+            (["verify", "--lambda", "1", "--tol", "nan"], None),
+            (["solve"], {"set": "x", "n": 0}),
+            (["solve"], {"set": 1, "n": 0.5}),
+        ],
+        ids=[
+            "lambda-nan",
+            "lambda-inf",
+            "v2-nan",
+            "L-negative",
+            "N-small",
+            "tol-nan",
+            "config-set-x",
+            "config-n-fraction",
+        ],
+    )
+    def test_invalid_numbers_are_usage_errors(
+        self, capsys, schema, tmp_path, argv, config
+    ):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        code, doc = run_json(capsys, *argv, "--v1", "1", "--alpha", "1")
+        assert code == 2
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
         "error, expected",
         [
             (InvariantViolationError, 3),

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qhj_spectra
 from qhj_spectra import (
+    ContourCollisionError,
     InadmissibleParametersError,
     PotentialParams,
     QmfPoleError,
@@ -298,8 +304,12 @@ class TestMovingPoles:
         assert count_moving_poles(excited) == 1
 
     def test_counts_match_direct_root_counting(self):
-        for lam in (1.5, 2.0, 2.5, 3.0):
-            params = PotentialParams(1.0, -2.0 * lam, 1.0)
+        # (lambda, s) with V1 = s^2 and alpha = 1; at (10, 0.27) the top set-4
+        # level has a real zero near y = 52.8.
+        for lam, s in [
+            (1.5, 1.0), (2.0, 1.0), (2.5, 1.0), (3.0, 1.0), (10.0, 0.27), (5.5, 0.1)
+        ]:
+            params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
             for level in solve_classification(params, enumerate_qes_sets(lam)):
                 roots = np.roots(np.asarray(level.coefficients[::-1]))
                 direct = sum(
@@ -315,6 +325,24 @@ class TestMovingPoles:
             raw = moving_pole_contour_value(level)
             assert abs(raw.real - round(raw.real)) < 1e-3
             assert abs(raw.imag) < 1e-3
+
+    def test_zero_on_the_contour_raises(self):
+        qes_set, params = params_for(1, 1)
+        level = solve_levels(build_pencil(qes_set, params), params)[0]
+        assert count_moving_poles(replace(level, coefficients=(-2.0, 1.0))) == 1
+        on_contour = replace(level, coefficients=(-(1.0 + 1e-6), 1.0))
+        with pytest.raises(ContourCollisionError):
+            count_moving_poles(on_contour)
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        src = os.path.dirname(os.path.dirname(qhj_spectra.__file__))
+        code = "import sys, qhj_spectra; print('scipy.integrate' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_node_bookkeeping(self):
         # real-line node count = 2 * moving poles + parity contribution
