@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DegenerateVectorError,
@@ -123,6 +122,9 @@ def lowest_eigenvalues(
     params: PotentialParams, grid: GridSpec, k: int
 ) -> NumericSpectrum:
     """k smallest eigenpairs of the discretized operator; accuracy O(h^2)."""
+    # Imported here so that only verification pays for loading scipy.linalg.
+    from scipy.linalg import eigh_tridiagonal
+
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > grid.point_count_N // 10:

@@ -3,15 +3,17 @@
 With p1 = b1 - 1/4, p2 = b1' - 1/4 and s = sqrt(V1)/alpha, the bound states
 in the QES block take the form
 
-    psi(y) = (y - 1)^p1 (y + 1)^p2 exp(-s y) P_n(y),   y = cosh(alpha x),
+    psi = z^p1 (z + 2)^p2 exp(-s (1 + z)) P_n(z),   z = cosh(alpha x) - 1,
 
 extended to x < 0 by parity (odd when p1 = 1/2).  Substituting this into the
-Schrodinger equation and matching powers of y yields a four-diagonal matrix H
-whose eigenvalues give E = -alpha^2 * eig(H) and whose eigenvectors are the
-coefficients of P_n.  Every release must pass the residual and oracle checks
-in the test suite; the recursion below is validated there, not trusted.
+Schrodinger equation and matching powers of z yields a three-term recurrence:
+a tridiagonal matrix H with positive off-diagonal products, symmetrized by a
+diagonal scaling and solved with numpy's eigh.  E = -alpha^2 * eig(H), and
+the eigenvectors are the coefficients of P_n in ascending powers of z.  Every
+release must pass the residual and oracle checks in the test suite; the
+recursion below is validated there, not trusted.
 
-Moving poles (zeros of P_n in y > 1) are counted twice, independently: by
+Moving poles (zeros of P_n in z > 0) are counted twice, independently: by
 np.roots, and by the argument principle on an ellipse around the physical
 region that is sized by a root bound and integrated with the periodic
 trapezoid rule, so the contour never locates a root.
@@ -63,7 +65,7 @@ class QesLevel:
     """One analytic eigenvalue with its polynomial, parity and node count."""
 
     energy: float
-    coefficients: tuple[float, ...]  # c0..cn, leading coefficient 1
+    coefficients: tuple[float, ...]  # c0..cn in powers of z = y - 1, leading 1
     qes_set: QesSet
     node_count: int
     parity: str
@@ -78,7 +80,7 @@ class ClosedFormWavefunction:
     p1: float
     p2: float
     c_rate: float  # -sqrt(V1)/alpha
-    coefficients: tuple[float, ...]
+    coefficients: tuple[float, ...]  # ascending powers of z = cosh(alpha x) - 1
     alpha: float
     parity: str
     log_norm: float  # max of log|psi| on the default grid; fixes the scale
@@ -94,75 +96,69 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
         )
     n = qes_set.n
     s = params.s
+    p1 = float(qes_set.p1)
     sigma = float(qes_set.p1 + qes_set.p2)
     delta = float(qes_set.p1 - qes_set.p2)
-    matrix = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        matrix[k, k] = k * (k - 1) + (2.0 * sigma + 1.0) * k + sigma**2 - 2.0 * s * delta
-        if k + 1 <= n:
-            matrix[k, k + 1] = 2.0 * (k + 1) * (delta + s)
-        if k + 2 <= n:
-            matrix[k, k + 2] = -(k + 2) * (k + 1)
-        if k >= 1:
-            matrix[k, k - 1] = 2.0 * s * (n - k + 1)
+    k = np.arange(n + 1, dtype=float)
+    matrix = (
+        np.diag(k * (k - 1.0) + (2.0 * sigma + 1.0 - 4.0 * s) * k
+                + 2.0 * s * n + sigma**2 - 2.0 * s * delta)
+        + np.diag(2.0 * s * (n - k[1:] + 1.0), -1)
+        + np.diag((k[:-1] + 1.0) * (2.0 * k[:-1] + 1.0 + 4.0 * p1), 1)
+    )
     matrix.setflags(write=False)
     return SpectralPencil(matrix=matrix, qes_set=qes_set, s=s)
 
 
 def _node_count(coefficients: tuple[float, ...], parity: str) -> int:
-    """Real-line node count: 2 per real polynomial root in y > 1, +1 if odd."""
+    """Real-line node count: 2 per real polynomial root in z > 0, +1 if odd."""
     roots = np.roots(np.asarray(coefficients[::-1], dtype=float))
-    count = 0
-    for r in roots:
-        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
-            continue
-        if abs(r.real - 1.0) < 1e-9:
-            raise InvariantViolationError(
-                "polynomial root collides with the fixed pole y = 1"
-            )
-        if r.real > 1.0:
-            count += 1
-    return 2 * count + (1 if parity == "odd" else 0)
+    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
+    if np.any(np.abs(real) < 1e-9):
+        raise InvariantViolationError(
+            "polynomial root collides with the fixed pole y = 1"
+        )
+    return 2 * int(np.sum(real > 0.0)) + (1 if parity == "odd" else 0)
 
 
 def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLevel]:
-    """Energies and polynomial coefficients for one set, sorted by energy."""
-    n = pencil.size - 1
-    if n == 0:
-        mus = np.array([pencil.matrix[0, 0]])
-        vectors = np.ones((1, 1))
-    else:
-        mus, vectors = np.linalg.eig(pencil.matrix)
-        scale = max(1.0, float(np.max(np.abs(mus))))
-        if np.max(np.abs(mus.imag)) > 1e-10 * scale:
-            raise InvariantViolationError(
-                f"complex pencil eigenvalue: max imaginary part "
-                f"{np.max(np.abs(mus.imag))!r}"
-            )
-        mus = mus.real
-        vectors = vectors.real
+    """Energies and polynomial coefficients for one set, sorted by energy.
+
+    H is tridiagonal with positive off-diagonal products, so the diagonal
+    similarity D H D^-1 with D[k+1]/D[k] = sqrt(H[k,k+1]/H[k+1,k]) is a
+    symmetric Jacobi matrix: real, simple eigenvalues, and eigenvectors u
+    whose last component never vanishes, giving the coefficients u / D.
+    """
+    h = pencil.matrix
+    upper, lower = np.diag(h, 1), np.diag(h, -1)
+    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(upper / lower))))
+    off = np.sqrt(upper * lower)
+    jacobi = np.diag(np.diag(h)) + np.diag(off, 1) + np.diag(off, -1)
+    mus, vectors = np.linalg.eigh(jacobi)
+    vectors = vectors / scale[:, None]
+    qes_set, parity = pencil.qes_set, pencil.qes_set.parity
 
     levels = []
-    for j in np.argsort(-mus):  # E = -alpha^2 mu: largest mu is lowest energy
-        vec = vectors[:, j]
-        if abs(vec[-1]) < 1e-12 * np.max(np.abs(vec)):
+    # E = -alpha^2 mu, and eigh sorts mu ascending: walk it backwards.
+    for j, column in enumerate(vectors.T[::-1]):
+        coeffs = tuple(float(c) for c in column / column[-1])
+        nodes = _node_count(coeffs, parity)
+        if nodes != 2 * j + (1 if parity == "odd" else 0):
             raise InvariantViolationError(
-                "leading polynomial coefficient vanishes; cannot normalize"
+                f"Sturm ordering violated: level {j} of set {qes_set.set_index} "
+                f"has {nodes} nodes"
             )
-        coeffs = tuple(float(c) for c in vec / vec[-1])
-        parity = pencil.qes_set.parity
         levels.append(
             QesLevel(
-                energy=-params.alpha**2 * float(mus[j]),
+                energy=-params.alpha**2 * float(mus[-1 - j]),
                 coefficients=coeffs,
-                qes_set=pencil.qes_set,
-                node_count=_node_count(coeffs, parity),
+                qes_set=qes_set,
+                node_count=nodes,
                 parity=parity,
                 s=pencil.s,
                 alpha=params.alpha,
             )
         )
-    levels.sort(key=lambda lvl: lvl.energy)
     return levels
 
 
@@ -173,25 +169,26 @@ def solve_classification(
     levels: list[QesLevel] = []
     for qes_set in classification.sets:
         levels.extend(solve_levels(build_pencil(qes_set, params), params))
-    levels.sort(key=lambda lvl: lvl.energy)
+    # Tunnelling doublets can be degenerate below roundoff: order by the
+    # energy as printed (12 significant digits), then by set.
+    levels.sort(key=lambda lvl: (float("%.12g" % lvl.energy), lvl.qes_set.set_index))
     return levels
 
 
 def _raw_log_abs_sign(wf: ClosedFormWavefunction, x: np.ndarray):
     """Unnormalized log|psi| and sign, accumulated in log space.
 
-    Uses (y-1)^(1/2) = sqrt(2)|sinh(alpha x / 2)| and
-    (y+1)^(1/2) = sqrt(2) cosh(alpha x / 2); the odd-parity sign rides on
-    the sinh factor.
+    Uses z = y - 1 = 2 sinh(alpha x / 2)^2, so z^(1/2) = sqrt(2)|sinh(alpha x / 2)|
+    and (y + 1)^(1/2) = sqrt(2) cosh(alpha x / 2); the odd-parity sign rides
+    on the sinh factor.
     """
     half = 0.5 * wf.alpha * x
-    y = np.cosh(wf.alpha * x)
-    poly = np.polyval(np.asarray(wf.coefficients[::-1]), y)
+    sh = np.sinh(half)
+    poly = np.polyval(np.asarray(wf.coefficients[::-1]), 2.0 * sh * sh)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_abs = wf.c_rate * y + np.log(np.abs(poly))
+        log_abs = wf.c_rate * np.cosh(wf.alpha * x) + np.log(np.abs(poly))
         sign = np.sign(poly)
         if wf.p1 > 0.0:
-            sh = np.sinh(half)
             log_abs = log_abs + 2.0 * wf.p1 * (0.5 * _LOG2 + np.log(np.abs(sh)))
             sign = sign * np.sign(sh)
         if wf.p2 > 0.0:
@@ -238,21 +235,17 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     return value
 
 
-def _poly_scale(coefficients: tuple[float, ...], y: float) -> float:
-    return sum(abs(c) for c in coefficients) * max(1.0, abs(y)) ** (
-        len(coefficients) - 1
-    )
-
-
 def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
     """L = d(ln psi)/dx and L' from the closed form; raises at QMF poles."""
     a = wf.alpha
     y = math.cosh(a * x)
+    z = 2.0 * math.sinh(0.5 * a * x) ** 2  # y - 1 without cancellation
     desc = np.asarray(wf.coefficients[::-1])
-    p = float(np.polyval(desc, y))
-    dp = float(np.polyval(np.polyder(desc), y))
-    ddp = float(np.polyval(np.polyder(desc, 2), y))
-    if abs(p) < 1e-12 * _poly_scale(wf.coefficients, y):
+    p = float(np.polyval(desc, z))
+    dp = float(np.polyval(np.polyder(desc), z))
+    ddp = float(np.polyval(np.polyder(desc, 2), z))
+    # Horner's roundoff scale: sum_k |c_k| |z|^k.
+    if abs(p) < 1e-12 * float(np.polyval(np.abs(desc), abs(z))):
         raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
     if wf.p1 > 0.0 and x == 0.0:
         raise QmfPoleError("moving pole at the origin (odd-parity node)")
@@ -260,8 +253,8 @@ def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
     m = wf.c_rate + dp / p
     dm = (ddp * p - dp * dp) / (p * p)
     if wf.p1 > 0.0:
-        m += wf.p1 / (y - 1.0)
-        dm -= wf.p1 / (y - 1.0) ** 2
+        m += wf.p1 / z
+        dm -= wf.p1 / z**2
     if wf.p2 > 0.0:
         m += wf.p2 / (y + 1.0)
         dm -= wf.p2 / (y + 1.0) ** 2
@@ -317,17 +310,13 @@ def _root_bound(desc: np.ndarray) -> float:
 def moving_pole_contour_value(level: QesLevel) -> complex:
     """Raw (1/2 pi i) * contour integral of P'/P around the physical region.
 
-    The contour is an ellipse of half-height 1/2 through y = 1 + 1e-6 and
-    y = 1 + B, where B is a root bound, so no root needs to be located.  The
-    periodic trapezoid rule converges exponentially for this analytic
-    integrand: the node count doubles until two passes agree, and a zero on
-    the contour stalls that convergence and raises ContourCollisionError.
-    P is evaluated in z = y - 1, where it stays accurate even when its zeros
-    crowd the fixed pole y = 1; B bounds the roots in z.
+    The contour is an ellipse of half-height 1/2 through z = 1e-6 and z = B,
+    where B is a root bound, so no root needs to be located.  The periodic
+    trapezoid rule converges exponentially for this analytic integrand: the
+    node count doubles until two passes agree, and a zero on the contour
+    stalls that convergence and raises ContourCollisionError.
     """
-    # Coefficients of P(1 + z), by composing P with the polynomial 1 + z.
-    shift = np.poly1d([1.0, 1.0])
-    desc = np.polyval(np.asarray(level.coefficients[::-1]), shift).coeffs
+    desc = np.asarray(level.coefficients[::-1])
     ddesc = np.polyder(desc)
     left, right = _CONTOUR_LEFT_OFFSET, _root_bound(desc)
     center, a, b = 0.5 * (right + left), 0.5 * (right - left), _CONTOUR_HALF_HEIGHT
@@ -351,7 +340,7 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
 
 
 def count_moving_poles(level: QesLevel) -> int:
-    """Number of P_n zeros in the physical region y > 1 (argument principle)."""
+    """Number of P_n zeros in the physical region z > 0 (argument principle)."""
     raw = moving_pole_contour_value(level)
     count = round(raw.real)
     if abs(raw.real - count) > 1e-3 or abs(raw.imag) > 1e-3:

@@ -232,7 +232,7 @@ def test_criterion_08_moving_pole_bookkeeping(verified, capsys):
             descending = np.asarray(level.coefficients[::-1])
             roots = np.roots(descending) if len(descending) > 1 else np.array([])
             direct = int(
-                np.sum((np.abs(roots.imag) < 1e-9) & (roots.real > 1.0))
+                np.sum((np.abs(roots.imag) < 1e-9) & (roots.real > 0.0))
             )
             ok &= counted == direct and drift < 1e-3
     with capsys.disabled():

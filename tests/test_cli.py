@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -288,6 +291,28 @@ class TestExitCodes:
         assert doc == {
             "error": {"type": error.__name__, "message": "injected failure"}
         }
+
+
+    def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
+        # lambda = 40 (n = 39, 38): np.roots loses polynomial roots, so the
+        # Sturm node-count invariant fails instead of printing wrong nodes.
+        code, doc = run_json(
+            capsys, "solve", "--v1", "1", "--alpha", "1", "--lambda", "40"
+        )
+        assert code == 3
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "InvariantViolationError"
+
+    def test_module_entry_point(self, schema):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "qhj_spectra.cli", "classify",
+             "--v1", "1", "--v2", "-3", "--alpha", "1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0
+        jsonschema.validate(json.loads(result.stdout), schema)
 
 
 class TestContract:

@@ -60,7 +60,8 @@ class TestPencil:
     def test_set1_n1(self):
         qes_set, params = params_for(1, 1)
         pencil = build_pencil(qes_set, params)
-        assert pencil.matrix == pytest.approx(np.array([[0.0, 2.0], [2.0, 1.0]]))
+        # in powers of z = y - 1; eigenvalues (1 +- sqrt(17))/2
+        assert pencil.matrix == pytest.approx(np.array([[2.0, 1.0], [2.0, -1.0]]))
 
     def test_inadmissible_v2_rejected(self):
         qes_set = make_set(2, 0)
@@ -112,8 +113,8 @@ class TestLevels:
         assert level.node_count == 1
 
     def test_set1_n1_energies_and_coefficients(self):
-        # hand-solved secular system: c0 = (-1 +- sqrt(17))/4 with
-        # E = -(1 + 2 c0); frozen here and cross-checked downstream by the
+        # hand-solved secular system in z = y - 1: a0 = (3 +- sqrt(17))/4 with
+        # E = 1 - 2 a0; frozen here and cross-checked downstream by the
         # Schrodinger residual and the numerical oracle
         qes_set, params = params_for(1, 1)
         levels = solve_levels(build_pencil(qes_set, params), params)
@@ -121,8 +122,8 @@ class TestLevels:
         assert levels[0].energy == pytest.approx(-(1.0 + r) / 2.0, rel=1e-14)
         assert levels[1].energy == pytest.approx((r - 1.0) / 2.0, rel=1e-14)
         assert levels[0].coefficients[1] == pytest.approx(1.0)
-        assert levels[0].coefficients[0] == pytest.approx((r - 1.0) / 4.0)
-        assert levels[1].coefficients[0] == pytest.approx(-(r + 1.0) / 4.0)
+        assert levels[0].coefficients[0] == pytest.approx((r + 3.0) / 4.0)
+        assert levels[1].coefficients[0] == pytest.approx((3.0 - r) / 4.0)
         assert [lvl.node_count for lvl in levels] == [0, 2]
 
     @pytest.mark.parametrize("set_index", [1, 2, 3, 4])
@@ -150,6 +151,55 @@ class TestLevels:
         assert parities == ["even", "odd"] * (len(levels) // 2) + (
             ["even"] if len(levels) % 2 else []
         )
+
+
+class TestLargeBlocks:
+    # (lambda, s) with V1 = s^2 and alpha = 1: blocks of n = 19, 20 and 9, 10
+    # that the earlier four-diagonal pencil in powers of y could not solve.
+    @pytest.mark.parametrize(
+        "lam, s", [(20.5, 0.1), (20.5, 0.3), (20.5, 1.0), (20.5, 3.0), (10.0, 0.1)]
+    )
+    def test_sturm_nodes_and_residuals(self, lam, s):
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(lam))
+        assert len(levels) == int(2 * lam)
+        for qes_set in enumerate_qes_sets(lam).sets:
+            in_set = [lvl for lvl in levels if lvl.qes_set == qes_set]
+            odd = 1 if qes_set.parity == "odd" else 0
+            assert [lvl.node_count for lvl in in_set] == [
+                2 * j + odd for j in range(qes_set.n + 1)
+            ]
+        for level in levels:
+            wf = wavefunction(level, params)
+            bound = 1e-8 * max(1.0, abs(level.energy))
+            # Inside the wells; farther out the float64 monomial coefficients
+            # of P round to residuals above this bound at s >= 1.
+            for x in (0.3, 0.7, 1.1):
+                assert abs(schrodinger_residual(wf, level.energy, params, x)) < bound
+
+    def test_no_false_pole_away_from_the_nodes(self):
+        # At x = 2.3 every |P| here exceeds 1e-6 of Horner's roundoff scale
+        # sum |c_k| |z|^k; the cruder sum |c_k| max(1, |z|)^n flagged most
+        # of the upper levels as moving poles.
+        lam, s = 20.5, 1.0
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        for level in solve_classification(params, enumerate_qes_sets(lam)):
+            wf = wavefunction(level, params)
+            assert quantum_momentum(wf, level.energy, 2.3).imag != 0.0
+
+    def test_doublets_degenerate_to_roundoff_list_set3_first(self):
+        # At V1 = 0.0729 the deep set-3/set-4 doublets agree to ~1e-14, below
+        # the 12 significant digits the CLI prints.
+        lam = 10.0
+        params = PotentialParams(0.0729, -2.0 * 0.27 * lam, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(lam))
+        doublets = [
+            (first.qes_set.set_index, second.qes_set.set_index)
+            for first, second in zip(levels, levels[1:])
+            if "%.12g" % first.energy == "%.12g" % second.energy
+        ]
+        assert len(doublets) >= 3
+        assert all(pair == (3, 4) for pair in doublets)
 
 
 class TestWavefunction:
@@ -253,7 +303,7 @@ class TestQuantumMomentum:
         qes_set, params = params_for(1, 1)
         excited = solve_levels(build_pencil(qes_set, params), params)[1]
         wf = wavefunction(excited, params)
-        y_node = -excited.coefficients[0]  # root of y + c0
+        y_node = 1.0 - excited.coefficients[0]  # root of z + a0, z = y - 1
         x_node = math.acosh(y_node)
         with pytest.raises(QmfPoleError):
             quantum_momentum(wf, excited.energy, x_node)
@@ -315,7 +365,7 @@ class TestMovingPoles:
                 direct = sum(
                     1
                     for r in roots
-                    if abs(r.imag) < 1e-9 and r.real > 1.0
+                    if abs(r.imag) < 1e-9 and r.real > 0.0
                 )
                 assert count_moving_poles(level) == direct
 
@@ -329,14 +379,17 @@ class TestMovingPoles:
     def test_zero_on_the_contour_raises(self):
         qes_set, params = params_for(1, 1)
         level = solve_levels(build_pencil(qes_set, params), params)[0]
-        assert count_moving_poles(replace(level, coefficients=(-2.0, 1.0))) == 1
-        on_contour = replace(level, coefficients=(-(1.0 + 1e-6), 1.0))
+        # coefficients in powers of z = y - 1: a zero at z = 1, then one on
+        # the contour's left vertex z = 1e-6
+        assert count_moving_poles(replace(level, coefficients=(-1.0, 1.0))) == 1
+        on_contour = replace(level, coefficients=(-1e-6, 1.0))
         with pytest.raises(ContourCollisionError):
             count_moving_poles(on_contour)
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+    def test_import_leaves_scipy_module_unloaded(self, module):
         src = os.path.dirname(os.path.dirname(qhj_spectra.__file__))
-        code = "import sys, qhj_spectra; print('scipy.integrate' in sys.modules)"
+        code = f"import sys, qhj_spectra; print({module!r} in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
             [sys.executable, "-c", code],
