@@ -354,6 +354,12 @@ def cmd_verify(settings) -> tuple[int, dict]:
     except HardMismatchError as exc:
         document.update(overall_pass=False, hard_mismatch=str(exc))
         return EXIT_MISMATCH, document
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        # Apart from LAPACK failures, only the oracle's check that the grid
+        # holds the block's sector eigenvalues raises ValueError here.
+        raise UsageError(f"--N is too small for this working point: {exc}") from exc
 
     document.update(
         tolerance=tolerance,
@@ -462,8 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_working_point(p)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--L", type=float, default=None, help="override grid half-width")
-    p.add_argument("--N", type=int, default=None, help="override grid point count")
+    p.add_argument(
+        "--L", type=float, default=None,
+        help="override the wall position: each parity sector is solved on (0, L)",
+    )
+    p.add_argument(
+        "--N", type=int, default=None,
+        help="override the cell-centred points on (0, L) per sector (h = L/N)",
+    )
     p.add_argument(
         "--assert-paper-table-3.3",
         dest="assert_paper_table_33",

@@ -1,9 +1,13 @@
 """Independent finite-difference eigenvalue oracle for -psi'' + V psi = E psi.
 
-Second-order central differences on a symmetric grid with Dirichlet walls;
-the super-exponential exp(-s cosh(alpha x)) decay makes wall error negligible
-once s cosh(alpha L) >= 40.  Solving on grids h and h/2 gives both a
-Richardson-extrapolated eigenvalue and a direct measurement of the
+V is even in x, so each QES set, whose residue b1 fixes its parity, is checked
+in its own sector: second-order central differences on the cell-centred
+half-line grid x_i = (i - 1/2) h, with a mirror ghost point psi_0 = +-psi_1
+at x = 0 and a Dirichlet wall at x = L.  The wall sits where
+s y - lambda ln y >= 40 (y = cosh(alpha L)), past the y^lambda exp(-s y)
+tail of every QES level.  A set's levels, in energy order, are matched by
+index to its sector's lowest eigenvalues.  Solving on grids h and h/2 gives
+both a Richardson-extrapolated eigenvalue and a direct measurement of the
 convergence order, which is itself a checked invariant.
 """
 
@@ -20,18 +24,22 @@ from .errors import (
     InvariantViolationError,
 )
 from .potential import PotentialParams, Variant, evaluate_potential
-from .qhj import QesClassification
+from .qhj import QesClassification, infinity_analysis
 from .solver import QesLevel, solve_classification
 
 MAX_POINTS = 200_000
-# Oracle eigenvalues solved beyond the analytic levels, so that the highest
-# analytic level is matched against eigenvalues on both sides of it.
-EXTRA_ORACLE_LEVELS = 4
+# Sector eigenvalues solved beyond a set's levels, so that its highest level
+# is matched against eigenvalues on both sides of it.
+EXTRA_ORACLE_LEVELS = 2
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Symmetric interior grid x_i = -L + i h, i = 1..N, h = 2L/(N+1)."""
+    """Cell-centred half-line grid x_i = (i - 1/2) h, i = 1..N, h = L/N.
+
+    One parity sector lives on (0, L): the mirror ghost point at x = -h/2
+    carries the parity, and the wall is at x = L.
+    """
 
     half_width_L: float
     point_count_N: int
@@ -44,21 +52,19 @@ class GridSpec:
 
     @property
     def step(self) -> float:
-        return 2.0 * self.half_width_L / (self.point_count_N + 1)
+        return self.half_width_L / self.point_count_N
 
     def points(self) -> np.ndarray:
-        return -self.half_width_L + self.step * np.arange(
-            1, self.point_count_N + 1
-        )
+        return self.step * (np.arange(1, self.point_count_N + 1) - 0.5)
 
     def refined(self) -> "GridSpec":
         """Same L with the step exactly halved."""
-        return GridSpec(self.half_width_L, 2 * self.point_count_N + 1)
+        return GridSpec(self.half_width_L, 2 * self.point_count_N)
 
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Lowest eigenvalues and grid-sampled eigenvectors."""
+    """Lowest eigenvalues and grid-sampled eigenvectors of one parity sector."""
 
     eigenvalues: tuple[float, ...]
     eigenvectors: np.ndarray  # column j belongs to eigenvalue j
@@ -95,13 +101,22 @@ class VerificationReport:
 
 
 def default_grid(params: PotentialParams, levels_needed: int = 1) -> GridSpec:
-    """Tail-safe grid: s cosh(alpha L) >= 40, h <= min(0.002/alpha, L/1000)."""
-    s = params.s
-    big_l = math.acosh(max(40.0 / s, 10.0)) / params.alpha
+    """Tail-safe half-line grid: the wall y = cosh(alpha L) is the smallest
+    y >= 10 with s y - lambda ln y >= 40 (QES levels decay like
+    y^lambda exp(-s y)), and h <= min(0.002/alpha, L/1000)."""
+    # A decaying y^lambda (lambda < 0) only moves the wall inwards.
+    s, lam = params.s, max(infinity_analysis(params).lam, 0.0)
+    y, previous = 10.0, 0.0
+    if s * y - lam * math.log(y) < 40.0:
+        # Fixed-point iteration onto the largest root: it rises monotonically
+        # from y = 10, with contraction lam / (s y) < 1/ln(10) at the root.
+        while y - previous > 1e-12 * y:
+            previous, y = y, (40.0 + lam * math.log(y)) / s
+    big_l = math.acosh(y) / params.alpha
     h_target = min(0.002 / params.alpha, big_l / 1000.0)
-    n = int(math.ceil(2.0 * big_l / h_target))
+    n = int(math.ceil(big_l / h_target))
     n = min(n, MAX_POINTS)
-    n = max(n, 200, 10 * max(1, levels_needed))
+    n = max(n, 200, 10 * (levels_needed + EXTRA_ORACLE_LEVELS))
     return GridSpec(half_width_L=big_l, point_count_N=n)
 
 
@@ -119,9 +134,9 @@ def node_count(vector: np.ndarray) -> int:
 
 
 def lowest_eigenvalues(
-    params: PotentialParams, grid: GridSpec, k: int
+    params: PotentialParams, grid: GridSpec, k: int, parity: str
 ) -> NumericSpectrum:
-    """k smallest eigenpairs of the discretized operator; accuracy O(h^2)."""
+    """k smallest eigenpairs of one parity sector on (0, L); accuracy O(h^2)."""
     # Imported here so that only verification pays for loading scipy.linalg.
     from scipy.linalg import eigh_tridiagonal
 
@@ -129,13 +144,15 @@ def lowest_eigenvalues(
         raise ValueError("k must be at least 1")
     if k > grid.point_count_N // 10:
         raise ValueError(
-            f"k = {k} too large for N = {grid.point_count_N} grid points"
+            f"{k} eigenvalues per sector need N >= {10 * k} grid points, "
+            f"got N = {grid.point_count_N}"
         )
-    x = grid.points()
     h = grid.step
     diagonal = 2.0 / h**2 + evaluate_potential(
-        params, Variant.REAL_SINH_GORDON, x
+        params, Variant.REAL_SINH_GORDON, grid.points()
     ).real
+    # Mirror ghost point psi_0 = +psi_1 (even) or -psi_1 (odd).
+    diagonal[0] += {"even": -1.0, "odd": 1.0}[parity] / h**2
     off_diagonal = np.full(grid.point_count_N - 1, -1.0 / h**2)
     values, vectors = eigh_tridiagonal(
         diagonal, off_diagonal, select="i", select_range=(0, k - 1)
@@ -145,24 +162,14 @@ def lowest_eigenvalues(
     for j in range(k):
         if node_count(vectors[:, j]) != j:
             raise InvariantViolationError(
-                f"Sturm oscillation violated: eigenvector {j} has "
-                f"{node_count(vectors[:, j])} sign changes"
+                f"Sturm oscillation violated: {parity} eigenvector {j} has "
+                f"{node_count(vectors[:, j])} sign changes on the half-line"
             )
     return NumericSpectrum(
         eigenvalues=tuple(float(v) for v in values),
         eigenvectors=vectors,
         grid=grid,
     )
-
-
-def _vector_parity(vector: np.ndarray) -> tuple[str, float]:
-    """Best-fitting parity and its sup-norm mismatch on the symmetric grid."""
-    reversed_v = vector[::-1]
-    err_even = float(np.max(np.abs(vector - reversed_v)))
-    err_odd = float(np.max(np.abs(vector + reversed_v)))
-    if err_even <= err_odd:
-        return "even", err_even
-    return "odd", err_odd
 
 
 def verify_qes(
@@ -172,12 +179,13 @@ def verify_qes(
     grid: GridSpec | None = None,
     analytic_levels: list[QesLevel] | None = None,
 ) -> VerificationReport:
-    """Adjudicate every analytic level against the two-grid oracle.
+    """Adjudicate every analytic level against the two-grid sector oracle.
 
-    analytic_levels overrides the solved levels (used to demonstrate that a
-    published value fails the match).  Raises HardMismatchError when a level
-    is farther than 10*tolerance from every oracle eigenvalue or when two
-    levels collide on the same oracle eigenvalue.
+    Level j of a set (energy order) is compared with eigenvalue j of the
+    sector of the set's parity.  analytic_levels overrides the solved levels
+    (used to demonstrate that a published value fails the match).  Raises
+    HardMismatchError when a level is farther than 10*tolerance from its
+    sector eigenvalue, and ValueError when grid is too coarse for a set.
     """
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
@@ -186,75 +194,66 @@ def verify_qes(
     if grid is None:
         grid = default_grid(params, levels_needed=len(analytic_levels))
 
-    k = min(len(analytic_levels) + EXTRA_ORACLE_LEVELS, grid.point_count_N // 10)
-    coarse = lowest_eigenvalues(params, grid, k)
-    fine = lowest_eigenvalues(params, grid.refined(), k)
-    coarse_e = np.asarray(coarse.eigenvalues)
-    fine_e = np.asarray(fine.eigenvalues)
-    richardson = (4.0 * fine_e - coarse_e) / 3.0
-
-    rows = []
-    taken: dict[int, float] = {}
-    for level in analytic_levels:
-        j = int(np.argmin(np.abs(richardson - level.energy)))
-        gap = float(abs(richardson[j] - level.energy))
-        if gap > 10.0 * tolerance:
-            raise HardMismatchError(
-                f"analytic level E = {level.energy!r} (set "
-                f"{level.qes_set.set_index}) is {gap!r} away from every "
-                f"oracle eigenvalue: adjudicated mismatch"
-            )
-        if j in taken:
-            raise HardMismatchError(
-                f"levels E = {taken[j]!r} and E = {level.energy!r} both match "
-                f"oracle eigenvalue {float(richardson[j])!r}: collision"
-            )
-        taken[j] = level.energy
-
-        gap_h = abs(coarse_e[j] - level.energy)
-        gap_half = abs(fine_e[j] - level.energy)
-        order = (
-            math.log2(gap_h / gap_half) if gap_half > 0.0 else float("nan")
+    rows: dict[int, LevelComparison] = {}
+    unmatched: list[float] = []
+    for qes_set in classification.sets:
+        members = sorted(
+            (i for i, level in enumerate(analytic_levels) if level.qes_set == qes_set),
+            key=lambda i: analytic_levels[i].energy,
         )
-        vec = fine.eigenvectors[:, j]
-        oracle_nodes = node_count(vec)
-        oracle_parity, parity_err = _vector_parity(vec)
-        parity_ok = (
-            oracle_parity == level.parity
-            and parity_err < 1e-6 * float(np.max(np.abs(vec)))
-        )
-        rows.append(
-            LevelComparison(
-                set_index=level.qes_set.set_index,
-                n=level.qes_set.n,
+        k = qes_set.n + 1 + EXTRA_ORACLE_LEVELS
+        coarse = lowest_eigenvalues(params, grid, k, qes_set.parity)
+        fine = lowest_eigenvalues(params, grid.refined(), k, qes_set.parity)
+        coarse_e = np.asarray(coarse.eigenvalues)
+        fine_e = np.asarray(fine.eigenvalues)
+        richardson = (4.0 * fine_e - coarse_e) / 3.0
+        unmatched.extend(float(e) for e in richardson[len(members):])
+        odd = 1 if qes_set.parity == "odd" else 0
+
+        for j, i in enumerate(members):
+            level = analytic_levels[i]
+            gap = float(abs(richardson[j] - level.energy))
+            if gap > 10.0 * tolerance:
+                raise HardMismatchError(
+                    f"analytic level E = {level.energy!r} (set {qes_set.set_index}) "
+                    f"is {gap!r} away from {qes_set.parity}-sector eigenvalue {j} = "
+                    f"{float(richardson[j])!r}: adjudicated mismatch"
+                )
+            gap_h = abs(coarse_e[j] - level.energy)
+            gap_half = abs(fine_e[j] - level.energy)
+            order = (
+                math.log2(gap_h / gap_half) if gap_half > 0.0 else float("nan")
+            )
+            rows[i] = LevelComparison(
+                set_index=qes_set.set_index,
+                n=qes_set.n,
                 energy_analytic=level.energy,
                 energy_oracle=float(richardson[j]),
-                abs_gap=float(gap),
+                abs_gap=gap,
                 gap_h=float(gap_h),
                 gap_half_h=float(gap_half),
                 convergence_order=float(order),
                 node_count_analytic=level.node_count,
-                node_count_oracle=oracle_nodes,
+                node_count_oracle=2 * node_count(fine.eigenvectors[:, j]) + odd,
                 parity=level.parity,
-                parity_match=parity_ok,
+                parity_match=level.parity == qes_set.parity,
             )
-        )
 
-    unmatched = tuple(
-        float(richardson[j]) for j in range(k) if j not in taken
-    )
-    orders = [r.convergence_order for r in rows if math.isfinite(r.convergence_order)]
+    ordered = tuple(rows[i] for i in range(len(analytic_levels)))
+    orders = [
+        r.convergence_order for r in ordered if math.isfinite(r.convergence_order)
+    ]
     order_estimate = float(np.median(orders)) if orders else float("nan")
     overall = all(
         r.abs_gap <= tolerance
         and r.node_count_analytic == r.node_count_oracle
         and r.parity_match
-        for r in rows
+        for r in ordered
     )
     return VerificationReport(
-        rows=tuple(rows),
+        rows=ordered,
         convergence_order_estimate=order_estimate,
         overall_pass=overall,
-        unmatched_oracle=unmatched,
+        unmatched_oracle=tuple(sorted(unmatched)),
         tolerance=tolerance,
     )

@@ -214,7 +214,16 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
         parity=level.parity,
         log_norm=0.0,
     )
-    grid = np.linspace(-5.0 / params.alpha, 5.0 / params.alpha, 2001)
+    # |psi| has no interior maximum where V > E, so the peak lies inside the
+    # outer turning point y_t (V(y_t) = E); cover it when it passes |x| = 5/alpha.
+    v1, v2 = params.v1, params.v2
+    y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
+    half_width = math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
+    grid = np.linspace(
+        -half_width / params.alpha,
+        half_width / params.alpha,
+        2 * math.ceil(200.0 * half_width) + 1,  # step <= 0.005/alpha
+    )
     log_abs, _ = _raw_log_abs_sign(wf, grid)
     return replace(wf, log_norm=float(np.max(log_abs[np.isfinite(log_abs)])))
 

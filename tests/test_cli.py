@@ -241,6 +241,7 @@ class TestExitCodes:
             (["verify", "--lambda", "1", "--L", "-1"], None),
             (["verify", "--lambda", "1", "--N", "100"], None),
             (["verify", "--lambda", "1", "--tol", "nan"], None),
+            (["verify", "--lambda", "20.5", "--N", "200"], None),
             (["solve"], {"set": "x", "n": 0}),
             (["solve"], {"set": 1, "n": 0.5}),
         ],
@@ -251,6 +252,7 @@ class TestExitCodes:
             "L-negative",
             "N-small",
             "tol-nan",
+            "N-below-block",
             "config-set-x",
             "config-n-fraction",
         ],

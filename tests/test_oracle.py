@@ -10,6 +10,7 @@ from qhj_spectra import (
     PotentialParams,
     default_grid,
     enumerate_qes_sets,
+    infinity_analysis,
     lowest_eigenvalues,
     node_count,
     solve_classification,
@@ -24,14 +25,20 @@ def quick_grid(params, big_l=None, n=2001):
 
 class TestGridSpec:
     def test_step(self):
-        grid = GridSpec(half_width_L=5.0, point_count_N=999)
+        grid = GridSpec(half_width_L=5.0, point_count_N=500)
         assert grid.step == pytest.approx(0.01)
 
     def test_points_symmetric(self):
-        grid = GridSpec(half_width_L=3.0, point_count_N=599)
+        # Cell-centred on (0, L): with their mirror images (the ghost points)
+        # the points form a symmetric grid of step h.
+        grid = GridSpec(half_width_L=3.0, point_count_N=600)
         x = grid.points()
-        assert len(x) == 599
-        assert np.allclose(x, -x[::-1])
+        assert len(x) == 600
+        assert x[0] == pytest.approx(grid.step / 2.0)
+        assert x[-1] == pytest.approx(3.0 - grid.step / 2.0)
+        mirrored = np.concatenate((-x[::-1], x))
+        assert np.allclose(mirrored, -mirrored[::-1])
+        assert np.allclose(np.diff(mirrored), grid.step)
 
     def test_refined_halves_step(self):
         grid = GridSpec(half_width_L=3.0, point_count_N=599)
@@ -44,8 +51,10 @@ class TestGridSpec:
 
 class TestDefaultGrid:
     def test_unit_parameters(self):
+        # s = 1, lambda = 3/2: the wall solves y - (3/2) ln y = 40.
         grid = default_grid(PotentialParams(1.0, -3.0, 1.0))
-        assert grid.half_width_L == pytest.approx(math.acosh(40.0))
+        y = math.cosh(grid.half_width_L)
+        assert y - 1.5 * math.log(y) == pytest.approx(40.0, abs=1e-9)
         assert grid.step <= 0.002
 
     def test_strong_well_hits_floor(self):
@@ -56,7 +65,11 @@ class TestDefaultGrid:
         for v1, alpha in [(1.0, 1.0), (0.25, 0.5), (100.0, 1.0), (9.0, 3.0)]:
             params = PotentialParams(v1, -3.0, alpha)
             grid = default_grid(params)
-            assert params.s * math.cosh(alpha * grid.half_width_L) >= 40.0 - 1e-9
+            y = math.cosh(alpha * grid.half_width_L)
+            assert params.s * y >= 40.0 - 1e-9
+            assert params.s * y - infinity_analysis(params).lam * math.log(y) >= (
+                40.0 - 1e-9
+            )
 
 
 class TestNodeCount:
@@ -78,44 +91,61 @@ class TestNodeCount:
 
 class TestLowestEigenvalues:
     def test_lambda_three_halves_spectrum(self):
+        # Set 1 (n = 1) is the even sector, set 2 (n = 0) the odd one.
         params = PotentialParams(1.0, -3.0, 1.0)
-        spectrum = lowest_eigenvalues(params, quick_grid(params, n=4001), k=3)
+        grid = quick_grid(params, n=4001)
         r = math.sqrt(17.0)
-        expected = [-(1.0 + r) / 2.0, -1.0, (r - 1.0) / 2.0]
-        assert list(spectrum.eigenvalues) == pytest.approx(expected, abs=2e-5)
+        even = lowest_eigenvalues(params, grid, k=2, parity="even")
+        odd = lowest_eigenvalues(params, grid, k=1, parity="odd")
+        assert list(even.eigenvalues) == pytest.approx(
+            [-(1.0 + r) / 2.0, (r - 1.0) / 2.0], abs=2e-5
+        )
+        assert list(odd.eigenvalues) == pytest.approx([-1.0], abs=2e-5)
 
     def test_lambda_one_spectrum(self):
         params = PotentialParams(1.0, -2.0, 1.0)
-        spectrum = lowest_eigenvalues(params, quick_grid(params, n=4001), k=2)
-        assert list(spectrum.eigenvalues) == pytest.approx([-1.25, 0.75], abs=2e-5)
+        grid = quick_grid(params, n=4001)
+        even = lowest_eigenvalues(params, grid, k=1, parity="even")
+        odd = lowest_eigenvalues(params, grid, k=1, parity="odd")
+        assert even.eigenvalues[0] == pytest.approx(-1.25, abs=2e-5)
+        assert odd.eigenvalues[0] == pytest.approx(0.75, abs=2e-5)
 
     def test_single_level(self):
         params = PotentialParams(1.0, -1.0, 1.0)
-        spectrum = lowest_eigenvalues(params, quick_grid(params, n=4001), k=1)
+        spectrum = lowest_eigenvalues(
+            params, quick_grid(params, n=4001), k=1, parity="even"
+        )
         assert spectrum.eigenvalues[0] == pytest.approx(0.0, abs=2e-5)
 
     def test_sturm_node_counts(self):
+        # Half-line eigenvector j has j sign changes in either sector.
         params = PotentialParams(1.0, -3.0, 1.0)
-        spectrum = lowest_eigenvalues(params, quick_grid(params, n=2001), k=5)
-        for j in range(5):
-            assert node_count(spectrum.eigenvectors[:, j]) == j
+        for parity in ("even", "odd"):
+            spectrum = lowest_eigenvalues(
+                params, quick_grid(params, n=2001), k=5, parity=parity
+            )
+            for j in range(5):
+                assert node_count(spectrum.eigenvectors[:, j]) == j
 
     def test_k_too_large_rejected(self):
         params = PotentialParams(1.0, -3.0, 1.0)
-        with pytest.raises(ValueError):
-            lowest_eigenvalues(params, quick_grid(params, n=500), k=51)
+        with pytest.raises(ValueError, match="N >= 510"):
+            lowest_eigenvalues(params, quick_grid(params, n=500), k=51, parity="even")
 
     def test_boundary_insensitivity(self):
         params = PotentialParams(1.0, -3.0, 1.0)
         base = default_grid(params)
-        a = lowest_eigenvalues(params, quick_grid(params, base.half_width_L, 6001), k=2)
+        a = lowest_eigenvalues(
+            params, quick_grid(params, base.half_width_L, 3001), k=1, parity="odd"
+        )
         b = lowest_eigenvalues(
-            params, quick_grid(params, 1.2 * base.half_width_L, 7201), k=2
+            params, quick_grid(params, 1.2 * base.half_width_L, 3601), k=1,
+            parity="odd",
         )
         # compare through Richardson-free values on matched steps: the step
         # sizes differ slightly, so verify against the analytic energies
         for values in (a.eigenvalues, b.eigenvalues):
-            assert values[1] == pytest.approx(-1.0, abs=1e-4)
+            assert values[0] == pytest.approx(-1.0, abs=1e-4)
 
 
 class TestVerify:
@@ -183,12 +213,29 @@ class TestVerify:
             def __getattr__(self, name):
                 return getattr(self._level, name)
 
+        # Set 4's level moved onto set 3's energy: its odd sector has no
+        # eigenvalue there.
         fake = [levels[0], Shifted(levels[1], levels[0].energy)]
-        with pytest.raises(HardMismatchError, match="collision"):
+        with pytest.raises(HardMismatchError):
             verify_qes(
                 params, classification, tolerance=1e-4,
                 grid=quick_grid(params, n=2001), analytic_levels=fake,
             )
+
+    # Tunnelling doublets (V1 = s^2, alpha = 1) that the full-line oracle
+    # could not separate or assign a parity to.
+    @pytest.mark.parametrize("lam", [10.0, 20.5])
+    @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
+    def test_large_blocks_pass_the_gate(self, lam, s):
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        report = verify_qes(params, enumerate_qes_sets(lam))
+        assert report.overall_pass
+        assert len(report.rows) == int(2 * lam)
+        assert all(r.abs_gap <= 1e-6 for r in report.rows)
+        assert all(r.node_count_oracle == r.node_count_analytic for r in report.rows)
+        top_qes = max(r.energy_analytic for r in report.rows)
+        assert len(report.unmatched_oracle) == 4
+        assert all(e > top_qes for e in report.unmatched_oracle)
 
     def test_empty_classification_rejected(self):
         params = PotentialParams(1.0, -1.4, 1.0)

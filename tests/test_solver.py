@@ -267,6 +267,15 @@ class TestWavefunction:
         grid = np.linspace(-5.0, 5.0, 2001)
         assert np.max(np.abs(evaluate_wavefunction(wf, grid))) == pytest.approx(1.0)
 
+    # Large lambda/s puts the peak beyond |x| = 5/alpha.
+    @pytest.mark.parametrize("lam, s", [(20.5, 0.1), (10.0, 0.1)])
+    def test_max_normalized_beyond_five_over_alpha(self, lam, s):
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        grid = np.linspace(-9.0, 9.0, 3601)
+        for level in solve_classification(params, enumerate_qes_sets(lam)):
+            psi = evaluate_wavefunction(wavefunction(level, params), grid)
+            assert np.max(np.abs(psi)) <= 1.0 + 1e-3
+
     def test_schrodinger_residual_all_levels(self):
         rng = np.random.default_rng(11)
         for lam in (0.5, 1.0, 1.5, 2.0):
