@@ -14,9 +14,12 @@ release must pass the residual and oracle checks in the test suite; the
 recursion below is validated there, not trusted.
 
 Moving poles (zeros of P_n in z > 0) are counted twice, independently: by
-np.roots, and by the argument principle on an ellipse around the physical
-region that is sized by a root bound and integrated with the periodic
-trapezoid rule, so the contour never locates a root.
+np.roots, and by the argument principle on an ellipse in ln z that spans the
+two Fujiwara root bounds and is integrated with the periodic trapezoid rule,
+so the contour never locates a root.  In z the ellipse encloses the positive
+axis and strays off it only where |arg z| < 3/2; a Jacobi eigenvector's
+polynomial has only real zeros (Heine-Stieltjes), in (-2, 0) and (0, inf),
+so no complex zero can be counted.
 """
 
 from __future__ import annotations
@@ -37,11 +40,9 @@ from .qhj import SET_RESIDUES, QesClassification, QesSet, qes_target_v2
 
 _LOG2 = math.log(2.0)
 
-# Moving-pole contour: left vertex offset from the fixed pole y = 1, ellipse
-# half-height, agreement between successive trapezoid passes, and the range
-# of node counts tried.
-_CONTOUR_LEFT_OFFSET = 1e-6
-_CONTOUR_HALF_HEIGHT = 0.5
+# Moving-pole contour: half-height of the ellipse in w = ln z, agreement
+# between successive trapezoid passes, and the range of node counts tried.
+_CONTOUR_HALF_HEIGHT = 1.5
 _CONTOUR_TOLERANCE = 1e-9
 _CONTOUR_MIN_NODES = 64
 _CONTOUR_MAX_NODES = 2**16
@@ -317,26 +318,39 @@ def _root_bound(desc: np.ndarray) -> float:
 
 
 def moving_pole_contour_value(level: QesLevel) -> complex:
-    """Raw (1/2 pi i) * contour integral of P'/P around the physical region.
+    """Raw (1/2 pi i) * contour integral of P'/P around the half-line z > 0.
 
-    The contour is an ellipse of half-height 1/2 through z = 1e-6 and z = B,
-    where B is a root bound, so no root needs to be located.  The periodic
-    trapezoid rule converges exponentially for this analytic integrand: the
-    node count doubles until two passes agree, and a zero on the contour
-    stalls that convergence and raises ContourCollisionError.
+    The contour is an ellipse in w = ln z, so dz = z dw, with real vertices
+    -ln B_rev and ln B and half-height 3/2.  B is the Fujiwara bound on the
+    zeros of P and B_rev the same bound on the zeros of the reversed
+    polynomial, so every zero has 1/B_rev <= |z| <= B and no root needs to be
+    located.  In z the ellipse encloses the whole positive axis and strays
+    off it only where |arg z| < 3/2.  No complex zero can be counted
+    there: P is the polynomial of an eigenvector of a Jacobi matrix, so by
+    Heine-Stieltjes theory all its zeros are real, in (-2, 0) and (0, inf).
+    The negative ones sit at Im w = pi, and the half-height splits the gap.
+
+    The periodic trapezoid rule converges exponentially for this analytic
+    integrand: the node count doubles until two passes agree, and a zero on
+    the contour stalls that convergence and raises ContourCollisionError.
     """
     desc = np.asarray(level.coefficients[::-1])
+    if len(desc) == 1:
+        return 0j
+    if desc[-1] == 0.0:
+        raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
     ddesc = np.polyder(desc)
-    left, right = _CONTOUR_LEFT_OFFSET, _root_bound(desc)
+    left = -math.log(_root_bound(desc[::-1] / desc[-1]))
+    right = math.log(_root_bound(desc))
     center, a, b = 0.5 * (right + left), 0.5 * (right - left), _CONTOUR_HALF_HEIGHT
     previous = None
     nodes = _CONTOUR_MIN_NODES
     while nodes <= _CONTOUR_MAX_NODES:
         theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        z = center + a * np.cos(theta) + 1j * b * np.sin(theta)
-        dz = -a * np.sin(theta) + 1j * b * np.cos(theta)
+        z = np.exp(center + a * np.cos(theta) + 1j * b * np.sin(theta))
+        dw = -a * np.sin(theta) + 1j * b * np.cos(theta)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            integrand = np.polyval(ddesc, z) / np.polyval(desc, z) * dz
+            integrand = np.polyval(ddesc, z) / np.polyval(desc, z) * z * dw
         value = complex(np.mean(integrand)) / 1j
         if previous is not None and abs(value - previous) <= _CONTOUR_TOLERANCE:
             return value
@@ -349,7 +363,13 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
 
 
 def count_moving_poles(level: QesLevel) -> int:
-    """Number of P_n zeros in the physical region z > 0 (argument principle)."""
+    """Number of P_n zeros in the physical region z > 0 (argument principle).
+
+    Rounds moving_pole_contour_value, whose ellipse in ln z also encloses
+    complex points with |arg z| < 3/2; P_n has no zeros there, as all its
+    zeros are real.  A zero at z = 0, on the fixed pole, raises
+    ContourCollisionError, as does a value more than 1e-3 from an integer.
+    """
     raw = moving_pole_contour_value(level)
     count = round(raw.real)
     if abs(raw.real - count) > 1e-3 or abs(raw.imag) > 1e-3:

@@ -362,21 +362,37 @@ class TestMovingPoles:
         assert count_moving_poles(ground) == 0
         assert count_moving_poles(excited) == 1
 
+    @staticmethod
+    def direct_count(level):
+        roots = np.roots(np.asarray(level.coefficients[::-1]))
+        return sum(1 for r in roots if abs(r.imag) < 1e-9 and r.real > 0.0)
+
     def test_counts_match_direct_root_counting(self):
         # (lambda, s) with V1 = s^2 and alpha = 1; at (10, 0.27) the top set-4
-        # level has a real zero near y = 52.8.
+        # level has a real zero near y = 52.8.  From (13, 0.1) on, the zeros
+        # spread over many decades of z.
         for lam, s in [
-            (1.5, 1.0), (2.0, 1.0), (2.5, 1.0), (3.0, 1.0), (10.0, 0.27), (5.5, 0.1)
+            (1.5, 1.0), (2.0, 1.0), (2.5, 1.0), (3.0, 1.0), (10.0, 0.27), (5.5, 0.1),
+            (13.0, 0.1), (17.0, 0.3), (19.0, 1.0), (20.5, 0.1), (20.5, 1.0),
+            (20.5, 3.0), (22.0, 10.0),
         ]:
             params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
             for level in solve_classification(params, enumerate_qes_sets(lam)):
-                roots = np.roots(np.asarray(level.coefficients[::-1]))
-                direct = sum(
-                    1
-                    for r in roots
-                    if abs(r.imag) < 1e-9 and r.real > 0.0
-                )
-                assert count_moving_poles(level) == direct
+                assert count_moving_poles(level) == self.direct_count(level)
+
+    def test_count_never_locates_a_root(self, monkeypatch):
+        lam, s = 10.0, 0.27
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(lam))
+        expected = [self.direct_count(level) for level in levels]
+
+        def no_roots(*args, **kwargs):
+            raise AssertionError("the contour count called np.roots")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "roots", no_roots)
+            counted = [count_moving_poles(level) for level in levels]
+        assert counted == expected
 
     def test_contour_value_close_to_integer(self):
         qes_set, params = params_for(1, 1)
@@ -388,12 +404,22 @@ class TestMovingPoles:
     def test_zero_on_the_contour_raises(self):
         qes_set, params = params_for(1, 1)
         level = solve_levels(build_pencil(qes_set, params), params)[0]
-        # coefficients in powers of z = y - 1: a zero at z = 1, then one on
-        # the contour's left vertex z = 1e-6
+        # coefficients in powers of z = y - 1: a zero at z = 1 ...
         assert count_moving_poles(replace(level, coefficients=(-1.0, 1.0))) == 1
-        on_contour = replace(level, coefficients=(-1e-6, 1.0))
+        # ... and one on the fixed pole z = 0, where ln z has no finite vertex
+        with pytest.raises(ContourCollisionError, match="fixed pole"):
+            count_moving_poles(replace(level, coefficients=(0.0, 1.0)))
+
+        # ... then the pair 3 exp(+-i phi).  Its root bounds give 3/2 <= |z| <= 6,
+        # so the ellipse in ln z is centred on ln 3 with half-height 3/2: phi =
+        # 1.5 puts both zeros on it, a smaller phi inside, a larger one outside.
+        def pair(phi):
+            return replace(level, coefficients=(9.0, -6.0 * math.cos(phi), 1.0))
+
         with pytest.raises(ContourCollisionError):
-            count_moving_poles(on_contour)
+            count_moving_poles(pair(1.5))
+        assert count_moving_poles(pair(1.2)) == 2
+        assert count_moving_poles(pair(1.8)) == 0
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
     def test_import_leaves_scipy_module_unloaded(self, module):
