@@ -13,13 +13,14 @@ the eigenvectors are the coefficients of P_n in ascending powers of z.  Every
 release must pass the residual and oracle checks in the test suite; the
 recursion below is validated there, not trusted.
 
-Moving poles (zeros of P_n in z > 0) are counted twice, independently: by
-np.roots, and by the argument principle on an ellipse in ln z that spans the
-two Fujiwara root bounds and is integrated with the periodic trapezoid rule,
-so the contour never locates a root.  In z the ellipse encloses the positive
-axis and strays off it only where |arg z| < 3/2; a Jacobi eigenvector's
-polynomial has only real zeros (Heine-Stieltjes), in (-2, 0) and (0, inf),
-so no complex zero can be counted.
+A Jacobi eigenvector's polynomial has only real zeros (Heine-Stieltjes), in
+(-2, 0) and (0, inf).  Its moving poles (zeros in z > 0) are counted twice,
+independently, and neither count locates a root: by Descartes' rule, the sign
+changes of its coefficients, which is exact for a real-rooted polynomial; and
+by the argument principle on an ellipse in ln z that spans the two Fujiwara
+root bounds, integrated with the periodic trapezoid rule.  In z the ellipse
+encloses the positive axis and strays off it only where |arg z| < 3/2, where
+no zero can lie.
 """
 
 from __future__ import annotations
@@ -111,15 +112,18 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
     return SpectralPencil(matrix=matrix, qes_set=qes_set, s=s)
 
 
-def _node_count(coefficients: tuple[float, ...], parity: str) -> int:
-    """Real-line node count: 2 per real polynomial root in z > 0, +1 if odd."""
-    roots = np.roots(np.asarray(coefficients[::-1], dtype=float))
-    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
-    if np.any(np.abs(real) < 1e-9):
-        raise InvariantViolationError(
-            "polynomial root collides with the fixed pole y = 1"
-        )
-    return 2 * int(np.sum(real > 0.0)) + (1 if parity == "odd" else 0)
+def _node_count(coefficients: np.ndarray, parity: str) -> int:
+    """Real-line node count: 2 per zero of P in z > 0, +1 if odd.
+
+    The zeros in z > 0 are counted by Descartes' rule: the sign changes of
+    c0..cn, zeros skipped.  The rule is exact for a real-rooted polynomial
+    with P(0) != 0, and P is the polynomial of a Jacobi eigenvector, so its
+    zeros are real (Heine-Stieltjes).
+    """
+    signs = np.sign(coefficients)
+    signs = signs[signs != 0.0]
+    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return 2 * changes + (1 if parity == "odd" else 0)
 
 
 def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLevel]:
@@ -142,8 +146,14 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     levels = []
     # E = -alpha^2 mu, and eigh sorts mu ascending: walk it backwards.
     for j, column in enumerate(vectors.T[::-1]):
-        coeffs = tuple(float(c) for c in column / column[-1])
-        nodes = _node_count(coeffs, parity)
+        column = column / column[-1]
+        if column[0] == 0.0:
+            # An unreduced Jacobi eigenvector has u_0 != 0.
+            raise InvariantViolationError(
+                f"level {j} of set {qes_set.set_index} has P(0) = 0: the "
+                "eigenvector's smallest component underflowed"
+            )
+        nodes = _node_count(column, parity)
         if nodes != 2 * j + (1 if parity == "odd" else 0):
             raise InvariantViolationError(
                 f"Sturm ordering violated: level {j} of set {qes_set.set_index} "
@@ -152,7 +162,7 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
         levels.append(
             QesLevel(
                 energy=-params.alpha**2 * float(mus[-1 - j]),
-                coefficients=coeffs,
+                coefficients=tuple(column.tolist()),
                 qes_set=qes_set,
                 node_count=nodes,
                 parity=parity,
@@ -184,9 +194,14 @@ def _raw_log_abs_sign(wf: ClosedFormWavefunction, x: np.ndarray):
     on the sinh factor.
     """
     half = 0.5 * wf.alpha * x
-    sh = np.sinh(half)
-    poly = np.polyval(np.asarray(wf.coefficients[::-1]), 2.0 * sh * sh)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sh = np.sinh(half)
+        z = 2.0 * sh * sh
+        # Horner in place: the same operations as np.polyval, so the same bits.
+        poly = np.full_like(z, wf.coefficients[-1])
+        for c in wf.coefficients[-2::-1]:
+            poly *= z
+            poly += c
         log_abs = wf.c_rate * np.cosh(wf.alpha * x) + np.log(np.abs(poly))
         sign = np.sign(poly)
         if wf.p1 > 0.0:
@@ -199,7 +214,11 @@ def _raw_log_abs_sign(wf: ClosedFormWavefunction, x: np.ndarray):
 
 
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
-    """Closed form for one solved level; normalized so max|psi| = 1 on the grid."""
+    """Closed form for one solved level; normalized so max|psi| = 1 on the grid.
+
+    |psi| is even in x, so the grid covers x >= 0 only, in steps of at most
+    0.005/alpha.
+    """
     if abs(level.alpha - params.alpha) > 1e-12 * params.alpha or abs(
         level.s - params.s
     ) > 1e-12 * max(1.0, params.s):
@@ -221,9 +240,7 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
     half_width = math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
     grid = np.linspace(
-        -half_width / params.alpha,
-        half_width / params.alpha,
-        2 * math.ceil(200.0 * half_width) + 1,  # step <= 0.005/alpha
+        0.0, half_width / params.alpha, math.ceil(200.0 * half_width) + 1
     )
     log_abs, _ = _raw_log_abs_sign(wf, grid)
     return replace(wf, log_norm=float(np.max(log_abs[np.isfinite(log_abs)])))
@@ -312,9 +329,7 @@ def _root_bound(desc: np.ndarray) -> float:
 
     desc holds the coefficients from the leading one down: desc[k] = c_(n-k).
     """
-    return 2.0 * max(
-        (abs(desc[k]) ** (1.0 / k) for k in range(1, len(desc))), default=0.0
-    )
+    return 2.0 * float(np.max(np.abs(desc[1:]) ** (1.0 / np.arange(1, len(desc)))))
 
 
 def moving_pole_contour_value(level: QesLevel) -> complex:
@@ -333,29 +348,37 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
     The periodic trapezoid rule converges exponentially for this analytic
     integrand: the node count doubles until two passes agree, and a zero on
     the contour stalls that convergence and raises ContourCollisionError.
+    The passes are nested: each doubling evaluates only the new midpoints,
+    where P and z P' are two dot products with one table of powers z^1..z^n.
     """
-    desc = np.asarray(level.coefficients[::-1])
-    if len(desc) == 1:
+    coeffs = np.asarray(level.coefficients)
+    n = len(coeffs) - 1
+    if n == 0:
         return 0j
-    if desc[-1] == 0.0:
+    if coeffs[0] == 0.0:
         raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
-    ddesc = np.polyder(desc)
-    left = -math.log(_root_bound(desc[::-1] / desc[-1]))
-    right = math.log(_root_bound(desc))
+    left = -math.log(_root_bound(coeffs / coeffs[0]))
+    right = math.log(_root_bound(coeffs[::-1]))
     center, a, b = 0.5 * (right + left), 0.5 * (right - left), _CONTOUR_HALF_HEIGHT
+    z_dp_coeffs = np.arange(1, n + 1) * coeffs[1:]  # z P'(z) = sum k c_k z^k
+    total = 0j
     previous = None
     nodes = _CONTOUR_MIN_NODES
-    while nodes <= _CONTOUR_MAX_NODES:
-        theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        z = np.exp(center + a * np.cos(theta) + 1j * b * np.sin(theta))
-        dw = -a * np.sin(theta) + 1j * b * np.cos(theta)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            integrand = np.polyval(ddesc, z) / np.polyval(desc, z) * z * dw
-        value = complex(np.mean(integrand)) / 1j
-        if previous is not None and abs(value - previous) <= _CONTOUR_TOLERANCE:
-            return value
-        previous = value
-        nodes *= 2
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while nodes <= _CONTOUR_MAX_NODES:
+            cos, sin = np.cos(theta), np.sin(theta)
+            z = np.exp(center + a * cos + 1j * b * sin)
+            powers = np.cumprod(np.broadcast_to(z[:, None], (len(z), n)), axis=1)
+            p = coeffs[0] + powers @ coeffs[1:]
+            total += np.sum(powers @ z_dp_coeffs / p * (-a * sin + 1j * b * cos))
+            value = complex(total / nodes) / 1j
+            if previous is not None and abs(value - previous) <= _CONTOUR_TOLERANCE:
+                return value
+            previous = value
+            # The midpoints of the current nodes complete the next pass.
+            theta = math.pi / nodes * (2.0 * np.arange(nodes) + 1.0)
+            nodes *= 2
     raise ContourCollisionError(
         f"contour integral did not converge with {_CONTOUR_MAX_NODES} nodes; "
         "a polynomial zero lies on or near the contour"

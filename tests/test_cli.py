@@ -103,6 +103,21 @@ class TestSolve:
         assert energies == pytest.approx([-1.25, 0.75])
         assert [level["node_count"] for level in doc["levels"]] == [0, 1]
 
+    def test_block_of_thirty(self, capsys, schema):
+        # lambda = 30 (n = 29, 28): every level keeps its Sturm node count.
+        code, doc = run_json(
+            capsys, "solve", "--v1", "1", "--alpha", "1", "--lambda", "30"
+        )
+        assert code == 0
+        jsonschema.validate(doc, schema)
+        assert len(doc["levels"]) == 60
+        for qes_set in doc["sets"]:
+            in_set = [lvl for lvl in doc["levels"] if lvl["set"] == qes_set["set"]]
+            odd = 1 if qes_set["parity"] == "odd" else 0
+            assert [lvl["node_count"] for lvl in in_set] == [
+                2 * j + odd for j in range(qes_set["n"] + 1)
+            ]
+
     def test_by_v2(self, capsys):
         code, doc = run_json(
             capsys, "solve", "--v1", "1", "--alpha", "1", "--v2", "-3"
@@ -296,8 +311,10 @@ class TestExitCodes:
 
 
     def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
-        # lambda = 40 (n = 39, 38): np.roots loses polynomial roots, so the
-        # Sturm node-count invariant fails instead of printing wrong nodes.
+        # lambda = 40 (n = 39, 38): eigh's eigenvector loses the signs of its
+        # smallest components, so the sign changes of P's coefficients break
+        # the Sturm node-count invariant, which fails instead of printing
+        # wrong nodes.
         code, doc = run_json(
             capsys, "solve", "--v1", "1", "--alpha", "1", "--lambda", "40"
         )

@@ -13,6 +13,7 @@ import qhj_spectra
 from qhj_spectra import (
     ContourCollisionError,
     InadmissibleParametersError,
+    InvariantViolationError,
     PotentialParams,
     QmfPoleError,
     Variant,
@@ -33,6 +34,7 @@ from qhj_spectra import (
     wavefunction,
 )
 from qhj_spectra.qhj import SET_RESIDUES, QesSet
+from qhj_spectra.solver import _node_count, _raw_log_abs_sign
 
 
 def make_set(set_index, n):
@@ -155,9 +157,11 @@ class TestLevels:
 
 class TestLargeBlocks:
     # (lambda, s) with V1 = s^2 and alpha = 1: blocks of n = 19, 20 and 9, 10
-    # that the earlier four-diagonal pencil in powers of y could not solve.
+    # that the earlier four-diagonal pencil in powers of y could not solve,
+    # and n = 29, 28, whose node counts rest on tiny eigenvector components.
     @pytest.mark.parametrize(
-        "lam, s", [(20.5, 0.1), (20.5, 0.3), (20.5, 1.0), (20.5, 3.0), (10.0, 0.1)]
+        "lam, s",
+        [(20.5, 0.1), (20.5, 0.3), (20.5, 1.0), (20.5, 3.0), (10.0, 0.1), (30.0, 1.0)],
     )
     def test_sturm_nodes_and_residuals(self, lam, s):
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
@@ -169,6 +173,8 @@ class TestLargeBlocks:
             assert [lvl.node_count for lvl in in_set] == [
                 2 * j + odd for j in range(qes_set.n + 1)
             ]
+            for level in in_set:
+                assert level.node_count == 2 * count_moving_poles(level) + odd
         for level in levels:
             wf = wavefunction(level, params)
             bound = 1e-8 * max(1.0, abs(level.energy))
@@ -176,6 +182,16 @@ class TestLargeBlocks:
             # of P round to residuals above this bound at s >= 1.
             for x in (0.3, 0.7, 1.1):
                 assert abs(schrodinger_residual(wf, level.energy, params, x)) < bound
+
+    def test_underflowed_eigenvector_is_a_precise_failure(self):
+        # From lambda = 40 at s ~ 0.3 the eigenvector's smallest component,
+        # u_0, underflows to 0, which an unreduced Jacobi matrix rules out.
+        lam, s = 40.0, 0.27
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        with pytest.raises(
+            InvariantViolationError, match=r"level 0 of set 3 has P\(0\) = 0.*underflowed"
+        ):
+            solve_classification(params, enumerate_qes_sets(lam))
 
     def test_no_false_pole_away_from_the_nodes(self):
         # At x = 2.3 every |P| here exceeds 1e-6 of Horner's roundoff scale
@@ -254,11 +270,26 @@ class TestWavefunction:
         wf = wavefunction(level, params)
         assert evaluate_wavefunction(wf, 0.0) == 0.0
 
+    def test_horner_matches_polyval_bit_for_bit(self):
+        lam, s = 20.5, 1.0
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        x = np.linspace(-4.0, 4.0, 801)
+        z = 2.0 * np.sinh(0.5 * x) ** 2
+        for level in solve_classification(params, enumerate_qes_sets(lam)):
+            # Without the prefactors, log|psi| and its sign are those of P(z).
+            bare = replace(wavefunction(level, params), c_rate=0.0, p1=0.0, p2=0.0)
+            log_abs, sign = _raw_log_abs_sign(bare, x)
+            poly = np.polyval(np.asarray(level.coefficients[::-1]), z)
+            np.testing.assert_array_equal(sign, np.sign(poly))
+            np.testing.assert_array_equal(log_abs, np.log(np.abs(poly)))
+
     def test_underflow_far_out_returns_zero(self):
         qes_set, params = params_for(2, 0)
         (level,) = solve_levels(build_pencil(qes_set, params), params)
         wf = wavefunction(level, params)
         assert evaluate_wavefunction(wf, 50.0) == 0.0
+        # ... also where sinh(alpha x / 2) itself overflows
+        assert evaluate_wavefunction(wf, 3000.0) == 0.0
 
     def test_max_normalized(self):
         qes_set, params = params_for(3, 0)
@@ -385,14 +416,34 @@ class TestMovingPoles:
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
         levels = solve_classification(params, enumerate_qes_sets(lam))
         expected = [self.direct_count(level) for level in levels]
+        expected_nodes = [
+            2 * count + (1 if level.parity == "odd" else 0)
+            for count, level in zip(expected, levels)
+        ]
 
         def no_roots(*args, **kwargs):
-            raise AssertionError("the contour count called np.roots")
+            raise AssertionError("the analytic path called np.roots")
 
         with monkeypatch.context() as patched:
             patched.setattr(np, "roots", no_roots)
-            counted = [count_moving_poles(level) for level in levels]
+            solved = solve_classification(params, enumerate_qes_sets(lam))
+            counted = [count_moving_poles(level) for level in solved]
+        assert [level.node_count for level in solved] == expected_nodes
         assert counted == expected
+
+    @pytest.mark.parametrize(
+        "coefficients, even_nodes",
+        [
+            ((3.0, -1.0, -3.0, 1.0), 4),  # zeros 1, 3, -1
+            ((-1.0, 0.0, 1.0), 2),  # zeros 1, -1: a zero coefficient is skipped
+            ((2.0, 3.0, 1.0), 0),  # zeros -1, -2
+            ((6.0, -5.0, 1.0), 4),  # zeros 2, 3
+            ((1.0,), 0),
+        ],
+    )
+    def test_node_count_by_descartes(self, coefficients, even_nodes):
+        assert _node_count(np.array(coefficients), "even") == even_nodes
+        assert _node_count(np.array(coefficients), "odd") == even_nodes + 1
 
     def test_contour_value_close_to_integer(self):
         qes_set, params = params_for(1, 1)
