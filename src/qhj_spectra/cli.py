@@ -80,12 +80,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return _fmt(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -188,11 +182,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         qes_set = QesSet(set_index=set_index, b1=b1, b1_prime=b1p, n=n)
         target_v2 = qes_target_v2(qes_set, v1, alpha)
         params = PotentialParams(v1=v1, v2=target_v2, alpha=alpha)
-        lam_value = float(b1 + b1p) + n
-        classification = QesClassification(
-            lam=lam_value, sets=(qes_set,), total_levels=n + 1
-        )
-        return params, classification
+        return params, QesClassification(lam=float(qes_set.lam), sets=(qes_set,))
 
     if settings.get("lambda") is not None:
         lam = _require_number(settings, "lambda")
@@ -315,8 +305,7 @@ def cmd_verify(settings) -> tuple[int, dict]:
     tolerance = _require_number(settings, "tol", 1e-6)
     if tolerance <= 0.0:
         raise UsageError("tolerance must be positive")
-    total = sum(q.n + 1 for q in classification.sets)
-    grid = _grid_from(settings, params, total)
+    grid = _grid_from(settings, params, classification.total_levels)
 
     document = {
         "command": "verify",

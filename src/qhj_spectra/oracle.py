@@ -47,6 +47,8 @@ class GridSpec:
     def __post_init__(self):
         if self.half_width_L <= 0.0:
             raise ValueError("half_width_L must be positive")
+        if not math.isfinite(self.half_width_L):
+            raise ValueError("half_width_L must be finite")
         if self.point_count_N < 200:
             raise ValueError("point_count_N must be at least 200")
 
@@ -103,7 +105,7 @@ class VerificationReport:
 def default_grid(params: PotentialParams, levels_needed: int = 1) -> GridSpec:
     """Tail-safe half-line grid: the wall y = cosh(alpha L) is the smallest
     y >= 10 with s y - lambda ln y >= 40 (QES levels decay like
-    y^lambda exp(-s y)), and h <= min(0.002/alpha, L/1000)."""
+    y^lambda exp(-s y)), and h <= 0.002/alpha."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
     s, lam = params.s, max(infinity_analysis(params).lam, 0.0)
     y, previous = 10.0, 0.0
@@ -113,10 +115,9 @@ def default_grid(params: PotentialParams, levels_needed: int = 1) -> GridSpec:
         while y - previous > 1e-12 * y:
             previous, y = y, (40.0 + lam * math.log(y)) / s
     big_l = math.acosh(y) / params.alpha
-    h_target = min(0.002 / params.alpha, big_l / 1000.0)
-    n = int(math.ceil(big_l / h_target))
-    n = min(n, MAX_POINTS)
-    n = max(n, 200, 10 * (levels_needed + EXTRA_ORACLE_LEVELS))
+    # L >= acosh(10)/alpha, so N >= 1497 already meets GridSpec's floor of 200.
+    n = min(int(math.ceil(big_l / (0.002 / params.alpha))), MAX_POINTS)
+    n = max(n, 10 * (levels_needed + EXTRA_ORACLE_LEVELS))
     return GridSpec(half_width_L=big_l, point_count_N=n)
 
 
@@ -160,10 +161,11 @@ def lowest_eigenvalues(
     if np.any(np.diff(values) <= 0.0):
         raise InvariantViolationError("oracle eigenvalues are not strictly increasing")
     for j in range(k):
-        if node_count(vectors[:, j]) != j:
+        nodes = node_count(vectors[:, j])
+        if nodes != j:
             raise InvariantViolationError(
                 f"Sturm oscillation violated: {parity} eigenvector {j} has "
-                f"{node_count(vectors[:, j])} sign changes on the half-line"
+                f"{nodes} sign changes on the half-line"
             )
     return NumericSpectrum(
         eigenvalues=tuple(float(v) for v in values),
@@ -234,7 +236,9 @@ def verify_qes(
                 gap_half_h=float(gap_half),
                 convergence_order=float(order),
                 node_count_analytic=level.node_count,
-                node_count_oracle=2 * node_count(fine.eigenvectors[:, j]) + odd,
+                # lowest_eigenvalues has checked that fine eigenvector j has
+                # j sign changes on the half-line; mirrored, 2 j + odd nodes.
+                node_count_oracle=2 * j + odd,
                 parity=level.parity,
                 parity_match=level.parity == qes_set.parity,
             )

@@ -40,7 +40,7 @@ SET_RESIDUES: dict[int, tuple[Fraction, Fraction]] = {
 
 @dataclass(frozen=True)
 class RiccatiFixedTerm:
-    """The fixed term G(y; E), stored as E-free and E-linear parts.
+    """The fixed term G(y; E), evaluable at complex y != +-1.
 
     G(y; E) = (y^2 + 2) / (4 (y^2 - 1)^2)
               + (E - V1 y^2 - V2 y + V1) / (alpha^2 (y^2 - 1))
@@ -50,19 +50,11 @@ class RiccatiFixedTerm:
     v2: float
     alpha: float
 
-    def energy_free(self, y):
-        """The E-independent part of G, evaluable at complex y != +-1."""
+    def evaluate(self, y, energy):
         q = y * y - 1.0
         return (y * y + 2.0) / (4.0 * q * q) + (
-            -self.v1 * y * y - self.v2 * y + self.v1
+            energy - self.v1 * y * y - self.v2 * y + self.v1
         ) / (self.alpha**2 * q)
-
-    def energy_linear(self, y):
-        """Coefficient of E in G."""
-        return 1.0 / (self.alpha**2 * (y * y - 1.0))
-
-    def evaluate(self, y, energy):
-        return self.energy_free(y) + energy * self.energy_linear(y)
 
     def double_pole_coefficient(self, location: int) -> Fraction:
         """Exact coefficient of 1/(y - location)^2; equals 3/16 at both poles.
@@ -118,6 +110,11 @@ class QesSet:
     def parity(self) -> str:
         return "odd" if self.b1 == _THREE_QUARTERS else "even"
 
+    @property
+    def lam(self) -> Fraction:
+        """The infinity exponent lambda = b1 + b1' + n that admits this set."""
+        return self.b1 + self.b1_prime + self.n
+
 
 @dataclass(frozen=True)
 class QesClassification:
@@ -125,7 +122,10 @@ class QesClassification:
 
     lam: float
     sets: tuple[QesSet, ...]
-    total_levels: int
+
+    @property
+    def total_levels(self) -> int:
+        return sum(q.n + 1 for q in self.sets)
 
 
 def _require_positive_v1(params: PotentialParams) -> None:
@@ -213,8 +213,7 @@ def enumerate_qes_sets(lam: float) -> QesClassification:
         n = round(n_real)
         if n >= 0 and abs(n_real - n) <= INTEGER_TOLERANCE:
             sets.append(QesSet(set_index=index, b1=b1, b1_prime=b1p, n=n))
-    total = sum(q.n + 1 for q in sets)
-    return QesClassification(lam=lam, sets=tuple(sets), total_levels=total)
+    return QesClassification(lam=lam, sets=tuple(sets))
 
 
 def qes_target_v2(qes_set: QesSet, v1: float, alpha: float) -> float:
@@ -223,5 +222,4 @@ def qes_target_v2(qes_set: QesSet, v1: float, alpha: float) -> float:
         raise UnsupportedBranchError(f"V1 must be positive, got {v1}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    lam = qes_set.b1 + qes_set.b1_prime + qes_set.n
-    return -2.0 * math.sqrt(v1) * alpha * float(lam)
+    return -2.0 * math.sqrt(v1) * alpha * float(qes_set.lam)

@@ -39,8 +39,6 @@ from .errors import (
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import SET_RESIDUES, QesClassification, QesSet, qes_target_v2
 
-_LOG2 = math.log(2.0)
-
 # Moving-pole contour: half-height of the ellipse in w = ln z, agreement
 # between successive trapezoid passes, and the range of node counts tried.
 _CONTOUR_HALF_HEIGHT = 1.5
@@ -64,15 +62,18 @@ class SpectralPencil:
 
 @dataclass(frozen=True)
 class QesLevel:
-    """One analytic eigenvalue with its polynomial, parity and node count."""
+    """One analytic eigenvalue with its polynomial and node count."""
 
     energy: float
     coefficients: tuple[float, ...]  # c0..cn in powers of z = y - 1, leading 1
     qes_set: QesSet
     node_count: int
-    parity: str
     s: float
     alpha: float
+
+    @property
+    def parity(self) -> str:
+        return self.qes_set.parity
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,6 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
                 coefficients=tuple(column.tolist()),
                 qes_set=qes_set,
                 node_count=nodes,
-                parity=parity,
                 s=pencil.s,
                 alpha=params.alpha,
             )
@@ -189,27 +189,25 @@ def solve_classification(
 def _raw_log_abs_sign(wf: ClosedFormWavefunction, x: np.ndarray):
     """Unnormalized log|psi| and sign, accumulated in log space.
 
-    Uses z = y - 1 = 2 sinh(alpha x / 2)^2, so z^(1/2) = sqrt(2)|sinh(alpha x / 2)|
-    and (y + 1)^(1/2) = sqrt(2) cosh(alpha x / 2); the odd-parity sign rides
-    on the sinh factor.
+    log|psi| = c_rate (1 + z) + p1 ln z + p2 ln(z + 2) + ln|P(z)|, with
+    z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 free of cancellation; the
+    odd-parity sign rides on sinh(alpha x / 2).
     """
-    half = 0.5 * wf.alpha * x
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sh = np.sinh(half)
+        sh = np.sinh(0.5 * wf.alpha * x)
         z = 2.0 * sh * sh
         # Horner in place: the same operations as np.polyval, so the same bits.
         poly = np.full_like(z, wf.coefficients[-1])
         for c in wf.coefficients[-2::-1]:
             poly *= z
             poly += c
-        log_abs = wf.c_rate * np.cosh(wf.alpha * x) + np.log(np.abs(poly))
+        log_abs = wf.c_rate * (1.0 + z) + np.log(np.abs(poly))
         sign = np.sign(poly)
         if wf.p1 > 0.0:
-            log_abs = log_abs + 2.0 * wf.p1 * (0.5 * _LOG2 + np.log(np.abs(sh)))
+            log_abs = log_abs + wf.p1 * np.log(z)
             sign = sign * np.sign(sh)
         if wf.p2 > 0.0:
-            ch = np.cosh(half)
-            log_abs = log_abs + 2.0 * wf.p2 * (0.5 * _LOG2 + np.log(ch))
+            log_abs = log_abs + wf.p2 * np.log(z + 2.0)
     return log_abs, sign
 
 
@@ -265,8 +263,7 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
 def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
     """L = d(ln psi)/dx and L' from the closed form; raises at QMF poles."""
     a = wf.alpha
-    y = math.cosh(a * x)
-    z = 2.0 * math.sinh(0.5 * a * x) ** 2  # y - 1 without cancellation
+    z = 2.0 * math.sinh(0.5 * a * x) ** 2  # cosh(a x) - 1 without cancellation
     desc = np.asarray(wf.coefficients[::-1])
     p = float(np.polyval(desc, z))
     dp = float(np.polyval(np.polyder(desc), z))
@@ -283,17 +280,15 @@ def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
         m += wf.p1 / z
         dm -= wf.p1 / z**2
     if wf.p2 > 0.0:
-        m += wf.p2 / (y + 1.0)
-        dm -= wf.p2 / (y + 1.0) ** 2
+        m += wf.p2 / (z + 2.0)
+        dm -= wf.p2 / (z + 2.0) ** 2
     sh = math.sinh(a * x)
     big_l = a * sh * m
-    big_lp = a * a * y * m + (a * sh) ** 2 * dm
+    big_lp = a * a * (1.0 + z) * m + (a * sh) ** 2 * dm
     return big_l, big_lp
 
 
-def quantum_momentum(
-    wf: ClosedFormWavefunction, energy_unused: float, x: float
-) -> complex:
+def quantum_momentum(wf: ClosedFormWavefunction, x: float) -> complex:
     """p(x) = -i psi'/psi; purely imaginary for the real closed form."""
     big_l, _ = _log_derivative_pieces(wf, x)
     return complex(0.0, -big_l)
@@ -317,11 +312,8 @@ def qhj_residual(
 def schrodinger_residual(
     wf: ClosedFormWavefunction, energy: float, params: PotentialParams, x: float
 ) -> float:
-    """(-psi'' + V psi - E psi)(x) using analytic second derivatives."""
-    big_l, big_lp = _log_derivative_pieces(wf, x)
-    v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
-    psi = evaluate_wavefunction(wf, x)
-    return (v - energy - big_lp - big_l * big_l) * psi
+    """(-psi'' + V psi - E psi)(x): the QHJ residual times psi."""
+    return qhj_residual(wf, energy, params, x) * evaluate_wavefunction(wf, x)
 
 
 def _root_bound(desc: np.ndarray) -> float:

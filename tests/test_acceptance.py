@@ -192,7 +192,7 @@ def test_criterion_07_pointwise_identities(verified, capsys):
                 x = float(rng.uniform(-3.0, 3.0))
                 try:
                     residual = qhj_residual(wf, level.energy, params, x)
-                    p = quantum_momentum(wf, level.energy, x)
+                    p = quantum_momentum(wf, x)
                     dp = quantum_momentum_derivative(wf, x)
                 except QmfPoleError:
                     continue

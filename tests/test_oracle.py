@@ -48,6 +48,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(half_width_L=3.0, point_count_N=100)
 
+    @pytest.mark.parametrize("big_l", [math.nan, math.inf])
+    def test_non_finite_half_width_rejected(self, big_l):
+        with pytest.raises(ValueError, match="half_width_L must be finite"):
+            GridSpec(half_width_L=big_l, point_count_N=1000)
+
 
 class TestDefaultGrid:
     def test_unit_parameters(self):

@@ -34,7 +34,7 @@ from qhj_spectra import (
     wavefunction,
 )
 from qhj_spectra.qhj import SET_RESIDUES, QesSet
-from qhj_spectra.solver import _node_count, _raw_log_abs_sign
+from qhj_spectra.solver import ClosedFormWavefunction, _node_count, _raw_log_abs_sign
 
 
 def make_set(set_index, n):
@@ -201,7 +201,7 @@ class TestLargeBlocks:
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
         for level in solve_classification(params, enumerate_qes_sets(lam)):
             wf = wavefunction(level, params)
-            assert quantum_momentum(wf, level.energy, 2.3).imag != 0.0
+            assert quantum_momentum(wf, 2.3).imag != 0.0
 
     def test_doublets_degenerate_to_roundoff_list_set3_first(self):
         # At V1 = 0.0729 the deep set-3/set-4 doublets agree to ~1e-14, below
@@ -283,6 +283,26 @@ class TestWavefunction:
             np.testing.assert_array_equal(sign, np.sign(poly))
             np.testing.assert_array_equal(log_abs, np.log(np.abs(poly)))
 
+    @pytest.mark.parametrize("p1", [0.0, 0.5])
+    @pytest.mark.parametrize("p2", [0.0, 0.5])
+    @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
+    def test_prefactor_log_matches_50_digit_closed_form_in_z(self, p1, p2, s):
+        # With P = 1, log|psi| = -s (1 + z) + p1 ln z + p2 ln(z + 2),
+        # z = cosh(x) - 1; checked from near the origin out to the far tail.
+        x = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 700.0])
+        wf = ClosedFormWavefunction(
+            p1=p1, p2=p2, c_rate=-s, coefficients=(1.0,), alpha=1.0,
+            parity="odd" if p1 else "even", log_norm=0.0,
+        )
+        log_abs, sign = _raw_log_abs_sign(wf, x)
+        np.testing.assert_array_equal(sign, 1.0)
+        with mpmath.workdps(50):
+            for xi, got in zip(x, log_abs):
+                z = mpmath.cosh(mpmath.mpf(float(xi))) - 1
+                ref = -mpmath.mpf(s) * (1 + z)
+                ref += p1 * mpmath.log(z) + p2 * mpmath.log(z + 2)
+                assert abs(got - ref) <= 4e-15 * max(1, abs(ref)), (xi, got, ref)
+
     def test_underflow_far_out_returns_zero(self):
         qes_set, params = params_for(2, 0)
         (level,) = solve_levels(build_pencil(qes_set, params), params)
@@ -323,13 +343,13 @@ class TestQuantumMomentum:
         qes_set, params = params_for(3, 0)
         (level,) = solve_levels(build_pencil(qes_set, params), params)
         wf = wavefunction(level, params)
-        assert quantum_momentum(wf, level.energy, 0.0) == 0.0
+        assert quantum_momentum(wf, 0.0) == 0.0
 
     def test_purely_imaginary(self):
         qes_set, params = params_for(3, 0)
         (level,) = solve_levels(build_pencil(qes_set, params), params)
         wf = wavefunction(level, params)
-        p = quantum_momentum(wf, level.energy, 0.8)
+        p = quantum_momentum(wf, 0.8)
         assert p.real == 0.0 and p.imag != 0.0
 
     def test_pole_at_odd_node(self):
@@ -337,7 +357,7 @@ class TestQuantumMomentum:
         (level,) = solve_levels(build_pencil(qes_set, params), params)
         wf = wavefunction(level, params)
         with pytest.raises(QmfPoleError):
-            quantum_momentum(wf, level.energy, 0.0)
+            quantum_momentum(wf, 0.0)
 
     def test_pole_at_polynomial_node(self):
         qes_set, params = params_for(1, 1)
@@ -346,7 +366,7 @@ class TestQuantumMomentum:
         y_node = 1.0 - excited.coefficients[0]  # root of z + a0, z = y - 1
         x_node = math.acosh(y_node)
         with pytest.raises(QmfPoleError):
-            quantum_momentum(wf, excited.energy, x_node)
+            quantum_momentum(wf, x_node)
 
     def test_large_x_asymptotics(self):
         # p -> i s alpha sinh(alpha x) once the exponential factor dominates
@@ -354,7 +374,7 @@ class TestQuantumMomentum:
         (level,) = solve_levels(build_pencil(qes_set, params), params)
         wf = wavefunction(level, params)
         x = 8.0
-        p = quantum_momentum(wf, level.energy, x)
+        p = quantum_momentum(wf, x)
         assert p.imag == pytest.approx(math.sinh(x), rel=1e-3)
 
     def test_qhj_identity_random_points(self):
@@ -369,7 +389,7 @@ class TestQuantumMomentum:
                     v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
                     try:
                         residual = qhj_residual(wf, level.energy, params, x)
-                        p = quantum_momentum(wf, level.energy, x)
+                        p = quantum_momentum(wf, x)
                         dp = quantum_momentum_derivative(wf, x)
                     except QmfPoleError:
                         continue
