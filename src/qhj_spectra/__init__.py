@@ -11,7 +11,6 @@ from .errors import (
     ContourCollisionError,
     DegeneratePotentialError,
     DegenerateVectorError,
-    HardMismatchError,
     InadmissibleParametersError,
     InvariantViolationError,
     QhjSpectraError,

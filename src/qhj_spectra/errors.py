@@ -35,7 +35,3 @@ class ContourCollisionError(QhjSpectraError):
 
 class DegenerateVectorError(QhjSpectraError):
     """A grid vector is identically zero up to noise; node counting undefined."""
-
-
-class HardMismatchError(QhjSpectraError):
-    """An analytic level could not be matched to any numerical eigenvalue."""

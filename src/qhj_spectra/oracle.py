@@ -8,26 +8,25 @@ s y - lambda ln y >= 40 (y = cosh(alpha L)), past the y^lambda exp(-s y)
 tail of every QES level.  A set's levels, in energy order, are matched by
 index to its sector's lowest eigenvalues.  Solving on grids h and h/2 gives
 both a Richardson-extrapolated eigenvalue and a direct measurement of the
-convergence order, which is itself a checked invariant.
+convergence order.  The order is reported, not gated: overall_pass reads only
+the gaps and the node counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVectorError,
-    HardMismatchError,
-    InvariantViolationError,
-)
+from .errors import DegenerateVectorError, InvariantViolationError
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import QesClassification, infinity_analysis
 from .solver import QesLevel, solve_classification
 
 MAX_POINTS = 200_000
+# Default bound on |E_analytic - E_oracle| for a level to pass.
+DEFAULT_TOLERANCE = 1e-6
 # Sector eigenvalues solved beyond a set's levels, so that its highest level
 # is matched against eigenvalues on both sides of it.
 EXTRA_ORACLE_LEVELS = 2
@@ -88,7 +87,6 @@ class LevelComparison:
     node_count_analytic: int
     node_count_oracle: int
     parity: str
-    parity_match: bool
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,14 @@ class VerificationReport:
     rows: tuple[LevelComparison, ...]
     convergence_order_estimate: float
     overall_pass: bool
-    unmatched_oracle: tuple[float, ...] = field(default_factory=tuple)
-    tolerance: float = 1e-6
+    unmatched_oracle: tuple[float, ...]
 
 
-def default_grid(params: PotentialParams, levels_needed: int = 1) -> GridSpec:
+def default_grid(params: PotentialParams) -> GridSpec:
     """Tail-safe half-line grid: the wall y = cosh(alpha L) is the smallest
     y >= 10 with s y - lambda ln y >= 40 (QES levels decay like
-    y^lambda exp(-s y)), and h <= 0.002/alpha."""
+    y^lambda exp(-s y)), h <= 0.002/alpha, and enough points for the sector
+    eigenvalues of the largest QES set."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
     s, lam = params.s, max(infinity_analysis(params).lam, 0.0)
     y, previous = 10.0, 0.0
@@ -117,7 +115,9 @@ def default_grid(params: PotentialParams, levels_needed: int = 1) -> GridSpec:
     big_l = math.acosh(y) / params.alpha
     # L >= acosh(10)/alpha, so N >= 1497 already meets GridSpec's floor of 200.
     n = min(int(math.ceil(big_l / (0.002 / params.alpha))), MAX_POINTS)
-    n = max(n, 10 * (levels_needed + EXTRA_ORACLE_LEVELS))
+    # The largest QES set has floor(lambda + 1/2) levels; lowest_eigenvalues
+    # needs N >= 10 k for its k sector eigenvalues.
+    n = max(n, 10 * (math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS))
     return GridSpec(half_width_L=big_l, point_count_N=n)
 
 
@@ -177,7 +177,7 @@ def lowest_eigenvalues(
 def verify_qes(
     params: PotentialParams,
     classification: QesClassification,
-    tolerance: float = 1e-6,
+    tolerance: float = DEFAULT_TOLERANCE,
     grid: GridSpec | None = None,
     analytic_levels: list[QesLevel] | None = None,
 ) -> VerificationReport:
@@ -185,16 +185,16 @@ def verify_qes(
 
     Level j of a set (energy order) is compared with eigenvalue j of the
     sector of the set's parity.  analytic_levels overrides the solved levels
-    (used to demonstrate that a published value fails the match).  Raises
-    HardMismatchError when a level is farther than 10*tolerance from its
-    sector eigenvalue, and ValueError when grid is too coarse for a set.
+    (used to demonstrate that a published value fails the match).  A level
+    farther than tolerance from its sector eigenvalue fails overall_pass.
+    Raises ValueError when grid is too coarse for a set.
     """
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
     if analytic_levels is None:
         analytic_levels = solve_classification(params, classification)
     if grid is None:
-        grid = default_grid(params, levels_needed=len(analytic_levels))
+        grid = default_grid(params)
 
     rows: dict[int, LevelComparison] = {}
     unmatched: list[float] = []
@@ -214,13 +214,6 @@ def verify_qes(
 
         for j, i in enumerate(members):
             level = analytic_levels[i]
-            gap = float(abs(richardson[j] - level.energy))
-            if gap > 10.0 * tolerance:
-                raise HardMismatchError(
-                    f"analytic level E = {level.energy!r} (set {qes_set.set_index}) "
-                    f"is {gap!r} away from {qes_set.parity}-sector eigenvalue {j} = "
-                    f"{float(richardson[j])!r}: adjudicated mismatch"
-                )
             gap_h = abs(coarse_e[j] - level.energy)
             gap_half = abs(fine_e[j] - level.energy)
             order = (
@@ -231,7 +224,7 @@ def verify_qes(
                 n=qes_set.n,
                 energy_analytic=level.energy,
                 energy_oracle=float(richardson[j]),
-                abs_gap=gap,
+                abs_gap=float(abs(richardson[j] - level.energy)),
                 gap_h=float(gap_h),
                 gap_half_h=float(gap_half),
                 convergence_order=float(order),
@@ -240,7 +233,6 @@ def verify_qes(
                 # j sign changes on the half-line; mirrored, 2 j + odd nodes.
                 node_count_oracle=2 * j + odd,
                 parity=level.parity,
-                parity_match=level.parity == qes_set.parity,
             )
 
     ordered = tuple(rows[i] for i in range(len(analytic_levels)))
@@ -251,7 +243,6 @@ def verify_qes(
     overall = all(
         r.abs_gap <= tolerance
         and r.node_count_analytic == r.node_count_oracle
-        and r.parity_match
         for r in ordered
     )
     return VerificationReport(
@@ -259,5 +250,4 @@ def verify_qes(
         convergence_order_estimate=order_estimate,
         overall_pass=overall,
         unmatched_oracle=tuple(sorted(unmatched)),
-        tolerance=tolerance,
     )

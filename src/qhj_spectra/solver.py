@@ -26,6 +26,7 @@ no zero can lie.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -260,31 +261,45 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     return value
 
 
-def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
-    """L = d(ln psi)/dx and L' from the closed form; raises at QMF poles."""
-    a = wf.alpha
-    z = 2.0 * math.sinh(0.5 * a * x) ** 2  # cosh(a x) - 1 without cancellation
-    desc = np.asarray(wf.coefficients[::-1])
-    p = float(np.polyval(desc, z))
-    dp = float(np.polyval(np.polyder(desc), z))
-    ddp = float(np.polyval(np.polyder(desc, 2), z))
-    # Horner's roundoff scale: sum_k |c_k| |z|^k.
-    if abs(p) < 1e-12 * float(np.polyval(np.abs(desc), abs(z))):
-        raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
-    if wf.p1 > 0.0 and x == 0.0:
-        raise QmfPoleError("moving pole at the origin (odd-parity node)")
+@contextmanager
+def _overflow_names(x: float):
+    """Raise one ValueError that names x where float64 overflows."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"the closed form overflows float64 at x = {x!r}") from None
 
-    m = wf.c_rate + dp / p
-    dm = (ddp * p - dp * dp) / (p * p)
-    if wf.p1 > 0.0:
-        m += wf.p1 / z
-        dm -= wf.p1 / z**2
-    if wf.p2 > 0.0:
-        m += wf.p2 / (z + 2.0)
-        dm -= wf.p2 / (z + 2.0) ** 2
-    sh = math.sinh(a * x)
-    big_l = a * sh * m
-    big_lp = a * a * (1.0 + z) * m + (a * sh) ** 2 * dm
+
+def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
+    """L = d(ln psi)/dx and L' as numpy scalars; raises at QMF poles."""
+    a = wf.alpha
+    desc = np.asarray(wf.coefficients[::-1])
+    with _overflow_names(x):
+        # cosh(a x) - 1 without cancellation, as a numpy scalar to obey errstate.
+        z = 2.0 * np.float64(math.sinh(0.5 * a * x)) ** 2
+        p = np.polyval(desc, z)
+        dp = np.polyval(np.polyder(desc), z)
+        ddp = np.polyval(np.polyder(desc, 2), z)
+        # Horner's roundoff scale: sum_k |c_k| |z|^k.
+        if abs(p) < 1e-12 * np.polyval(np.abs(desc), abs(z)):
+            raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
+        if wf.p1 > 0.0 and x == 0.0:
+            raise QmfPoleError("moving pole at the origin (odd-parity node)")
+
+        # Ratios to P: P^2 overflows long before L does.
+        r = dp / p
+        m = wf.c_rate + r
+        dm = ddp / p - r * r
+        if wf.p1 > 0.0:
+            m += wf.p1 / z
+            dm -= wf.p1 / z**2
+        if wf.p2 > 0.0:
+            m += wf.p2 / (z + 2.0)
+            dm -= wf.p2 / (z + 2.0) ** 2
+        sh = np.float64(math.sinh(a * x))
+        big_l = a * sh * m
+        big_lp = a * a * (1.0 + z) * m + (a * sh) ** 2 * dm
     return big_l, big_lp
 
 
@@ -305,8 +320,9 @@ def qhj_residual(
 ) -> float:
     """p^2 - i p' - (E - V) at one point; zero for a true bound state."""
     big_l, big_lp = _log_derivative_pieces(wf, x)
-    v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
-    return (-big_l * big_l - big_lp) - (energy - v)
+    with _overflow_names(x):
+        v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
+        return float((-big_l * big_l - big_lp) - (energy - v))
 
 
 def schrodinger_residual(

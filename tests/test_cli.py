@@ -159,7 +159,10 @@ class TestVerify:
         assert code == 1
         jsonschema.validate(doc, schema)
         assert doc["overall_pass"] is False
-        assert "hard_mismatch" in doc
+        # The published set-4 energy -5/4 is two below the odd sector's 3/4.
+        set_four = [row for row in doc["levels"] if row["set"] == 4]
+        assert len(set_four) == 1
+        assert float(set_four[0]["abs_gap"]) == pytest.approx(2.0, abs=1e-6)
 
 
 class TestSample:
@@ -309,6 +312,18 @@ class TestExitCodes:
             "error": {"type": error.__name__, "message": "injected failure"}
         }
 
+    def test_wall_beyond_float64_is_usage_error(self, capsys, schema):
+        code = main(
+            ["verify", "--v1", "1", "--alpha", "1", "--lambda", "1", "--L", "400"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "usage"
+        assert "--L = 400.0" in doc["error"]["message"]
+        assert "V(L) overflows float64" in doc["error"]["message"]
 
     def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
         # lambda = 40 (n = 39, 38): eigh's eigenvector loses the signs of its

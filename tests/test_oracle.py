@@ -6,7 +6,6 @@ import pytest
 from qhj_spectra import (
     DegenerateVectorError,
     GridSpec,
-    HardMismatchError,
     PotentialParams,
     default_grid,
     enumerate_qes_sets,
@@ -65,6 +64,15 @@ class TestDefaultGrid:
     def test_strong_well_hits_floor(self):
         grid = default_grid(PotentialParams(100.0, -3.0, 1.0))
         assert grid.half_width_L == pytest.approx(math.acosh(10.0))
+
+    def test_points_for_the_largest_set(self):
+        # lambda = 150.5, s = 100: the wall and the step alone give N = 1497,
+        # but set 1 (n = 150, even) needs 151 + 2 sector eigenvalues.
+        params = PotentialParams(1e4, -2.0 * 100.0 * 150.5, 1.0)
+        grid = default_grid(params)
+        assert grid.point_count_N == 1530
+        spectrum = lowest_eigenvalues(params, grid, k=153, parity="even")
+        assert len(spectrum.eigenvalues) == 153
 
     def test_tail_criterion(self):
         for v1, alpha in [(1.0, 1.0), (0.25, 0.5), (100.0, 1.0), (9.0, 3.0)]:
@@ -173,7 +181,6 @@ class TestVerify:
         )
         assert report.overall_pass
         assert [r.node_count_oracle for r in report.rows] == [0, 1, 2]
-        assert all(r.parity_match for r in report.rows)
         assert len(report.unmatched_oracle) > 0  # non-QES levels above the block
 
     def test_unmatched_levels_lie_above_qes_block(self):
@@ -199,11 +206,14 @@ class TestVerify:
                 return getattr(self._level, name)
 
         fake = [Shifted(levels[0], -1.7), levels[1]]
-        with pytest.raises(HardMismatchError):
-            verify_qes(
-                params, classification, tolerance=1e-4,
-                grid=quick_grid(params, n=2001), analytic_levels=fake,
-            )
+        report = verify_qes(
+            params, classification, tolerance=1e-4,
+            grid=quick_grid(params, n=2001), analytic_levels=fake,
+        )
+        assert not report.overall_pass
+        # Set 3's even sector has its lowest eigenvalue at -1.25.
+        assert report.rows[0].abs_gap == pytest.approx(0.45, abs=1e-4)
+        assert report.rows[1].abs_gap <= 1e-4
 
     def test_collision_is_hard_mismatch(self):
         params = PotentialParams(1.0, -2.0, 1.0)
@@ -221,11 +231,15 @@ class TestVerify:
         # Set 4's level moved onto set 3's energy: its odd sector has no
         # eigenvalue there.
         fake = [levels[0], Shifted(levels[1], levels[0].energy)]
-        with pytest.raises(HardMismatchError):
-            verify_qes(
-                params, classification, tolerance=1e-4,
-                grid=quick_grid(params, n=2001), analytic_levels=fake,
-            )
+        report = verify_qes(
+            params, classification, tolerance=1e-4,
+            grid=quick_grid(params, n=2001), analytic_levels=fake,
+        )
+        assert not report.overall_pass
+        assert report.rows[0].abs_gap <= 1e-4
+        # The odd sector's lowest eigenvalue is 0.75, two above -1.25.
+        assert report.rows[1].parity == "odd"
+        assert report.rows[1].abs_gap == pytest.approx(2.0, abs=1e-4)
 
     # Tunnelling doublets (V1 = s^2, alpha = 1) that the full-line oracle
     # could not separate or assign a parity to.

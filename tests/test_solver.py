@@ -377,6 +377,32 @@ class TestQuantumMomentum:
         p = quantum_momentum(wf, x)
         assert p.imag == pytest.approx(math.sinh(x), rel=1e-3)
 
+    @staticmethod
+    def _top_level(lam):
+        params = PotentialParams(1.0, -2.0 * lam, 1.0)
+        top = solve_classification(params, enumerate_qes_sets(lam))[-1]
+        return wavefunction(top, params), top.energy, params
+
+    def test_finite_where_p_squared_overflows(self):
+        # lambda = 20.5: the top level is set 1's, n = 20.  At x = 20,
+        # P ~ z^20 ~ 1e168, so P^2 overflows while P'/P and P''/P stay moderate.
+        wf, energy, params = self._top_level(20.5)
+        assert wf.p1 == wf.p2 == 0.0 and len(wf.coefficients) == 21
+        p = quantum_momentum(wf, 20.0)
+        residual = qhj_residual(wf, energy, params, 20.0)
+        assert abs(p) ** 2 == pytest.approx(5.9e16, rel=0.01)
+        assert abs(residual) <= 1e-12 * abs(p) ** 2
+
+    @pytest.mark.parametrize(
+        "lam, x",
+        # z^20 overflows; (alpha sinh(alpha x))^2 overflows.
+        [(20.5, 40.0), (2.0, 356.0)],
+    )
+    def test_float64_overflow_names_x(self, lam, x):
+        wf, energy, params = self._top_level(lam)
+        with pytest.raises(ValueError, match=f"overflows float64 at x = {x!r}"):
+            qhj_residual(wf, energy, params, x)
+
     def test_qhj_identity_random_points(self):
         rng = np.random.default_rng(5)
         for lam in (1.0, 1.5, 2.0):
