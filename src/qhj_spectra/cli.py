@@ -16,17 +16,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ContourCollisionError,
-    DegenerateVectorError,
-    InvariantViolationError,
-    QhjSpectraError,
-)
+from .errors import InvariantViolationError, QhjSpectraError
 from .oracle import DEFAULT_TOLERANCE, GridSpec, default_grid, verify_qes
 from .potential import PotentialParams, Variant, classify_symmetry, evaluate_potential
 from .qhj import (
@@ -50,9 +45,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-# Failures of the computation itself rather than of its inputs.
-INTERNAL_ERRORS = (InvariantViolationError, ContourCollisionError, DegenerateVectorError)
 
 
 class UsageError(QhjSpectraError):
@@ -230,33 +222,27 @@ def _set_payload(qes_set: QesSet) -> dict:
     }
 
 
-def _parameters(params: PotentialParams) -> dict:
-    return {"v1": params.v1, "v2": params.v2, "alpha": params.alpha}
-
-
 def _solve_payload(params: PotentialParams, classification: QesClassification):
-    levels = []
-    for level in solve_classification(params, classification):
-        wf = wavefunction(level, params)
-        levels.append(
-            {
-                "set": level.qes_set.set_index,
-                "n": level.qes_set.n,
-                "energy": level.energy,
-                "parity": level.parity,
-                "node_count": level.node_count,
+    # Every factor of the closed form is read from the level; nothing is evaluated.
+    return [
+        {
+            "set": level.qes_set.set_index,
+            "n": level.qes_set.n,
+            "energy": level.energy,
+            "parity": level.parity,
+            "node_count": level.node_count,
+            "coefficients": list(level.coefficients),
+            "wavefunction": {
+                "p1": float(level.qes_set.p1),
+                "p2": float(level.qes_set.p2),
+                "C": -level.params.s,
+                "alpha": level.params.alpha,
                 "coefficients": list(level.coefficients),
-                "wavefunction": {
-                    "p1": wf.p1,
-                    "p2": wf.p2,
-                    "C": wf.c_rate,
-                    "alpha": wf.alpha,
-                    "coefficients": list(wf.coefficients),
-                    "parity": wf.parity,
-                },
-            }
-        )
-    return levels
+                "parity": level.parity,
+            },
+        }
+        for level in solve_classification(params, classification)
+    ]
 
 
 def cmd_classify(settings) -> tuple[int, dict]:
@@ -266,7 +252,7 @@ def cmd_classify(settings) -> tuple[int, dict]:
     report = classify_symmetry(params, variant)
     document = {
         "command": "classify",
-        "parameters": {**_parameters(params), "variant": variant.value},
+        "parameters": {**asdict(params), "variant": variant.value},
         "symmetry": {
             "variant": variant.value,
             "pt_symmetric": report.pt_symmetric,
@@ -297,7 +283,7 @@ def cmd_solve(settings) -> tuple[int, dict]:
     params, classification = _working_point(settings)
     document = {
         "command": "solve",
-        "parameters": _parameters(params),
+        "parameters": asdict(params),
         "lambda": classification.lam,
         "sets": [_set_payload(q) for q in classification.sets],
         "levels": _solve_payload(params, classification),
@@ -314,7 +300,7 @@ def cmd_verify(settings) -> tuple[int, dict]:
 
     document = {
         "command": "verify",
-        "parameters": _parameters(params),
+        "parameters": asdict(params),
         "lambda": classification.lam,
     }
     analytic_levels = None
@@ -358,19 +344,8 @@ def cmd_verify(settings) -> tuple[int, dict]:
         overall_pass=report.overall_pass,
         convergence_order_estimate=report.convergence_order_estimate,
         levels=[
-            {
-                "set": row.set_index,
-                "n": row.n,
-                "energy_analytic": row.energy_analytic,
-                "energy_oracle": row.energy_oracle,
-                "abs_gap": row.abs_gap,
-                "gap_h": row.gap_h,
-                "gap_half_h": row.gap_half_h,
-                "convergence_order": row.convergence_order,
-                "node_count_analytic": row.node_count_analytic,
-                "node_count_oracle": row.node_count_oracle,
-                "parity": row.parity,
-            }
+            {("set" if key == "set_index" else key): value
+             for key, value in asdict(row).items()}
             for row in report.rows
         ],
         unmatched_but_expected=list(report.unmatched_oracle),
@@ -417,17 +392,17 @@ def cmd_table(settings) -> tuple[int, dict]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--v1", type=float, default=None)
-    parser.add_argument("--v2", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
+    parser.add_argument("--v1", default=None)
+    parser.add_argument("--v2", default=None)
+    parser.add_argument("--alpha", default=None)
     parser.add_argument("--config", default=None, help="JSON config file; flags win")
     parser.add_argument("--output", default=None, help="write output here instead of stdout")
 
 
 def _add_working_point(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--set", dest="set", type=int, default=None)
-    parser.add_argument("--n", dest="n", type=int, default=None)
-    parser.add_argument("--lambda", dest="lambda", type=float, default=None)
+    parser.add_argument("--set", dest="set", default=None)
+    parser.add_argument("--n", dest="n", default=None)
+    parser.add_argument("--lambda", dest="lambda", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="PT classification and admissible QES sets")
     _add_common(p)
     p.add_argument(
-        "--variant", choices=[v.value for v in Variant], default=None
+        "--variant", default=None, help="one of: " + ", ".join(v.value for v in Variant)
     )
 
     p = sub.add_parser("solve", help="QES energies and closed-form wavefunctions")
@@ -453,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="adjudicate analytic levels against the oracle")
     _add_common(p)
     _add_working_point(p)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", default=None)
     p.add_argument(
-        "--L", type=float, default=None,
+        "--L", default=None,
         help="override the wall position: each parity sector is solved on (0, L)",
     )
     p.add_argument(
-        "--N", type=int, default=None,
+        "--N", default=None,
         help="override the cell-centred points on (0, L) per sector (h = L/N)",
     )
     p.add_argument(
@@ -473,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="CSV of V(x) and the QES wavefunctions")
     _add_common(p)
     _add_working_point(p)
-    p.add_argument("--x-min", dest="x_min", type=float, default=None)
-    p.add_argument("--x-max", dest="x_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--x-min", dest="x_min", default=None)
+    p.add_argument("--x-max", dest="x_max", default=None)
+    p.add_argument("--points", default=None)
 
     p = sub.add_parser("table", help="reproduce the published tables with adjudication")
     _add_common(p)
@@ -500,7 +475,7 @@ def main(argv=None) -> int:
     except QhjSpectraError as exc:
         kind = "usage" if isinstance(exc, UsageError) else type(exc).__name__
         _emit({"error": {"type": kind, "message": str(exc)}}, None)
-        return EXIT_INTERNAL if isinstance(exc, INTERNAL_ERRORS) else EXIT_USAGE
+        return EXIT_INTERNAL if isinstance(exc, InvariantViolationError) else EXIT_USAGE
     _emit(document, settings.get("output"))
     return code
 

@@ -22,16 +22,16 @@ class InadmissibleParametersError(QhjSpectraError):
 
 
 class InvariantViolationError(QhjSpectraError):
-    """A computed quantity broke an invariant that should hold by construction."""
+    """A computed quantity broke an invariant; the base of every internal failure."""
 
 
 class QmfPoleError(QhjSpectraError):
     """The quantum momentum function was evaluated at one of its poles."""
 
 
-class ContourCollisionError(QhjSpectraError):
+class ContourCollisionError(InvariantViolationError):
     """A polynomial zero sits on (or too close to) the counting contour."""
 
 
-class DegenerateVectorError(QhjSpectraError):
+class DegenerateVectorError(InvariantViolationError):
     """A grid vector is identically zero up to noise; node counting undefined."""

@@ -155,8 +155,11 @@ def lowest_eigenvalues(
     # Mirror ghost point psi_0 = +psi_1 (even) or -psi_1 (odd).
     diagonal[0] += {"even": -1.0, "odd": 1.0}[parity] / h**2
     off_diagonal = np.full(grid.point_count_N - 1, -1.0 / h**2)
+    # Bisect to the kinetic scale 4/h^2, not to the default eps * |T|_1, which
+    # grows with the wall height V(L) and blurs the low eigenvalues.
     values, vectors = eigh_tridiagonal(
-        diagonal, off_diagonal, select="i", select_range=(0, k - 1)
+        diagonal, off_diagonal, select="i", select_range=(0, k - 1),
+        tol=4.0 * np.finfo(float).eps / h**2,
     )
     if np.any(np.diff(values) <= 0.0):
         raise InvariantViolationError("oracle eigenvalues are not strictly increasing")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class SpectralPencil:
 
     matrix: np.ndarray
     qes_set: QesSet
-    s: float
 
     @property
     def size(self) -> int:
@@ -63,14 +62,13 @@ class SpectralPencil:
 
 @dataclass(frozen=True)
 class QesLevel:
-    """One analytic eigenvalue with its polynomial and node count."""
+    """One analytic eigenvalue with its polynomial, node count and working point."""
 
     energy: float
     coefficients: tuple[float, ...]  # c0..cn in powers of z = y - 1, leading 1
     qes_set: QesSet
     node_count: int
-    s: float
-    alpha: float
+    params: PotentialParams
 
     @property
     def parity(self) -> str:
@@ -79,14 +77,9 @@ class QesLevel:
 
 @dataclass(frozen=True)
 class ClosedFormWavefunction:
-    """Evaluable closed form; decays like exp(c_rate * cosh(alpha x)), c_rate < 0."""
+    """Evaluable closed form of one level; decays like exp(-s cosh(alpha x))."""
 
-    p1: float
-    p2: float
-    c_rate: float  # -sqrt(V1)/alpha
-    coefficients: tuple[float, ...]  # ascending powers of z = cosh(alpha x) - 1
-    alpha: float
-    parity: str
+    level: QesLevel
     log_norm: float  # max of log|psi| on the default grid; fixes the scale
 
 
@@ -111,7 +104,7 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
         + np.diag((k[:-1] + 1.0) * (2.0 * k[:-1] + 1.0 + 4.0 * p1), 1)
     )
     matrix.setflags(write=False)
-    return SpectralPencil(matrix=matrix, qes_set=qes_set, s=s)
+    return SpectralPencil(matrix=matrix, qes_set=qes_set)
 
 
 def _node_count(coefficients: np.ndarray, parity: str) -> int:
@@ -167,8 +160,7 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
                 coefficients=tuple(column.tolist()),
                 qes_set=qes_set,
                 node_count=nodes,
-                s=pencil.s,
-                alpha=params.alpha,
+                params=params,
             )
         )
     return levels
@@ -187,52 +179,40 @@ def solve_classification(
     return levels
 
 
-def _raw_log_abs_sign(wf: ClosedFormWavefunction, x: np.ndarray):
+def _raw_log_abs_sign(level: QesLevel, x: np.ndarray):
     """Unnormalized log|psi| and sign, accumulated in log space.
 
-    log|psi| = c_rate (1 + z) + p1 ln z + p2 ln(z + 2) + ln|P(z)|, with
+    log|psi| = -s (1 + z) + p1 ln z + p2 ln(z + 2) + ln|P(z)|, with
     z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 free of cancellation; the
     odd-parity sign rides on sinh(alpha x / 2).
     """
+    p1, p2 = float(level.qes_set.p1), float(level.qes_set.p2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sh = np.sinh(0.5 * wf.alpha * x)
+        sh = np.sinh(0.5 * level.params.alpha * x)
         z = 2.0 * sh * sh
         # Horner in place: the same operations as np.polyval, so the same bits.
-        poly = np.full_like(z, wf.coefficients[-1])
-        for c in wf.coefficients[-2::-1]:
+        poly = np.full_like(z, level.coefficients[-1])
+        for c in level.coefficients[-2::-1]:
             poly *= z
             poly += c
-        log_abs = wf.c_rate * (1.0 + z) + np.log(np.abs(poly))
+        log_abs = -level.params.s * (1.0 + z) + np.log(np.abs(poly))
         sign = np.sign(poly)
-        if wf.p1 > 0.0:
-            log_abs = log_abs + wf.p1 * np.log(z)
+        if p1 > 0.0:
+            log_abs = log_abs + p1 * np.log(z)
             sign = sign * np.sign(sh)
-        if wf.p2 > 0.0:
-            log_abs = log_abs + wf.p2 * np.log(z + 2.0)
+        if p2 > 0.0:
+            log_abs = log_abs + p2 * np.log(z + 2.0)
     return log_abs, sign
 
 
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
     """Closed form for one solved level; normalized so max|psi| = 1 on the grid.
 
-    |psi| is even in x, so the grid covers x >= 0 only, in steps of at most
-    0.005/alpha.
+    params must be the level's own working point.  |psi| is even in x, so
+    the grid covers x >= 0 only, in steps of at most 0.005/alpha.
     """
-    if abs(level.alpha - params.alpha) > 1e-12 * params.alpha or abs(
-        level.s - params.s
-    ) > 1e-12 * max(1.0, params.s):
-        raise InadmissibleParametersError(
-            "level was solved for different parameters"
-        )
-    wf = ClosedFormWavefunction(
-        p1=float(level.qes_set.p1),
-        p2=float(level.qes_set.p2),
-        c_rate=-params.s,
-        coefficients=level.coefficients,
-        alpha=params.alpha,
-        parity=level.parity,
-        log_norm=0.0,
-    )
+    if params != level.params:
+        raise InadmissibleParametersError("level was solved for different parameters")
     # |psi| has no interior maximum where V > E, so the peak lies inside the
     # outer turning point y_t (V(y_t) = E); cover it when it passes |x| = 5/alpha.
     v1, v2 = params.v1, params.v2
@@ -241,8 +221,8 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     grid = np.linspace(
         0.0, half_width / params.alpha, math.ceil(200.0 * half_width) + 1
     )
-    log_abs, _ = _raw_log_abs_sign(wf, grid)
-    return replace(wf, log_norm=float(np.max(log_abs[np.isfinite(log_abs)])))
+    log_abs, _ = _raw_log_abs_sign(level, grid)
+    return ClosedFormWavefunction(level, float(np.max(log_abs[np.isfinite(log_abs)])))
 
 
 def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
@@ -250,7 +230,7 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
-    log_abs, sign = _raw_log_abs_sign(wf, arr)
+    log_abs, sign = _raw_log_abs_sign(wf.level, arr)
     with np.errstate(over="ignore"):
         magnitude = np.where(
             np.isfinite(log_abs), np.exp(log_abs - wf.log_norm), 0.0
@@ -271,10 +251,11 @@ def _overflow_names(x: float):
         raise ValueError(f"the closed form overflows float64 at x = {x!r}") from None
 
 
-def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
+def _log_derivative_pieces(level: QesLevel, x: float):
     """L = d(ln psi)/dx and L' as numpy scalars; raises at QMF poles."""
-    a = wf.alpha
-    desc = np.asarray(wf.coefficients[::-1])
+    a = level.params.alpha
+    p1, p2 = float(level.qes_set.p1), float(level.qes_set.p2)
+    desc = np.asarray(level.coefficients[::-1])
     with _overflow_names(x):
         # cosh(a x) - 1 without cancellation, as a numpy scalar to obey errstate.
         z = 2.0 * np.float64(math.sinh(0.5 * a * x)) ** 2
@@ -284,19 +265,19 @@ def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
         # Horner's roundoff scale: sum_k |c_k| |z|^k.
         if abs(p) < 1e-12 * np.polyval(np.abs(desc), abs(z)):
             raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
-        if wf.p1 > 0.0 and x == 0.0:
+        if p1 > 0.0 and x == 0.0:
             raise QmfPoleError("moving pole at the origin (odd-parity node)")
 
         # Ratios to P: P^2 overflows long before L does.
         r = dp / p
-        m = wf.c_rate + r
+        m = -level.params.s + r
         dm = ddp / p - r * r
-        if wf.p1 > 0.0:
-            m += wf.p1 / z
-            dm -= wf.p1 / z**2
-        if wf.p2 > 0.0:
-            m += wf.p2 / (z + 2.0)
-            dm -= wf.p2 / (z + 2.0) ** 2
+        if p1 > 0.0:
+            m += p1 / z
+            dm -= p1 / z**2
+        if p2 > 0.0:
+            m += p2 / (z + 2.0)
+            dm -= p2 / (z + 2.0) ** 2
         sh = np.float64(math.sinh(a * x))
         big_l = a * sh * m
         big_lp = a * a * (1.0 + z) * m + (a * sh) ** 2 * dm
@@ -305,13 +286,13 @@ def _log_derivative_pieces(wf: ClosedFormWavefunction, x: float):
 
 def quantum_momentum(wf: ClosedFormWavefunction, x: float) -> complex:
     """p(x) = -i psi'/psi; purely imaginary for the real closed form."""
-    big_l, _ = _log_derivative_pieces(wf, x)
+    big_l, _ = _log_derivative_pieces(wf.level, x)
     return complex(0.0, -big_l)
 
 
 def quantum_momentum_derivative(wf: ClosedFormWavefunction, x: float) -> complex:
     """dp/dx from the analytic closed form (no finite differences)."""
-    _, big_lp = _log_derivative_pieces(wf, x)
+    _, big_lp = _log_derivative_pieces(wf.level, x)
     return complex(0.0, -big_lp)
 
 
@@ -319,7 +300,7 @@ def qhj_residual(
     wf: ClosedFormWavefunction, energy: float, params: PotentialParams, x: float
 ) -> float:
     """p^2 - i p' - (E - V) at one point; zero for a true bound state."""
-    big_l, big_lp = _log_derivative_pieces(wf, x)
+    big_l, big_lp = _log_derivative_pieces(wf.level, x)
     with _overflow_names(x):
         v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
         return float((-big_l * big_l - big_lp) - (energy - v))

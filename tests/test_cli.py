@@ -262,6 +262,12 @@ class TestExitCodes:
             (["verify", "--lambda", "20.5", "--N", "200"], None),
             (["solve"], {"set": "x", "n": 0}),
             (["solve"], {"set": 1, "n": 0.5}),
+            # Flag values go through the same checks as config values.
+            (["solve", "--v2", "abc"], None),
+            (["solve", "--set", "1", "--n", "1.5"], None),
+            (["classify", "--variant", "bogus"], None),
+            (["verify", "--lambda", "1", "--N", "2e3x"], None),
+            (["sample", "--lambda", "1", "--points", "x"], None),
         ],
         ids=[
             "lambda-nan",
@@ -273,6 +279,11 @@ class TestExitCodes:
             "N-below-block",
             "config-set-x",
             "config-n-fraction",
+            "flag-v2-abc",
+            "flag-n-fraction",
+            "flag-variant-bogus",
+            "flag-N-garbled",
+            "flag-points-x",
         ],
     )
     def test_invalid_numbers_are_usage_errors(

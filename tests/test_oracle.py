@@ -160,6 +160,16 @@ class TestLowestEigenvalues:
         for values in (a.eigenvalues, b.eigenvalues):
             assert values[0] == pytest.approx(-1.0, abs=1e-4)
 
+    def test_far_wall_keeps_low_eigenvalues_sharp(self):
+        # At L = 20, V(L) ~ 6e16 dwarfs the kinetic scale 4/h^2 ~ 5e4: a
+        # bisection tolerance of eps |T|_1 would blur the lowest eigenvalues
+        # and their eigenvectors past the Sturm node check.
+        params = PotentialParams(1.0, -2.0, 1.0)
+        grid = GridSpec(20.0, default_grid(params).point_count_N)
+        report = verify_qes(params, enumerate_qes_sets(1.0), grid=grid)
+        assert report.overall_pass
+        assert max(r.abs_gap for r in report.rows) < 1e-10
+
 
 class TestVerify:
     def test_lambda_one_passes(self):

@@ -34,7 +34,7 @@ from qhj_spectra import (
     wavefunction,
 )
 from qhj_spectra.qhj import SET_RESIDUES, QesSet
-from qhj_spectra.solver import ClosedFormWavefunction, _node_count, _raw_log_abs_sign
+from qhj_spectra.solver import _node_count, _raw_log_abs_sign
 
 
 def make_set(set_index, n):
@@ -219,6 +219,15 @@ class TestLargeBlocks:
 
 
 class TestWavefunction:
+    def test_rejects_params_of_another_working_point(self):
+        # Same V1 and alpha, so the same s: only V2 tells the two apart.
+        qes_set, params = params_for(1, 1)
+        level = solve_levels(build_pencil(qes_set, params), params)[0]
+        moved = replace(params, v2=params.v2 - 0.5)
+        assert moved.s == params.s
+        with pytest.raises(InadmissibleParametersError, match="different parameters"):
+            wavefunction(level, moved)
+
     def test_set2_shape_matches_sinh_form(self):
         qes_set, params = params_for(2, 0)
         (level,) = solve_levels(build_pencil(qes_set, params), params)
@@ -275,26 +284,30 @@ class TestWavefunction:
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
         x = np.linspace(-4.0, 4.0, 801)
         z = 2.0 * np.sinh(0.5 * x) ** 2
-        for level in solve_classification(params, enumerate_qes_sets(lam)):
-            # Without the prefactors, log|psi| and its sign are those of P(z).
-            bare = replace(wavefunction(level, params), c_rate=0.0, p1=0.0, p2=0.0)
-            log_abs, sign = _raw_log_abs_sign(bare, x)
+        levels = solve_classification(params, enumerate_qes_sets(lam))
+        set_one = [level for level in levels if level.qes_set.set_index == 1]
+        assert len(set_one) == 21
+        for level in set_one:
+            # Set 1 has p1 = p2 = 0: log|psi| = -s (1 + z) + ln|P(z)|, sign P(z).
+            log_abs, sign = _raw_log_abs_sign(level, x)
             poly = np.polyval(np.asarray(level.coefficients[::-1]), z)
             np.testing.assert_array_equal(sign, np.sign(poly))
-            np.testing.assert_array_equal(log_abs, np.log(np.abs(poly)))
+            np.testing.assert_array_equal(log_abs, -s * (1.0 + z) + np.log(np.abs(poly)))
 
     @pytest.mark.parametrize("p1", [0.0, 0.5])
     @pytest.mark.parametrize("p2", [0.0, 0.5])
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_prefactor_log_matches_50_digit_closed_form_in_z(self, p1, p2, s):
-        # With P = 1, log|psi| = -s (1 + z) + p1 ln z + p2 ln(z + 2),
-        # z = cosh(x) - 1; checked from near the origin out to the far tail.
+        # An n = 0 level has P = 1, so log|psi| = -s (1 + z) + p1 ln z
+        # + p2 ln(z + 2), z = cosh(x) - 1; checked from near the origin out to
+        # the far tail.
+        set_index = {(0.0, 0.0): 1, (0.5, 0.5): 2, (0.0, 0.5): 3, (0.5, 0.0): 4}[p1, p2]
+        qes_set, params = params_for(set_index, 0, v1=s * s)
+        (level,) = solve_levels(build_pencil(qes_set, params), params)
+        assert level.coefficients == (1.0,) and params.s == s
+        assert (float(qes_set.p1), float(qes_set.p2)) == (p1, p2)
         x = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 700.0])
-        wf = ClosedFormWavefunction(
-            p1=p1, p2=p2, c_rate=-s, coefficients=(1.0,), alpha=1.0,
-            parity="odd" if p1 else "even", log_norm=0.0,
-        )
-        log_abs, sign = _raw_log_abs_sign(wf, x)
+        log_abs, sign = _raw_log_abs_sign(level, x)
         np.testing.assert_array_equal(sign, 1.0)
         with mpmath.workdps(50):
             for xi, got in zip(x, log_abs):
@@ -387,7 +400,9 @@ class TestQuantumMomentum:
         # lambda = 20.5: the top level is set 1's, n = 20.  At x = 20,
         # P ~ z^20 ~ 1e168, so P^2 overflows while P'/P and P''/P stay moderate.
         wf, energy, params = self._top_level(20.5)
-        assert wf.p1 == wf.p2 == 0.0 and len(wf.coefficients) == 21
+        top = wf.level
+        assert top.qes_set.set_index == 1 and len(top.coefficients) == 21
+        assert top.qes_set.p1 == top.qes_set.p2 == 0
         p = quantum_momentum(wf, 20.0)
         residual = qhj_residual(wf, energy, params, 20.0)
         assert abs(p) ** 2 == pytest.approx(5.9e16, rel=0.01)
