@@ -2,8 +2,8 @@
 
 Analytic route: residue analysis of the transformed Riccati equation, a
 finite secular pencil for the polynomial part, and closed-form
-wavefunctions.  Numerical route: an independent finite-difference
-Schrodinger eigensolver that adjudicates every analytic result.
+wavefunctions.  Numerical route: an independent sinc-DVR Schrodinger
+eigensolver that adjudicates every analytic result.
 """
 
 from .errors import (

@@ -334,15 +334,16 @@ def cmd_verify(settings) -> tuple[int, dict]:
     except np.linalg.LinAlgError:
         raise
     except ValueError as exc:
-        # Apart from LAPACK failures, only the oracle's check that the grid
-        # holds the block's sector eigenvalues raises ValueError here.
+        # Apart from LAPACK failures, only the oracle's check that the
+        # starting grid holds the block's sector eigenvalues raises ValueError
+        # here.
         raise UsageError(f"--N is too small for this working point: {exc}") from exc
 
     document.update(
         tolerance=tolerance,
-        grid={"L": grid.half_width_L, "N": grid.point_count_N},
+        grid={"L": report.grid.half_width_L, "N": report.grid.point_count_N},
         overall_pass=report.overall_pass,
-        convergence_order_estimate=report.convergence_order_estimate,
+        max_self_gap=report.max_self_gap,
         levels=[
             {("set" if key == "set_index" else key): value
              for key, value in asdict(row).items()}
@@ -431,11 +432,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", default=None)
     p.add_argument(
         "--L", default=None,
-        help="override the wall position: each parity sector is solved on (0, L)",
+        help=(
+            "override the wall position: each parity sector is solved on "
+            "(0, L); a wall past the default one is trimmed to it"
+        ),
     )
     p.add_argument(
         "--N", default=None,
-        help="override the cell-centred points on (0, L) per sector (h = L/N)",
+        help=(
+            "override the starting cell-centred points on (0, L) per sector "
+            "(h = L/N) of the grid-sizing rule"
+        ),
     )
     p.add_argument(
         "--assert-paper-table-3.3",

@@ -1,15 +1,19 @@
-"""Independent finite-difference eigenvalue oracle for -psi'' + V psi = E psi.
+"""Independent sinc-DVR eigenvalue oracle for -psi'' + V psi = E psi.
 
 V is even in x, so each QES set, whose residue b1 fixes its parity, is checked
-in its own sector: second-order central differences on the cell-centred
-half-line grid x_i = (i - 1/2) h, with a mirror ghost point psi_0 = +-psi_1
-at x = 0 and a Dirichlet wall at x = L.  The wall sits where
-s y - lambda ln y >= 40 (y = cosh(alpha L)), past the y^lambda exp(-s y)
-tail of every QES level.  A set's levels, in energy order, are matched by
-index to its sector's lowest eigenvalues.  Solving on grids h and h/2 gives
-both a Richardson-extrapolated eigenvalue and a direct measurement of the
-convergence order.  The order is reported, not gated: overall_pass reads only
-the gaps and the node counts.
+in its own sector.  The cell-centred half-line points x_i = (i - 1/2) h and
+their mirror images form one uniform grid of step h.  On it the sinc
+discrete-variable representation of -d^2/dx^2 (Colbert & Miller, J. Chem.
+Phys. 96, 1982 (1992)), folded onto the sector, gives a dense symmetric
+Hamiltonian, solved with numpy's eigh; its error falls exponentially with N.
+The wall x = L sits where s y - lambda ln y >= 40 (y = cosh(alpha L)), past
+the y^lambda exp(-s y) tail of every QES level.  A set's levels, in energy
+order, are matched by index to its sector's lowest eigenvalues.  Each set's
+grid is sized from the sector's own eigenvalues, never from the analytic
+side, and solved again on 1.5 times as many points: the finer grid's
+eigenvalue is reported, and its distance to the coarser one is the level's
+self-gap.  The self-gap is reported, not gated: overall_pass reads only the
+gaps to the analytic energies and the node counts.
 """
 
 from __future__ import annotations
@@ -18,26 +22,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateVectorError, InvariantViolationError
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import QesClassification, infinity_analysis
 from .solver import QesLevel, solve_classification
 
-MAX_POINTS = 200_000
 # Default bound on |E_analytic - E_oracle| for a level to pass.
 DEFAULT_TOLERANCE = 1e-6
 # Sector eigenvalues solved beyond a set's levels, so that its highest level
 # is matched against eigenvalues on both sides of it.
 EXTRA_ORACLE_LEVELS = 2
+# The sizing rule starts from at least this many points per sector.
+MIN_START_POINTS = 60
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Cell-centred half-line grid x_i = (i - 1/2) h, i = 1..N, h = L/N.
 
-    One parity sector lives on (0, L): the mirror ghost point at x = -h/2
-    carries the parity, and the wall is at x = L.
+    One parity sector lives on (0, L): the mirror images of the points carry
+    the parity, and the wall is at x = L.
     """
 
     half_width_L: float
@@ -48,8 +54,8 @@ class GridSpec:
             raise ValueError("half_width_L must be positive")
         if not math.isfinite(self.half_width_L):
             raise ValueError("half_width_L must be finite")
-        if self.point_count_N < 200:
-            raise ValueError("point_count_N must be at least 200")
+        if self.point_count_N < 1:
+            raise ValueError("point_count_N must be at least 1")
 
     @property
     def step(self) -> float:
@@ -57,10 +63,6 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         return self.step * (np.arange(1, self.point_count_N + 1) - 0.5)
-
-    def refined(self) -> "GridSpec":
-        """Same L with the step exactly halved."""
-        return GridSpec(self.half_width_L, 2 * self.point_count_N)
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,10 @@ class LevelComparison:
     set_index: int
     n: int
     energy_analytic: float
-    energy_oracle: float  # Richardson-extrapolated
+    energy_oracle: float  # on the finer grid, N2 = ceil(1.5 N)
     abs_gap: float
-    gap_h: float
-    gap_half_h: float
+    self_gap: float  # |E(N2) - E(N)|
+    # log(gap_N / gap_N2) / log(N2 / N); NaN when either gap is 0.
     convergence_order: float
     node_count_analytic: int
     node_count_oracle: int
@@ -91,19 +93,20 @@ class LevelComparison:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Full adjudication: gaps, node counts, parities, convergence order."""
+    """Full adjudication: gaps, self-gaps, node counts and the grid solved."""
 
     rows: tuple[LevelComparison, ...]
-    convergence_order_estimate: float
+    max_self_gap: float
     overall_pass: bool
     unmatched_oracle: tuple[float, ...]
+    grid: GridSpec  # the finest grid solved; every set used its wall
 
 
 def default_grid(params: PotentialParams) -> GridSpec:
     """Tail-safe half-line grid: the wall y = cosh(alpha L) is the smallest
     y >= 10 with s y - lambda ln y >= 40 (QES levels decay like
-    y^lambda exp(-s y)), h <= 0.002/alpha, and enough points for the sector
-    eigenvalues of the largest QES set."""
+    y^lambda exp(-s y)), and N = max(60, 3 k) starts the sizing rule for the
+    k sector eigenvalues of the largest QES set."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
     s, lam = params.s, max(infinity_analysis(params).lam, 0.0)
     y, previous = 10.0, 0.0
@@ -112,13 +115,12 @@ def default_grid(params: PotentialParams) -> GridSpec:
         # from y = 10, with contraction lam / (s y) < 1/ln(10) at the root.
         while y - previous > 1e-12 * y:
             previous, y = y, (40.0 + lam * math.log(y)) / s
-    big_l = math.acosh(y) / params.alpha
-    # L >= acosh(10)/alpha, so N >= 1497 already meets GridSpec's floor of 200.
-    n = min(int(math.ceil(big_l / (0.002 / params.alpha))), MAX_POINTS)
-    # The largest QES set has floor(lambda + 1/2) levels; lowest_eigenvalues
-    # needs N >= 10 k for its k sector eigenvalues.
-    n = max(n, 10 * (math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS))
-    return GridSpec(half_width_L=big_l, point_count_N=n)
+    # The largest QES set has floor(lambda + 1/2) levels.
+    k = math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS
+    return GridSpec(
+        half_width_L=math.acosh(y) / params.alpha,
+        point_count_N=max(MIN_START_POINTS, 3 * k),
+    )
 
 
 def node_count(vector: np.ndarray) -> int:
@@ -134,33 +136,54 @@ def node_count(vector: np.ndarray) -> int:
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
+def _require_points(grid: GridSpec, k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > grid.point_count_N:
+        raise ValueError(
+            f"{k} eigenvalues per sector need N >= {k} grid points, "
+            f"got N = {grid.point_count_N}"
+        )
+
+
+def _sector_hamiltonian(
+    params: PotentialParams, grid: GridSpec, parity: str
+) -> np.ndarray:
+    """Dense sinc-DVR Hamiltonian of one parity sector on grid's points.
+
+    H[i, j] = t(|i - j|) +- t(i + j + 1) + V(x_i) delta_ij, with
+    t(0) = pi^2 / (3 h^2) and t(m) = 2 (-1)^m / (m^2 h^2): the mirror image
+    of point j lies i + j + 1 steps from point i.  + for even, - for odd.
+    """
+    combine = {"even": np.add, "odd": np.subtract}[parity]
+    n, h = grid.point_count_N, grid.step
+    t = np.empty(2 * n)
+    t[0] = math.pi**2 / 3.0
+    t[1:] = 2.0 / np.arange(1, 2 * n, dtype=float) ** 2
+    t[1::2] *= -1.0
+    t /= h * h
+    # Strided views of t, so that no N x N index array is built: row i of
+    # `direct` is t(|i - j|) and row i of `mirror` is t(i + j + 1).
+    direct = sliding_window_view(np.concatenate((t[n - 1 : 0 : -1], t[:n])), n)[::-1]
+    mirror = sliding_window_view(t[1:], n)
+    hamiltonian = combine(direct, mirror)
+    hamiltonian.flat[:: n + 1] += evaluate_potential(
+        params, Variant.REAL_SINH_GORDON, grid.points()
+    ).real
+    return hamiltonian
+
+
 def lowest_eigenvalues(
     params: PotentialParams, grid: GridSpec, k: int, parity: str
 ) -> NumericSpectrum:
-    """k smallest eigenpairs of one parity sector on (0, L); accuracy O(h^2)."""
-    # Imported here so that only verification pays for loading scipy.linalg.
-    from scipy.linalg import eigh_tridiagonal
+    """k smallest eigenpairs of one parity sector on (0, L).
 
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > grid.point_count_N // 10:
-        raise ValueError(
-            f"{k} eigenvalues per sector need N >= {10 * k} grid points, "
-            f"got N = {grid.point_count_N}"
-        )
-    h = grid.step
-    diagonal = 2.0 / h**2 + evaluate_potential(
-        params, Variant.REAL_SINH_GORDON, grid.points()
-    ).real
-    # Mirror ghost point psi_0 = +psi_1 (even) or -psi_1 (odd).
-    diagonal[0] += {"even": -1.0, "odd": 1.0}[parity] / h**2
-    off_diagonal = np.full(grid.point_count_N - 1, -1.0 / h**2)
-    # Bisect to the kinetic scale 4/h^2, not to the default eps * |T|_1, which
-    # grows with the wall height V(L) and blurs the low eigenvalues.
-    values, vectors = eigh_tridiagonal(
-        diagonal, off_diagonal, select="i", select_range=(0, k - 1),
-        tol=4.0 * np.finfo(float).eps / h**2,
-    )
+    Checked: the eigenvalues strictly increase, and half-line eigenvector j
+    has j sign changes (Sturm oscillation).
+    """
+    _require_points(grid, k)
+    values, vectors = np.linalg.eigh(_sector_hamiltonian(params, grid, parity))
+    values, vectors = values[:k], vectors[:, :k]
     if np.any(np.diff(values) <= 0.0):
         raise InvariantViolationError("oracle eigenvalues are not strictly increasing")
     for j in range(k):
@@ -177,6 +200,28 @@ def lowest_eigenvalues(
     )
 
 
+def _resolved_grid(
+    params: PotentialParams, start: GridSpec, k: int, parity: str
+) -> GridSpec:
+    """The sizing rule: from start, N = ceil(1.1 k_max L) while k_max h > 1.
+
+    k_max = sqrt(E_(k-1) - min V) is the largest local wavenumber of the k
+    eigenvalues needed.  The pass is unchecked (eigenvalues only), because
+    an unresolved grid may break the checks that lowest_eigenvalues makes.
+    """
+    _require_points(start, k)
+    grid = start
+    while True:
+        hamiltonian = _sector_hamiltonian(params, grid, parity)
+        top = float(np.linalg.eigvalsh(hamiltonian)[k - 1])
+        potential = evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.points())
+        min_potential = float(np.min(potential.real))
+        k_max = math.sqrt(max(top - min_potential, 0.0))
+        if k_max * grid.step <= 1.0:
+            return grid
+        grid = GridSpec(grid.half_width_L, math.ceil(1.1 * k_max * grid.half_width_L))
+
+
 def verify_qes(
     params: PotentialParams,
     classification: QesClassification,
@@ -186,63 +231,71 @@ def verify_qes(
 ) -> VerificationReport:
     """Adjudicate every analytic level against the two-grid sector oracle.
 
-    Level j of a set (energy order) is compared with eigenvalue j of the
-    sector of the set's parity.  analytic_levels overrides the solved levels
-    (used to demonstrate that a published value fails the match).  A level
-    farther than tolerance from its sector eigenvalue fails overall_pass.
-    Raises ValueError when grid is too coarse for a set.
+    grid gives the wall and the sizing rule's starting N (default_grid when
+    None); a wall past default_grid's is trimmed to it, since dense eigh's
+    absolute error grows with max V.  Level j of a set (energy order) is
+    compared with eigenvalue j of the sector of the set's parity.
+    analytic_levels overrides the solved levels (used to demonstrate that a
+    published value fails the match).  A level farther than tolerance from
+    its sector eigenvalue fails overall_pass.  Raises ValueError when the
+    starting N is below a set's sector eigenvalue count.
     """
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
     if analytic_levels is None:
         analytic_levels = solve_classification(params, classification)
+    tail = default_grid(params)
     if grid is None:
-        grid = default_grid(params)
+        grid = tail
+    start = GridSpec(min(grid.half_width_L, tail.half_width_L), grid.point_count_N)
 
     rows: dict[int, LevelComparison] = {}
     unmatched: list[float] = []
+    finest = start
     for qes_set in classification.sets:
         members = sorted(
             (i for i, level in enumerate(analytic_levels) if level.qes_set == qes_set),
             key=lambda i: analytic_levels[i].energy,
         )
         k = qes_set.n + 1 + EXTRA_ORACLE_LEVELS
-        coarse = lowest_eigenvalues(params, grid, k, qes_set.parity)
-        fine = lowest_eigenvalues(params, grid.refined(), k, qes_set.parity)
-        coarse_e = np.asarray(coarse.eigenvalues)
-        fine_e = np.asarray(fine.eigenvalues)
-        richardson = (4.0 * fine_e - coarse_e) / 3.0
-        unmatched.extend(float(e) for e in richardson[len(members):])
+        coarse_grid = _resolved_grid(params, start, k, qes_set.parity)
+        fine_grid = GridSpec(
+            start.half_width_L, math.ceil(1.5 * coarse_grid.point_count_N)
+        )
+        coarse_e, fine_e = (
+            np.asarray(lowest_eigenvalues(params, g, k, qes_set.parity).eigenvalues)
+            for g in (coarse_grid, fine_grid)
+        )
+        finest = max(finest, fine_grid, key=lambda g: g.point_count_N)
+        unmatched.extend(float(e) for e in fine_e[len(members):])
         odd = 1 if qes_set.parity == "odd" else 0
+        grid_ratio = fine_grid.point_count_N / coarse_grid.point_count_N
 
         for j, i in enumerate(members):
             level = analytic_levels[i]
-            gap_h = abs(coarse_e[j] - level.energy)
-            gap_half = abs(fine_e[j] - level.energy)
+            gap_coarse = abs(coarse_e[j] - level.energy)
+            gap_fine = abs(fine_e[j] - level.energy)
             order = (
-                math.log2(gap_h / gap_half) if gap_half > 0.0 else float("nan")
+                math.log(gap_coarse / gap_fine) / math.log(grid_ratio)
+                if gap_coarse > 0.0 and gap_fine > 0.0
+                else float("nan")
             )
             rows[i] = LevelComparison(
                 set_index=qes_set.set_index,
                 n=qes_set.n,
                 energy_analytic=level.energy,
-                energy_oracle=float(richardson[j]),
-                abs_gap=float(abs(richardson[j] - level.energy)),
-                gap_h=float(gap_h),
-                gap_half_h=float(gap_half),
+                energy_oracle=float(fine_e[j]),
+                abs_gap=float(gap_fine),
+                self_gap=float(abs(fine_e[j] - coarse_e[j])),
                 convergence_order=float(order),
                 node_count_analytic=level.node_count,
-                # lowest_eigenvalues has checked that fine eigenvector j has
-                # j sign changes on the half-line; mirrored, 2 j + odd nodes.
+                # lowest_eigenvalues has checked that eigenvector j has j sign
+                # changes on the half-line on both grids; mirrored, 2 j + odd.
                 node_count_oracle=2 * j + odd,
                 parity=level.parity,
             )
 
     ordered = tuple(rows[i] for i in range(len(analytic_levels)))
-    orders = [
-        r.convergence_order for r in ordered if math.isfinite(r.convergence_order)
-    ]
-    order_estimate = float(np.median(orders)) if orders else float("nan")
     overall = all(
         r.abs_gap <= tolerance
         and r.node_count_analytic == r.node_count_oracle
@@ -250,7 +303,8 @@ def verify_qes(
     )
     return VerificationReport(
         rows=ordered,
-        convergence_order_estimate=order_estimate,
+        max_self_gap=max(r.self_gap for r in ordered),
         overall_pass=overall,
         unmatched_oracle=tuple(sorted(unmatched)),
+        grid=finest,
     )

@@ -205,14 +205,18 @@ def _raw_log_abs_sign(level: QesLevel, x: np.ndarray):
     return log_abs, sign
 
 
+def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
+    if params != level.params:
+        raise InadmissibleParametersError("level was solved for different parameters")
+
+
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
     """Closed form for one solved level; normalized so max|psi| = 1 on the grid.
 
     params must be the level's own working point.  |psi| is even in x, so
     the grid covers x >= 0 only, in steps of at most 0.005/alpha.
     """
-    if params != level.params:
-        raise InadmissibleParametersError("level was solved for different parameters")
+    _require_own_params(level, params)
     # |psi| has no interior maximum where V > E, so the peak lies inside the
     # outer turning point y_t (V(y_t) = E); cover it when it passes |x| = 5/alpha.
     v1, v2 = params.v1, params.v2
@@ -299,7 +303,11 @@ def quantum_momentum_derivative(wf: ClosedFormWavefunction, x: float) -> complex
 def qhj_residual(
     wf: ClosedFormWavefunction, energy: float, params: PotentialParams, x: float
 ) -> float:
-    """p^2 - i p' - (E - V) at one point; zero for a true bound state."""
+    """p^2 - i p' - (E - V) at one point; zero for a true bound state.
+
+    params must be the working point wf's level was solved at.
+    """
+    _require_own_params(wf.level, params)
     big_l, big_lp = _log_derivative_pieces(wf.level, x)
     with _overflow_names(x):
         v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real

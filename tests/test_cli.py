@@ -144,17 +144,43 @@ class TestVerify:
     def test_lambda_one_passes(self, capsys, schema):
         code, doc = run_json(
             capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1",
-            "--tol", "1e-4", "--N", "2001",
+            "--tol", "1e-4", "--N", "60",
         )
         assert code == 0
         jsonschema.validate(doc, schema)
         assert doc["overall_pass"] is True
         assert len(doc["levels"]) == 2
 
+    def test_lambda_thirty_passes(self, capsys, schema):
+        # A second-order finite-difference oracle missed the 1e-6 gate here on
+        # 25 of the 60 levels (worst gap 3.8e-6), though the energies are right.
+        code, doc = run_json(
+            capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "30"
+        )
+        assert code == 0
+        jsonschema.validate(doc, schema)
+        assert len(doc["levels"]) == 60
+        assert all(float(row["abs_gap"]) <= 1e-10 for row in doc["levels"])
+        assert float(doc["max_self_gap"]) <= 1e-10
+
+    def test_starting_points_at_the_floor(self, capsys, schema):
+        # --N starts the grid rule, which needs N >= k = n + 3 = 3 per sector
+        # at lambda = 1 and grows N until the sector is resolved.
+        code, doc = run_json(
+            capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1",
+            "--N", "3", "--L", "20",
+        )
+        assert code == 0
+        jsonschema.validate(doc, schema)
+        assert float(doc["max_self_gap"]) <= 1e-10
+        assert doc["grid"]["N"] > 3
+        # The far wall is trimmed to the default one.
+        assert float(doc["grid"]["L"]) < 5.0
+
     def test_assert_paper_table_exits_one(self, capsys, schema):
         code, doc = run_json(
             capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1",
-            "--N", "2001", "--assert-paper-table-3.3",
+            "--N", "60", "--assert-paper-table-3.3",
         )
         assert code == 1
         jsonschema.validate(doc, schema)
@@ -257,9 +283,10 @@ class TestExitCodes:
             (["solve", "--lambda", "inf"], None),
             (["solve", "--v2", "nan"], None),
             (["verify", "--lambda", "1", "--L", "-1"], None),
-            (["verify", "--lambda", "1", "--N", "100"], None),
+            # Each sector needs N >= k = n + 3 from the start of the grid rule.
+            (["verify", "--lambda", "1", "--N", "2"], None),
             (["verify", "--lambda", "1", "--tol", "nan"], None),
-            (["verify", "--lambda", "20.5", "--N", "200"], None),
+            (["verify", "--lambda", "20.5", "--N", "22"], None),
             (["solve"], {"set": "x", "n": 0}),
             (["solve"], {"set": 1, "n": 0.5}),
             # Flag values go through the same checks as config values.

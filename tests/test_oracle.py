@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from qhj_spectra import (
     DegenerateVectorError,
@@ -15,9 +16,10 @@ from qhj_spectra import (
     solve_classification,
     verify_qes,
 )
+from qhj_spectra.oracle import _sector_hamiltonian
 
 
-def quick_grid(params, big_l=None, n=2001):
+def quick_grid(params, big_l=None, n=90):
     big_l = big_l if big_l is not None else default_grid(params).half_width_L
     return GridSpec(half_width_L=big_l, point_count_N=n)
 
@@ -39,13 +41,18 @@ class TestGridSpec:
         assert np.allclose(mirrored, -mirrored[::-1])
         assert np.allclose(np.diff(mirrored), grid.step)
 
-    def test_refined_halves_step(self):
-        grid = GridSpec(half_width_L=3.0, point_count_N=599)
-        assert grid.refined().step == pytest.approx(grid.step / 2.0)
-
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            GridSpec(half_width_L=3.0, point_count_N=100)
+        # A grid needs a point; verify_qes needs N >= k = n + 3 per sector
+        # from the start of its sizing rule (lambda = 1.5: set 1, n = 1).
+        with pytest.raises(ValueError, match="at least 1"):
+            GridSpec(half_width_L=3.0, point_count_N=0)
+        params = PotentialParams(1.0, -3.0, 1.0)
+        with pytest.raises(ValueError, match="need N >= 4 grid points, got N = 3"):
+            verify_qes(params, enumerate_qes_sets(1.5), grid=quick_grid(params, n=3))
+        report = verify_qes(
+            params, enumerate_qes_sets(1.5), grid=quick_grid(params, n=4)
+        )
+        assert report.overall_pass
 
     @pytest.mark.parametrize("big_l", [math.nan, math.inf])
     def test_non_finite_half_width_rejected(self, big_l):
@@ -55,22 +62,23 @@ class TestGridSpec:
 
 class TestDefaultGrid:
     def test_unit_parameters(self):
-        # s = 1, lambda = 3/2: the wall solves y - (3/2) ln y = 40.
+        # s = 1, lambda = 3/2: the wall solves y - (3/2) ln y = 40, and the
+        # sizing rule starts from its floor of 60 points.
         grid = default_grid(PotentialParams(1.0, -3.0, 1.0))
         y = math.cosh(grid.half_width_L)
         assert y - 1.5 * math.log(y) == pytest.approx(40.0, abs=1e-9)
-        assert grid.step <= 0.002
+        assert grid.point_count_N == 60
 
     def test_strong_well_hits_floor(self):
         grid = default_grid(PotentialParams(100.0, -3.0, 1.0))
         assert grid.half_width_L == pytest.approx(math.acosh(10.0))
 
     def test_points_for_the_largest_set(self):
-        # lambda = 150.5, s = 100: the wall and the step alone give N = 1497,
-        # but set 1 (n = 150, even) needs 151 + 2 sector eigenvalues.
+        # lambda = 150.5, s = 100: set 1 (n = 150, even) needs 151 + 2 sector
+        # eigenvalues, and the sizing rule starts from three points for each.
         params = PotentialParams(1e4, -2.0 * 100.0 * 150.5, 1.0)
         grid = default_grid(params)
-        assert grid.point_count_N == 1530
+        assert grid.point_count_N == 459
         spectrum = lowest_eigenvalues(params, grid, k=153, parity="even")
         assert len(spectrum.eigenvalues) == 153
 
@@ -106,69 +114,90 @@ class TestLowestEigenvalues:
     def test_lambda_three_halves_spectrum(self):
         # Set 1 (n = 1) is the even sector, set 2 (n = 0) the odd one.
         params = PotentialParams(1.0, -3.0, 1.0)
-        grid = quick_grid(params, n=4001)
+        grid = quick_grid(params)
         r = math.sqrt(17.0)
         even = lowest_eigenvalues(params, grid, k=2, parity="even")
         odd = lowest_eigenvalues(params, grid, k=1, parity="odd")
         assert list(even.eigenvalues) == pytest.approx(
-            [-(1.0 + r) / 2.0, (r - 1.0) / 2.0], abs=2e-5
+            [-(1.0 + r) / 2.0, (r - 1.0) / 2.0], abs=1e-10
         )
-        assert list(odd.eigenvalues) == pytest.approx([-1.0], abs=2e-5)
+        assert list(odd.eigenvalues) == pytest.approx([-1.0], abs=1e-10)
 
     def test_lambda_one_spectrum(self):
         params = PotentialParams(1.0, -2.0, 1.0)
-        grid = quick_grid(params, n=4001)
+        grid = quick_grid(params)
         even = lowest_eigenvalues(params, grid, k=1, parity="even")
         odd = lowest_eigenvalues(params, grid, k=1, parity="odd")
-        assert even.eigenvalues[0] == pytest.approx(-1.25, abs=2e-5)
-        assert odd.eigenvalues[0] == pytest.approx(0.75, abs=2e-5)
+        assert even.eigenvalues[0] == pytest.approx(-1.25, abs=1e-10)
+        assert odd.eigenvalues[0] == pytest.approx(0.75, abs=1e-10)
 
     def test_single_level(self):
         params = PotentialParams(1.0, -1.0, 1.0)
-        spectrum = lowest_eigenvalues(
-            params, quick_grid(params, n=4001), k=1, parity="even"
-        )
-        assert spectrum.eigenvalues[0] == pytest.approx(0.0, abs=2e-5)
+        spectrum = lowest_eigenvalues(params, quick_grid(params), k=1, parity="even")
+        assert spectrum.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_sturm_node_counts(self):
         # Half-line eigenvector j has j sign changes in either sector.
         params = PotentialParams(1.0, -3.0, 1.0)
         for parity in ("even", "odd"):
-            spectrum = lowest_eigenvalues(
-                params, quick_grid(params, n=2001), k=5, parity=parity
-            )
+            spectrum = lowest_eigenvalues(params, quick_grid(params), k=5, parity=parity)
             for j in range(5):
                 assert node_count(spectrum.eigenvectors[:, j]) == j
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_sector_hamiltonian_is_the_folded_sinc_dvr(self, parity):
+        # Against the full-line sinc-DVR on the mirrored grid, built entry by
+        # entry, restricted to vectors of the sector's parity.
+        params = PotentialParams(1.0, -3.0, 1.0)
+        grid = quick_grid(params, n=7)
+        h, x = grid.step, grid.points()
+        full_x = np.concatenate((-x[::-1], x))
+        size = len(full_x)
+        full = np.empty((size, size))
+        for i in range(size):
+            for j in range(size):
+                m = abs(i - j)
+                full[i, j] = (
+                    math.pi**2 / 3.0 if m == 0 else 2.0 * (-1.0) ** m / m**2
+                ) / h**2
+        full += np.diag(params.v1 * np.sinh(full_x) ** 2 + params.v2 * np.cosh(full_x))
+        sign = 1.0 if parity == "even" else -1.0
+        # Column j: the unit vector at x_j plus sign times the one at -x_j,
+        # normalised.
+        fold = np.vstack((sign * np.eye(7)[::-1], np.eye(7))) / math.sqrt(2.0)
+        expected = fold.T @ full @ fold
+        actual = _sector_hamiltonian(params, grid, parity)
+        assert np.allclose(actual, expected, rtol=1e-13, atol=0.0)
+
     def test_k_too_large_rejected(self):
         params = PotentialParams(1.0, -3.0, 1.0)
-        with pytest.raises(ValueError, match="N >= 510"):
-            lowest_eigenvalues(params, quick_grid(params, n=500), k=51, parity="even")
+        with pytest.raises(ValueError, match="N >= 51 grid points, got N = 50"):
+            lowest_eigenvalues(params, quick_grid(params, n=50), k=51, parity="even")
+        spectrum = lowest_eigenvalues(
+            params, quick_grid(params, n=50), k=50, parity="even"
+        )
+        assert len(spectrum.eigenvalues) == 50
 
     def test_boundary_insensitivity(self):
+        # Moving the wall 20% farther out, at the same step, leaves the level.
         params = PotentialParams(1.0, -3.0, 1.0)
-        base = default_grid(params)
-        a = lowest_eigenvalues(
-            params, quick_grid(params, base.half_width_L, 3001), k=1, parity="odd"
-        )
-        b = lowest_eigenvalues(
-            params, quick_grid(params, 1.2 * base.half_width_L, 3601), k=1,
-            parity="odd",
-        )
-        # compare through Richardson-free values on matched steps: the step
-        # sizes differ slightly, so verify against the analytic energies
-        for values in (a.eigenvalues, b.eigenvalues):
-            assert values[0] == pytest.approx(-1.0, abs=1e-4)
+        base = default_grid(params).half_width_L
+        for big_l, n in ((base, 90), (1.2 * base, 108)):
+            spectrum = lowest_eigenvalues(
+                params, quick_grid(params, big_l, n), k=1, parity="odd"
+            )
+            assert spectrum.eigenvalues[0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_far_wall_keeps_low_eigenvalues_sharp(self):
-        # At L = 20, V(L) ~ 6e16 dwarfs the kinetic scale 4/h^2 ~ 5e4: a
-        # bisection tolerance of eps |T|_1 would blur the lowest eigenvalues
-        # and their eigenvectors past the Sturm node check.
+        # At L = 20, V(L) ~ 6e16, and dense eigh's absolute error eps max|V|
+        # would swamp the lowest eigenvalues: verify_qes trims the wall to
+        # the tail wall of default_grid.
         params = PotentialParams(1.0, -2.0, 1.0)
         grid = GridSpec(20.0, default_grid(params).point_count_N)
         report = verify_qes(params, enumerate_qes_sets(1.0), grid=grid)
         assert report.overall_pass
         assert max(r.abs_gap for r in report.rows) < 1e-10
+        assert report.grid.half_width_L == default_grid(params).half_width_L
 
 
 class TestVerify:
@@ -176,18 +205,19 @@ class TestVerify:
         params = PotentialParams(1.0, -2.0, 1.0)
         report = verify_qes(
             params, enumerate_qes_sets(1.0), tolerance=1e-4,
-            grid=quick_grid(params, n=2001),
+            grid=quick_grid(params),
         )
         assert report.overall_pass
         assert [r.energy_analytic for r in report.rows] == [-1.25, 0.75]
         assert [r.node_count_oracle for r in report.rows] == [0, 1]
-        assert report.convergence_order_estimate == pytest.approx(2.0, abs=0.1)
+        assert report.max_self_gap <= 1e-10
+        assert all(r.abs_gap <= 1e-10 for r in report.rows)
 
     def test_lambda_three_halves_passes(self):
         params = PotentialParams(1.0, -3.0, 1.0)
         report = verify_qes(
             params, enumerate_qes_sets(1.5), tolerance=1e-4,
-            grid=quick_grid(params, n=2001),
+            grid=quick_grid(params),
         )
         assert report.overall_pass
         assert [r.node_count_oracle for r in report.rows] == [0, 1, 2]
@@ -197,7 +227,7 @@ class TestVerify:
         params = PotentialParams(1.0, -3.0, 1.0)
         report = verify_qes(
             params, enumerate_qes_sets(1.5), tolerance=1e-4,
-            grid=quick_grid(params, n=2001),
+            grid=quick_grid(params),
         )
         top_qes = max(r.energy_analytic for r in report.rows)
         assert all(e > top_qes for e in report.unmatched_oracle)
@@ -218,7 +248,7 @@ class TestVerify:
         fake = [Shifted(levels[0], -1.7), levels[1]]
         report = verify_qes(
             params, classification, tolerance=1e-4,
-            grid=quick_grid(params, n=2001), analytic_levels=fake,
+            grid=quick_grid(params), analytic_levels=fake,
         )
         assert not report.overall_pass
         # Set 3's even sector has its lowest eigenvalue at -1.25.
@@ -243,7 +273,7 @@ class TestVerify:
         fake = [levels[0], Shifted(levels[1], levels[0].energy)]
         report = verify_qes(
             params, classification, tolerance=1e-4,
-            grid=quick_grid(params, n=2001), analytic_levels=fake,
+            grid=quick_grid(params), analytic_levels=fake,
         )
         assert not report.overall_pass
         assert report.rows[0].abs_gap <= 1e-4
@@ -271,11 +301,40 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_qes(params, enumerate_qes_sets(0.7))
 
-    def test_convergence_ratio_near_four(self):
-        params = PotentialParams(1.0, -2.0, 1.0)
-        report = verify_qes(
-            params, enumerate_qes_sets(1.0), tolerance=1e-4,
-            grid=quick_grid(params, n=2001),
-        )
-        for row in report.rows:
-            assert 3.5 <= row.gap_h / row.gap_half_h <= 4.5
+    def test_self_gap_and_gap_below_1e_10_on_anchors(self):
+        for lam in (1.0, 1.5, 2.0):
+            params = PotentialParams(1.0, -2.0 * lam, 1.0)
+            report = verify_qes(params, enumerate_qes_sets(lam))
+            assert report.overall_pass
+            assert report.max_self_gap == max(r.self_gap for r in report.rows)
+            assert report.max_self_gap <= 1e-10
+            assert all(r.abs_gap <= 1e-10 for r in report.rows)
+            # The 60-point start already resolves the anchors, so the finer
+            # grid has ceil(1.5 * 60) points.
+            assert report.grid.point_count_N == 90
+
+    @seed(20260)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        twice_lam=st.integers(min_value=1, max_value=41),
+        log_s=st.floats(min_value=math.log(0.1), max_value=math.log(10.0)),
+        alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_envelope_passes_and_scales_with_alpha(self, twice_lam, log_s, alpha):
+        # Half-integer lambda <= 20.5, log-uniform s in [0.1, 10].
+        lam, s = twice_lam / 2.0, math.exp(log_s)
+        v1 = (alpha * s) ** 2
+        params = PotentialParams(v1, -2.0 * math.sqrt(v1) * alpha * lam, alpha)
+        unit = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        report = verify_qes(params, enumerate_qes_sets(lam))
+        assert report.overall_pass
+        assert report.max_self_gap <= 1e-9
+        assert all(r.abs_gap <= 1e-6 for r in report.rows)
+        unit_report = verify_qes(unit, enumerate_qes_sets(lam))
+        # E at (V1, alpha) is alpha^2 E at (s^2, 1), on both sides.
+        for row, unit_row in zip(report.rows, unit_report.rows):
+            for name in ("energy_analytic", "energy_oracle"):
+                value = alpha**2 * getattr(unit_row, name)
+                assert getattr(row, name) == pytest.approx(
+                    value, rel=1e-12, abs=1e-12 * alpha**2
+                )

@@ -418,6 +418,18 @@ class TestQuantumMomentum:
         with pytest.raises(ValueError, match=f"overflows float64 at x = {x!r}"):
             qhj_residual(wf, energy, params, x)
 
+    @pytest.mark.parametrize("residual", [qhj_residual, schrodinger_residual])
+    def test_residuals_reject_params_of_another_working_point(self, residual):
+        # With V2 moved by 0.5 the QHJ residual at x = 0.7 reads 0.63, as if
+        # the level missed the equation it was solved for.
+        params = PotentialParams(1.0, -3.0, 1.0)
+        level = solve_classification(params, enumerate_qes_sets(1.5))[0]
+        wf = wavefunction(level, params)
+        assert abs(residual(wf, level.energy, params, 0.7)) < 1e-12
+        moved = replace(params, v2=params.v2 - 0.5)
+        with pytest.raises(InadmissibleParametersError, match="different parameters"):
+            residual(wf, level.energy, moved, 0.7)
+
     def test_qhj_identity_random_points(self):
         rng = np.random.default_rng(5)
         for lam in (1.0, 1.5, 2.0):
@@ -535,14 +547,26 @@ class TestMovingPoles:
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
     def test_import_leaves_scipy_module_unloaded(self, module):
+        # The whole package, oracle included, runs on numpy alone: after the
+        # CLI has run verify and solve, neither this module nor any other
+        # scipy module is loaded.
         src = os.path.dirname(os.path.dirname(qhj_spectra.__file__))
-        code = f"import sys, qhj_spectra; print({module!r} in sys.modules)"
+        code = (
+            "import contextlib, io, sys\n"
+            "from qhj_spectra.cli import main\n"
+            "point = ['--v1', '1', '--alpha', '1', '--lambda', '1.5']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['verify', *point]), main(['solve', *point])]\n"
+            f"print(codes, {module!r} in sys.modules,\n"
+            "      sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, check=True, timeout=60,
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[0, 0] False []"
 
     def test_node_bookkeeping(self):
         # real-line node count = 2 * moving poles + parity contribution
