@@ -46,6 +46,10 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# Largest verify --N: the oracle's dense sector solves cost time like N^3 and
+# memory like N^2.  The grid rule may still size a grid past it.
+MAX_START_POINTS = 1000
+
 
 class UsageError(QhjSpectraError):
     """Bad flags or parameters; maps to exit code 2."""
@@ -202,6 +206,11 @@ def _grid_from(settings, params):
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if settings.get("N") is not None and grid.point_count_N > MAX_START_POINTS:
+        raise UsageError(
+            f"--N must be at most {MAX_START_POINTS}, got {grid.point_count_N}: "
+            "the dense sector solves cost time like N^3 and memory like N^2"
+        )
     with np.errstate(over="ignore"):
         wall = evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.half_width_L)
     if not math.isfinite(wall.real):

@@ -10,10 +10,12 @@ The wall x = L sits where s y - lambda ln y >= 40 (y = cosh(alpha L)), past
 the y^lambda exp(-s y) tail of every QES level.  A set's levels, in energy
 order, are matched by index to its sector's lowest eigenvalues.  Each set's
 grid is sized from the sector's own eigenvalues, never from the analytic
-side, and solved again on 1.5 times as many points: the finer grid's
-eigenvalue is reported, and its distance to the coarser one is the level's
-self-gap.  The self-gap is reported, not gated: overall_pass reads only the
-gaps to the analytic energies and the node counts.
+side: each grid the sizing rule tries is decomposed once, and the checked
+solve on the grid that resolves is the coarse solve.  The sector is solved
+again on 1.5 times as many points: the finer grid's eigenvalue is reported,
+and its distance to the coarser one is the level's self-gap.  The self-gap
+is reported, not gated: overall_pass reads only the gaps to the analytic
+energies and the node counts.
 """
 
 from __future__ import annotations
@@ -147,13 +149,14 @@ def _require_points(grid: GridSpec, k: int) -> None:
 
 
 def _sector_hamiltonian(
-    params: PotentialParams, grid: GridSpec, parity: str
+    grid: GridSpec, parity: str, potential: np.ndarray
 ) -> np.ndarray:
     """Dense sinc-DVR Hamiltonian of one parity sector on grid's points.
 
     H[i, j] = t(|i - j|) +- t(i + j + 1) + V(x_i) delta_ij, with
     t(0) = pi^2 / (3 h^2) and t(m) = 2 (-1)^m / (m^2 h^2): the mirror image
     of point j lies i + j + 1 steps from point i.  + for even, - for odd.
+    potential holds V(x_i) on grid's points.
     """
     combine = {"even": np.add, "odd": np.subtract}[parity]
     n, h = grid.point_count_N, grid.step
@@ -167,10 +170,54 @@ def _sector_hamiltonian(
     direct = sliding_window_view(np.concatenate((t[n - 1 : 0 : -1], t[:n])), n)[::-1]
     mirror = sliding_window_view(t[1:], n)
     hamiltonian = combine(direct, mirror)
-    hamiltonian.flat[:: n + 1] += evaluate_potential(
-        params, Variant.REAL_SINH_GORDON, grid.points()
-    ).real
+    hamiltonian.flat[:: n + 1] += potential
     return hamiltonian
+
+
+def _potential_on(params: PotentialParams, grid: GridSpec) -> np.ndarray:
+    return evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.points()).real
+
+
+def _sign_changes(columns: np.ndarray) -> np.ndarray:
+    """node_count of every column at once: strict sign changes, ignoring
+    entries below 1e-12 of the column's peak."""
+    magnitudes = np.abs(columns.T)
+    peaks = np.max(magnitudes, axis=1)
+    if not np.all(peaks > 0.0):
+        raise DegenerateVectorError("all-zero vector has no node count")
+    kept = magnitudes >= 1e-12 * peaks[:, None]
+    # The kept entries, column after column, each with its column's index:
+    # a change is a sign flip between neighbours of the same column.
+    negative = np.signbit(columns.T)[kept]
+    column = np.nonzero(kept)[0]
+    flips = (negative[1:] != negative[:-1]) & (column[1:] == column[:-1])
+    return np.bincount(column[1:][flips], minlength=columns.shape[1])
+
+
+def _checked_spectrum(
+    grid: GridSpec, k: int, parity: str, values: np.ndarray, vectors: np.ndarray
+) -> NumericSpectrum:
+    """The k smallest eigenpairs of a sector's eigh, checked: the eigenvalues
+    strictly increase, and half-line eigenvector j has j sign changes (Sturm
+    oscillation)."""
+    # A copy, so that the N x N eigenvector matrix is freed before the
+    # next grid is solved.
+    values, vectors = values[:k], vectors[:, :k].copy()
+    if np.any(np.diff(values) <= 0.0):
+        raise InvariantViolationError("oracle eigenvalues are not strictly increasing")
+    nodes = _sign_changes(vectors)
+    wrong = np.flatnonzero(nodes != np.arange(k))
+    if wrong.size:
+        j = int(wrong[0])
+        raise InvariantViolationError(
+            f"Sturm oscillation violated: {parity} eigenvector {j} has "
+            f"{nodes[j]} sign changes on the half-line"
+        )
+    return NumericSpectrum(
+        eigenvalues=tuple(float(v) for v in values),
+        eigenvectors=vectors,
+        grid=grid,
+    )
 
 
 def lowest_eigenvalues(
@@ -182,43 +229,31 @@ def lowest_eigenvalues(
     has j sign changes (Sturm oscillation).
     """
     _require_points(grid, k)
-    values, vectors = np.linalg.eigh(_sector_hamiltonian(params, grid, parity))
-    values, vectors = values[:k], vectors[:, :k]
-    if np.any(np.diff(values) <= 0.0):
-        raise InvariantViolationError("oracle eigenvalues are not strictly increasing")
-    for j in range(k):
-        nodes = node_count(vectors[:, j])
-        if nodes != j:
-            raise InvariantViolationError(
-                f"Sturm oscillation violated: {parity} eigenvector {j} has "
-                f"{nodes} sign changes on the half-line"
-            )
-    return NumericSpectrum(
-        eigenvalues=tuple(float(v) for v in values),
-        eigenvectors=vectors,
-        grid=grid,
+    values, vectors = np.linalg.eigh(
+        _sector_hamiltonian(grid, parity, _potential_on(params, grid))
     )
+    return _checked_spectrum(grid, k, parity, values, vectors)
 
 
-def _resolved_grid(
+def _resolved_spectrum(
     params: PotentialParams, start: GridSpec, k: int, parity: str
-) -> GridSpec:
+) -> NumericSpectrum:
     """The sizing rule: from start, N = ceil(1.1 k_max L) while k_max h > 1.
 
     k_max = sqrt(E_(k-1) - min V) is the largest local wavenumber of the k
-    eigenvalues needed.  The pass is unchecked (eigenvalues only), because
-    an unresolved grid may break the checks that lowest_eigenvalues makes.
+    eigenvalues needed.  Each grid is decomposed once.  The checks of
+    lowest_eigenvalues run only on the grid that resolves, since an
+    unresolved grid may break them; that checked solve is the coarse
+    spectrum.
     """
     _require_points(start, k)
     grid = start
     while True:
-        hamiltonian = _sector_hamiltonian(params, grid, parity)
-        top = float(np.linalg.eigvalsh(hamiltonian)[k - 1])
-        potential = evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.points())
-        min_potential = float(np.min(potential.real))
-        k_max = math.sqrt(max(top - min_potential, 0.0))
+        potential = _potential_on(params, grid)
+        values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
+        k_max = math.sqrt(max(float(values[k - 1]) - float(np.min(potential)), 0.0))
         if k_max * grid.step <= 1.0:
-            return grid
+            return _checked_spectrum(grid, k, parity, values, vectors)
         grid = GridSpec(grid.half_width_L, math.ceil(1.1 * k_max * grid.half_width_L))
 
 
@@ -258,18 +293,16 @@ def verify_qes(
             key=lambda i: analytic_levels[i].energy,
         )
         k = qes_set.n + 1 + EXTRA_ORACLE_LEVELS
-        coarse_grid = _resolved_grid(params, start, k, qes_set.parity)
+        coarse = _resolved_spectrum(params, start, k, qes_set.parity)
         fine_grid = GridSpec(
-            start.half_width_L, math.ceil(1.5 * coarse_grid.point_count_N)
+            start.half_width_L, math.ceil(1.5 * coarse.grid.point_count_N)
         )
-        coarse_e, fine_e = (
-            np.asarray(lowest_eigenvalues(params, g, k, qes_set.parity).eigenvalues)
-            for g in (coarse_grid, fine_grid)
-        )
+        fine = lowest_eigenvalues(params, fine_grid, k, qes_set.parity)
+        coarse_e, fine_e = (np.asarray(s.eigenvalues) for s in (coarse, fine))
         finest = max(finest, fine_grid, key=lambda g: g.point_count_N)
         unmatched.extend(float(e) for e in fine_e[len(members):])
         odd = 1 if qes_set.parity == "odd" else 0
-        grid_ratio = fine_grid.point_count_N / coarse_grid.point_count_N
+        grid_ratio = fine_grid.point_count_N / coarse.grid.point_count_N
 
         for j, i in enumerate(members):
             level = analytic_levels[i]
@@ -289,8 +322,8 @@ def verify_qes(
                 self_gap=float(abs(fine_e[j] - coarse_e[j])),
                 convergence_order=float(order),
                 node_count_analytic=level.node_count,
-                # lowest_eigenvalues has checked that eigenvector j has j sign
-                # changes on the half-line on both grids; mirrored, 2 j + odd.
+                # Both grids' solves have checked that eigenvector j has j sign
+                # changes on the half-line; mirrored, 2 j + odd.
                 node_count_oracle=2 * j + odd,
                 parity=level.parity,
             )

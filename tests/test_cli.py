@@ -177,6 +177,31 @@ class TestVerify:
         # The far wall is trimmed to the default one.
         assert float(doc["grid"]["L"]) < 5.0
 
+    def test_starting_points_above_the_bound(self, capsys, schema, monkeypatch):
+        # The dense solves cost N^3 time and N^2 memory, so --N above 1000 is
+        # refused before any solve; --N 1000 itself reaches the oracle.
+        grids = []
+
+        def recording_verify(params, classification, grid, **kwargs):
+            grids.append(grid.point_count_N)
+            raise InvariantViolationError("stop before solving")
+
+        monkeypatch.setattr(cli, "verify_qes", recording_verify)
+        for n, expected in (("1001", 2), ("100000", 2), ("1000", 3)):
+            code = main(
+                ["verify", "--v1", "1", "--alpha", "1", "--lambda", "1", "--N", n]
+            )
+            captured = capsys.readouterr()
+            assert code == expected
+            assert captured.err == ""
+            doc = json.loads(captured.out)
+            jsonschema.validate(doc, schema)
+            if expected == 2:
+                assert doc["error"]["type"] == "usage"
+                assert "at most 1000" in doc["error"]["message"]
+                assert "N^3" in doc["error"]["message"]
+        assert grids == [1000]
+
     def test_assert_paper_table_exits_one(self, capsys, schema):
         code, doc = run_json(
             capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1",

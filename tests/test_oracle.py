@@ -16,7 +16,7 @@ from qhj_spectra import (
     solve_classification,
     verify_qes,
 )
-from qhj_spectra.oracle import _sector_hamiltonian
+from qhj_spectra.oracle import _sector_hamiltonian, _sign_changes
 
 
 def quick_grid(params, big_l=None, n=90):
@@ -109,6 +109,34 @@ class TestNodeCount:
         with pytest.raises(DegenerateVectorError):
             node_count(np.zeros(10))
 
+    @seed(20261)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=12),
+        columns=st.integers(min_value=1, max_value=5),
+        entropy=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_column_sign_changes_match_node_count(self, rows, columns, entropy):
+        # Exact zeros, entries below 1e-12 of the column peak (either sign)
+        # and leading runs of dropped entries, between ordinary ones.
+        rng = np.random.default_rng(entropy)
+        matrix = rng.standard_normal((rows, columns))
+        kind = rng.integers(0, 4, size=(rows, columns))
+        tiny = rng.choice([-1.0, 1.0], size=(rows, columns)) * 1e-14
+        matrix = np.where(kind == 1, 0.0, np.where(kind == 2, tiny, matrix))
+        lead = rng.integers(0, rows, size=columns)
+        matrix[np.arange(rows)[:, None] < lead] *= 1e-13
+        # Keep every column's peak an ordinary entry.
+        matrix[rng.integers(0, rows, size=columns), np.arange(columns)] = 1.0
+        counts = _sign_changes(matrix)
+        assert counts.tolist() == [node_count(matrix[:, j]) for j in range(columns)]
+
+    def test_column_sign_changes_reject_a_zero_column(self):
+        matrix = np.ones((4, 3))
+        matrix[:, 1] = 0.0
+        with pytest.raises(DegenerateVectorError):
+            _sign_changes(matrix)
+
 
 class TestLowestEigenvalues:
     def test_lambda_three_halves_spectrum(self):
@@ -166,7 +194,8 @@ class TestLowestEigenvalues:
         # normalised.
         fold = np.vstack((sign * np.eye(7)[::-1], np.eye(7))) / math.sqrt(2.0)
         expected = fold.T @ full @ fold
-        actual = _sector_hamiltonian(params, grid, parity)
+        potential = params.v1 * np.sinh(x) ** 2 + params.v2 * np.cosh(x)
+        actual = _sector_hamiltonian(grid, parity, potential)
         assert np.allclose(actual, expected, rtol=1e-13, atol=0.0)
 
     def test_k_too_large_rejected(self):
@@ -295,6 +324,38 @@ class TestVerify:
         top_qes = max(r.energy_analytic for r in report.rows)
         assert len(report.unmatched_oracle) == 4
         assert all(e > top_qes for e in report.unmatched_oracle)
+
+    def test_one_dense_decomposition_per_grid(self, monkeypatch):
+        # The start grid resolves both sets, so each set solves it once and
+        # its 1.5 times finer grid once: 2 eigh per set and no eigvalsh.
+        params = PotentialParams(1.0, -3.0, 1.0)
+        classification = enumerate_qes_sets(1.5)
+        levels = solve_classification(params, classification)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(matrix, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, matrix.shape[0]))
+                return _original(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = verify_qes(params, classification, analytic_levels=levels)
+        assert report.overall_pass
+        assert len(classification.sets) == 2
+        assert calls == [("eigh", 60), ("eigh", 90)] * 2
+
+    def test_resized_start_grid_passes(self):
+        # A 23-point start is too coarse for lambda = 20.5 at s = 1: the rule
+        # grows it (to N2 = 978, where the default start ends at 209), and
+        # the checked solve on the grid that resolves is the coarse one.
+        params = PotentialParams(1.0, -41.0, 1.0)
+        start = GridSpec(default_grid(params).half_width_L, 23)
+        report = verify_qes(params, enumerate_qes_sets(20.5), grid=start)
+        assert report.overall_pass
+        assert report.max_self_gap <= 1e-10
+        assert report.grid.point_count_N == 978
+        assert verify_qes(params, enumerate_qes_sets(20.5)).grid.point_count_N == 209
 
     def test_empty_classification_rejected(self):
         params = PotentialParams(1.0, -1.4, 1.0)
