@@ -211,7 +211,8 @@ def _grid_from(settings, params):
             f"--N must be at most {MAX_START_POINTS}, got {grid.point_count_N}: "
             "the dense sector solves cost time like N^3 and memory like N^2"
         )
-    with np.errstate(over="ignore"):
+    # Far out, v1 sinh^2 + v2 cosh can be inf + -inf: ignore both warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
         wall = evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.half_width_L)
     if not math.isfinite(wall.real):
         raise UsageError(

@@ -25,6 +25,7 @@ no zero can lie.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ _CONTOUR_HALF_HEIGHT = 1.5
 _CONTOUR_TOLERANCE = 1e-9
 _CONTOUR_MIN_NODES = 64
 _CONTOUR_MAX_NODES = 2**16
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -179,30 +181,62 @@ def solve_classification(
     return levels
 
 
-def _raw_log_abs_sign(level: QesLevel, x: np.ndarray):
-    """Unnormalized log|psi| and sign, accumulated in log space.
+def _log_abs(level: QesLevel, p1: float, p2: float, z, log_z=None, log_z2=None):
+    """Unnormalized log|psi| and P at z = cosh(alpha x) - 1, accumulated in log space.
 
-    log|psi| = -s (1 + z) + p1 ln z + p2 ln(z + 2) + ln|P(z)|, with
-    z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 free of cancellation; the
-    odd-parity sign rides on sinh(alpha x / 2).
+    log|psi| = -s (1 + z) + ln|P(z)| + p1 ln z + p2 ln(z + 2), added in that
+    order; ln z and ln(z + 2) are taken from log_z and log_z2 when given.
+    p1 and p2 are the level's, as floats.  Callers ignore divide, over and
+    invalid: a zero of P or z gives -inf.
+    """
+    # Horner in place: the same operations as np.polyval, so the same bits.
+    poly = np.full_like(z, level.coefficients[-1])
+    for c in level.coefficients[-2::-1]:
+        poly *= z
+        poly += c
+    log_abs = -level.params.s * (1.0 + z) + np.log(np.abs(poly))
+    if p1 > 0.0:
+        log_abs = log_abs + p1 * (np.log(z) if log_z is None else log_z)
+    if p2 > 0.0:
+        log_abs = log_abs + p2 * (np.log(z + 2.0) if log_z2 is None else log_z2)
+    return log_abs, poly
+
+
+def _raw_log_abs_sign(level: QesLevel, x: np.ndarray):
+    """Unnormalized log|psi| and sign at x.
+
+    z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 is free of cancellation;
+    the odd-parity sign rides on sinh(alpha x / 2).
     """
     p1, p2 = float(level.qes_set.p1), float(level.qes_set.p2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sh = np.sinh(0.5 * level.params.alpha * x)
-        z = 2.0 * sh * sh
-        # Horner in place: the same operations as np.polyval, so the same bits.
-        poly = np.full_like(z, level.coefficients[-1])
-        for c in level.coefficients[-2::-1]:
-            poly *= z
-            poly += c
-        log_abs = -level.params.s * (1.0 + z) + np.log(np.abs(poly))
+        log_abs, poly = _log_abs(level, p1, p2, 2.0 * sh * sh)
         sign = np.sign(poly)
         if p1 > 0.0:
-            log_abs = log_abs + p1 * np.log(z)
             sign = sign * np.sign(sh)
-        if p2 > 0.0:
-            log_abs = log_abs + p2 * np.log(z + 2.0)
     return log_abs, sign
+
+
+def _grid_z(alpha: float, half_width: float) -> np.ndarray:
+    """z on the normalisation grid: x in [0, half_width/alpha], steps <= 0.005/alpha."""
+    x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
+    sh = np.sinh(0.5 * alpha * x)
+    return 2.0 * sh * sh
+
+
+@functools.lru_cache(maxsize=8)
+def _default_grid_terms(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z, ln z and ln(z + 2) on the default grid |x| <= 5/alpha; read-only.
+
+    They depend on alpha alone, so every level at one alpha shares them.
+    """
+    z = _grid_z(alpha, 5.0)
+    with np.errstate(divide="ignore"):
+        terms = (z, np.log(z), np.log(z + 2.0))
+    for table in terms:
+        table.setflags(write=False)
+    return terms
 
 
 def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
@@ -221,11 +255,14 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     # outer turning point y_t (V(y_t) = E); cover it when it passes |x| = 5/alpha.
     v1, v2 = params.v1, params.v2
     y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
-    half_width = math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
-    grid = np.linspace(
-        0.0, half_width / params.alpha, math.ceil(200.0 * half_width) + 1
-    )
-    log_abs, _ = _raw_log_abs_sign(level, grid)
+    p1, p2 = float(level.qes_set.p1), float(level.qes_set.p2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if y_turn > math.cosh(5.0):
+            # A wider grid is per level: no two levels share a turning point.
+            grid = (_grid_z(params.alpha, math.acosh(y_turn)),)
+        else:
+            grid = _default_grid_terms(params.alpha)
+        log_abs, _ = _log_abs(level, p1, p2, *grid)
     return ClosedFormWavefunction(level, float(np.max(log_abs[np.isfinite(log_abs)])))
 
 
@@ -321,12 +358,26 @@ def schrodinger_residual(
     return qhj_residual(wf, energy, params, x) * evaluate_wavefunction(wf, x)
 
 
-def _root_bound(desc: np.ndarray) -> float:
-    """Fujiwara bound 2 max_k |c_(n-k)|^(1/k) on every root of a monic polynomial.
+@functools.lru_cache(maxsize=16)
+def _contour_pass_tables(nodes: int) -> tuple[np.ndarray, ...]:
+    """cos t, exp(i b sin t), -sin t and i b cos t at the new nodes of one pass.
 
-    desc holds the coefficients from the leading one down: desc[k] = c_(n-k).
+    The pass completes the nodes-point trapezoid rule on t in [0, 2 pi).  The
+    first pass (2 * _CONTOUR_MIN_NODES) covers the 64-point rule, whose nodes
+    come first, and its midpoints; every later pass covers only the midpoints
+    of the nodes/2-point rule.  The tables are level-independent and
+    read-only, one cache entry per pass size.
     """
-    return 2.0 * float(np.max(np.abs(desc[1:]) ** (1.0 / np.arange(1, len(desc)))))
+    k = np.arange(1.0, nodes, 2.0)  # the midpoints of the nodes/2-point rule
+    if nodes == 2 * _CONTOUR_MIN_NODES:
+        k = np.concatenate((k - 1.0, k))
+    theta = 2.0 * math.pi / nodes * k
+    cos, sin = np.cos(theta), np.sin(theta)
+    b = _CONTOUR_HALF_HEIGHT
+    tables = (cos, np.exp(1j * b * sin), -sin, 1j * b * cos)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def moving_pole_contour_value(level: QesLevel) -> complex:
@@ -343,10 +394,13 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
     The negative ones sit at Im w = pi, and the half-height splits the gap.
 
     The periodic trapezoid rule converges exponentially for this analytic
-    integrand: the node count doubles until two passes agree, and a zero on
-    the contour stalls that convergence and raises ContourCollisionError.
-    The passes are nested: each doubling evaluates only the new midpoints,
-    where P and z P' are two dot products with one table of powers z^1..z^n.
+    integrand.  The first evaluation covers 64 nodes and their midpoints at
+    once, and reads off both the 64-node and the 128-node estimate; while
+    two successive estimates disagree, the node count doubles, each pass
+    evaluating only the new midpoints.  A zero on the contour stalls that
+    convergence and raises ContourCollisionError.  The node tables are
+    shared by every level; per pass, P and z P' are two dot products with
+    one table of powers z^1..z^n.
     """
     coeffs = np.asarray(level.coefficients)
     n = len(coeffs) - 1
@@ -354,27 +408,37 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
         return 0j
     if coeffs[0] == 0.0:
         raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
-    left = -math.log(_root_bound(coeffs / coeffs[0]))
-    right = math.log(_root_bound(coeffs[::-1]))
-    center, a, b = 0.5 * (right + left), 0.5 * (right - left), _CONTOUR_HALF_HEIGHT
-    z_dp_coeffs = np.arange(1, n + 1) * coeffs[1:]  # z P'(z) = sum k c_k z^k
-    total = 0j
+    # Fujiwara, in logs: ln B = ln 2 + max_k ln|c_(n-k)| / k for the monic P,
+    # and ln B_rev = ln 2 + max_k (ln|c_k| - ln|c_0|) / k for its reversal.
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(coeffs))
+    k = np.arange(1, n + 1)
+    right = _LN2 + float(np.max(log_abs[-2::-1] / k))
+    left = -(_LN2 + float(np.max((log_abs[1:] - log_abs[0]) / k)))
+    center, a = 0.5 * (right + left), 0.5 * (right - left)
+    z_dp_coeffs = k * coeffs[1:]  # z P'(z) = sum k c_k z^k
     previous = None
-    nodes = _CONTOUR_MIN_NODES
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    nodes = 2 * _CONTOUR_MIN_NODES
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while nodes <= _CONTOUR_MAX_NODES:
-            cos, sin = np.cos(theta), np.sin(theta)
-            z = np.exp(center + a * cos + 1j * b * sin)
+            cos, exp_ib_sin, neg_sin, ib_cos = _contour_pass_tables(nodes)
+            z = np.exp(center + a * cos) * exp_ib_sin
             powers = np.cumprod(np.broadcast_to(z[:, None], (len(z), n)), axis=1)
+            # Two products, not one with a stacked (n x 2) right-hand side:
+            # that goes through gemm, whose workspace raises the peak memory.
             p = coeffs[0] + powers @ coeffs[1:]
-            total += np.sum(powers @ z_dp_coeffs / p * (-a * sin + 1j * b * cos))
+            terms = powers @ z_dp_coeffs / p * (a * neg_sin + ib_cos)
+            if previous is None:
+                # The 64-node rule is the first half; its midpoints follow.
+                total = np.sum(terms[:_CONTOUR_MIN_NODES])
+                previous = complex(total / _CONTOUR_MIN_NODES) / 1j
+                total += np.sum(terms[_CONTOUR_MIN_NODES:])
+            else:
+                total += np.sum(terms)
             value = complex(total / nodes) / 1j
-            if previous is not None and abs(value - previous) <= _CONTOUR_TOLERANCE:
+            if abs(value - previous) <= _CONTOUR_TOLERANCE:
                 return value
             previous = value
-            # The midpoints of the current nodes complete the next pass.
-            theta = math.pi / nodes * (2.0 * np.arange(nodes) + 1.0)
             nodes *= 2
     raise ContourCollisionError(
         f"contour integral did not converge with {_CONTOUR_MAX_NODES} nodes; "

@@ -388,6 +388,23 @@ class TestExitCodes:
         assert "--L = 400.0" in doc["error"]["message"]
         assert "V(L) overflows float64" in doc["error"]["message"]
 
+    def test_wall_at_inf_minus_inf_leaves_stderr_empty(self, schema):
+        # At L = 1000 both sinh^2 and cosh overflow, so V(L) = inf + -inf; a
+        # fresh process shows what numpy would print on stderr.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "qhj_spectra.cli", "verify", "--v1", "1",
+             "--alpha", "1", "--lambda", "1", "--L", "1000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "usage"
+        assert "--L = 1000.0 is too far out" in doc["error"]["message"]
+
     def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
         # lambda = 40 (n = 39, 38): eigh's eigenvector loses the signs of its
         # smallest components, so the sign changes of P's coefficients break

@@ -33,6 +33,7 @@ from qhj_spectra import (
     solve_levels,
     wavefunction,
 )
+from qhj_spectra import solver
 from qhj_spectra.qhj import SET_RESIDUES, QesSet
 from qhj_spectra.solver import _node_count, _raw_log_abs_sign
 
@@ -340,6 +341,44 @@ class TestWavefunction:
             psi = evaluate_wavefunction(wavefunction(level, params), grid)
             assert np.max(np.abs(psi)) <= 1.0 + 1e-3
 
+    @staticmethod
+    def uncached_log_norm(level, params):
+        # wavefunction's grid rule, with z, ln z and ln(z + 2) computed afresh.
+        v1, v2, alpha = params.v1, params.v2, params.alpha
+        y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
+        half_width = math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
+        x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
+        log_abs, _ = _raw_log_abs_sign(level, x)
+        return float(np.max(log_abs[np.isfinite(log_abs)])), half_width
+
+    def test_log_norm_matches_uncached_grid_bit_for_bit(self):
+        # alpha changes between consecutive points, and the second round hits
+        # the cache, so an entry served for another alpha would show.  At
+        # (10, 0.1) every level's turning point lies past 5/alpha.
+        points = [
+            (lam, s, alpha)
+            for lam, s in [(1.5, 1.0), (10.0, 1.0), (20.5, 1.0), (10.0, 0.1)]
+            for alpha in (0.5, 1.0, 2.0)
+        ]
+        solver._default_grid_terms.cache_clear()
+        for lam, s, alpha in points + points[::-1]:
+            params = PotentialParams((s * alpha) ** 2, -2.0 * s * alpha**2 * lam, alpha)
+            widths = []
+            for level in solve_classification(params, enumerate_qes_sets(lam)):
+                expected, half_width = self.uncached_log_norm(level, params)
+                assert wavefunction(level, params).log_norm == expected
+                widths.append(half_width)
+            if (lam, s) == (10.0, 0.1):
+                assert min(widths) > 5.0
+            else:
+                assert 5.0 in widths
+
+    def test_cached_tables_are_read_only(self):
+        tables = [*solver._default_grid_terms(1.0), *solver._contour_pass_tables(128)]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+
     def test_schrodinger_residual_all_levels(self):
         rng = np.random.default_rng(11)
         for lam in (0.5, 1.0, 1.5, 2.0):
@@ -544,6 +583,67 @@ class TestMovingPoles:
             count_moving_poles(pair(1.5))
         assert count_moving_poles(pair(1.2)) == 2
         assert count_moving_poles(pair(1.8)) == 0
+
+    @staticmethod
+    def nested_trapezoid(level):
+        # The same ellipse and stopping rule, written plainly: 64 nodes, then
+        # one pass per doubling at the midpoints, P and P' by np.polyval.
+        c = np.asarray(level.coefficients)
+        n = len(c) - 1
+        if n == 0:
+            return 0j
+
+        def bound(d):
+            return 2.0 * max(abs(d[k]) ** (1.0 / k) for k in range(1, len(d)))
+
+        left, right = -math.log(bound(c / c[0])), math.log(bound(c[::-1]))
+        center, a, b = 0.5 * (right + left), 0.5 * (right - left), 1.5
+        desc = c[::-1]
+
+        def pass_sum(theta):
+            z = np.exp(center + a * np.cos(theta) + 1j * b * np.sin(theta))
+            dz_dtheta = z * (-a * np.sin(theta) + 1j * b * np.cos(theta))
+            return np.sum(np.polyval(np.polyder(desc), z) / np.polyval(desc, z) * dz_dtheta)
+
+        nodes = 64
+        total = pass_sum(2.0 * math.pi * np.arange(nodes) / nodes)
+        previous = total / nodes / 1j
+        while nodes < 2**16:
+            total += pass_sum(math.pi / nodes * (2.0 * np.arange(nodes) + 1.0))
+            nodes *= 2
+            value = total / nodes / 1j
+            if abs(value - previous) <= 1e-9:
+                return value
+            previous = value
+        raise AssertionError("the reference rule did not converge")
+
+    def test_contour_value_matches_plain_nested_trapezoid(self):
+        points = [(lam, s) for lam in (1.0, 1.5, 2.0, 5.5) for s in (0.3, 1.0, 3.0)]
+        for lam, s in points + [(10.0, 1.0), (10.0, 3.0), (20.5, 1.0)]:
+            params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+            for level in solve_classification(params, enumerate_qes_sets(lam)):
+                got = moving_pole_contour_value(level)
+                assert abs(got - self.nested_trapezoid(level)) <= 1e-12, (lam, s)
+
+    def test_one_contour_evaluation_per_level(self, monkeypatch):
+        # At (2, 1) every level converges at 128 nodes: the first evaluation
+        # covers the 64-node rule and its midpoints, so each level builds one
+        # table of powers.
+        params = PotentialParams(1.0, -4.0, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(2.0))
+        assert all(len(level.coefficients) > 1 for level in levels)
+        cumprod = np.cumprod
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cumprod(*args, **kwargs)
+
+        monkeypatch.setattr(solver.np, "cumprod", counted)
+        for level in levels:
+            calls.clear()
+            count_moving_poles(level)
+            assert calls == [(128, len(level.coefficients) - 1)]
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
     def test_import_leaves_scipy_module_unloaded(self, module):
