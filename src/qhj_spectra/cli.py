@@ -175,7 +175,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         qes_set = QesSet(set_index=set_index, b1=b1, b1_prime=b1p, n=n)
         target_v2 = qes_target_v2(qes_set, v1, alpha)
         params = PotentialParams(v1=v1, v2=target_v2, alpha=alpha)
-        return params, QesClassification(lam=float(qes_set.lam), sets=(qes_set,))
+        return params, QesClassification(lam=qes_set.lam, sets=(qes_set,))
 
     if settings.get("lambda") is not None:
         lam = _require_number(settings, "lambda")
@@ -243,8 +243,8 @@ def _solve_payload(params: PotentialParams, classification: QesClassification):
             "node_count": level.node_count,
             "coefficients": list(level.coefficients),
             "wavefunction": {
-                "p1": float(level.qes_set.p1),
-                "p2": float(level.qes_set.p2),
+                "p1": level.qes_set.p1,
+                "p2": level.qes_set.p2,
                 "C": -level.params.s,
                 "alpha": level.params.alpha,
                 "coefficients": list(level.coefficients),

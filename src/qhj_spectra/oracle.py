@@ -20,11 +20,11 @@ energies and the node counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateVectorError, InvariantViolationError
 from .potential import PotentialParams, Variant, evaluate_potential
@@ -148,6 +148,22 @@ def _require_points(grid: GridSpec, k: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _kinetic_table(n: int) -> np.ndarray:
+    """u[n - 1 + k] = t(|k|) at h = 1 for k = 1 - n .. 2 n - 1; read-only.
+
+    t(0) = pi^2 / 3 and t(m) = 2 (-1)^m / m^2.  It depends on n alone, so
+    every grid of n points, of either parity, shares it.
+    """
+    t = np.empty(2 * n)
+    t[0] = math.pi**2 / 3.0
+    t[1:] = 2.0 / np.arange(1, 2 * n, dtype=float) ** 2
+    t[1::2] *= -1.0
+    table = np.concatenate((t[n - 1 : 0 : -1], t))
+    table.setflags(write=False)
+    return table
+
+
 def _sector_hamiltonian(
     grid: GridSpec, parity: str, potential: np.ndarray
 ) -> np.ndarray:
@@ -160,15 +176,13 @@ def _sector_hamiltonian(
     """
     combine = {"even": np.add, "odd": np.subtract}[parity]
     n, h = grid.point_count_N, grid.step
-    t = np.empty(2 * n)
-    t[0] = math.pi**2 / 3.0
-    t[1:] = 2.0 / np.arange(1, 2 * n, dtype=float) ** 2
-    t[1::2] *= -1.0
-    t /= h * h
-    # Strided views of t, so that no N x N index array is built: row i of
-    # `direct` is t(|i - j|) and row i of `mirror` is t(i + j + 1).
-    direct = sliding_window_view(np.concatenate((t[n - 1 : 0 : -1], t[:n])), n)[::-1]
-    mirror = sliding_window_view(t[1:], n)
+    u = _kinetic_table(n) / (h * h)
+    # Strided views of u, so that no N x N index array is built: row i of
+    # `direct` is t(|i - j|) = u[n - 1 - i + j] and row i of `mirror` is
+    # t(i + j + 1) = u[n + i + j].
+    step = u.itemsize
+    direct = np.ndarray((n, n), buffer=u, offset=(n - 1) * step, strides=(-step, step))
+    mirror = np.ndarray((n, n), buffer=u, offset=n * step, strides=(step, step))
     hamiltonian = combine(direct, mirror)
     hamiltonian.flat[:: n + 1] += potential
     return hamiltonian

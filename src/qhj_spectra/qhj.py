@@ -14,7 +14,7 @@ combinations (the QES sets) for a given infinity exponent lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ComplexResidueError, UnsupportedBranchError
@@ -36,6 +36,10 @@ SET_RESIDUES: dict[int, tuple[Fraction, Fraction]] = {
     3: (_QUARTER, _THREE_QUARTERS),
     4: (_THREE_QUARTERS, _QUARTER),
 }
+# The same residues as floats, in set order, for enumerate_qes_sets.
+_FLOAT_RESIDUES = tuple(
+    (index, float(b1), float(b1p)) for index, (b1, b1p) in sorted(SET_RESIDUES.items())
+)
 
 
 @dataclass(frozen=True)
@@ -91,29 +95,35 @@ class InfinityAnalysis:
 
 @dataclass(frozen=True)
 class QesSet:
-    """One admissible residue combination with its polynomial degree n."""
+    """One admissible residue combination with its polynomial degree n.
+
+    p1 = b1 - 1/4, p2 = b1' - 1/4 and lam = b1 + b1' + n (the infinity
+    exponent that admits the set) are converted from the exact residues to
+    floats once, here, and parity is read from b1; the per-level path reads
+    them without Fraction arithmetic.  Equality, hash and repr cover the four
+    defining fields only.
+    """
 
     set_index: int
     b1: Fraction
     b1_prime: Fraction
     n: int
+    p1: float = field(init=False, repr=False, compare=False)
+    p2: float = field(init=False, repr=False, compare=False)
+    parity: str = field(init=False, repr=False, compare=False)
+    lam: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def p1(self) -> Fraction:
-        return self.b1 - _QUARTER
-
-    @property
-    def p2(self) -> Fraction:
-        return self.b1_prime - _QUARTER
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.b1 == _THREE_QUARTERS else "even"
-
-    @property
-    def lam(self) -> Fraction:
-        """The infinity exponent lambda = b1 + b1' + n that admits this set."""
-        return self.b1 + self.b1_prime + self.n
+    def __post_init__(self):
+        # b1 = a/b and b1' = c/d.  The sums are exact in integers and rounded
+        # once by int true division, as float() rounds a Fraction: the same
+        # floats as float(b1 - 1/4) etc., at a tenth of the cost.
+        (a, b), (c, d) = self.b1.as_integer_ratio(), self.b1_prime.as_integer_ratio()
+        # The instance is frozen: set the derived fields as dataclass does.
+        setattr_ = object.__setattr__
+        setattr_(self, "p1", (4 * a - b) / (4 * b))
+        setattr_(self, "p2", (4 * c - d) / (4 * d))
+        setattr_(self, "parity", "odd" if self.b1 == _THREE_QUARTERS else "even")
+        setattr_(self, "lam", (a * d + c * b + self.n * b * d) / (b * d))
 
 
 @dataclass(frozen=True)
@@ -207,11 +217,11 @@ def enumerate_qes_sets(lam: float) -> QesClassification:
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     sets = []
-    for index in sorted(SET_RESIDUES):
-        b1, b1p = SET_RESIDUES[index]
-        n_real = lam - float(b1) - float(b1p)
+    for index, f1, f2 in _FLOAT_RESIDUES:
+        n_real = lam - f1 - f2
         n = round(n_real)
         if n >= 0 and abs(n_real - n) <= INTEGER_TOLERANCE:
+            b1, b1p = SET_RESIDUES[index]
             sets.append(QesSet(set_index=index, b1=b1, b1_prime=b1p, n=n))
     return QesClassification(lam=lam, sets=tuple(sets))
 
@@ -222,4 +232,4 @@ def qes_target_v2(qes_set: QesSet, v1: float, alpha: float) -> float:
         raise UnsupportedBranchError(f"V1 must be positive, got {v1}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return -2.0 * math.sqrt(v1) * alpha * float(qes_set.lam)
+    return -2.0 * math.sqrt(v1) * alpha * qes_set.lam

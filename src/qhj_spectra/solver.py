@@ -95,16 +95,16 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
         )
     n = qes_set.n
     s = params.s
-    p1 = float(qes_set.p1)
-    sigma = float(qes_set.p1 + qes_set.p2)
-    delta = float(qes_set.p1 - qes_set.p2)
+    p1, p2 = qes_set.p1, qes_set.p2
+    sigma, delta = p1 + p2, p1 - p2
     k = np.arange(n + 1, dtype=float)
-    matrix = (
-        np.diag(k * (k - 1.0) + (2.0 * sigma + 1.0 - 4.0 * s) * k
-                + 2.0 * s * n + sigma**2 - 2.0 * s * delta)
-        + np.diag(2.0 * s * (n - k[1:] + 1.0), -1)
-        + np.diag((k[:-1] + 1.0) * (2.0 * k[:-1] + 1.0 + 4.0 * p1), 1)
-    )
+    # The diagonal, sub- and superdiagonal are written in place through the
+    # flat index (stride n + 2), so only one matrix is built.
+    matrix = np.zeros((n + 1, n + 1))
+    matrix.flat[:: n + 2] = (k * (k - 1.0) + (2.0 * sigma + 1.0 - 4.0 * s) * k
+                             + 2.0 * s * n + sigma**2 - 2.0 * s * delta)
+    matrix.flat[n + 1 :: n + 2] = 2.0 * s * (n - k[1:] + 1.0)
+    matrix.flat[1 :: n + 2] = (k[:-1] + 1.0) * (2.0 * k[:-1] + 1.0 + 4.0 * p1)
     matrix.setflags(write=False)
     return SpectralPencil(matrix=matrix, qes_set=qes_set)
 
@@ -135,7 +135,10 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     upper, lower = np.diag(h, 1), np.diag(h, -1)
     scale = np.concatenate(([1.0], np.cumprod(np.sqrt(upper / lower))))
     off = np.sqrt(upper * lower)
-    jacobi = np.diag(np.diag(h)) + np.diag(off, 1) + np.diag(off, -1)
+    # H's diagonal, with both off-diagonals replaced by sqrt(upper * lower).
+    jacobi = h.copy()
+    jacobi.flat[1 :: len(h) + 1] = off
+    jacobi.flat[len(h) :: len(h) + 1] = off
     mus, vectors = np.linalg.eigh(jacobi)
     vectors = vectors / scale[:, None]
     qes_set, parity = pencil.qes_set, pencil.qes_set.parity
@@ -181,14 +184,14 @@ def solve_classification(
     return levels
 
 
-def _log_abs(level: QesLevel, p1: float, p2: float, z, log_z=None, log_z2=None):
+def _log_abs(level: QesLevel, z, log_z=None, log_z2=None):
     """Unnormalized log|psi| and P at z = cosh(alpha x) - 1, accumulated in log space.
 
     log|psi| = -s (1 + z) + ln|P(z)| + p1 ln z + p2 ln(z + 2), added in that
     order; ln z and ln(z + 2) are taken from log_z and log_z2 when given.
-    p1 and p2 are the level's, as floats.  Callers ignore divide, over and
-    invalid: a zero of P or z gives -inf.
+    Callers ignore divide, over and invalid: a zero of P or z gives -inf.
     """
+    p1, p2 = level.qes_set.p1, level.qes_set.p2
     # Horner in place: the same operations as np.polyval, so the same bits.
     poly = np.full_like(z, level.coefficients[-1])
     for c in level.coefficients[-2::-1]:
@@ -206,15 +209,14 @@ def _raw_log_abs_sign(level: QesLevel, x: np.ndarray):
     """Unnormalized log|psi| and sign at x.
 
     z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 is free of cancellation;
-    the odd-parity sign rides on sinh(alpha x / 2).
+    the odd-parity sign rides on sinh(alpha x / 2).  Callers ignore divide,
+    over and invalid.
     """
-    p1, p2 = float(level.qes_set.p1), float(level.qes_set.p2)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sh = np.sinh(0.5 * level.params.alpha * x)
-        log_abs, poly = _log_abs(level, p1, p2, 2.0 * sh * sh)
-        sign = np.sign(poly)
-        if p1 > 0.0:
-            sign = sign * np.sign(sh)
+    sh = np.sinh(0.5 * level.params.alpha * x)
+    log_abs, poly = _log_abs(level, 2.0 * sh * sh)
+    sign = np.sign(poly)
+    if level.qes_set.p1 > 0.0:
+        sign = sign * np.sign(sh)
     return log_abs, sign
 
 
@@ -255,24 +257,23 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     # outer turning point y_t (V(y_t) = E); cover it when it passes |x| = 5/alpha.
     v1, v2 = params.v1, params.v2
     y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
-    p1, p2 = float(level.qes_set.p1), float(level.qes_set.p2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if y_turn > math.cosh(5.0):
             # A wider grid is per level: no two levels share a turning point.
             grid = (_grid_z(params.alpha, math.acosh(y_turn)),)
         else:
             grid = _default_grid_terms(params.alpha)
-        log_abs, _ = _log_abs(level, p1, p2, *grid)
-    return ClosedFormWavefunction(level, float(np.max(log_abs[np.isfinite(log_abs)])))
+        log_abs, _ = _log_abs(level, *grid)
+    return ClosedFormWavefunction(level, float(log_abs[np.isfinite(log_abs)].max()))
 
 
 def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     """psi(x), max-normalized; underflow-safe (extreme |x| returns 0)."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("x must be finite")
-    log_abs, sign = _raw_log_abs_sign(wf.level, arr)
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_abs, sign = _raw_log_abs_sign(wf.level, arr)
         magnitude = np.where(
             np.isfinite(log_abs), np.exp(log_abs - wf.log_norm), 0.0
         )
@@ -295,7 +296,7 @@ def _overflow_names(x: float):
 def _log_derivative_pieces(level: QesLevel, x: float):
     """L = d(ln psi)/dx and L' as numpy scalars; raises at QMF poles."""
     a = level.params.alpha
-    p1, p2 = float(level.qes_set.p1), float(level.qes_set.p2)
+    p1, p2 = level.qes_set.p1, level.qes_set.p2
     desc = np.asarray(level.coefficients[::-1])
     with _overflow_names(x):
         # cosh(a x) - 1 without cancellation, as a numpy scalar to obey errstate.
@@ -410,31 +411,32 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
         raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
     # Fujiwara, in logs: ln B = ln 2 + max_k ln|c_(n-k)| / k for the monic P,
     # and ln B_rev = ln 2 + max_k (ln|c_k| - ln|c_0|) / k for its reversal.
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(coeffs))
-    k = np.arange(1, n + 1)
-    right = _LN2 + float(np.max(log_abs[-2::-1] / k))
-    left = -(_LN2 + float(np.max((log_abs[1:] - log_abs[0]) / k)))
-    center, a = 0.5 * (right + left), 0.5 * (right - left)
-    z_dp_coeffs = k * coeffs[1:]  # z P'(z) = sum k c_k z^k
-    previous = None
-    nodes = 2 * _CONTOUR_MIN_NODES
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_abs = np.log(np.abs(coeffs))
+        k = np.arange(1, n + 1)
+        right = _LN2 + float((log_abs[-2::-1] / k).max())
+        left = -(_LN2 + float(((log_abs[1:] - log_abs[0]) / k).max()))
+        center, a = 0.5 * (right + left), 0.5 * (right - left)
+        z_dp_coeffs = k * coeffs[1:]  # z P'(z) = sum k c_k z^k
+        previous = None
+        nodes = 2 * _CONTOUR_MIN_NODES
         while nodes <= _CONTOUR_MAX_NODES:
             cos, exp_ib_sin, neg_sin, ib_cos = _contour_pass_tables(nodes)
             z = np.exp(center + a * cos) * exp_ib_sin
-            powers = np.cumprod(np.broadcast_to(z[:, None], (len(z), n)), axis=1)
+            powers = np.empty((len(z), n), dtype=complex)
+            powers[:] = z[:, None]
+            np.cumprod(powers, axis=1, out=powers)
             # Two products, not one with a stacked (n x 2) right-hand side:
             # that goes through gemm, whose workspace raises the peak memory.
             p = coeffs[0] + powers @ coeffs[1:]
             terms = powers @ z_dp_coeffs / p * (a * neg_sin + ib_cos)
             if previous is None:
                 # The 64-node rule is the first half; its midpoints follow.
-                total = np.sum(terms[:_CONTOUR_MIN_NODES])
+                total = terms[:_CONTOUR_MIN_NODES].sum()
                 previous = complex(total / _CONTOUR_MIN_NODES) / 1j
-                total += np.sum(terms[_CONTOUR_MIN_NODES:])
+                total += terms[_CONTOUR_MIN_NODES:].sum()
             else:
-                total += np.sum(terms)
+                total += terms.sum()
             value = complex(total / nodes) / 1j
             if abs(value - previous) <= _CONTOUR_TOLERANCE:
                 return value

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qhj_spectra import (
     DegenerateVectorError,
@@ -16,7 +17,7 @@ from qhj_spectra import (
     solve_classification,
     verify_qes,
 )
-from qhj_spectra.oracle import _sector_hamiltonian, _sign_changes
+from qhj_spectra.oracle import _kinetic_table, _sector_hamiltonian, _sign_changes
 
 
 def quick_grid(params, big_l=None, n=90):
@@ -197,6 +198,42 @@ class TestLowestEigenvalues:
         potential = params.v1 * np.sinh(x) ** 2 + params.v2 * np.cosh(x)
         actual = _sector_hamiltonian(grid, parity, potential)
         assert np.allclose(actual, expected, rtol=1e-13, atol=0.0)
+
+    @staticmethod
+    def sliding_window_hamiltonian(grid, parity, potential):
+        # The construction that builds t on every call: two sliding-window
+        # views of t / h^2.
+        n, h = grid.point_count_N, grid.step
+        t = np.empty(2 * n)
+        t[0] = math.pi**2 / 3.0
+        t[1:] = 2.0 / np.arange(1, 2 * n, dtype=float) ** 2
+        t[1::2] *= -1.0
+        t /= h * h
+        direct = sliding_window_view(np.concatenate((t[n - 1 : 0 : -1], t[:n])), n)[::-1]
+        mirror = sliding_window_view(t[1:], n)
+        hamiltonian = (np.add if parity == "even" else np.subtract)(direct, mirror)
+        hamiltonian.flat[:: n + 1] += potential
+        return hamiltonian
+
+    def test_sector_hamiltonian_matches_sliding_window_byte_for_byte(self):
+        # Grid sizes and walls alternate, and the second round is served from
+        # the cached tables: a table shared across N or scaled in place shows.
+        params = PotentialParams(1.0, -3.0, 1.0)
+        grids = [GridSpec(big_l, n) for n, big_l in
+                 ((7, 2.5), (60, 7.1), (61, 7.1), (90, 4.3), (60, 3.3), (7, 9.0))]
+        _kinetic_table.cache_clear()
+        for grid in grids + grids[::-1]:
+            potential = params.v1 * np.sinh(grid.points()) ** 2 + params.v2 * np.cosh(
+                grid.points()
+            )
+            for parity in ("even", "odd"):
+                actual = _sector_hamiltonian(grid, parity, potential)
+                expected = self.sliding_window_hamiltonian(grid, parity, potential)
+                assert actual.tobytes() == expected.tobytes(), (grid, parity)
+
+    def test_cached_kinetic_table_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            _kinetic_table(60)[0] = 1.0
 
     def test_k_too_large_rejected(self):
         params = PotentialParams(1.0, -3.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from qhj_spectra import (
     qes_target_v2,
     riccati_fixed_term,
 )
-from qhj_spectra.qhj import SET_RESIDUES
+from qhj_spectra.qhj import SET_RESIDUES, QesSet
 
 import series_tools
 
@@ -204,6 +205,40 @@ class TestEnumeration:
     def test_set_parity_rule(self):
         for q in enumerate_qes_sets(2.0).sets + enumerate_qes_sets(2.5).sets:
             assert q.parity == ("odd" if q.b1 == THREE_QUARTERS else "even")
+
+
+class TestQesSet:
+    @pytest.mark.parametrize("set_index", sorted(SET_RESIDUES))
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_derived_floats_equal_the_exact_values(self, set_index, n):
+        b1, b1p = SET_RESIDUES[set_index]
+        q = QesSet(set_index, b1, b1p, n)
+        for got, exact in ((q.p1, b1 - QUARTER), (q.p2, b1p - QUARTER),
+                           (q.lam, b1 + b1p + n)):
+            assert type(got) is float and got == float(exact)
+        assert q.parity == ("odd" if b1 == THREE_QUARTERS else "even")
+
+    @given(b1=st.fractions(max_denominator=10**6), b1p=st.fractions(max_denominator=10**6),
+           n=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_derived_floats_round_like_fraction_arithmetic(self, b1, b1p, n):
+        q = QesSet(1, b1, b1p, n)
+        assert (q.p1, q.p2, q.lam) == (
+            float(b1 - QUARTER), float(b1p - QUARTER), float(b1 + b1p + n)
+        )
+
+    def test_replace_recomputes_the_derived_fields(self):
+        q = replace(QesSet(1, QUARTER, QUARTER, 0), n=3, b1=THREE_QUARTERS)
+        assert (q.p1, q.p2, q.lam, q.parity) == (0.5, 0.0, 4.0, "odd")
+
+    def test_equality_hash_and_repr_cover_the_defining_fields(self):
+        a = QesSet(3, QUARTER, THREE_QUARTERS, 2)
+        b = QesSet(3, Fraction(2, 8), Fraction(6, 8), 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != QesSet(3, QUARTER, THREE_QUARTERS, 1)
+        assert repr(a) == (
+            "QesSet(set_index=3, b1=Fraction(1, 4), b1_prime=Fraction(3, 4), n=2)"
+        )
 
 
 class TestTargetV2:

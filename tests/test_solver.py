@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -79,6 +80,24 @@ class TestPencil:
                 if j < i - 1 or j > i + 2:
                     assert matrix[i, j] == 0.0
 
+    @pytest.mark.parametrize("set_index", sorted(SET_RESIDUES))
+    def test_matches_three_diag_sum_byte_for_byte(self, set_index):
+        for n in (0, 1, 9, 39):
+            for s in (0.1, 1.0, 10.0):
+                qes_set, params = params_for(set_index, n, v1=s * s)
+                p1 = float(qes_set.b1 - Fraction(1, 4))
+                p2 = float(qes_set.b1_prime - Fraction(1, 4))
+                sigma, delta = p1 + p2, p1 - p2
+                k = np.arange(n + 1, dtype=float)
+                expected = (
+                    np.diag(k * (k - 1.0) + (2.0 * sigma + 1.0 - 4.0 * s) * k
+                            + 2.0 * s * n + sigma**2 - 2.0 * s * delta)
+                    + np.diag(2.0 * s * (n - k[1:] + 1.0), -1)
+                    + np.diag((k[:-1] + 1.0) * (2.0 * k[:-1] + 1.0 + 4.0 * p1), 1)
+                )
+                matrix = build_pencil(qes_set, params).matrix
+                assert matrix.tobytes() == expected.tobytes(), (n, s)
+
     @given(
         set_index=st.integers(min_value=1, max_value=4),
         n=st.integers(min_value=0, max_value=6),
@@ -137,6 +156,29 @@ class TestLevels:
         p1, p2 = float(qes_set.p1), float(qes_set.p2)
         expected = -((p1 + p2) ** 2) + 2.0 * s * (p1 - p2)
         assert level.energy == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [2.0, 10.0])
+    def test_per_level_path_does_no_fraction_work(self, lam, monkeypatch):
+        # The sets are built first; from then on every call reads the floats
+        # QesSet stored at construction.
+        params = PotentialParams(1.0, -2.0 * lam, 1.0)
+        sets = enumerate_qes_sets(lam).sets
+        calls = []
+        for name in ("__float__", "__add__", "__sub__", "__eq__"):
+            method = getattr(Fraction, name)
+
+            def counted(*args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        for qes_set in sets:
+            for level in solve_levels(build_pencil(qes_set, params), params):
+                wf = wavefunction(level, params)
+                evaluate_wavefunction(wf, np.linspace(-5.0, 5.0, 101))
+                count_moving_poles(level)
+                qhj_residual(wf, level.energy, params, 0.74)
+        assert calls == []
 
     def test_degenerate_well_limit(self):
         s = 1e-6
@@ -348,7 +390,9 @@ class TestWavefunction:
         y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
         half_width = math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
         x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
-        log_abs, _ = _raw_log_abs_sign(level, x)
+        # As in wavefunction: ln z = -inf at x = 0 for an odd level.
+        with np.errstate(divide="ignore"):
+            log_abs, _ = _raw_log_abs_sign(level, x)
         return float(np.max(log_abs[np.isfinite(log_abs)])), half_width
 
     def test_log_norm_matches_uncached_grid_bit_for_bit(self):
