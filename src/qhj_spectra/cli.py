@@ -32,12 +32,7 @@ from .qhj import (
     infinity_analysis,
     qes_target_v2,
 )
-from .solver import (
-    evaluate_wavefunction,
-    reproduce_paper_tables,
-    solve_classification,
-    wavefunction,
-)
+from .solver import reproduce_paper_tables, sample_wavefunction, solve_classification
 
 CONFIG_ENV_VAR = "QHJ_SPECTRA_CONFIG"
 
@@ -378,15 +373,12 @@ def cmd_sample(settings) -> tuple[int, str]:
 
     columns = [("x", x), ("V", v)]
     levels = solve_classification(params, classification)
-    # A stable sort by set keeps the energy order within each set.
+    # A stable sort by set keeps the energy order within each set.  Each
+    # column is normalised to its peak on the sampled points.
     for level in sorted(levels, key=lambda level: level.qes_set.set_index):
-        psi = evaluate_wavefunction(wavefunction(level, params), x)
-        peak = np.max(np.abs(psi))
-        if peak > 0.0:
-            psi = psi / peak
         qes_set = level.qes_set
         name = f"psi_set{qes_set.set_index}_n{qes_set.n}_E{'%.6g' % level.energy}"
-        columns.append((name, psi))
+        columns.append((name, sample_wavefunction(level, x)))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)  # RFC 4180: CRLF line endings

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateVectorError, InvariantViolationError
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import QesClassification, infinity_analysis
-from .solver import QesLevel, solve_classification
+from .solver import QesLevel, _row_sign_changes, solve_classification
 
 # Default bound on |E_analytic - E_oracle| for a level to pass.
 DEFAULT_TOLERANCE = 1e-6
@@ -126,16 +126,11 @@ def default_grid(params: PotentialParams) -> GridSpec:
 
 
 def node_count(vector: np.ndarray) -> int:
-    """Strict sign changes, ignoring entries below 1e-12 of the peak."""
-    vector = np.asarray(vector, dtype=float)
-    peak = float(np.max(np.abs(vector))) if vector.size else 0.0
-    if peak == 0.0:
-        raise DegenerateVectorError("all-zero vector has no node count")
-    kept = vector[np.abs(vector) >= 1e-12 * peak]
-    if kept.size == 0:
-        raise DegenerateVectorError("vector is zero up to noise")
-    signs = np.sign(kept)
-    return int(np.sum(signs[1:] * signs[:-1] < 0))
+    """Strict sign changes, ignoring entries below 1e-12 of the peak.
+
+    An empty, all-zero or non-finite vector raises DegenerateVectorError.
+    """
+    return int(_sign_changes(np.asarray(vector, dtype=float).reshape(-1, 1))[0])
 
 
 def _require_points(grid: GridSpec, k: int) -> None:
@@ -196,16 +191,13 @@ def _sign_changes(columns: np.ndarray) -> np.ndarray:
     """node_count of every column at once: strict sign changes, ignoring
     entries below 1e-12 of the column's peak."""
     magnitudes = np.abs(columns.T)
-    peaks = np.max(magnitudes, axis=1)
-    if not np.all(peaks > 0.0):
+    peaks = magnitudes.max(axis=1, initial=0.0)
+    if not np.isfinite(peaks).all():
+        raise DegenerateVectorError("non-finite vector has no node count")
+    if not (peaks > 0.0).all():
         raise DegenerateVectorError("all-zero vector has no node count")
     kept = magnitudes >= 1e-12 * peaks[:, None]
-    # The kept entries, column after column, each with its column's index:
-    # a change is a sign flip between neighbours of the same column.
-    negative = np.signbit(columns.T)[kept]
-    column = np.nonzero(kept)[0]
-    flips = (negative[1:] != negative[:-1]) & (column[1:] == column[:-1])
-    return np.bincount(column[1:][flips], minlength=columns.shape[1])
+    return _row_sign_changes(np.where(kept, np.sign(columns.T), 0.0))
 
 
 def _checked_spectrum(

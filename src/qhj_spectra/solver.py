@@ -21,6 +21,16 @@ by the argument principle on an ellipse in ln z that spans the two Fujiwara
 root bounds, integrated with the periodic trapezoid rule.  In z the ellipse
 encloses the positive axis and strays off it only where |arg z| < 3/2, where
 no zero can lie.
+
+The levels of one set share a working point, (p1, p2) and the degree n, so
+solve_levels attaches one table to all of them, filled on first use: the
+normalisation scan on the shared |x| <= 5/alpha grid and the contour's first
+128-node pass run once for the whole set, one row per level, each row with
+the bits it would have alone.  What stays per level: a normalisation grid
+widened to the level's own turning point, further contour passes for a
+level whose 64- and 128-node estimates disagree, and every error, raised
+only when that level is asked for.  A level built any other way (by hand, or
+by dataclasses.replace) gets a table of its own.
 """
 
 from __future__ import annotations
@@ -109,18 +119,30 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
     return SpectralPencil(matrix=matrix, qes_set=qes_set)
 
 
-def _node_count(coefficients: np.ndarray, parity: str) -> int:
-    """Real-line node count: 2 per zero of P in z > 0, +1 if odd.
+def _row_sign_changes(signs: np.ndarray) -> np.ndarray:
+    """Sign changes along each row of a 2-D table of signs, zeros skipped."""
+    if signs.all():  # no zeros to skip
+        return (signs[:, 1:] != signs[:, :-1]).sum(axis=1)
+    kept = signs != 0.0
+    row = np.nonzero(kept)[0]
+    signs = signs[kept]
+    # The kept entries, row after row, each with its row's index: a change
+    # is a flip between neighbours of the same row.
+    flips = (signs[1:] != signs[:-1]) & (row[1:] == row[:-1])
+    return np.bincount(row[1:][flips], minlength=len(kept))
+
+
+def _node_count(coefficients: np.ndarray, parity: str) -> list[int]:
+    """Real-line node count of each row c0..cn: 2 per zero of P in z > 0, +1 if odd.
 
     The zeros in z > 0 are counted by Descartes' rule: the sign changes of
     c0..cn, zeros skipped.  The rule is exact for a real-rooted polynomial
     with P(0) != 0, and P is the polynomial of a Jacobi eigenvector, so its
     zeros are real (Heine-Stieltjes).
     """
-    signs = np.sign(coefficients)
-    signs = signs[signs != 0.0]
-    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    return 2 * changes + (1 if parity == "odd" else 0)
+    odd = 1 if parity == "odd" else 0
+    changes = _row_sign_changes(np.sign(coefficients))
+    return [2 * count + odd for count in changes.tolist()]
 
 
 def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLevel]:
@@ -130,10 +152,12 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     similarity D H D^-1 with D[k+1]/D[k] = sqrt(H[k,k+1]/H[k+1,k]) is a
     symmetric Jacobi matrix: real, simple eigenvalues, and eigenvectors u
     whose last component never vanishes, giving the coefficients u / D.
+    The levels share one _SetTable.
     """
     h = pencil.matrix
-    upper, lower = np.diag(h, 1), np.diag(h, -1)
-    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(upper / lower))))
+    upper, lower = h.diagonal(1), h.diagonal(-1)
+    scale = np.ones(len(h))
+    np.cumprod(np.sqrt(upper / lower), out=scale[1:])
     off = np.sqrt(upper * lower)
     # H's diagonal, with both off-diagonals replaced by sqrt(upper * lower).
     jacobi = h.copy()
@@ -143,31 +167,40 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     vectors = vectors / scale[:, None]
     qes_set, parity = pencil.qes_set, pencil.qes_set.parity
 
-    levels = []
-    # E = -alpha^2 mu, and eigh sorts mu ascending: walk it backwards.
-    for j, column in enumerate(vectors.T[::-1]):
-        column = column / column[-1]
-        if column[0] == 0.0:
-            # An unreduced Jacobi eigenvector has u_0 != 0.
+    # E = -alpha^2 mu, and eigh sorts mu ascending: row j, level j, is
+    # column -1 - j, scaled to a leading 1.
+    coefficients = vectors.T[::-1] / vectors[-1, ::-1, None]
+    coefficients.setflags(write=False)
+    nodes = _node_count(coefficients, parity)
+    leading = coefficients[:, 0].tolist()
+    # An unreduced Jacobi eigenvector has u_0 != 0, and level j has 2 j
+    # nodes, plus one if odd.
+    odd = 1 if parity == "odd" else 0
+    expected = list(range(odd, 2 * len(nodes) + odd, 2))
+    if nodes != expected or 0.0 in leading:
+        j = next(j for j, c0 in enumerate(leading) if c0 == 0.0 or nodes[j] != expected[j])
+        if leading[j] == 0.0:
             raise InvariantViolationError(
                 f"level {j} of set {qes_set.set_index} has P(0) = 0: the "
                 "eigenvector's smallest component underflowed"
             )
-        nodes = _node_count(column, parity)
-        if nodes != 2 * j + (1 if parity == "odd" else 0):
-            raise InvariantViolationError(
-                f"Sturm ordering violated: level {j} of set {qes_set.set_index} "
-                f"has {nodes} nodes"
-            )
-        levels.append(
-            QesLevel(
-                energy=-params.alpha**2 * float(mus[-1 - j]),
-                coefficients=tuple(column.tolist()),
-                qes_set=qes_set,
-                node_count=nodes,
-                params=params,
-            )
+        raise InvariantViolationError(
+            f"Sturm ordering violated: level {j} of set {qes_set.set_index} "
+            f"has {nodes[j]} nodes"
         )
+    energies = (-params.alpha**2 * mus[::-1]).tolist()
+    table = _SetTable(coefficients, energies, qes_set, params)
+    levels = []
+    for j, row in enumerate(coefficients.tolist()):
+        level = QesLevel(
+            energy=energies[j],
+            coefficients=tuple(row),
+            qes_set=qes_set,
+            node_count=nodes[j],
+            params=params,
+        )
+        object.__setattr__(level, "_set_table", (table, j))
+        levels.append(level)
     return levels
 
 
@@ -184,24 +217,31 @@ def solve_classification(
     return levels
 
 
-def _log_abs(level: QesLevel, z, log_z=None, log_z2=None):
+def _log_abs(coefficients, qes_set: QesSet, s: float, z, log_z=None, log_z2=None):
     """Unnormalized log|psi| and P at z = cosh(alpha x) - 1, accumulated in log space.
 
-    log|psi| = -s (1 + z) + ln|P(z)| + p1 ln z + p2 ln(z + 2), added in that
-    order; ln z and ln(z + 2) are taken from log_z and log_z2 when given.
+    log|psi| = ln|P(z)| - s (1 + z) + p1 ln z + p2 ln(z + 2), added left to
+    right; ln z and ln(z + 2) are taken from log_z and log_z2 when given.
+    coefficients holds c0..cn, each a float for one level, or each a
+    (levels, 1) column for a whole set: then every row of the result has the
+    bits of that level alone, as the operations are elementwise.
     Callers ignore divide, over and invalid: a zero of P or z gives -inf.
     """
-    p1, p2 = level.qes_set.p1, level.qes_set.p2
+    p1, p2 = qes_set.p1, qes_set.p2
     # Horner in place: the same operations as np.polyval, so the same bits.
-    poly = np.full_like(z, level.coefficients[-1])
-    for c in level.coefficients[-2::-1]:
+    # One row per level when the coefficients are a set's (levels, 1) columns.
+    poly = np.empty(np.broadcast(coefficients[-1], z).shape)
+    poly[...] = coefficients[-1]
+    for c in coefficients[-2::-1]:
         poly *= z
         poly += c
-    log_abs = -level.params.s * (1.0 + z) + np.log(np.abs(poly))
+    # In place, so that a set's scan holds two tables of its size, not four.
+    log_abs = np.log(np.abs(poly))
+    log_abs += -s * (1.0 + z)
     if p1 > 0.0:
-        log_abs = log_abs + p1 * (np.log(z) if log_z is None else log_z)
+        log_abs += p1 * (np.log(z) if log_z is None else log_z)
     if p2 > 0.0:
-        log_abs = log_abs + p2 * (np.log(z + 2.0) if log_z2 is None else log_z2)
+        log_abs += p2 * (np.log(z + 2.0) if log_z2 is None else log_z2)
     return log_abs, poly
 
 
@@ -213,7 +253,9 @@ def _raw_log_abs_sign(level: QesLevel, x: np.ndarray):
     over and invalid.
     """
     sh = np.sinh(0.5 * level.params.alpha * x)
-    log_abs, poly = _log_abs(level, 2.0 * sh * sh)
+    log_abs, poly = _log_abs(
+        level.coefficients, level.qes_set, level.params.s, 2.0 * sh * sh
+    )
     sign = np.sign(poly)
     if level.qes_set.p1 > 0.0:
         sign = sign * np.sign(sh)
@@ -232,8 +274,10 @@ def _default_grid_terms(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """z, ln z and ln(z + 2) on the default grid |x| <= 5/alpha; read-only.
 
     They depend on alpha alone, so every level at one alpha shares them.
+    Each is one (1, points) row, the shape a set's rows broadcast against
+    fastest.
     """
-    z = _grid_z(alpha, 5.0)
+    z = _grid_z(alpha, 5.0)[None, :]
     with np.errstate(divide="ignore"):
         terms = (z, np.log(z), np.log(z + 2.0))
     for table in terms:
@@ -246,25 +290,45 @@ def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
         raise InadmissibleParametersError("level was solved for different parameters")
 
 
+def _turning_point(params: PotentialParams, energy: float) -> float:
+    """The outer turning point y_t, V(y_t) = E; ValueError if V never falls to E."""
+    v1, v2 = params.v1, params.v2
+    return (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + energy))) / (2.0 * v1)
+
+
+def _level_log_norm(level: QesLevel) -> float:
+    """log_norm from the level alone: max of log|psi| on the grid wavefunction uses.
+
+    |psi| has no interior maximum where V > E, so the peak lies inside the
+    outer turning point y_t (V(y_t) = E); the grid covers it when it passes
+    |x| = 5/alpha.  Callers ignore divide, over and invalid.
+    """
+    alpha = level.params.alpha
+    y_turn = _turning_point(level.params, level.energy)
+    if y_turn > math.cosh(5.0):
+        # A wider grid is per level: no two levels share a turning point.
+        grid = (_grid_z(alpha, math.acosh(y_turn)),)
+    else:
+        grid = _default_grid_terms(alpha)
+    log_abs, _ = _log_abs(level.coefficients, level.qes_set, level.params.s, *grid)
+    return float(log_abs[np.isfinite(log_abs)].max())
+
+
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
     """Closed form for one solved level; normalized so max|psi| = 1 on the grid.
 
     params must be the level's own working point.  |psi| is even in x, so
-    the grid covers x >= 0 only, in steps of at most 0.005/alpha.
+    the grid covers x >= 0 only, in steps of at most 0.005/alpha.  The
+    level's set scans the shared |x| <= 5/alpha grid once for all its levels;
+    a level whose turning point lies farther out scans a grid of its own.
     """
     _require_own_params(level, params)
-    # |psi| has no interior maximum where V > E, so the peak lies inside the
-    # outer turning point y_t (V(y_t) = E); cover it when it passes |x| = 5/alpha.
-    v1, v2 = params.v1, params.v2
-    y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if y_turn > math.cosh(5.0):
-            # A wider grid is per level: no two levels share a turning point.
-            grid = (_grid_z(params.alpha, math.acosh(y_turn)),)
-        else:
-            grid = _default_grid_terms(params.alpha)
-        log_abs, _ = _log_abs(level, *grid)
-    return ClosedFormWavefunction(level, float(log_abs[np.isfinite(log_abs)].max()))
+    table, row = _set_table(level)
+    log_norm = table.log_norms()[row]
+    if not math.isfinite(log_norm):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_norm = _level_log_norm(level)
+    return ClosedFormWavefunction(level, log_norm)
 
 
 def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
@@ -281,6 +345,20 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     if value.ndim == 0:
         return float(value)
     return value
+
+
+def sample_wavefunction(level: QesLevel, x: np.ndarray) -> np.ndarray:
+    """psi at the points x, scaled so that max|psi| over x is exactly 1.
+
+    One closed-form evaluation: sign exp(log|psi| - max log|psi|), with the
+    maximum taken over x.  Where psi underflows it is 0, everywhere if need
+    be.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_abs, sign = _raw_log_abs_sign(level, np.asarray(x, dtype=float))
+        finite = np.isfinite(log_abs)
+        peak = np.where(finite, log_abs, -np.inf).max()
+        return sign * np.where(finite, np.exp(log_abs - peak), 0.0)
 
 
 @contextmanager
@@ -381,6 +459,27 @@ def _contour_pass_tables(nodes: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+def _contour_terms(coefficients: np.ndarray, center, a, nodes: int) -> np.ndarray:
+    """The trapezoid terms (P'/P) dz/dt at the new nodes of one pass.
+
+    One row per row of coefficients (c0..cn, n >= 1), on that row's ellipse
+    (center and half-width a in ln z); the rows do not mix, so a row has the
+    same bits in a table of one.  P and z P' are two products with one table
+    of powers z^1..z^n per row.
+    """
+    cos, exp_ib_sin, neg_sin, ib_cos = _contour_pass_tables(nodes)
+    z = np.exp(center[:, None] + a[:, None] * cos) * exp_ib_sin
+    n = coefficients.shape[1] - 1
+    powers = np.empty((*z.shape, n), dtype=complex)
+    powers[:] = z[..., None]
+    np.cumprod(powers, axis=2, out=powers)
+    # Two products, not one with a stacked (n x 2) right-hand side:
+    # that goes through gemm, whose workspace raises the peak memory.
+    p = coefficients[:, :1] + (powers @ coefficients[:, 1:, None])[..., 0]
+    z_dp_coeffs = np.arange(1, n + 1) * coefficients[:, 1:]  # z P'(z) = sum k c_k z^k
+    return (powers @ z_dp_coeffs[..., None])[..., 0] / p * (a[:, None] * neg_sin + ib_cos)
+
+
 def moving_pole_contour_value(level: QesLevel) -> complex:
     """Raw (1/2 pi i) * contour integral of P'/P around the half-line z > 0.
 
@@ -395,57 +494,125 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
     The negative ones sit at Im w = pi, and the half-height splits the gap.
 
     The periodic trapezoid rule converges exponentially for this analytic
-    integrand.  The first evaluation covers 64 nodes and their midpoints at
-    once, and reads off both the 64-node and the 128-node estimate; while
-    two successive estimates disagree, the node count doubles, each pass
-    evaluating only the new midpoints.  A zero on the contour stalls that
+    integrand.  The first pass covers 64 nodes and their midpoints at once,
+    and reads off both the 64-node and the 128-node estimate; the level's
+    set makes it once for all its levels.  While two successive estimates
+    disagree, the node count doubles, each pass evaluating only the new
+    midpoints for this level alone.  A zero on the contour stalls that
     convergence and raises ContourCollisionError.  The node tables are
-    shared by every level; per pass, P and z P' are two dot products with
-    one table of powers z^1..z^n.
+    shared by every level.
     """
-    coeffs = np.asarray(level.coefficients)
-    n = len(coeffs) - 1
+    n = len(level.coefficients) - 1
     if n == 0:
         return 0j
-    if coeffs[0] == 0.0:
+    if level.coefficients[0] == 0.0:
         raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
-    # Fujiwara, in logs: ln B = ln 2 + max_k ln|c_(n-k)| / k for the monic P,
-    # and ln B_rev = ln 2 + max_k (ln|c_k| - ln|c_0|) / k for its reversal.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_abs = np.log(np.abs(coeffs))
-        k = np.arange(1, n + 1)
-        right = _LN2 + float((log_abs[-2::-1] / k).max())
-        left = -(_LN2 + float(((log_abs[1:] - log_abs[0]) / k).max()))
-        center, a = 0.5 * (right + left), 0.5 * (right - left)
-        z_dp_coeffs = k * coeffs[1:]  # z P'(z) = sum k c_k z^k
-        previous = None
-        nodes = 2 * _CONTOUR_MIN_NODES
-        while nodes <= _CONTOUR_MAX_NODES:
-            cos, exp_ib_sin, neg_sin, ib_cos = _contour_pass_tables(nodes)
-            z = np.exp(center + a * cos) * exp_ib_sin
-            powers = np.empty((len(z), n), dtype=complex)
-            powers[:] = z[:, None]
-            np.cumprod(powers, axis=1, out=powers)
-            # Two products, not one with a stacked (n x 2) right-hand side:
-            # that goes through gemm, whose workspace raises the peak memory.
-            p = coeffs[0] + powers @ coeffs[1:]
-            terms = powers @ z_dp_coeffs / p * (a * neg_sin + ib_cos)
-            if previous is None:
+    table, row = _set_table(level)
+    center, a, halves, totals = table.contour_first_pass()
+    total = totals[row]
+    nodes = 2 * _CONTOUR_MIN_NODES
+    previous = complex(halves[row] / _CONTOUR_MIN_NODES) / 1j
+    value = complex(total / nodes) / 1j
+    rows = slice(row, row + 1)
+    # NaN never converges.
+    while not abs(value - previous) <= _CONTOUR_TOLERANCE:
+        nodes *= 2
+        if nodes > _CONTOUR_MAX_NODES:
+            raise ContourCollisionError(
+                f"contour integral did not converge with {_CONTOUR_MAX_NODES} "
+                "nodes; a polynomial zero lies on or near the contour"
+            )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            total += _contour_terms(
+                table.coefficients[rows], center[rows], a[rows], nodes
+            ).sum()
+        previous, value = value, complex(total / nodes) / 1j
+    return value
+
+
+class _SetTable:
+    """Results shared by the levels of one set, computed for all of them on first use.
+
+    Row j belongs to level j: coefficients (levels x (n + 1)) and
+    energies (a list).  The levels share qes_set and params.  Nothing is
+    computed until a level asks, and a row's failure is left for its own
+    level to raise.
+    """
+
+    def __init__(self, coefficients, energies, qes_set: QesSet, params: PotentialParams):
+        self.coefficients = coefficients
+        self.energies = energies
+        self.qes_set = qes_set
+        self.params = params
+        self._log_norms = None
+        self._contour = None
+
+    def log_norms(self) -> list[float]:
+        """log_norm of each level on the shared |x| <= 5/alpha grid, from one scan.
+
+        NaN for a level whose turning point lies past 5/alpha, or does not
+        exist, and -inf for one with no finite value on the grid.
+        """
+        if self._log_norms is None:
+            limit = math.cosh(5.0)
+            rows = []
+            for j, energy in enumerate(self.energies):
+                try:
+                    if _turning_point(self.params, energy) <= limit:
+                        rows.append(j)
+                except ValueError:  # no turning point: raised when asked
+                    pass
+            self._log_norms = [math.nan] * len(self.energies)
+            if rows:
+                columns = self.coefficients.T[:, :, None]
+                if len(rows) < len(self.energies):
+                    columns = columns[:, rows]
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    log_abs, _ = _log_abs(
+                        columns, self.qes_set, self.params.s,
+                        *_default_grid_terms(self.params.alpha),
+                    )
+                maxima = log_abs.max(axis=1, where=np.isfinite(log_abs), initial=-np.inf)
+                for j, value in zip(rows, maxima.tolist()):
+                    self._log_norms[j] = value
+        return self._log_norms
+
+    def contour_first_pass(self):
+        """Each level's ellipse center and half-width in ln z, and its 64- and
+        128-node trapezoid sums; n >= 1."""
+        if self._contour is None:
+            c = self.coefficients
+            k = np.arange(1, c.shape[1])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # Fujiwara, in logs: ln B = ln 2 + max_k ln|c_(n-k)| / k for
+                # the monic P, and ln B_rev = ln 2 + max_k (ln|c_k| - ln|c_0|)
+                # / k for its reversal.
+                log_abs = np.log(np.abs(c))
+                right = _LN2 + (log_abs[:, -2::-1] / k).max(axis=1)
+                left = -(_LN2 + ((log_abs[:, 1:] - log_abs[:, :1]) / k).max(axis=1))
+                center, a = 0.5 * (right + left), 0.5 * (right - left)
+                terms = _contour_terms(c, center, a, 2 * _CONTOUR_MIN_NODES)
                 # The 64-node rule is the first half; its midpoints follow.
-                total = terms[:_CONTOUR_MIN_NODES].sum()
-                previous = complex(total / _CONTOUR_MIN_NODES) / 1j
-                total += terms[_CONTOUR_MIN_NODES:].sum()
-            else:
-                total += terms.sum()
-            value = complex(total / nodes) / 1j
-            if abs(value - previous) <= _CONTOUR_TOLERANCE:
-                return value
-            previous = value
-            nodes *= 2
-    raise ContourCollisionError(
-        f"contour integral did not converge with {_CONTOUR_MAX_NODES} nodes; "
-        "a polynomial zero lies on or near the contour"
-    )
+                half = terms[:, :_CONTOUR_MIN_NODES].sum(axis=1)
+                total = half + terms[:, _CONTOUR_MIN_NODES:].sum(axis=1)
+            self._contour = (center, a, half, total)
+        return self._contour
+
+
+def _set_table(level: QesLevel) -> tuple[_SetTable, int]:
+    """The level's set table and its row; a level solve_levels did not make
+    gets a table of one on first use."""
+    shared = getattr(level, "_set_table", None)
+    if shared is None:
+        table = _SetTable(
+            np.array([level.coefficients], dtype=float),
+            [level.energy],
+            level.qes_set,
+            level.params,
+        )
+        shared = (table, 0)
+        object.__setattr__(level, "_set_table", shared)
+    return shared
 
 
 def count_moving_poles(level: QesLevel) -> int:

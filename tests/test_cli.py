@@ -7,9 +7,10 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from qhj_spectra import cli
+from qhj_spectra import cli, solver
 from qhj_spectra.cli import main
 from qhj_spectra.errors import (
     ContourCollisionError,
@@ -249,6 +250,26 @@ class TestSample:
         assert float(mid[1]) == pytest.approx(-3.0)
         odd_column = header.index("psi_set2_n0_E-1")
         assert float(mid[odd_column]) == 0.0
+
+    @pytest.mark.parametrize("v1, lam", [("1", "1.5"), ("1", "10"), ("0.05", "10")])
+    def test_one_closed_form_evaluation_per_column(self, capsys, monkeypatch, v1, lam):
+        # Each column is sign exp(log|psi| - its maximum over the sampled
+        # points): one evaluation of the closed form, and a peak of exactly 1.
+        log_abs = solver._log_abs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return log_abs(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_log_abs", counted)
+        code, out = run_cli(capsys, "sample", "--v1", v1, "--alpha", "1", "--lambda", lam)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        psi = np.array(rows[1:], dtype=float)[:, 2:]
+        assert psi.shape == (1001, round(2 * float(lam)))
+        assert len(calls) == psi.shape[1]
+        assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]
 
     def test_columns_grouped_by_set_then_energy(self, capsys):
         # at lambda = 2 the set-3 and set-4 energies interleave, so a sort

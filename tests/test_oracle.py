@@ -110,6 +110,41 @@ class TestNodeCount:
         with pytest.raises(DegenerateVectorError):
             node_count(np.zeros(10))
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[], [0.0, -0.0], [1.0, np.nan, -1.0], [np.inf, -1.0], [1.0, -np.inf]],
+    )
+    def test_empty_zero_and_non_finite_rejected(self, vector):
+        with pytest.raises(DegenerateVectorError):
+            node_count(np.array(vector))
+
+    @staticmethod
+    def plain_node_count(vector):
+        # The count written out for one vector: keep the entries at or above
+        # 1e-12 of the peak, then count strict sign flips between neighbours.
+        peak = float(np.max(np.abs(vector)))
+        kept = vector[np.abs(vector) >= 1e-12 * peak]
+        signs = np.sign(kept)
+        return int(np.sum(signs[1:] * signs[:-1] < 0))
+
+    @seed(20262)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.1, max_value=10.0),
+                st.floats(min_value=-10.0, max_value=-0.1),
+                # exact zeros of both signs, and entries below the floor
+                st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 5e-14, -9e-13]),
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda values: any(abs(v) >= 0.1 for v in values))
+    )
+    def test_matches_the_plain_formula(self, values):
+        vector = np.array(values)
+        assert node_count(vector) == self.plain_node_count(vector)
+
     @seed(20261)
     @settings(max_examples=60, deadline=None, database=None)
     @given(

@@ -32,6 +32,7 @@ from qhj_spectra import (
     schrodinger_residual,
     solve_classification,
     solve_levels,
+    verify_qes,
     wavefunction,
 )
 from qhj_spectra import solver
@@ -598,8 +599,31 @@ class TestMovingPoles:
         ],
     )
     def test_node_count_by_descartes(self, coefficients, even_nodes):
-        assert _node_count(np.array(coefficients), "even") == even_nodes
-        assert _node_count(np.array(coefficients), "odd") == even_nodes + 1
+        # One row per level; a second row checks that rows do not mix.
+        rows = np.array([coefficients, np.ones(len(coefficients))])
+        assert _node_count(rows, "even") == [even_nodes, 0]
+        assert _node_count(rows, "odd") == [even_nodes + 1, 1]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=8),
+        width=st.integers(min_value=1, max_value=12),
+        entropy=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_node_count_rows_match_one_row_at_a_time(self, rows, width, entropy):
+        # Exact zeros of both signs among ordinary entries, rows of zeros
+        # included; each row counted as if alone, zeros dropped first.
+        rng = np.random.default_rng(entropy)
+        table = rng.standard_normal((rows, width))
+        table[rng.random((rows, width)) < 0.4] = 0.0
+        table[rng.random((rows, width)) < 0.1] = -0.0
+        for parity, odd in (("even", 0), ("odd", 1)):
+            expected = []
+            for row in table:
+                signs = np.sign(row)
+                signs = signs[signs != 0.0]
+                expected.append(2 * int(np.count_nonzero(signs[1:] != signs[:-1])) + odd)
+            assert _node_count(table, parity) == expected
 
     def test_contour_value_close_to_integer(self):
         qes_set, params = params_for(1, 1)
@@ -670,12 +694,10 @@ class TestMovingPoles:
                 assert abs(got - self.nested_trapezoid(level)) <= 1e-12, (lam, s)
 
     def test_one_contour_evaluation_per_level(self, monkeypatch):
-        # At (2, 1) every level converges at 128 nodes: the first evaluation
-        # covers the 64-node rule and its midpoints, so each level builds one
-        # table of powers.
-        params = PotentialParams(1.0, -4.0, 1.0)
-        levels = solve_classification(params, enumerate_qes_sets(2.0))
-        assert all(len(level.coefficients) > 1 for level in levels)
+        # At (2, 1) and (10, 1) every level converges at 128 nodes: the first
+        # pass covers the 64-node rule and its midpoints for the whole set,
+        # so each set builds one (levels, 128, n) table of powers, when its
+        # first level is counted, and a second count of a level builds none.
         cumprod = np.cumprod
         calls = []
 
@@ -684,10 +706,19 @@ class TestMovingPoles:
             return cumprod(*args, **kwargs)
 
         monkeypatch.setattr(solver.np, "cumprod", counted)
-        for level in levels:
-            calls.clear()
-            count_moving_poles(level)
-            assert calls == [(128, len(level.coefficients) - 1)]
+        for lam in (2.0, 10.0):
+            params = PotentialParams(1.0, -2.0 * lam, 1.0)
+            for qes_set in enumerate_qes_sets(lam).sets:
+                levels = solve_levels(build_pencil(qes_set, params), params)
+                assert qes_set.n > 0
+                calls.clear()
+                for level in levels:
+                    count_moving_poles(level)
+                assert calls == [(len(levels), 128, qes_set.n)]
+                calls.clear()
+                for level in levels:
+                    count_moving_poles(level)
+                assert calls == []
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
     def test_import_leaves_scipy_module_unloaded(self, module):
@@ -719,6 +750,85 @@ class TestMovingPoles:
             for level in solve_classification(params, enumerate_qes_sets(lam)):
                 odd = 1 if level.parity == "odd" else 0
                 assert level.node_count == 2 * count_moving_poles(level) + odd
+
+
+class TestSetTables:
+    # The spectrum_sweep timed mix, (20.5, 1), (10, 0.1) and the mixed point
+    # lambda = 10, V1 = 0.05, where each set has 2 of its 10 levels on the
+    # shared 5/alpha grid and 8 on grids of their own (at alpha = 1).
+    MIX = [(lam, s) for lam in (1.0, 1.5, 2.0, 5.5) for s in (0.3, 1.0, 3.0)] + [
+        (10.0, 1.0), (10.0, 3.0), (20.5, 1.0), (10.0, 0.1),
+    ]
+
+    @classmethod
+    def working_points(cls):
+        for alpha in (0.5, 1.0, 2.0):
+            for lam, s in cls.MIX:
+                v1, v2 = (s * alpha) ** 2, -2.0 * s * alpha**2 * lam
+                yield lam, PotentialParams(v1, v2, alpha)
+            root = math.sqrt(0.05)
+            yield 10.0, PotentialParams(0.05, -2.0 * root * alpha * 10.0, alpha)
+
+    def test_shared_rows_equal_a_table_of_one(self):
+        split_sets = 0
+        for lam, params in self.working_points():
+            for level in solve_classification(params, enumerate_qes_sets(lam)):
+                # replace gives an equal level with a table of its own.
+                alone = replace(level, coefficients=level.coefficients)
+                assert alone == level
+                assert solver._set_table(alone)[0] is not solver._set_table(level)[0]
+                wf = wavefunction(level, params)
+                assert wf.log_norm == wavefunction(alone, params).log_norm
+                value = moving_pole_contour_value(level)
+                assert value == moving_pole_contour_value(alone)
+                assert count_moving_poles(level) == count_moving_poles(alone)
+            if (lam, params.v1) == (10.0, 0.05) and params.alpha == 1.0:
+                for qes_set in enumerate_qes_sets(lam).sets:
+                    level = solve_levels(build_pencil(qes_set, params), params)[0]
+                    wavefunction(level, params)
+                    shared = np.isfinite(solver._set_table(level)[0].log_norms())
+                    assert shared.sum() == 2 and (~shared).sum() == 8
+                    split_sets += 1
+        assert split_sets == 2
+
+    def test_replaced_level_never_reads_its_sets_table(self):
+        qes_set, params = params_for(1, 1)
+        ground, excited = solve_levels(build_pencil(qes_set, params), params)
+        wavefunction(ground, params)
+        count_moving_poles(ground)
+        # Poison the filled table of the set: a level that read it would
+        # return these values.
+        table, _ = solver._set_table(ground)
+        table._log_norms = [1e300, 1e300]
+        table._contour = tuple(np.full(2, np.nan) for _ in range(4))
+        for coefficients in [ground.coefficients, excited.coefficients, (-1.0, 1.0)]:
+            other = replace(ground, coefficients=coefficients)
+            with np.errstate(divide="ignore"):
+                assert wavefunction(other, params).log_norm == solver._level_log_norm(other)
+            assert count_moving_poles(other) == TestMovingPoles.direct_count(other)
+        assert wavefunction(ground, params).log_norm == 1e300
+
+    def test_a_failing_row_fails_only_its_own_level(self):
+        qes_set, params = params_for(1, 1)
+        (level, _) = solve_levels(build_pencil(qes_set, params), params)
+        # Zeros at z = 1 and -3/2, then the pair 3 exp(+-1.5 i) on the contour.
+        rows = [(-1.5, 0.5, 1.0), (9.0, -6.0 * math.cos(1.5), 1.0)]
+        table = solver._SetTable(np.array(rows), [level.energy] * 2, qes_set, params)
+        good, bad = (replace(level, coefficients=row) for row in rows)
+        for j, member in enumerate((good, bad)):
+            object.__setattr__(member, "_set_table", (table, j))
+        with pytest.raises(ContourCollisionError):
+            count_moving_poles(bad)
+        assert count_moving_poles(good) == 1
+
+    def test_verify_fills_no_table(self):
+        params = PotentialParams(1.0, -4.0, 1.0)
+        classification = enumerate_qes_sets(2.0)
+        levels = solve_classification(params, classification)
+        assert verify_qes(params, classification, analytic_levels=levels).overall_pass
+        for level in levels:
+            table, _ = solver._set_table(level)
+            assert table._log_norms is None and table._contour is None
 
 
 class TestPaperTables:
