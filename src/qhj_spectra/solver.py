@@ -57,6 +57,8 @@ _CONTOUR_HALF_HEIGHT = 1.5
 _CONTOUR_TOLERANCE = 1e-9
 _CONTOUR_MIN_NODES = 64
 _CONTOUR_MAX_NODES = 2**16
+# Entries of the complex powers table one first pass holds at a time (256 kB).
+_CONTOUR_BLOCK = 2**14
 _LN2 = math.log(2.0)
 
 
@@ -121,8 +123,6 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
 
 def _row_sign_changes(signs: np.ndarray) -> np.ndarray:
     """Sign changes along each row of a 2-D table of signs, zeros skipped."""
-    if signs.all():  # no zeros to skip
-        return (signs[:, 1:] != signs[:, :-1]).sum(axis=1)
     kept = signs != 0.0
     row = np.nonzero(kept)[0]
     signs = signs[kept]
@@ -331,17 +331,25 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     return ClosedFormWavefunction(level, log_norm)
 
 
-def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
-    """psi(x), max-normalized; underflow-safe (extreme |x| returns 0)."""
+def _scaled_closed_form(level: QesLevel, x, log_norm=None) -> np.ndarray:
+    """sign exp(log|psi| - log_norm) at the finite points x; 0 where psi underflows.
+
+    log_norm defaults to the maximum of log|psi| over x itself.
+    """
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("x must be finite")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_abs, sign = _raw_log_abs_sign(wf.level, arr)
-        magnitude = np.where(
-            np.isfinite(log_abs), np.exp(log_abs - wf.log_norm), 0.0
-        )
-    value = sign * magnitude
+        log_abs, sign = _raw_log_abs_sign(level, arr)
+        finite = np.isfinite(log_abs)
+        if log_norm is None:
+            log_norm = np.where(finite, log_abs, -np.inf).max()
+        return sign * np.where(finite, np.exp(log_abs - log_norm), 0.0)
+
+
+def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
+    """psi(x), max-normalized; underflow-safe (extreme |x| returns 0)."""
+    value = _scaled_closed_form(wf.level, x, wf.log_norm)
     if value.ndim == 0:
         return float(value)
     return value
@@ -350,15 +358,10 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
 def sample_wavefunction(level: QesLevel, x: np.ndarray) -> np.ndarray:
     """psi at the points x, scaled so that max|psi| over x is exactly 1.
 
-    One closed-form evaluation: sign exp(log|psi| - max log|psi|), with the
-    maximum taken over x.  Where psi underflows it is 0, everywhere if need
-    be.
+    One closed-form evaluation, its maximum taken over x.  Where psi
+    underflows it is 0, everywhere if need be.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_abs, sign = _raw_log_abs_sign(level, np.asarray(x, dtype=float))
-        finite = np.isfinite(log_abs)
-        peak = np.where(finite, log_abs, -np.inf).max()
-        return sign * np.where(finite, np.exp(log_abs - peak), 0.0)
+    return _scaled_closed_form(level, x)
 
 
 @contextmanager
@@ -591,7 +594,15 @@ class _SetTable:
                 right = _LN2 + (log_abs[:, -2::-1] / k).max(axis=1)
                 left = -(_LN2 + ((log_abs[:, 1:] - log_abs[:, :1]) / k).max(axis=1))
                 center, a = 0.5 * (right + left), 0.5 * (right - left)
-                terms = _contour_terms(c, center, a, 2 * _CONTOUR_MIN_NODES)
+                # Rows in blocks, so that the powers table stays bounded
+                # however many levels the set has.
+                nodes = 2 * _CONTOUR_MIN_NODES
+                step = max(1, _CONTOUR_BLOCK // (nodes * len(k)))
+                terms = np.concatenate([
+                    _contour_terms(c[i : i + step], center[i : i + step],
+                                   a[i : i + step], nodes)
+                    for i in range(0, len(c), step)
+                ])
                 # The 64-node rule is the first half; its midpoints follow.
                 half = terms[:, :_CONTOUR_MIN_NODES].sum(axis=1)
                 total = half + terms[:, _CONTOUR_MIN_NODES:].sum(axis=1)

@@ -791,6 +791,35 @@ class TestSetTables:
                     split_sets += 1
         assert split_sets == 2
 
+    def test_first_pass_runs_in_bounded_row_blocks(self, monkeypatch):
+        # A lambda = 20.5 set (about 20 levels of degree about 20) makes its
+        # first contour pass in blocks of rows, each powers table holding at
+        # most _CONTOUR_BLOCK entries; every row has the bits it has when
+        # the whole set is one block.
+        params = PotentialParams(1.0, -41.0, 1.0)
+        cumprod = np.cumprod
+        shapes = []
+
+        def counted(*args, **kwargs):
+            shapes.append(args[0].shape)
+            return cumprod(*args, **kwargs)
+
+        for qes_set in enumerate_qes_sets(20.5).sets:
+            rows = solve_levels(build_pencil(qes_set, params), params)
+            whole = solve_levels(build_pencil(qes_set, params), params)
+            shapes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver.np, "cumprod", counted)
+                blocked = solver._set_table(rows[0])[0].contour_first_pass()
+            assert len(shapes) > 1
+            assert sum(shape[0] for shape in shapes) == len(rows)
+            assert all(math.prod(shape) <= solver._CONTOUR_BLOCK for shape in shapes)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_CONTOUR_BLOCK", 2**30)
+                single = solver._set_table(whole[0])[0].contour_first_pass()
+            for got, want in zip(blocked, single):
+                assert got.tobytes() == want.tobytes()
+
     def test_replaced_level_never_reads_its_sets_table(self):
         qes_set, params = params_for(1, 1)
         ground, excited = solve_levels(build_pencil(qes_set, params), params)
