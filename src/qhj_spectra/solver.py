@@ -20,17 +20,18 @@ changes of its coefficients, which is exact for a real-rooted polynomial; and
 by the argument principle on an ellipse in ln z that spans the two Fujiwara
 root bounds, integrated with the periodic trapezoid rule.  In z the ellipse
 encloses the positive axis and strays off it only where |arg z| < 3/2, where
-no zero can lie.
+no zero can lie.  Every polynomial, P, P', P'' or a roundoff scale, goes
+through one in-place Horner helper.
 
 The levels of one set share a working point, (p1, p2) and the degree n, so
 solve_levels attaches one table to all of them, filled on first use: the
-normalisation scan on the shared |x| <= 5/alpha grid and the contour's first
-128-node pass run once for the whole set, one row per level, each row with
-the bits it would have alone.  What stays per level: a normalisation grid
-widened to the level's own turning point, further contour passes for a
-level whose 64- and 128-node estimates disagree, and every error, raised
-only when that level is asked for.  A level built any other way (by hand, or
-by dataclasses.replace) gets a table of its own.
+normalisation scan on the shared |x| <= 5/alpha grid, and the contour's
+passes, each over the levels whose estimates have not yet converged.  Both
+scans take one row per level, in blocks of bounded size, each row with the
+bits it would have alone.  Per level stay a grid widened to the level's own
+turning point, and every error, raised only for the level asked for.  A
+level built any other way (by hand, or by dataclasses.replace) gets a table
+of its own.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ _CONTOUR_HALF_HEIGHT = 1.5
 _CONTOUR_TOLERANCE = 1e-9
 _CONTOUR_MIN_NODES = 64
 _CONTOUR_MAX_NODES = 2**16
-# Entries of the complex powers table one first pass holds at a time (256 kB).
-_CONTOUR_BLOCK = 2**14
+# Rows x points one block of a set scan evaluates at a time.
+_BLOCK_ENTRIES = 2**14
 _LN2 = math.log(2.0)
 
 
@@ -217,24 +218,27 @@ def solve_classification(
     return levels
 
 
+def _horner(coefficients, z):
+    """c0 + c1 z + ... + cn z^n by Horner's rule in place, as numpy's polyval; each
+    c_k a scalar, or a (rows, 1) column: rows never mix, each keeps its bits alone."""
+    poly = np.empty(np.broadcast(coefficients[-1], z).shape, z.dtype)
+    poly[...] = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        poly *= z
+        poly += c
+    return poly
+
+
 def _log_abs(coefficients, qes_set: QesSet, s: float, z, log_z=None, log_z2=None):
     """Unnormalized log|psi| and P at z = cosh(alpha x) - 1, accumulated in log space.
 
     log|psi| = ln|P(z)| - s (1 + z) + p1 ln z + p2 ln(z + 2), added left to
     right; ln z and ln(z + 2) are taken from log_z and log_z2 when given.
-    coefficients holds c0..cn, each a float for one level, or each a
-    (levels, 1) column for a whole set: then every row of the result has the
-    bits of that level alone, as the operations are elementwise.
+    coefficients holds c0..cn as _horner takes them, for one level or a block.
     Callers ignore divide, over and invalid: a zero of P or z gives -inf.
     """
     p1, p2 = qes_set.p1, qes_set.p2
-    # Horner in place: the same operations as np.polyval, so the same bits.
-    # One row per level when the coefficients are a set's (levels, 1) columns.
-    poly = np.empty(np.broadcast(coefficients[-1], z).shape)
-    poly[...] = coefficients[-1]
-    for c in coefficients[-2::-1]:
-        poly *= z
-        poly += c
+    poly = _horner(coefficients, z)
     # In place, so that a set's scan holds two tables of its size, not four.
     log_abs = np.log(np.abs(poly))
     log_abs += -s * (1.0 + z)
@@ -291,9 +295,10 @@ def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
 
 
 def _turning_point(params: PotentialParams, energy: float) -> float:
-    """The outer turning point y_t, V(y_t) = E; ValueError if V never falls to E."""
+    """The outer turning point y_t, V(y_t) = E; NaN if V never falls to E."""
     v1, v2 = params.v1, params.v2
-    return (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + energy))) / (2.0 * v1)
+    discriminant = v2 * v2 + 4.0 * v1 * (v1 + energy)
+    return (-v2 + math.sqrt(discriminant)) / (2.0 * v1) if discriminant >= 0.0 else math.nan
 
 
 def _level_log_norm(level: QesLevel) -> float:
@@ -305,13 +310,18 @@ def _level_log_norm(level: QesLevel) -> float:
     """
     alpha = level.params.alpha
     y_turn = _turning_point(level.params, level.energy)
+    if math.isnan(y_turn):
+        raise InvariantViolationError(f"energy {level.energy!r} lies below the minimum of V")
     if y_turn > math.cosh(5.0):
         # A wider grid is per level: no two levels share a turning point.
         grid = (_grid_z(alpha, math.acosh(y_turn)),)
     else:
         grid = _default_grid_terms(alpha)
     log_abs, _ = _log_abs(level.coefficients, level.qes_set, level.params.s, *grid)
-    return float(log_abs[np.isfinite(log_abs)].max())
+    log_norm = float(log_abs.max(where=np.isfinite(log_abs), initial=-np.inf))
+    if log_norm == -math.inf:
+        raise InvariantViolationError("the closed form has no finite value on its grid")
+    return log_norm
 
 
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
@@ -378,15 +388,17 @@ def _log_derivative_pieces(level: QesLevel, x: float):
     """L = d(ln psi)/dx and L' as numpy scalars; raises at QMF poles."""
     a = level.params.alpha
     p1, p2 = level.qes_set.p1, level.qes_set.p2
-    desc = np.asarray(level.coefficients[::-1])
+    c = np.asarray(level.coefficients)
+    # The coefficients of P' and P'' (numpy's polyder), each with a zero on top,
+    # so that Horner starts as polyval does and a constant has P' = 0.
+    dc = np.append(np.arange(1, len(c)) * c[1:], 0.0)
+    ddc = np.append(np.arange(1, len(dc)) * dc[1:], 0.0)
     with _overflow_names(x):
         # cosh(a x) - 1 without cancellation, as a numpy scalar to obey errstate.
         z = 2.0 * np.float64(math.sinh(0.5 * a * x)) ** 2
-        p = np.polyval(desc, z)
-        dp = np.polyval(np.polyder(desc), z)
-        ddp = np.polyval(np.polyder(desc, 2), z)
+        p, dp, ddp = _horner(c, z), _horner(dc, z), _horner(ddc, z)
         # Horner's roundoff scale: sum_k |c_k| |z|^k.
-        if abs(p) < 1e-12 * np.polyval(np.abs(desc), abs(z)):
+        if abs(p) < 1e-12 * _horner(np.abs(c), abs(z)):
             raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
         if p1 > 0.0 and x == 0.0:
             raise QmfPoleError("moving pole at the origin (odd-parity node)")
@@ -444,11 +456,9 @@ def schrodinger_residual(
 def _contour_pass_tables(nodes: int) -> tuple[np.ndarray, ...]:
     """cos t, exp(i b sin t), -sin t and i b cos t at the new nodes of one pass.
 
-    The pass completes the nodes-point trapezoid rule on t in [0, 2 pi).  The
-    first pass (2 * _CONTOUR_MIN_NODES) covers the 64-point rule, whose nodes
-    come first, and its midpoints; every later pass covers only the midpoints
-    of the nodes/2-point rule.  The tables are level-independent and
-    read-only, one cache entry per pass size.
+    The pass completes the nodes-point trapezoid rule on t in [0, 2 pi): the
+    first (2 * _CONTOUR_MIN_NODES) covers the 64-point rule, then its
+    midpoints; a later one the midpoints of the nodes/2-point rule.
     """
     k = np.arange(1.0, nodes, 2.0)  # the midpoints of the nodes/2-point rule
     if nodes == 2 * _CONTOUR_MIN_NODES:
@@ -465,22 +475,18 @@ def _contour_pass_tables(nodes: int) -> tuple[np.ndarray, ...]:
 def _contour_terms(coefficients: np.ndarray, center, a, nodes: int) -> np.ndarray:
     """The trapezoid terms (P'/P) dz/dt at the new nodes of one pass.
 
-    One row per row of coefficients (c0..cn, n >= 1), on that row's ellipse
-    (center and half-width a in ln z); the rows do not mix, so a row has the
-    same bits in a table of one.  P and z P' are two products with one table
-    of powers z^1..z^n per row.
+    One row per row of coefficients (c0..cn, n >= 1) on its own ellipse
+    (center and half-width a in ln z); P' has the coefficients k c_k.
     """
     cos, exp_ib_sin, neg_sin, ib_cos = _contour_pass_tables(nodes)
     z = np.exp(center[:, None] + a[:, None] * cos) * exp_ib_sin
-    n = coefficients.shape[1] - 1
-    powers = np.empty((*z.shape, n), dtype=complex)
-    powers[:] = z[..., None]
-    np.cumprod(powers, axis=2, out=powers)
-    # Two products, not one with a stacked (n x 2) right-hand side:
-    # that goes through gemm, whose workspace raises the peak memory.
-    p = coefficients[:, :1] + (powers @ coefficients[:, 1:, None])[..., 0]
-    z_dp_coeffs = np.arange(1, n + 1) * coefficients[:, 1:]  # z P'(z) = sum k c_k z^k
-    return (powers @ z_dp_coeffs[..., None])[..., 0] / p * (a[:, None] * neg_sin + ib_cos)
+    columns = coefficients.T[:, :, None]
+    terms = _horner(np.arange(1, len(columns))[:, None, None] * columns[1:], z)
+    terms /= _horner(columns, z)
+    terms *= z
+    del z  # freed before the dz/dt step, where the pass peaks in memory
+    terms *= a[:, None] * neg_sin + ib_cos
+    return terms
 
 
 def moving_pole_contour_value(level: QesLevel) -> complex:
@@ -497,13 +503,11 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
     The negative ones sit at Im w = pi, and the half-height splits the gap.
 
     The periodic trapezoid rule converges exponentially for this analytic
-    integrand.  The first pass covers 64 nodes and their midpoints at once,
-    and reads off both the 64-node and the 128-node estimate; the level's
-    set makes it once for all its levels.  While two successive estimates
-    disagree, the node count doubles, each pass evaluating only the new
-    midpoints for this level alone.  A zero on the contour stalls that
-    convergence and raises ContourCollisionError.  The node tables are
-    shared by every level.
+    integrand.  The first pass gives the 64- and the 128-node estimates;
+    while two successive estimates disagree, the node count doubles.  The
+    level's set makes each pass once, for its levels that still need it.  A
+    zero on the contour stalls convergence and raises ContourCollisionError
+    for its own level only.
     """
     n = len(level.coefficients) - 1
     if n == 0:
@@ -511,35 +515,21 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
     if level.coefficients[0] == 0.0:
         raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
     table, row = _set_table(level)
-    center, a, halves, totals = table.contour_first_pass()
-    total = totals[row]
-    nodes = 2 * _CONTOUR_MIN_NODES
-    previous = complex(halves[row] / _CONTOUR_MIN_NODES) / 1j
-    value = complex(total / nodes) / 1j
-    rows = slice(row, row + 1)
-    # NaN never converges.
-    while not abs(value - previous) <= _CONTOUR_TOLERANCE:
-        nodes *= 2
-        if nodes > _CONTOUR_MAX_NODES:
-            raise ContourCollisionError(
-                f"contour integral did not converge with {_CONTOUR_MAX_NODES} "
-                "nodes; a polynomial zero lies on or near the contour"
-            )
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            total += _contour_terms(
-                table.coefficients[rows], center[rows], a[rows], nodes
-            ).sum()
-        previous, value = value, complex(total / nodes) / 1j
+    value = table.contour_values()[row]
+    if math.isnan(value.real):
+        raise ContourCollisionError(
+            f"contour integral did not converge with {_CONTOUR_MAX_NODES} "
+            "nodes; a polynomial zero lies on or near the contour"
+        )
     return value
 
 
 class _SetTable:
     """Results shared by the levels of one set, computed for all of them on first use.
 
-    Row j belongs to level j: coefficients (levels x (n + 1)) and
-    energies (a list).  The levels share qes_set and params.  Nothing is
-    computed until a level asks, and a row's failure is left for its own
-    level to raise.
+    Row j belongs to level j: coefficients (levels x (n + 1)) and energies
+    (a list); the levels share qes_set and params.  A row's failure is left
+    for its own level to raise.
     """
 
     def __init__(self, coefficients, energies, qes_set: QesSet, params: PotentialParams):
@@ -558,31 +548,26 @@ class _SetTable:
         """
         if self._log_norms is None:
             limit = math.cosh(5.0)
-            rows = []
-            for j, energy in enumerate(self.energies):
-                try:
-                    if _turning_point(self.params, energy) <= limit:
-                        rows.append(j)
-                except ValueError:  # no turning point: raised when asked
-                    pass
+            rows = [
+                j for j, energy in enumerate(self.energies)
+                if _turning_point(self.params, energy) <= limit  # False for NaN
+            ]
             self._log_norms = [math.nan] * len(self.energies)
-            if rows:
-                columns = self.coefficients.T[:, :, None]
-                if len(rows) < len(self.energies):
-                    columns = columns[:, rows]
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    log_abs, _ = _log_abs(
-                        columns, self.qes_set, self.params.s,
-                        *_default_grid_terms(self.params.alpha),
-                    )
-                maxima = log_abs.max(axis=1, where=np.isfinite(log_abs), initial=-np.inf)
-                for j, value in zip(rows, maxima.tolist()):
-                    self._log_norms[j] = value
+            grid = _default_grid_terms(self.params.alpha)
+            columns = self.coefficients.T[:, :, None]
+            if len(rows) < len(self.energies):
+                columns = columns[:, rows]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                for block in _row_blocks(len(rows), grid[0].shape[1]):
+                    log_abs, _ = _log_abs(columns[:, block], self.qes_set, self.params.s,
+                                          *grid)
+                    maxima = log_abs.max(axis=1, where=np.isfinite(log_abs), initial=-np.inf)
+                    for j, value in zip(rows[block], maxima.tolist()):
+                        self._log_norms[j] = value
         return self._log_norms
 
-    def contour_first_pass(self):
-        """Each level's ellipse center and half-width in ln z, and its 64- and
-        128-node trapezoid sums; n >= 1."""
+    def contour_values(self) -> list[complex]:
+        """Each level's contour value, NaN where it never converged; n >= 1."""
         if self._contour is None:
             c = self.coefficients
             k = np.arange(1, c.shape[1])
@@ -594,36 +579,49 @@ class _SetTable:
                 right = _LN2 + (log_abs[:, -2::-1] / k).max(axis=1)
                 left = -(_LN2 + ((log_abs[:, 1:] - log_abs[:, :1]) / k).max(axis=1))
                 center, a = 0.5 * (right + left), 0.5 * (right - left)
-                # Rows in blocks, so that the powers table stays bounded
-                # however many levels the set has.
+
+                def pass_sums(rows, nodes, parts):
+                    # Each row's sums over `parts` equal runs of the pass's nodes.
+                    c_rows, center_rows, a_rows = c[rows], center[rows], a[rows]
+                    points = len(_contour_pass_tables(nodes)[0])
+                    return np.concatenate([
+                        _contour_terms(c_rows[b], center_rows[b], a_rows[b], nodes)
+                        .reshape(-1, parts, points // parts).sum(axis=2)
+                        for b in _row_blocks(len(c_rows), points)
+                    ])
+
+                # The 64-node rule, then its midpoints: both first estimates.
                 nodes = 2 * _CONTOUR_MIN_NODES
-                step = max(1, _CONTOUR_BLOCK // (nodes * len(k)))
-                terms = np.concatenate([
-                    _contour_terms(c[i : i + step], center[i : i + step],
-                                   a[i : i + step], nodes)
-                    for i in range(0, len(c), step)
-                ])
-                # The 64-node rule is the first half; its midpoints follow.
-                half = terms[:, :_CONTOUR_MIN_NODES].sum(axis=1)
-                total = half + terms[:, _CONTOUR_MIN_NODES:].sum(axis=1)
-            self._contour = (center, a, half, total)
+                half, midpoints = pass_sums(slice(None), nodes, 2).T
+                total = half + midpoints
+                previous, mean = half / _CONTOUR_MIN_NODES, total / nodes
+                # NaN never converges.
+                active = np.flatnonzero(~(abs(mean - previous) <= _CONTOUR_TOLERANCE))
+                while active.size and nodes < _CONTOUR_MAX_NODES:
+                    nodes *= 2
+                    total[active] += pass_sums(active, nodes, 1)[:, 0]
+                    previous = mean[active]
+                    mean[active] = total[active] / nodes
+                    active = active[~(abs(mean[active] - previous) <= _CONTOUR_TOLERANCE)]
+            mean[active] = np.nan
+            self._contour = [complex(value) / 1j for value in mean.tolist()]
         return self._contour
+
+
+def _row_blocks(count: int, points: int) -> list[slice]:
+    """Slices splitting count rows into blocks of _BLOCK_ENTRIES // points rows or one."""
+    step = max(1, _BLOCK_ENTRIES // points)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _set_table(level: QesLevel) -> tuple[_SetTable, int]:
     """The level's set table and its row; a level solve_levels did not make
     gets a table of one on first use."""
-    shared = getattr(level, "_set_table", None)
-    if shared is None:
-        table = _SetTable(
-            np.array([level.coefficients], dtype=float),
-            [level.energy],
-            level.qes_set,
-            level.params,
-        )
-        shared = (table, 0)
-        object.__setattr__(level, "_set_table", shared)
-    return shared
+    if not hasattr(level, "_set_table"):
+        table = _SetTable(np.array([level.coefficients], dtype=float), [level.energy],
+                          level.qes_set, level.params)
+        object.__setattr__(level, "_set_table", (table, 0))
+    return level._set_table
 
 
 def count_moving_poles(level: QesLevel) -> int:

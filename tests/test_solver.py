@@ -328,15 +328,30 @@ class TestWavefunction:
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
         x = np.linspace(-4.0, 4.0, 801)
         z = 2.0 * np.sinh(0.5 * x) ** 2
+        theta = np.linspace(0.0, 2.0 * math.pi, 257)
         levels = solve_classification(params, enumerate_qes_sets(lam))
         set_one = [level for level in levels if level.qes_set.set_index == 1]
         assert len(set_one) == 21
         for level in set_one:
             # Set 1 has p1 = p2 = 0: log|psi| = -s (1 + z) + ln|P(z)|, sign P(z).
             log_abs, sign = _raw_log_abs_sign(level, x)
-            poly = np.polyval(np.asarray(level.coefficients[::-1]), z)
+            desc = np.asarray(level.coefficients[::-1])
+            poly = np.polyval(desc, z)
             np.testing.assert_array_equal(sign, np.sign(poly))
             np.testing.assert_array_equal(log_abs, -s * (1.0 + z) + np.log(np.abs(poly)))
+            # The helper itself: complex z on an ellipse in ln z like the
+            # contour's, the derivatives' coefficients, and the roundoff
+            # scale sum |c_k| |z|^k, each also as one row of a column table.
+            ellipse = np.exp(1.0 + 4.0 * np.cos(theta) + 1.5j * np.sin(theta))
+            cases = [(desc, ellipse), (np.polyder(desc), z), (np.polyder(desc, 2), z),
+                     (np.abs(desc), np.abs(z))]
+            for coefficients, points in cases:
+                want = np.polyval(coefficients, points)
+                ascending = coefficients[::-1]
+                assert solver._horner(ascending, points).tobytes() == want.tobytes()
+                table = np.stack([ascending, np.ones_like(ascending)], axis=1)[..., None]
+                got = solver._horner(table, points[None, :])
+                assert got[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p1", [0.0, 0.5])
     @pytest.mark.parametrize("p2", [0.0, 0.5])
@@ -417,6 +432,14 @@ class TestWavefunction:
                 assert min(widths) > 5.0
             else:
                 assert 5.0 in widths
+
+    def test_unnormalisable_level_is_an_invariant_violation(self):
+        qes_set, params = params_for(3, 1)
+        level = solve_levels(build_pencil(qes_set, params), params)[0]
+        with pytest.raises(InvariantViolationError, match="below the minimum of V"):
+            wavefunction(replace(level, energy=-100.0), params)
+        with pytest.raises(InvariantViolationError, match="no finite value"):
+            wavefunction(replace(level, coefficients=(math.nan, 1.0)), params)
 
     def test_cached_tables_are_read_only(self):
         tables = [*solver._default_grid_terms(1.0), *solver._contour_pass_tables(128)]
@@ -693,19 +716,26 @@ class TestMovingPoles:
                 got = moving_pole_contour_value(level)
                 assert abs(got - self.nested_trapezoid(level)) <= 1e-12, (lam, s)
 
-    def test_one_contour_evaluation_per_level(self, monkeypatch):
-        # At (2, 1) and (10, 1) every level converges at 128 nodes: the first
-        # pass covers the 64-node rule and its midpoints for the whole set,
-        # so each set builds one (levels, 128, n) table of powers, when its
-        # first level is counted, and a second count of a level builds none.
-        cumprod = np.cumprod
+    @staticmethod
+    def record_contour_passes(monkeypatch):
+        # (nodes, coefficient rows, terms) of every _contour_terms call.
+        contour_terms = solver._contour_terms
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return cumprod(*args, **kwargs)
+        def recorded(coefficients, center, a, nodes):
+            terms = contour_terms(coefficients, center, a, nodes)
+            calls.append((nodes, [tuple(row) for row in coefficients.tolist()], terms))
+            return terms
 
-        monkeypatch.setattr(solver.np, "cumprod", counted)
+        monkeypatch.setattr(solver, "_contour_terms", recorded)
+        return calls
+
+    def test_one_contour_evaluation_per_level(self, monkeypatch):
+        # At (2, 1) and (10, 1) every level converges at 128 nodes: the first
+        # pass covers the 64-node rule and its midpoints for the whole set
+        # in one block, when its first level is counted, and a second count
+        # of a level evaluates nothing.
+        calls = self.record_contour_passes(monkeypatch)
         for lam in (2.0, 10.0):
             params = PotentialParams(1.0, -2.0 * lam, 1.0)
             for qes_set in enumerate_qes_sets(lam).sets:
@@ -714,11 +744,38 @@ class TestMovingPoles:
                 calls.clear()
                 for level in levels:
                     count_moving_poles(level)
-                assert calls == [(len(levels), 128, qes_set.n)]
+                assert [(nodes, len(rows)) for nodes, rows, _ in calls] == [(128, len(levels))]
                 calls.clear()
                 for level in levels:
                     count_moving_poles(level)
                 assert calls == []
+
+    def test_one_doubling_pass_per_set_covers_every_row_that_needs_it(self, monkeypatch):
+        # At (20.5, 1) 25 of the 41 levels need more than 128 nodes.  Each set
+        # makes one 256-node pass, over exactly the rows whose 64- and
+        # 128-node estimates differ by more than 1e-9, and each later pass
+        # covers only rows of the pass before it.
+        calls = self.record_contour_passes(monkeypatch)
+        params = PotentialParams(1.0, -41.0, 1.0)
+        needing = 0
+        for qes_set in enumerate_qes_sets(20.5).sets:
+            levels = solve_levels(build_pencil(qes_set, params), params)
+            calls.clear()
+            for level in levels:
+                count_moving_poles(level)
+            need = set()
+            for nodes, rows, terms in calls:
+                if nodes == 128:
+                    half = terms[:, :64].sum(axis=1)
+                    previous, value = half / 64, (half + terms[:, 64:].sum(axis=1)) / 128
+                    need |= {row for row, d in zip(rows, abs(value - previous)) if d > 1e-9}
+            passes = [(nodes, rows) for nodes, rows, _ in calls if nodes > 128]
+            assert [nodes for nodes, _ in passes] == [256 * 2**k for k in range(len(passes))]
+            assert set(passes[0][1]) == need and len(passes[0][1]) == len(need)
+            for (_, rows), (_, later) in zip(passes, passes[1:]):
+                assert set(later) <= set(rows)
+            needing += len(need)
+        assert needing == 25
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
     def test_import_leaves_scipy_module_unloaded(self, module):
@@ -792,33 +849,50 @@ class TestSetTables:
         assert split_sets == 2
 
     def test_first_pass_runs_in_bounded_row_blocks(self, monkeypatch):
-        # A lambda = 20.5 set (about 20 levels of degree about 20) makes its
-        # first contour pass in blocks of rows, each powers table holding at
-        # most _CONTOUR_BLOCK entries; every row has the bits it has when
-        # the whole set is one block.
+        # A lambda = 20.5 set (about 20 levels of degree about 20) scans its
+        # normalisation grid and makes its contour passes in blocks of rows,
+        # each of at most _BLOCK_ENTRIES rows x points unless it is one row;
+        # every row has the bits it has when the whole set is one block.
+        # The default bound splits the 1001-point scan; 1000 splits every
+        # contour pass and leaves one row per block of the scan.
+        log_abs, contour_terms = solver._log_abs, solver._contour_terms
+        blocks = []  # (scan, rows, points)
+
+        def scan(coefficients, *args):
+            result = log_abs(coefficients, *args)
+            blocks.append(("norm", coefficients.shape[1], result[0].shape[1]))
+            return result
+
+        def contour(coefficients, center, a, nodes):
+            terms = contour_terms(coefficients, center, a, nodes)
+            blocks.append((nodes, *terms.shape))
+            return terms
+
+        def filled(table):
+            return np.array(table.log_norms()), np.array(table.contour_values())
+
         params = PotentialParams(1.0, -41.0, 1.0)
-        cumprod = np.cumprod
-        shapes = []
-
-        def counted(*args, **kwargs):
-            shapes.append(args[0].shape)
-            return cumprod(*args, **kwargs)
-
-        for qes_set in enumerate_qes_sets(20.5).sets:
-            rows = solve_levels(build_pencil(qes_set, params), params)
-            whole = solve_levels(build_pencil(qes_set, params), params)
-            shapes.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(solver.np, "cumprod", counted)
-                blocked = solver._set_table(rows[0])[0].contour_first_pass()
-            assert len(shapes) > 1
-            assert sum(shape[0] for shape in shapes) == len(rows)
-            assert all(math.prod(shape) <= solver._CONTOUR_BLOCK for shape in shapes)
-            with monkeypatch.context() as patch:
-                patch.setattr(solver, "_CONTOUR_BLOCK", 2**30)
-                single = solver._set_table(whole[0])[0].contour_first_pass()
-            for got, want in zip(blocked, single):
-                assert got.tobytes() == want.tobytes()
+        for bound, first_pass_blocks in ((solver._BLOCK_ENTRIES, 1), (1000, 3)):
+            for qes_set in enumerate_qes_sets(20.5).sets:
+                rows = solve_levels(build_pencil(qes_set, params), params)
+                whole = solve_levels(build_pencil(qes_set, params), params)
+                blocks.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "_BLOCK_ENTRIES", bound)
+                    patch.setattr(solver, "_log_abs", scan)
+                    patch.setattr(solver, "_contour_terms", contour)
+                    blocked = filled(solver._set_table(rows[0])[0])
+                assert all(rows * points <= bound or rows == 1 for _, rows, points in blocks)
+                norm_rows = [rows for kind, rows, _ in blocks if kind == "norm"]
+                first_rows = [rows for kind, rows, _ in blocks if kind == 128]
+                assert len(norm_rows) > 1 and sum(norm_rows) == np.isfinite(blocked[0]).sum()
+                assert len(first_rows) == first_pass_blocks
+                assert sum(first_rows) == len(rows)
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver, "_BLOCK_ENTRIES", 2**30)
+                    single = filled(solver._set_table(whole[0])[0])
+                for got, want in zip(blocked, single):
+                    assert got.tobytes() == want.tobytes()
 
     def test_replaced_level_never_reads_its_sets_table(self):
         qes_set, params = params_for(1, 1)
@@ -829,7 +903,7 @@ class TestSetTables:
         # return these values.
         table, _ = solver._set_table(ground)
         table._log_norms = [1e300, 1e300]
-        table._contour = tuple(np.full(2, np.nan) for _ in range(4))
+        table._contour = [complex(math.nan, math.nan)] * 2
         for coefficients in [ground.coefficients, excited.coefficients, (-1.0, 1.0)]:
             other = replace(ground, coefficients=coefficients)
             with np.errstate(divide="ignore"):
