@@ -25,13 +25,14 @@ through one in-place Horner helper.
 
 The levels of one set share a working point, (p1, p2) and the degree n, so
 solve_levels attaches one table to all of them, filled on first use: the
-normalisation scan on the shared |x| <= 5/alpha grid, and the contour's
-passes, each over the levels whose estimates have not yet converged.  Both
-scans take one row per level, in blocks of bounded size, each row with the
-bits it would have alone.  Per level stay a grid widened to the level's own
-turning point, and every error, raised only for the level asked for.  A
-level built any other way (by hand, or by dataclasses.replace) gets a table
-of its own.
+normalisation scan on the shared |x| <= 5/alpha grid, the contour's passes,
+each over the levels whose estimates have not yet converged, and the closed
+forms at the points a caller asks for, one evaluation per block of rows,
+kept until another x or block is asked for.  Each takes one row per level,
+in blocks of bounded size, each row with the bits it would have alone.  Per
+level stay a grid widened to the level's own turning point, and every error,
+raised only for the level asked for.  A level built any other way (by hand,
+or by dataclasses.replace) gets a table of its own.
 """
 
 from __future__ import annotations
@@ -249,23 +250,6 @@ def _log_abs(coefficients, qes_set: QesSet, s: float, z, log_z=None, log_z2=None
     return log_abs, poly
 
 
-def _raw_log_abs_sign(level: QesLevel, x: np.ndarray):
-    """Unnormalized log|psi| and sign at x.
-
-    z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 is free of cancellation;
-    the odd-parity sign rides on sinh(alpha x / 2).  Callers ignore divide,
-    over and invalid.
-    """
-    sh = np.sinh(0.5 * level.params.alpha * x)
-    log_abs, poly = _log_abs(
-        level.coefficients, level.qes_set, level.params.s, 2.0 * sh * sh
-    )
-    sign = np.sign(poly)
-    if level.qes_set.p1 > 0.0:
-        sign = sign * np.sign(sh)
-    return log_abs, sign
-
-
 def _grid_z(alpha: float, half_width: float) -> np.ndarray:
     """z on the normalisation grid: x in [0, half_width/alpha], steps <= 0.005/alpha."""
     x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
@@ -346,11 +330,9 @@ def _scaled_closed_form(level: QesLevel, x, log_norm=None) -> np.ndarray:
 
     log_norm defaults to the maximum of log|psi| over x itself.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("x must be finite")
+    table, row = _set_table(level)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_abs, sign = _raw_log_abs_sign(level, arr)
+        log_abs, sign = table.closed_form(row, np.asarray(x, dtype=float))
         finite = np.isfinite(log_abs)
         if log_norm is None:
             log_norm = np.where(finite, log_abs, -np.inf).max()
@@ -368,8 +350,8 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
 def sample_wavefunction(level: QesLevel, x: np.ndarray) -> np.ndarray:
     """psi at the points x, scaled so that max|psi| over x is exactly 1.
 
-    One closed-form evaluation, its maximum taken over x.  Where psi
-    underflows it is 0, everywhere if need be.
+    The level's row of its set's evaluation at x, its maximum taken over x.
+    Where psi underflows it is 0, everywhere if need be.
     """
     return _scaled_closed_form(level, x)
 
@@ -539,6 +521,39 @@ class _SetTable:
         self.params = params
         self._log_norms = None
         self._contour = None
+        self._block = None
+
+    def closed_form(self, row: int, x: np.ndarray):
+        """Unnormalized log|psi| and sign of level row at the finite points x.
+
+        The row's block of rows is evaluated in one pass: the x-only terms
+        once, z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 (free of
+        cancellation) and its logs, then Horner over the block's columns;
+        the odd-parity sign rides on sinh(alpha x / 2).  Only the last block
+        is kept, read-only, with a private copy of the x it was evaluated at:
+        the set's other levels read their rows from it while x is unchanged
+        bit for bit, so it holds only an x that passed the finite check.
+        Callers ignore divide, over and invalid.
+        """
+        key = (x.shape, x.tobytes())
+        block = self._block
+        if block is None or not (block[0].start <= row < block[0].stop and block[1] == key):
+            if not np.isfinite(x).all():
+                raise ValueError("x must be finite")
+            rows = next(b for b in _row_blocks(len(self.energies), max(x.size, 1))
+                        if row < b.stop)
+            columns = self.coefficients.T[:, rows]
+            sh = np.sinh(0.5 * self.params.alpha * x)
+            log_abs, poly = _log_abs(columns.reshape(columns.shape + (1,) * x.ndim),
+                                     self.qes_set, self.params.s, 2.0 * sh * sh)
+            sign = np.sign(poly)
+            if self.qes_set.p1 > 0.0:
+                sign *= np.sign(sh)
+            log_abs.setflags(write=False)
+            sign.setflags(write=False)
+            block = self._block = (rows, key, log_abs, sign)
+        rows, _, log_abs, sign = block
+        return log_abs[row - rows.start], sign[row - rows.start]
 
     def log_norms(self) -> list[float]:
         """log_norm of each level on the shared |x| <= 5/alpha grid, from one scan.

@@ -254,21 +254,36 @@ class TestSample:
     @pytest.mark.parametrize("v1, lam", [("1", "1.5"), ("1", "10"), ("0.05", "10")])
     def test_one_closed_form_evaluation_per_column(self, capsys, monkeypatch, v1, lam):
         # Each column is sign exp(log|psi| - its maximum over the sampled
-        # points): one evaluation of the closed form, and a peak of exactly 1.
-        log_abs = solver._log_abs
-        calls = []
+        # points), read from one evaluation per row block of its set: every
+        # level's row is evaluated exactly once, and each peak is exactly 1.
+        log_abs, solve = solver._log_abs, cli.solve_classification
+        blocks, levels = [], []
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
+            blocks.append([tuple(row) for row in args[0][:, :, 0].T.tolist()])
             return log_abs(*args, **kwargs)
 
+        def solved(*args):
+            result = solve(*args)
+            levels.extend(result)
+            return result
+
         monkeypatch.setattr(solver, "_log_abs", counted)
+        monkeypatch.setattr(cli, "solve_classification", solved)
         code, out = run_cli(capsys, "sample", "--v1", v1, "--alpha", "1", "--lambda", lam)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         psi = np.array(rows[1:], dtype=float)[:, 2:]
         assert psi.shape == (1001, round(2 * float(lam)))
-        assert len(calls) == psi.shape[1]
+        per_block = solver._BLOCK_ENTRIES // 1001
+        sets = {level.qes_set for level in levels}
+        expected_blocks = sum(
+            -(-sum(level.qes_set == qes_set for level in levels) // per_block)
+            for qes_set in sets
+        )
+        assert len(sets) == 2 and len(blocks) == expected_blocks
+        evaluated = sorted(row for block in blocks for row in block)
+        assert evaluated == sorted(level.coefficients for level in levels)
         assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]
 
     def test_columns_grouped_by_set_then_energy(self, capsys):

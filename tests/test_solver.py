@@ -37,12 +37,18 @@ from qhj_spectra import (
 )
 from qhj_spectra import solver
 from qhj_spectra.qhj import SET_RESIDUES, QesSet
-from qhj_spectra.solver import _node_count, _raw_log_abs_sign
+from qhj_spectra.solver import _node_count
 
 
 def make_set(set_index, n):
     b1, b1p = SET_RESIDUES[set_index]
     return QesSet(set_index, b1, b1p, n)
+
+
+def closed_form(level, x):
+    # The unnormalized log|psi| and sign of one level, read from its set's table.
+    table, row = solver._set_table(level)
+    return table.closed_form(row, np.asarray(x, dtype=float))
 
 
 def params_for(set_index, n, v1=1.0, alpha=1.0):
@@ -334,7 +340,7 @@ class TestWavefunction:
         assert len(set_one) == 21
         for level in set_one:
             # Set 1 has p1 = p2 = 0: log|psi| = -s (1 + z) + ln|P(z)|, sign P(z).
-            log_abs, sign = _raw_log_abs_sign(level, x)
+            log_abs, sign = closed_form(level, x)
             desc = np.asarray(level.coefficients[::-1])
             poly = np.polyval(desc, z)
             np.testing.assert_array_equal(sign, np.sign(poly))
@@ -366,7 +372,7 @@ class TestWavefunction:
         assert level.coefficients == (1.0,) and params.s == s
         assert (float(qes_set.p1), float(qes_set.p2)) == (p1, p2)
         x = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 700.0])
-        log_abs, sign = _raw_log_abs_sign(level, x)
+        log_abs, sign = closed_form(level, x)
         np.testing.assert_array_equal(sign, 1.0)
         with mpmath.workdps(50):
             for xi, got in zip(x, log_abs):
@@ -408,7 +414,7 @@ class TestWavefunction:
         x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
         # As in wavefunction: ln z = -inf at x = 0 for an odd level.
         with np.errstate(divide="ignore"):
-            log_abs, _ = _raw_log_abs_sign(level, x)
+            log_abs, _ = closed_form(level, x)
         return float(np.max(log_abs[np.isfinite(log_abs)])), half_width
 
     def test_log_norm_matches_uncached_grid_bit_for_bit(self):
@@ -848,6 +854,67 @@ class TestSetTables:
                     split_sets += 1
         assert split_sets == 2
 
+    def test_shared_evaluation_equals_a_table_of_one(self):
+        # Each level's values are read from one evaluation per row block of
+        # its set; they must have the bits of a level evaluated alone, in
+        # energy order (the two sets interleaved) and in reverse, at a grid,
+        # a 2-D x and scalars.
+        for lam, params in self.working_points():
+            levels = solve_classification(params, enumerate_qes_sets(lam))
+            alone = {level: replace(level, coefficients=level.coefficients)
+                     for level in levels}
+            wfs = {level: wavefunction(level, params) for level in levels}
+            grid = np.linspace(-5.0, 5.0, 1001) / params.alpha
+
+            def same(x, order):
+                for level in order:
+                    wf, wf_alone = wfs[level], replace(wfs[level], level=alone[level])
+                    got = evaluate_wavefunction(wf, x)
+                    assert np.asarray(got).tobytes() == np.asarray(
+                        evaluate_wavefunction(wf_alone, x)).tobytes()
+                    got = solver.sample_wavefunction(level, x)
+                    assert got.tobytes() == solver.sample_wavefunction(alone[level], x).tobytes()
+
+            same(grid, levels)
+            same(grid, levels[::-1])
+            same(grid[:1000].reshape(40, 25), levels)
+            for x in (0.0, 0.74, -2.87):
+                same(x, levels[::-1])
+                for level in levels:
+                    try:
+                        got = schrodinger_residual(wfs[level], level.energy, params, x)
+                    except QmfPoleError:
+                        continue
+                    want = schrodinger_residual(replace(wfs[level], level=alone[level]),
+                                                level.energy, params, x)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_evaluation_follows_x_bit_for_bit(self, monkeypatch):
+        # The kept block is keyed by a copy of x: an x mutated in place is
+        # evaluated afresh, an equal-valued copy reads the kept block.
+        params = PotentialParams(1.0, -20.0, 1.0)
+        qes_set = enumerate_qes_sets(10.0).sets[0]
+        levels = solve_levels(build_pencil(qes_set, params), params)
+        log_abs, calls = solver._log_abs, []
+
+        def counted(*args):
+            calls.append(args[0].shape[1])
+            return log_abs(*args)
+
+        monkeypatch.setattr(solver, "_log_abs", counted)
+        x = np.linspace(-5.0, 5.0, 1001)
+        for step, level in enumerate(levels):
+            if step == 3:
+                x[500:] *= 0.5
+            elif step == 6:
+                x = x.copy()
+            alone = replace(level, coefficients=level.coefficients)
+            got = solver.sample_wavefunction(level, x)
+            assert got.tobytes() == solver.sample_wavefunction(alone, x).tobytes()
+        # One block of the set and one table of one per level; the mutated x
+        # was evaluated again, the copy was not.
+        assert calls == [len(levels)] + [1] * 3 + [len(levels)] + [1] * (len(levels) - 3)
+
     def test_first_pass_runs_in_bounded_row_blocks(self, monkeypatch):
         # A lambda = 20.5 set (about 20 levels of degree about 20) scans its
         # normalisation grid and makes its contour passes in blocks of rows,
@@ -893,6 +960,44 @@ class TestSetTables:
                     single = filled(solver._set_table(whole[0])[0])
                 for got, want in zip(blocked, single):
                     assert got.tobytes() == want.tobytes()
+
+    def test_evaluation_runs_in_bounded_row_blocks(self, monkeypatch):
+        # A lambda = 20.5 set (about 20 levels) evaluates its closed forms in
+        # blocks of at most _BLOCK_ENTRIES rows x points, or one row: a
+        # 20001-point x goes one row per block.  A table keeps only the last
+        # block and a private copy of its x.
+        log_abs, blocks = solver._log_abs, []
+
+        def counted(*args):
+            result = log_abs(*args)
+            blocks.append((args[0].shape[1], result[0][0].size))
+            return result
+
+        monkeypatch.setattr(solver, "_log_abs", counted)
+        params = PotentialParams(1.0, -41.0, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(20.5))
+        tables = {id(solver._set_table(level)[0]): solver._set_table(level)[0]
+                  for level in levels}
+        for points in (1001, 20001):
+            blocks.clear()
+            x = np.linspace(-5.0, 5.0, points)
+            for level in levels:
+                solver.sample_wavefunction(level, x)
+            assert all(rows * size <= solver._BLOCK_ENTRIES or rows == 1
+                       for rows, size in blocks)
+            assert {size for _, size in blocks} == {points}
+            assert sum(rows for rows, _ in blocks) == len(levels)
+            if points == 1001:
+                assert len(tables) == 2 and len(blocks) == 4
+            else:
+                assert len(blocks) == len(levels)
+            for table in tables.values():
+                rows, key, *kept = table._block
+                assert key == (x.shape, x.tobytes())
+                held = sum(array.nbytes for array in kept) // 8
+                assert held <= 2 * max(solver._BLOCK_ENTRIES, points)
+                assert [name for name, value in vars(table).items()
+                        if isinstance(value, (np.ndarray, tuple))] == ["coefficients", "_block"]
 
     def test_replaced_level_never_reads_its_sets_table(self):
         qes_set, params = params_for(1, 1)
