@@ -507,7 +507,7 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
 
 
 class _SetTable:
-    """Results shared by the levels of one set, computed for all of them on first use.
+    """Results shared by the levels of one set, computed for all of them (or a block) on first use.
 
     Row j belongs to level j: coefficients (levels x (n + 1)) and energies
     (a list); the levels share qes_set and params.  A row's failure is left
@@ -524,16 +524,16 @@ class _SetTable:
         self._block = None
 
     def closed_form(self, row: int, x: np.ndarray):
-        """Unnormalized log|psi| and sign of level row at the finite points x.
+        """Unnormalized log|psi| and sign of level row at the points x, which must be finite.
 
         The row's block of rows is evaluated in one pass: the x-only terms
         once, z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 (free of
         cancellation) and its logs, then Horner over the block's columns;
         the odd-parity sign rides on sinh(alpha x / 2).  Only the last block
-        is kept, read-only, with a private copy of the x it was evaluated at:
-        the set's other levels read their rows from it while x is unchanged
-        bit for bit, so it holds only an x that passed the finite check.
-        Callers ignore divide, over and invalid.
+        is kept, read-only, with a private copy of the x it was evaluated at,
+        and the set's other levels read their rows from it while x is
+        unchanged bit for bit.  Only a checked x is kept, so a hit needs no
+        check.  Callers ignore divide, over and invalid.
         """
         key = (x.shape, x.tobytes())
         block = self._block

@@ -275,13 +275,10 @@ class TestSample:
         rows = list(csv.reader(io.StringIO(out)))
         psi = np.array(rows[1:], dtype=float)[:, 2:]
         assert psi.shape == (1001, round(2 * float(lam)))
-        per_block = solver._BLOCK_ENTRIES // 1001
-        sets = {level.qes_set for level in levels}
-        expected_blocks = sum(
-            -(-sum(level.qes_set == qes_set for level in levels) // per_block)
-            for qes_set in sets
-        )
-        assert len(sets) == 2 and len(blocks) == expected_blocks
+        per_set = [sum(level.qes_set == qes_set for level in levels)
+                   for qes_set in {level.qes_set for level in levels}]
+        assert len(per_set) == 2
+        assert len(blocks) == sum(len(solver._row_blocks(count, 1001)) for count in per_set)
         evaluated = sorted(row for block in blocks for row in block)
         assert evaluated == sorted(level.coefficients for level in levels)
         assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]
