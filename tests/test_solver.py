@@ -976,8 +976,7 @@ class TestSetTables:
         monkeypatch.setattr(solver, "_log_abs", counted)
         params = PotentialParams(1.0, -41.0, 1.0)
         levels = solve_classification(params, enumerate_qes_sets(20.5))
-        tables = {id(solver._set_table(level)[0]): solver._set_table(level)[0]
-                  for level in levels}
+        tables = {id(table): table for table, _ in map(solver._set_table, levels)}
         for points in (1001, 20001):
             blocks.clear()
             x = np.linspace(-5.0, 5.0, points)
