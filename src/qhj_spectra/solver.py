@@ -28,11 +28,15 @@ solve_levels attaches one table to all of them, filled on first use: the
 normalisation scan on the shared |x| <= 5/alpha grid, the contour's passes,
 each over the levels whose estimates have not yet converged, and the closed
 forms at the points a caller asks for, one evaluation per block of rows,
-kept until another x or block is asked for.  Each takes one row per level,
-in blocks of bounded size, each row with the bits it would have alone.  Per
-level stay a grid widened to the level's own turning point, and every error,
-raised only for the level asked for.  A level built any other way (by hand,
-or by dataclasses.replace) gets a table of its own.
+kept (if it has more than one row) until another x or block is asked for.
+That evaluation pays when a set's levels are evaluated one after another at
+one x, as sample and the spectrum op do; a caller that evaluates one level
+of a set, or each level at its own x, pays for its whole block every time.
+Each takes one row per level, in blocks of bounded size, each row with the
+bits it would have alone.  Per level stay a grid widened to the level's own
+turning point, and every error, raised only for the level asked for.  A
+level built any other way (by hand, or by dataclasses.replace) gets a table
+of its own.
 """
 
 from __future__ import annotations
@@ -530,14 +534,14 @@ class _SetTable:
         once, z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 (free of
         cancellation) and its logs, then Horner over the block's columns;
         the odd-parity sign rides on sinh(alpha x / 2).  Only the last block
-        is kept, read-only, with a private copy of the x it was evaluated at,
-        and the set's other levels read their rows from it while x is
-        unchanged bit for bit.  Only a checked x is kept, so a hit needs no
-        check.  Callers ignore divide, over and invalid.
+        of more than one row is kept, read-only, with a private copy of the
+        x it was evaluated at, and the set's other levels read their rows
+        from it while x is unchanged bit for bit.  Only a checked x is kept,
+        so a hit needs no check.  Callers ignore divide, over and invalid.
         """
-        key = (x.shape, x.tobytes())
         block = self._block
-        if block is None or not (block[0].start <= row < block[0].stop and block[1] == key):
+        if block is None or not (block[0].start <= row < block[0].stop
+                                 and block[1] == (x.shape, x.tobytes())):
             if not np.isfinite(x).all():
                 raise ValueError("x must be finite")
             rows = next(b for b in _row_blocks(len(self.energies), max(x.size, 1))
@@ -551,7 +555,10 @@ class _SetTable:
                 sign *= np.sign(sh)
             log_abs.setflags(write=False)
             sign.setflags(write=False)
-            block = self._block = (rows, key, log_abs, sign)
+            # No other level reads a block of one row: it is not kept.
+            keep = len(log_abs) > 1
+            block = (rows, (x.shape, x.tobytes()) if keep else None, log_abs, sign)
+            self._block = block if keep else None
         rows, _, log_abs, sign = block
         return log_abs[row - rows.start], sign[row - rows.start]
 

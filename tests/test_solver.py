@@ -964,8 +964,10 @@ class TestSetTables:
     def test_evaluation_runs_in_bounded_row_blocks(self, monkeypatch):
         # A lambda = 20.5 set (about 20 levels) evaluates its closed forms in
         # blocks of at most _BLOCK_ENTRIES rows x points, or one row: a
-        # 20001-point x goes one row per block.  A table keeps only the last
-        # block and a private copy of its x.
+        # 20001-point x goes one row per block.  A table keeps only its last
+        # block of more than one row, with a private copy of its x: at most
+        # 2 _BLOCK_ENTRIES floats, and none for a 20001-point x or a table
+        # of one.
         log_abs, blocks = solver._log_abs, []
 
         def counted(*args):
@@ -991,12 +993,20 @@ class TestSetTables:
             else:
                 assert len(blocks) == len(levels)
             for table in tables.values():
-                rows, key, *kept = table._block
-                assert key == (x.shape, x.tobytes())
-                held = sum(array.nbytes for array in kept) // 8
-                assert held <= 2 * max(solver._BLOCK_ENTRIES, points)
+                held = 0
+                if points == 1001:
+                    rows, key, *kept = table._block
+                    assert key == (x.shape, x.tobytes())
+                    held = sum(array.nbytes for array in kept) // 8
+                else:
+                    assert table._block is None
+                assert held <= 2 * solver._BLOCK_ENTRIES
                 assert [name for name, value in vars(table).items()
-                        if isinstance(value, (np.ndarray, tuple))] == ["coefficients", "_block"]
+                        if isinstance(value, (np.ndarray, tuple))] == (
+                            ["coefficients", "_block"] if held else ["coefficients"])
+        alone = replace(levels[0], coefficients=levels[0].coefficients)
+        solver.sample_wavefunction(alone, x[:1001])
+        assert solver._set_table(alone)[0]._block is None
 
     def test_replaced_level_never_reads_its_sets_table(self):
         qes_set, params = params_for(1, 1)
