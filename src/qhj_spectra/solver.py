@@ -30,8 +30,8 @@ each over the levels whose estimates have not yet converged, and the closed
 forms at the points a caller asks for, one evaluation per block of rows,
 kept (if it has more than one row) until another x or block is asked for.
 That evaluation pays when a set's levels are evaluated one after another at
-one x, as sample and the spectrum op do; a caller that evaluates one level
-of a set, or each level at its own x, pays for its whole block every time.
+one x, as sample does; a caller that evaluates one level of a set, or each
+level at its own x, pays for its whole block every time.
 Each takes one row per level, in blocks of bounded size, each row with the
 bits it would have alone.  Per level stay a grid widened to the level's own
 turning point, and every error, raised only for the level asked for.  A
