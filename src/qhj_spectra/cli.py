@@ -369,7 +369,10 @@ def cmd_sample(settings) -> tuple[int, str]:
     if not x_min < x_max:
         raise UsageError("--x-min must be below --x-max")
     x = np.linspace(x_min, x_max, points)
-    v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
+    # As in _grid_from; V1 > 0, so where the sum is inf + -inf, V is +inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
+    v[np.isnan(v)] = np.inf
 
     columns = [("x", x), ("V", v)]
     levels = solve_classification(params, classification)

@@ -24,19 +24,19 @@ no zero can lie.  Every polynomial, P, P', P'' or a roundoff scale, goes
 through one in-place Horner helper.
 
 The levels of one set share a working point, (p1, p2) and the degree n, so
-solve_levels attaches one table to all of them, filled on first use: the
-normalisation scan on the shared |x| <= 5/alpha grid, the contour's passes,
-each over the levels whose estimates have not yet converged, and the closed
-forms at the points a caller asks for, one evaluation per block of rows,
-kept (if it has more than one row) until another x or block is asked for.
-That evaluation pays when a set's levels are evaluated one after another at
-one x, as sample does; a caller that evaluates one level of a set, or each
-level at its own x, pays for its whole block every time.
-Each takes one row per level, in blocks of bounded size, each row with the
-bits it would have alone.  Per level stay a grid widened to the level's own
-turning point, and every error, raised only for the level asked for.  A
-level built any other way (by hand, or by dataclasses.replace) gets a table
-of its own.
+solve_levels attaches one table to all of them, with one accessor per result,
+each filled for the whole set (in blocks of bounded size) on first use and
+kept: log_norm, from one scan of the shared |x| <= 5/alpha grid, and once
+alone on a grid of its own for a row whose turning point lies farther out;
+contour_value, from passes each over the rows not yet converged; and
+closed_form, one evaluation per block of rows at the x asked for, kept (if
+it has more than one row) until another x or block is asked for.  That pays
+when a set's levels are evaluated one after another at one x, as sample
+does; a caller that evaluates one level of a set, or each level at its own
+x, pays for its whole block every time.  Each row has the bits it would
+have alone, and a row's error is raised only for its own level.  A level
+built any other way (by hand, or by dataclasses.replace) gets a table of
+its own.
 """
 
 from __future__ import annotations
@@ -289,44 +289,14 @@ def _turning_point(params: PotentialParams, energy: float) -> float:
     return (-v2 + math.sqrt(discriminant)) / (2.0 * v1) if discriminant >= 0.0 else math.nan
 
 
-def _level_log_norm(level: QesLevel) -> float:
-    """log_norm from the level alone: max of log|psi| on the grid wavefunction uses.
-
-    |psi| has no interior maximum where V > E, so the peak lies inside the
-    outer turning point y_t (V(y_t) = E); the grid covers it when it passes
-    |x| = 5/alpha.  Callers ignore divide, over and invalid.
-    """
-    alpha = level.params.alpha
-    y_turn = _turning_point(level.params, level.energy)
-    if math.isnan(y_turn):
-        raise InvariantViolationError(f"energy {level.energy!r} lies below the minimum of V")
-    if y_turn > math.cosh(5.0):
-        # A wider grid is per level: no two levels share a turning point.
-        grid = (_grid_z(alpha, math.acosh(y_turn)),)
-    else:
-        grid = _default_grid_terms(alpha)
-    log_abs, _ = _log_abs(level.coefficients, level.qes_set, level.params.s, *grid)
-    log_norm = float(log_abs.max(where=np.isfinite(log_abs), initial=-np.inf))
-    if log_norm == -math.inf:
-        raise InvariantViolationError("the closed form has no finite value on its grid")
-    return log_norm
-
-
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
     """Closed form for one solved level; normalized so max|psi| = 1 on the grid.
 
-    params must be the level's own working point.  |psi| is even in x, so
-    the grid covers x >= 0 only, in steps of at most 0.005/alpha.  The
-    level's set scans the shared |x| <= 5/alpha grid once for all its levels;
-    a level whose turning point lies farther out scans a grid of its own.
+    params must be the level's own working point; the grid is _SetTable.log_norm's.
     """
     _require_own_params(level, params)
     table, row = _set_table(level)
-    log_norm = table.log_norms()[row]
-    if not math.isfinite(log_norm):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_norm = _level_log_norm(level)
-    return ClosedFormWavefunction(level, log_norm)
+    return ClosedFormWavefunction(level, table.log_norm(row))
 
 
 def _scaled_closed_form(level: QesLevel, x, log_norm=None) -> np.ndarray:
@@ -339,7 +309,7 @@ def _scaled_closed_form(level: QesLevel, x, log_norm=None) -> np.ndarray:
         log_abs, sign = table.closed_form(row, np.asarray(x, dtype=float))
         finite = np.isfinite(log_abs)
         if log_norm is None:
-            log_norm = np.where(finite, log_abs, -np.inf).max()
+            log_norm = np.where(finite, log_abs, -np.inf).max(initial=-np.inf)
         return sign * np.where(finite, np.exp(log_abs - log_norm), 0.0)
 
 
@@ -372,6 +342,8 @@ def _overflow_names(x: float):
 
 def _log_derivative_pieces(level: QesLevel, x: float):
     """L = d(ln psi)/dx and L' as numpy scalars; raises at QMF poles."""
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     a = level.params.alpha
     p1, p2 = level.qes_set.p1, level.qes_set.p2
     c = np.asarray(level.coefficients)
@@ -490,32 +462,20 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
 
     The periodic trapezoid rule converges exponentially for this analytic
     integrand.  The first pass gives the 64- and the 128-node estimates;
-    while two successive estimates disagree, the node count doubles.  The
-    level's set makes each pass once, for its levels that still need it.  A
-    zero on the contour stalls convergence and raises ContourCollisionError
-    for its own level only.
+    while two successive estimates disagree, the node count doubles, in one
+    pass of the level's set over its levels that still need it.
+    A zero on the contour stalls convergence and raises ContourCollisionError.
     """
-    n = len(level.coefficients) - 1
-    if n == 0:
-        return 0j
-    if level.coefficients[0] == 0.0:
-        raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
     table, row = _set_table(level)
-    value = table.contour_values()[row]
-    if math.isnan(value.real):
-        raise ContourCollisionError(
-            f"contour integral did not converge with {_CONTOUR_MAX_NODES} "
-            "nodes; a polynomial zero lies on or near the contour"
-        )
-    return value
+    return table.contour_value(row)
 
 
 class _SetTable:
     """Results shared by the levels of one set, computed for all of them (or a block) on first use.
 
     Row j belongs to level j: coefficients (levels x (n + 1)) and energies
-    (a list); the levels share qes_set and params.  A row's failure is left
-    for its own level to raise.
+    (a list); the levels share qes_set and params.  A row's failure is kept
+    as its message and raised only for its own level.
     """
 
     def __init__(self, coefficients, energies, qes_set: QesSet, params: PotentialParams):
@@ -562,34 +522,48 @@ class _SetTable:
         rows, _, log_abs, sign = block
         return log_abs[row - rows.start], sign[row - rows.start]
 
-    def log_norms(self) -> list[float]:
-        """log_norm of each level on the shared |x| <= 5/alpha grid, from one scan.
+    def log_norm(self, row: int) -> float:
+        """Level row's log_norm: the max of log|psi| on x in [0, 5/alpha], in steps <= 0.005/alpha.
 
-        NaN for a level whose turning point lies past 5/alpha, or does not
-        exist, and -inf for one with no finite value on the grid.
+        |psi| is even in x and has no interior maximum where V > E, so its
+        peak lies inside the outer turning point y_t (V(y_t) = E).  The first
+        call scans that grid once for every row with y_t <= cosh 5; a row
+        with y_t farther out is scanned alone, out to y_t, when first asked.
         """
         if self._log_norms is None:
-            limit = math.cosh(5.0)
-            rows = [
-                j for j, energy in enumerate(self.energies)
-                if _turning_point(self.params, energy) <= limit  # False for NaN
-            ]
-            self._log_norms = [math.nan] * len(self.energies)
-            grid = _default_grid_terms(self.params.alpha)
-            columns = self.coefficients.T[:, :, None]
-            if len(rows) < len(self.energies):
-                columns = columns[:, rows]
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                for block in _row_blocks(len(rows), grid[0].shape[1]):
-                    log_abs, _ = _log_abs(columns[:, block], self.qes_set, self.params.s,
-                                          *grid)
-                    maxima = log_abs.max(axis=1, where=np.isfinite(log_abs), initial=-np.inf)
-                    for j, value in zip(rows[block], maxima.tolist()):
-                        self._log_norms[j] = value
-        return self._log_norms
+            shared = [_turning_point(self.params, energy) <= math.cosh(5.0)  # False for NaN
+                      for energy in self.energies]
+            maxima = iter(self._maxima(np.flatnonzero(shared),
+                                       _default_grid_terms(self.params.alpha)))
+            self._log_norms = [next(maxima) if on else None for on in shared]
+        if self._log_norms[row] is None:
+            y_turn = _turning_point(self.params, self.energies[row])
+            if math.isnan(y_turn):
+                self._log_norms[row] = (
+                    f"energy {self.energies[row]!r} lies below the minimum of V")
+            else:
+                grid = _grid_z(self.params.alpha, math.acosh(y_turn))[None, :]
+                (self._log_norms[row],) = self._maxima([row], (grid,))
+        return _kept(self._log_norms[row], InvariantViolationError)
 
-    def contour_values(self) -> list[complex]:
-        """Each level's contour value, NaN where it never converged; n >= 1."""
+    def _maxima(self, rows, grid) -> list:
+        """Max of log|psi| over the grid for each of rows, in blocks of rows."""
+        columns = self.coefficients.T[:, rows, None]
+        maxima = []
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for block in _row_blocks(len(rows), grid[0].shape[1]):
+                log_abs, _ = _log_abs(columns[:, block], self.qes_set, self.params.s, *grid)
+                maxima += log_abs.max(axis=1, where=np.isfinite(log_abs),
+                                      initial=-np.inf).tolist()
+        return [value if value > -math.inf else
+                "the closed form has no finite value on its grid" for value in maxima]
+
+    def contour_value(self, row: int) -> complex:
+        """Level row's moving_pole_contour_value; the first call makes every row's passes."""
+        if self.coefficients.shape[1] == 1:
+            return 0j
+        if self.coefficients[row, 0] == 0.0:
+            raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
         if self._contour is None:
             c = self.coefficients
             k = np.arange(1, c.shape[1])
@@ -625,9 +599,18 @@ class _SetTable:
                     previous = mean[active]
                     mean[active] = total[active] / nodes
                     active = active[~(abs(mean[active] - previous) <= _CONTOUR_TOLERANCE)]
-            mean[active] = np.nan
             self._contour = [complex(value) / 1j for value in mean.tolist()]
-        return self._contour
+            for j in active.tolist():
+                self._contour[j] = (f"contour integral did not converge with {_CONTOUR_MAX_NODES} "
+                                    "nodes; a polynomial zero lies on or near the contour")
+        return _kept(self._contour[row], ContourCollisionError)
+
+
+def _kept(value, error: type[Exception]):
+    """A kept per-row result: the value, or error raised with the kept message."""
+    if isinstance(value, str):
+        raise error(value)
+    return value
 
 
 def _row_blocks(count: int, points: int) -> list[slice]:

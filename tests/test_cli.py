@@ -283,6 +283,24 @@ class TestSample:
         assert evaluated == sorted(level.coefficients for level in levels)
         assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]
 
+    def test_far_out_v_is_inf_and_stderr_empty(self):
+        # From x = 748.75 on both sinh^2 and cosh overflow, so V1 sinh^2 +
+        # V2 cosh is inf + -inf; with V1 > 0, V tends to +inf.  A fresh
+        # process shows what numpy would print on stderr.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "qhj_spectra.cli", "sample", "--v1", "1",
+             "--alpha", "1", "--lambda", "1", "--x-max", "1000", "--points", "5"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert len(rows) == 6
+        assert not any(cell == "nan" for row in rows for cell in row)
+        assert [row[1] for row in rows[-2:]] == ["inf", "inf"]
+
     def test_columns_grouped_by_set_then_energy(self, capsys):
         # at lambda = 2 the set-3 and set-4 energies interleave, so a sort
         # across sets would reorder these columns

@@ -447,6 +447,13 @@ class TestWavefunction:
         with pytest.raises(InvariantViolationError, match="no finite value"):
             wavefunction(replace(level, coefficients=(math.nan, 1.0)), params)
 
+    def test_empty_x_gives_an_empty_array(self):
+        qes_set, params = params_for(1, 1)
+        level = solve_levels(build_pencil(qes_set, params), params)[0]
+        x = np.array([])
+        assert solver.sample_wavefunction(level, x).shape == (0,)
+        assert evaluate_wavefunction(wavefunction(level, params), x).shape == (0,)
+
     def test_cached_tables_are_read_only(self):
         tables = [*solver._default_grid_terms(1.0), *solver._contour_pass_tables(128)]
         for table in tables:
@@ -530,6 +537,19 @@ class TestQuantumMomentum:
         wf, energy, params = self._top_level(lam)
         with pytest.raises(ValueError, match=f"overflows float64 at x = {x!r}"):
             qhj_residual(wf, energy, params, x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_rejected(self, x):
+        wf, energy, params = self._top_level(1.5)
+        calls = [
+            lambda: quantum_momentum(wf, x),
+            lambda: quantum_momentum_derivative(wf, x),
+            lambda: qhj_residual(wf, energy, params, x),
+            lambda: schrodinger_residual(wf, energy, params, x),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                call()
 
     @pytest.mark.parametrize("residual", [qhj_residual, schrodinger_residual])
     def test_residuals_reject_params_of_another_working_point(self, residual):
@@ -832,7 +852,20 @@ class TestSetTables:
             root = math.sqrt(0.05)
             yield 10.0, PotentialParams(0.05, -2.0 * root * alpha * 10.0, alpha)
 
-    def test_shared_rows_equal_a_table_of_one(self):
+    @staticmethod
+    def record_scans(monkeypatch):
+        # (rows, points) of every normalisation scan or evaluation.
+        log_abs, scans = solver._log_abs, []
+
+        def counted(*args):
+            result = log_abs(*args)
+            scans.append((args[0].shape[1], result[0].shape[-1]))
+            return result
+
+        monkeypatch.setattr(solver, "_log_abs", counted)
+        return scans
+
+    def test_shared_rows_equal_a_table_of_one(self, monkeypatch):
         split_sets = 0
         for lam, params in self.working_points():
             for level in solve_classification(params, enumerate_qes_sets(lam)):
@@ -846,12 +879,19 @@ class TestSetTables:
                 assert value == moving_pole_contour_value(alone)
                 assert count_moving_poles(level) == count_moving_poles(alone)
             if (lam, params.v1) == (10.0, 0.05) and params.alpha == 1.0:
-                for qes_set in enumerate_qes_sets(lam).sets:
-                    level = solve_levels(build_pencil(qes_set, params), params)[0]
-                    wavefunction(level, params)
-                    shared = np.isfinite(solver._set_table(level)[0].log_norms())
-                    assert shared.sum() == 2 and (~shared).sum() == 8
-                    split_sets += 1
+                # One scan of 2 rows on the 1001-point shared grid, and one
+                # of 1 row on a wider grid of its own for each other level.
+                with monkeypatch.context() as patch:
+                    scans = self.record_scans(patch)
+                    for qes_set in enumerate_qes_sets(lam).sets:
+                        scans.clear()
+                        for level in solve_levels(build_pencil(qes_set, params), params):
+                            wavefunction(level, params)
+                        assert scans[0] == (2, 1001)
+                        own = scans[1:]
+                        assert len(own) == 8 and all(rows == 1 and points > 1001
+                                                     for rows, points in own)
+                        split_sets += 1
         assert split_sets == 2
 
     def test_shared_evaluation_equals_a_table_of_one(self):
@@ -936,7 +976,9 @@ class TestSetTables:
             return terms
 
         def filled(table):
-            return np.array(table.log_norms()), np.array(table.contour_values())
+            rows = range(len(table.energies))
+            return (np.array([table.log_norm(j) for j in rows]),
+                    np.array([table.contour_value(j) for j in rows]))
 
         params = PotentialParams(1.0, -41.0, 1.0)
         for bound, first_pass_blocks in ((solver._BLOCK_ENTRIES, 1), (1000, 3)):
@@ -952,7 +994,7 @@ class TestSetTables:
                 assert all(rows * points <= bound or rows == 1 for _, rows, points in blocks)
                 norm_rows = [rows for kind, rows, _ in blocks if kind == "norm"]
                 first_rows = [rows for kind, rows, _ in blocks if kind == 128]
-                assert len(norm_rows) > 1 and sum(norm_rows) == np.isfinite(blocked[0]).sum()
+                assert len(norm_rows) > 1 and sum(norm_rows) == len(rows)
                 assert len(first_rows) == first_pass_blocks
                 assert sum(first_rows) == len(rows)
                 with monkeypatch.context() as patch:
@@ -1020,8 +1062,8 @@ class TestSetTables:
         table._contour = [complex(math.nan, math.nan)] * 2
         for coefficients in [ground.coefficients, excited.coefficients, (-1.0, 1.0)]:
             other = replace(ground, coefficients=coefficients)
-            with np.errstate(divide="ignore"):
-                assert wavefunction(other, params).log_norm == solver._level_log_norm(other)
+            expected, _ = TestWavefunction.uncached_log_norm(other, params)
+            assert wavefunction(other, params).log_norm == expected
             assert count_moving_poles(other) == TestMovingPoles.direct_count(other)
         assert wavefunction(ground, params).log_norm == 1e300
 
@@ -1037,6 +1079,39 @@ class TestSetTables:
         with pytest.raises(ContourCollisionError):
             count_moving_poles(bad)
         assert count_moving_poles(good) == 1
+        # A normalisation row with no finite value on its grid.
+        rows = [(-1.5, 0.5, 1.0), (math.nan, 0.5, 1.0)]
+        table = solver._SetTable(np.array(rows), [level.energy] * 2, qes_set, params)
+        good, bad = (replace(level, coefficients=row) for row in rows)
+        for j, member in enumerate((good, bad)):
+            object.__setattr__(member, "_set_table", (table, j))
+        with pytest.raises(InvariantViolationError, match="no finite value"):
+            wavefunction(bad, params)
+        alone = replace(good, coefficients=good.coefficients)
+        assert wavefunction(good, params).log_norm == wavefunction(alone, params).log_norm
+
+    def test_a_row_with_no_finite_value_is_scanned_once(self, monkeypatch):
+        params = PotentialParams(1.0, -4.0, 1.0)
+        level = solve_classification(params, enumerate_qes_sets(2.0))[0]
+        nan_level = replace(level, coefficients=(math.nan, 1.0))
+        scans = self.record_scans(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(InvariantViolationError, match="no finite value"):
+                wavefunction(nan_level, params)
+        assert scans == [(1, 1001)]
+
+    def test_a_widened_level_is_scanned_once(self, monkeypatch):
+        # At V1 = 0.01, lambda = 10 every level's turning point lies past
+        # 5/alpha: each is scanned alone, on a grid of its own, the first
+        # time only.
+        params = PotentialParams(0.01, -2.0, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(10.0))
+        assert len(levels) == 20
+        scans = self.record_scans(monkeypatch)
+        norms = [[wavefunction(level, params).log_norm for level in levels]
+                 for _ in range(3)]
+        assert norms[0] == norms[1] == norms[2]
+        assert len(scans) == 20 and all(rows == 1 and points > 1001 for rows, points in scans)
 
     def test_verify_fills_no_table(self):
         params = PotentialParams(1.0, -4.0, 1.0)
