@@ -3,26 +3,29 @@
 Outputs are deterministic: JSON with sorted keys and all floating-point
 numbers rendered as decimal strings with 12 significant digits; sample emits
 RFC-4180 CSV.  Exit codes: 0 success/pass, 1 verification mismatch,
-2 usage or parameter error, 3 internal failure (a broken invariant, a contour
-collision or a degenerate oracle vector).
+2 usage or parameter error (an --output that cannot be written included),
+3 internal failure (a broken invariant, a contour collision, a degenerate
+oracle vector, or any other exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvariantViolationError, QhjSpectraError
-from .oracle import DEFAULT_TOLERANCE, GridSpec, default_grid, verify_qes
+from .oracle import DEFAULT_TOLERANCE, verify_qes
 from .potential import PotentialParams, Variant, classify_symmetry, evaluate_potential
 from .qhj import (
     QesClassification,
@@ -40,10 +43,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-# Largest verify --N: the oracle's dense sector solves cost time like N^3 and
-# memory like N^2.  The grid rule may still size a grid past it.
-MAX_START_POINTS = 1000
 
 
 class UsageError(QhjSpectraError):
@@ -78,8 +77,11 @@ def _emit(document, output_path: str | None) -> None:
     else:
         text = json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
     if output_path:
-        with open(output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {output_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -134,14 +136,23 @@ def _variant_from(settings) -> Variant:
         raise UsageError(f"unknown variant {tag!r}; expected one of: {valid}")
 
 
+def _require_finite(name: str, value):
+    if not cmath.isfinite(value):
+        raise UsageError(f"{name} = {value!r} overflows float64 at this working point")
+    return value
+
+
 def _v1_alpha(settings, default=None) -> tuple[float, float]:
-    """V1 and alpha from the settings, both finite and positive."""
+    """Positive V1 and alpha, with sqrt(V1) alpha > 0 and s = sqrt(V1)/alpha finite."""
     v1 = _require_number(settings, "v1", default)
     alpha = _require_number(settings, "alpha", default)
     if v1 <= 0.0:
         raise UsageError("v1 must be positive")
     if alpha <= 0.0:
         raise UsageError("alpha must be positive")
+    if math.sqrt(v1) * alpha == 0.0:
+        raise UsageError("sqrt(V1) alpha underflows to 0 at this working point")
+    _require_finite("s = sqrt(V1)/alpha", math.sqrt(v1) / alpha)
     return v1, alpha
 
 
@@ -154,8 +165,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
     chosen = [settings.get(name) is not None for name in ("v2", "set", "lambda")]
     if sum(chosen) != 1:
         raise UsageError(
-            "exactly one of --v2, --set/--n, --lambda must select the "
-            "working point"
+            "exactly one of --v2, --set/--n, --lambda must select the working point"
         )
 
     if settings.get("set") is not None:
@@ -168,7 +178,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
             raise UsageError(f"--n must be nonnegative, got {n}")
         b1, b1p = SET_RESIDUES[set_index]
         qes_set = QesSet(set_index=set_index, b1=b1, b1_prime=b1p, n=n)
-        target_v2 = qes_target_v2(qes_set, v1, alpha)
+        target_v2 = _require_finite("V2", qes_target_v2(qes_set, v1, alpha))
         params = PotentialParams(v1=v1, v2=target_v2, alpha=alpha)
         return params, QesClassification(lam=qes_set.lam, sets=(qes_set,))
 
@@ -177,44 +187,17 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         classification = enumerate_qes_sets(lam)
         if not classification.sets:
             raise UsageError(f"no admissible QES sets for lambda = {lam!r}")
-        params = PotentialParams(
-            v1=v1, v2=-2.0 * math.sqrt(v1) * alpha * lam, alpha=alpha
-        )
-        return params, classification
+        v2 = _require_finite("V2", -2.0 * math.sqrt(v1) * alpha * lam)
+        return PotentialParams(v1=v1, v2=v2, alpha=alpha), classification
 
     params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
-    lam = infinity_analysis(params).lam
+    lam = _require_finite("lambda", infinity_analysis(params).lam)
     classification = enumerate_qes_sets(lam)
     if not classification.sets:
         raise UsageError(
             f"no admissible QES sets at V2 = {params.v2!r} (lambda = {lam!r})"
         )
     return params, classification
-
-
-def _grid_from(settings, params):
-    grid = default_grid(params)
-    try:
-        grid = GridSpec(
-            half_width_L=_require_number(settings, "L", grid.half_width_L),
-            point_count_N=_require_whole(settings, "N", grid.point_count_N),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if settings.get("N") is not None and grid.point_count_N > MAX_START_POINTS:
-        raise UsageError(
-            f"--N must be at most {MAX_START_POINTS}, got {grid.point_count_N}: "
-            "the dense sector solves cost time like N^3 and memory like N^2"
-        )
-    # Far out, v1 sinh^2 + v2 cosh can be inf + -inf: ignore both warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        wall = evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.half_width_L)
-    if not math.isfinite(wall.real):
-        raise UsageError(
-            f"--L = {grid.half_width_L!r} is too far out: the potential "
-            "V(L) overflows float64"
-        )
-    return grid
 
 
 def _set_payload(qes_set: QesSet) -> dict:
@@ -255,6 +238,7 @@ def cmd_classify(settings) -> tuple[int, dict]:
     v1, alpha = _v1_alpha(settings)
     params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
     report = classify_symmetry(params, variant)
+    _require_finite("lambda", report.lambda_value)
     document = {
         "command": "classify",
         "parameters": {**asdict(params), "variant": variant.value},
@@ -277,9 +261,7 @@ def cmd_classify(settings) -> tuple[int, dict]:
         }
     else:
         document["classification"] = {
-            "lambda": report.lambda_value,
-            "total_levels": 0,
-            "sets": [],
+            "lambda": report.lambda_value, "total_levels": 0, "sets": []
         }
     return EXIT_OK, document
 
@@ -301,8 +283,6 @@ def cmd_verify(settings) -> tuple[int, dict]:
     tolerance = _require_number(settings, "tol", DEFAULT_TOLERANCE)
     if tolerance <= 0.0:
         raise UsageError("tolerance must be positive")
-    grid = _grid_from(settings, params)
-
     document = {
         "command": "verify",
         "parameters": asdict(params),
@@ -328,22 +308,9 @@ def cmd_verify(settings) -> tuple[int, dict]:
             f"{printed} against the oracle"
         )
 
-    try:
-        report = verify_qes(
-            params,
-            classification,
-            tolerance=tolerance,
-            grid=grid,
-            analytic_levels=analytic_levels,
-        )
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        # Apart from LAPACK failures, only the oracle's check that the
-        # starting grid holds the block's sector eigenvalues raises ValueError
-        # here.
-        raise UsageError(f"--N is too small for this working point: {exc}") from exc
-
+    report = verify_qes(
+        params, classification, tolerance=tolerance, analytic_levels=analytic_levels
+    )
     document.update(
         tolerance=tolerance,
         grid={"L": report.grid.half_width_L, "N": report.grid.point_count_N},
@@ -369,7 +336,7 @@ def cmd_sample(settings) -> tuple[int, str]:
     if not x_min < x_max:
         raise UsageError("--x-min must be below --x-max")
     x = np.linspace(x_min, x_max, points)
-    # As in _grid_from; V1 > 0, so where the sum is inf + -inf, V is +inf.
+    # V1 > 0, so where V1 sinh^2 + V2 cosh is inf + -inf, V is +inf.
     with np.errstate(over="ignore", invalid="ignore"):
         v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
     v[np.isnan(v)] = np.inf
@@ -436,23 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_working_point(p)
     p.add_argument("--tol", default=None)
     p.add_argument(
-        "--L", default=None,
-        help=(
-            "override the wall position: each parity sector is solved on "
-            "(0, L); a wall past the default one is trimmed to it"
-        ),
-    )
-    p.add_argument(
-        "--N", default=None,
-        help=(
-            "override the starting cell-centred points on (0, L) per sector "
-            "(h = L/N) of the grid-sizing rule"
-        ),
-    )
-    p.add_argument(
-        "--assert-paper-table-3.3",
-        dest="assert_paper_table_33",
-        action="store_true",
+        "--assert-paper-table-3.3", dest="assert_paper_table_33", action="store_true",
         default=None,
         help="assert the published Table 3.3 set-4 energy instead (expected to fail)",
     )
@@ -484,11 +435,15 @@ def main(argv=None) -> int:
     try:
         settings = _settings(args)
         code, document = COMMANDS[args.command](settings)
+        _emit(document, settings.get("output"))
     except QhjSpectraError as exc:
         kind = "usage" if isinstance(exc, UsageError) else type(exc).__name__
         _emit({"error": {"type": kind, "message": str(exc)}}, None)
         return EXIT_INTERNAL if isinstance(exc, InvariantViolationError) else EXIT_USAGE
-    _emit(document, settings.get("output"))
+    except Exception as exc:
+        traceback.print_exc()
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, None)
+        return EXIT_INTERNAL
     return code
 
 

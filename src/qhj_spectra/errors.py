@@ -18,7 +18,8 @@ class ComplexResidueError(QhjSpectraError):
 
 
 class InadmissibleParametersError(QhjSpectraError):
-    """Parameters violate the QES admissibility condition for a chosen set."""
+    """Parameters violate the QES admissibility condition for a chosen set,
+    or put V beyond float64 at the oracle's wall."""
 
 
 class InvariantViolationError(QhjSpectraError):

@@ -26,7 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVectorError, InvariantViolationError
+from .errors import (
+    DegenerateVectorError,
+    InadmissibleParametersError,
+    InvariantViolationError,
+)
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import QesClassification, infinity_analysis
 from .solver import QesLevel, _row_sign_changes, solve_classification
@@ -252,7 +256,6 @@ def _resolved_spectrum(
     unresolved grid may break them; that checked solve is the coarse
     spectrum.
     """
-    _require_points(start, k)
     grid = start
     while True:
         potential = _potential_on(params, grid)
@@ -267,28 +270,32 @@ def verify_qes(
     params: PotentialParams,
     classification: QesClassification,
     tolerance: float = DEFAULT_TOLERANCE,
-    grid: GridSpec | None = None,
     analytic_levels: list[QesLevel] | None = None,
 ) -> VerificationReport:
     """Adjudicate every analytic level against the two-grid sector oracle.
 
-    grid gives the wall and the sizing rule's starting N (default_grid when
-    None); a wall past default_grid's is trimmed to it, since dense eigh's
-    absolute error grows with max V.  Level j of a set (energy order) is
+    Every set's sizing rule starts from default_grid(params), whose wall is
+    past the tail of every QES level.  Level j of a set (energy order) is
     compared with eigenvalue j of the sector of the set's parity.
     analytic_levels overrides the solved levels (used to demonstrate that a
     published value fails the match).  A level farther than tolerance from
-    its sector eigenvalue fails overall_pass.  Raises ValueError when the
-    starting N is below a set's sector eigenvalue count.
+    its sector eigenvalue fails overall_pass.  Raises
+    InadmissibleParametersError, before anything is solved, when V at the
+    wall is beyond float64.
     """
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
+    start = default_grid(params)
+    # Far out, v1 sinh^2 + v2 cosh can be inf + -inf: ignore both warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        wall = evaluate_potential(params, Variant.REAL_SINH_GORDON, start.half_width_L)
+    if not math.isfinite(wall.real):
+        raise InadmissibleParametersError(
+            f"V overflows float64 at the oracle's wall L = {start.half_width_L!r}, "
+            "where the QES levels' tails fall below exp(-40)"
+        )
     if analytic_levels is None:
         analytic_levels = solve_classification(params, classification)
-    tail = default_grid(params)
-    if grid is None:
-        grid = tail
-    start = GridSpec(min(grid.half_width_L, tail.half_width_L), grid.point_count_N)
 
     rows: dict[int, LevelComparison] = {}
     unmatched: list[float] = []

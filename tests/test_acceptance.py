@@ -17,7 +17,6 @@ from qhj_spectra import (
     Variant,
     classify_symmetry,
     count_moving_poles,
-    default_grid,
     enumerate_qes_sets,
     evaluate_potential,
     fixed_pole_analysis,
@@ -53,9 +52,7 @@ def verified():
         params = PotentialParams(1.0, -2.0 * lam, 1.0)
         classification = enumerate_qes_sets(lam)
         start = time.perf_counter()
-        result = verify_qes(
-            params, classification, tolerance=1e-6, grid=default_grid(params)
-        )
+        result = verify_qes(params, classification, tolerance=1e-6)
         elapsed = time.perf_counter() - start
         levels = solve_classification(params, classification)
         results[lam] = (params, levels, result, elapsed)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -37,6 +38,16 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_module(*argv):
+    """Run the CLI in a fresh interpreter, as `python -m qhj_spectra.cli`."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "qhj_spectra.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestClassify:
@@ -145,7 +156,7 @@ class TestVerify:
     def test_lambda_one_passes(self, capsys, schema):
         code, doc = run_json(
             capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1",
-            "--tol", "1e-4", "--N", "60",
+            "--tol", "1e-4",
         )
         assert code == 0
         jsonschema.validate(doc, schema)
@@ -164,49 +175,10 @@ class TestVerify:
         assert all(float(row["abs_gap"]) <= 1e-10 for row in doc["levels"])
         assert float(doc["max_self_gap"]) <= 1e-10
 
-    def test_starting_points_at_the_floor(self, capsys, schema):
-        # --N starts the grid rule, which needs N >= k = n + 3 = 3 per sector
-        # at lambda = 1 and grows N until the sector is resolved.
-        code, doc = run_json(
-            capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1",
-            "--N", "3", "--L", "20",
-        )
-        assert code == 0
-        jsonschema.validate(doc, schema)
-        assert float(doc["max_self_gap"]) <= 1e-10
-        assert doc["grid"]["N"] > 3
-        # The far wall is trimmed to the default one.
-        assert float(doc["grid"]["L"]) < 5.0
-
-    def test_starting_points_above_the_bound(self, capsys, schema, monkeypatch):
-        # The dense solves cost N^3 time and N^2 memory, so --N above 1000 is
-        # refused before any solve; --N 1000 itself reaches the oracle.
-        grids = []
-
-        def recording_verify(params, classification, grid, **kwargs):
-            grids.append(grid.point_count_N)
-            raise InvariantViolationError("stop before solving")
-
-        monkeypatch.setattr(cli, "verify_qes", recording_verify)
-        for n, expected in (("1001", 2), ("100000", 2), ("1000", 3)):
-            code = main(
-                ["verify", "--v1", "1", "--alpha", "1", "--lambda", "1", "--N", n]
-            )
-            captured = capsys.readouterr()
-            assert code == expected
-            assert captured.err == ""
-            doc = json.loads(captured.out)
-            jsonschema.validate(doc, schema)
-            if expected == 2:
-                assert doc["error"]["type"] == "usage"
-                assert "at most 1000" in doc["error"]["message"]
-                assert "N^3" in doc["error"]["message"]
-        assert grids == [1000]
-
     def test_assert_paper_table_exits_one(self, capsys, schema):
         code, doc = run_json(
             capsys, "verify", "--v1", "1", "--alpha", "1", "--lambda", "1",
-            "--N", "60", "--assert-paper-table-3.3",
+            "--assert-paper-table-3.3",
         )
         assert code == 1
         jsonschema.validate(doc, schema)
@@ -287,12 +259,9 @@ class TestSample:
         # From x = 748.75 on both sinh^2 and cosh overflow, so V1 sinh^2 +
         # V2 cosh is inf + -inf; with V1 > 0, V tends to +inf.  A fresh
         # process shows what numpy would print on stderr.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        result = subprocess.run(
-            [sys.executable, "-m", "qhj_spectra.cli", "sample", "--v1", "1",
-             "--alpha", "1", "--lambda", "1", "--x-max", "1000", "--points", "5"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+        result = run_module(
+            "sample", "--v1", "1", "--alpha", "1", "--lambda", "1",
+            "--x-max", "1000", "--points", "5",
         )
         assert result.returncode == 0
         assert result.stderr == ""
@@ -358,34 +327,25 @@ class TestExitCodes:
             (["solve", "--lambda", "nan"], None),
             (["solve", "--lambda", "inf"], None),
             (["solve", "--v2", "nan"], None),
-            (["verify", "--lambda", "1", "--L", "-1"], None),
-            # Each sector needs N >= k = n + 3 from the start of the grid rule.
-            (["verify", "--lambda", "1", "--N", "2"], None),
             (["verify", "--lambda", "1", "--tol", "nan"], None),
-            (["verify", "--lambda", "20.5", "--N", "22"], None),
             (["solve"], {"set": "x", "n": 0}),
             (["solve"], {"set": 1, "n": 0.5}),
             # Flag values go through the same checks as config values.
             (["solve", "--v2", "abc"], None),
             (["solve", "--set", "1", "--n", "1.5"], None),
             (["classify", "--variant", "bogus"], None),
-            (["verify", "--lambda", "1", "--N", "2e3x"], None),
             (["sample", "--lambda", "1", "--points", "x"], None),
         ],
         ids=[
             "lambda-nan",
             "lambda-inf",
             "v2-nan",
-            "L-negative",
-            "N-small",
             "tol-nan",
-            "N-below-block",
             "config-set-x",
             "config-n-fraction",
             "flag-v2-abc",
             "flag-n-fraction",
             "flag-variant-bogus",
-            "flag-N-garbled",
             "flag-points-x",
         ],
     )
@@ -426,35 +386,97 @@ class TestExitCodes:
             "error": {"type": error.__name__, "message": "injected failure"}
         }
 
-    def test_wall_beyond_float64_is_usage_error(self, capsys, schema):
-        code = main(
-            ["verify", "--v1", "1", "--alpha", "1", "--lambda", "1", "--L", "400"]
-        )
+    def test_wall_beyond_float64_is_inadmissible(self, schema):
+        # At V1 = 1e307 the oracle's tail wall sits where V1 sinh^2 overflows;
+        # a fresh process shows what numpy would print on stderr.
+        result = run_module("verify", "--v1", "1e307", "--alpha", "1", "--lambda", "1")
+        assert result.returncode == 2
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "InadmissibleParametersError"
+        assert "wall L = 2.99" in doc["error"]["message"]
+        assert "--" not in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # s = sqrt(V1)/alpha is inf.
+            ["solve", "--v1", "1", "--alpha", "1e-320", "--lambda", "1.5"],
+            # 2 sqrt(V1) alpha underflows to 0.
+            ["solve", "--v1", "1e-300", "--v2=-1e300", "--alpha", "1e-300"],
+            ["classify", "--v1", "1e-300", "--v2=-1e300", "--alpha", "1e-300"],
+            # The derived V2 is -inf.
+            ["solve", "--v1", "1e300", "--alpha", "1e300", "--lambda", "1.5"],
+            # The derived lambda is inf.
+            ["classify", "--v1", "1", "--v2", "-3", "--alpha", "1e-320"],
+            ["classify", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"],
+            ["solve", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"],
+            ["solve", "--v1", "1e300", "--alpha", "1", "--set", "1", "--n", "1e300"],
+        ],
+        ids=[
+            "s-inf",
+            "solve-denominator-zero",
+            "classify-denominator-zero",
+            "v2-inf",
+            "classify-s-inf",
+            "classify-lambda-inf",
+            "solve-lambda-inf",
+            "set-v2-inf",
+        ],
+    )
+    def test_derived_numbers_beyond_float64_are_usage_errors(
+        self, capsys, schema, argv
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == ""
         doc = json.loads(captured.out)
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "usage"
-        assert "--L = 400.0" in doc["error"]["message"]
-        assert "V(L) overflows float64" in doc["error"]["message"]
 
-    def test_wall_at_inf_minus_inf_leaves_stderr_empty(self, schema):
-        # At L = 1000 both sinh^2 and cosh overflow, so V(L) = inf + -inf; a
-        # fresh process shows what numpy would print on stderr.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        result = subprocess.run(
-            [sys.executable, "-m", "qhj_spectra.cli", "verify", "--v1", "1",
-             "--alpha", "1", "--lambda", "1", "--L", "1000"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+    def test_unwritable_output_is_usage_error(self, capsys, schema, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, doc = run_json(
+            capsys, "solve", "--v1", "1", "--alpha", "1", "--lambda", "1",
+            "--output", str(target),
         )
-        assert result.returncode == 2
-        assert result.stderr == ""
-        doc = json.loads(result.stdout)
+        assert code == 2
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "usage"
-        assert "--L = 1000.0 is too far out" in doc["error"]["message"]
+        assert "cannot write output file" in doc["error"]["message"]
+        assert not target.exists()
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, MemoryError])
+    def test_other_exceptions_exit_three(self, capsys, schema, monkeypatch, error):
+        def failing_verify(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "verify_qes", failing_verify)
+        code = main(["verify", "--v1", "1", "--alpha", "1", "--lambda", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, schema)
+        assert doc == {
+            "error": {"type": error.__name__, "message": "injected failure"}
+        }
+        assert captured.err.startswith("Traceback")
+        assert f"{error.__name__}: injected failure" in captured.err
+
+    def test_grid_beyond_numpy_is_internal_failure(self, capsys, schema):
+        # At s = 1e160 the grid rule asks for ~1e161 points, which numpy
+        # refuses before allocating anything.
+        code = main(["verify", "--v1", "1e300", "--alpha", "1e-10", "--lambda", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "ValueError"
+        assert "ValueError" in captured.err
 
     def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
         # lambda = 40 (n = 39, 38): eigh's eigenvector loses the signs of its
@@ -469,13 +491,7 @@ class TestExitCodes:
         assert doc["error"]["type"] == "InvariantViolationError"
 
     def test_module_entry_point(self, schema):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        result = subprocess.run(
-            [sys.executable, "-m", "qhj_spectra.cli", "classify",
-             "--v1", "1", "--v2", "-3", "--alpha", "1"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        result = run_module("classify", "--v1", "1", "--v2", "-3", "--alpha", "1")
         assert result.returncode == 0
         jsonschema.validate(json.loads(result.stdout), schema)
 

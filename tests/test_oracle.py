@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from qhj_spectra import (
     DegenerateVectorError,
     GridSpec,
+    InadmissibleParametersError,
     PotentialParams,
     default_grid,
     enumerate_qes_sets,
@@ -43,17 +45,8 @@ class TestGridSpec:
         assert np.allclose(np.diff(mirrored), grid.step)
 
     def test_too_few_points_rejected(self):
-        # A grid needs a point; verify_qes needs N >= k = n + 3 per sector
-        # from the start of its sizing rule (lambda = 1.5: set 1, n = 1).
         with pytest.raises(ValueError, match="at least 1"):
             GridSpec(half_width_L=3.0, point_count_N=0)
-        params = PotentialParams(1.0, -3.0, 1.0)
-        with pytest.raises(ValueError, match="need N >= 4 grid points, got N = 3"):
-            verify_qes(params, enumerate_qes_sets(1.5), grid=quick_grid(params, n=3))
-        report = verify_qes(
-            params, enumerate_qes_sets(1.5), grid=quick_grid(params, n=4)
-        )
-        assert report.overall_pass
 
     @pytest.mark.parametrize("big_l", [math.nan, math.inf])
     def test_non_finite_half_width_rejected(self, big_l):
@@ -289,25 +282,11 @@ class TestLowestEigenvalues:
             )
             assert spectrum.eigenvalues[0] == pytest.approx(-1.0, abs=1e-10)
 
-    def test_far_wall_keeps_low_eigenvalues_sharp(self):
-        # At L = 20, V(L) ~ 6e16, and dense eigh's absolute error eps max|V|
-        # would swamp the lowest eigenvalues: verify_qes trims the wall to
-        # the tail wall of default_grid.
-        params = PotentialParams(1.0, -2.0, 1.0)
-        grid = GridSpec(20.0, default_grid(params).point_count_N)
-        report = verify_qes(params, enumerate_qes_sets(1.0), grid=grid)
-        assert report.overall_pass
-        assert max(r.abs_gap for r in report.rows) < 1e-10
-        assert report.grid.half_width_L == default_grid(params).half_width_L
-
 
 class TestVerify:
     def test_lambda_one_passes(self):
         params = PotentialParams(1.0, -2.0, 1.0)
-        report = verify_qes(
-            params, enumerate_qes_sets(1.0), tolerance=1e-4,
-            grid=quick_grid(params),
-        )
+        report = verify_qes(params, enumerate_qes_sets(1.0), tolerance=1e-4)
         assert report.overall_pass
         assert [r.energy_analytic for r in report.rows] == [-1.25, 0.75]
         assert [r.node_count_oracle for r in report.rows] == [0, 1]
@@ -316,20 +295,14 @@ class TestVerify:
 
     def test_lambda_three_halves_passes(self):
         params = PotentialParams(1.0, -3.0, 1.0)
-        report = verify_qes(
-            params, enumerate_qes_sets(1.5), tolerance=1e-4,
-            grid=quick_grid(params),
-        )
+        report = verify_qes(params, enumerate_qes_sets(1.5), tolerance=1e-4)
         assert report.overall_pass
         assert [r.node_count_oracle for r in report.rows] == [0, 1, 2]
         assert len(report.unmatched_oracle) > 0  # non-QES levels above the block
 
     def test_unmatched_levels_lie_above_qes_block(self):
         params = PotentialParams(1.0, -3.0, 1.0)
-        report = verify_qes(
-            params, enumerate_qes_sets(1.5), tolerance=1e-4,
-            grid=quick_grid(params),
-        )
+        report = verify_qes(params, enumerate_qes_sets(1.5), tolerance=1e-4)
         top_qes = max(r.energy_analytic for r in report.rows)
         assert all(e > top_qes for e in report.unmatched_oracle)
 
@@ -347,10 +320,7 @@ class TestVerify:
                 return getattr(self._level, name)
 
         fake = [Shifted(levels[0], -1.7), levels[1]]
-        report = verify_qes(
-            params, classification, tolerance=1e-4,
-            grid=quick_grid(params), analytic_levels=fake,
-        )
+        report = verify_qes(params, classification, tolerance=1e-4, analytic_levels=fake)
         assert not report.overall_pass
         # Set 3's even sector has its lowest eigenvalue at -1.25.
         assert report.rows[0].abs_gap == pytest.approx(0.45, abs=1e-4)
@@ -372,10 +342,7 @@ class TestVerify:
         # Set 4's level moved onto set 3's energy: its odd sector has no
         # eigenvalue there.
         fake = [levels[0], Shifted(levels[1], levels[0].energy)]
-        report = verify_qes(
-            params, classification, tolerance=1e-4,
-            grid=quick_grid(params), analytic_levels=fake,
-        )
+        report = verify_qes(params, classification, tolerance=1e-4, analytic_levels=fake)
         assert not report.overall_pass
         assert report.rows[0].abs_gap <= 1e-4
         # The odd sector's lowest eigenvalue is 0.75, two above -1.25.
@@ -417,17 +384,39 @@ class TestVerify:
         assert len(classification.sets) == 2
         assert calls == [("eigh", 60), ("eigh", 90)] * 2
 
-    def test_resized_start_grid_passes(self):
-        # A 23-point start is too coarse for lambda = 20.5 at s = 1: the rule
-        # grows it (to N2 = 978, where the default start ends at 209), and
-        # the checked solve on the grid that resolves is the coarse one.
+    def test_resized_start_grid_passes(self, monkeypatch):
+        # The default 69-point start is too coarse for lambda = 20.5 at s = 1:
+        # the rule grows it, the checked solve on the grid that resolves is
+        # the coarse one, and the fine grid has 1.5 times its points.
         params = PotentialParams(1.0, -41.0, 1.0)
-        start = GridSpec(default_grid(params).half_width_L, 23)
-        report = verify_qes(params, enumerate_qes_sets(20.5), grid=start)
+        classification = enumerate_qes_sets(20.5)
+        levels = solve_classification(params, classification)
+        sizes = []
+        original = np.linalg.eigh
+
+        def recorded(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        report = verify_qes(params, classification, analytic_levels=levels)
         assert report.overall_pass
         assert report.max_self_gap <= 1e-10
-        assert report.grid.point_count_N == 978
-        assert verify_qes(params, enumerate_qes_sets(20.5)).grid.point_count_N == 209
+        assert report.grid.point_count_N == 209
+        # Per set: the start, one resized grid that resolves, its finer grid.
+        assert len(sizes) == 6
+        for start, coarse, fine in (sizes[:3], sizes[3:]):
+            assert start == 69 < coarse
+            assert fine == math.ceil(1.5 * coarse)
+
+    def test_wall_beyond_float64_is_inadmissible(self):
+        # At V1 = 1e307 the tail wall is at y = cosh(alpha L) = 10, where
+        # V1 sinh^2 already overflows: nothing is solved.
+        params = PotentialParams(1e307, -2.0 * math.sqrt(1e307), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InadmissibleParametersError, match="wall L = 2.99"):
+                verify_qes(params, enumerate_qes_sets(1.0))
 
     def test_empty_classification_rejected(self):
         params = PotentialParams(1.0, -1.4, 1.0)
