@@ -386,17 +386,29 @@ class TestExitCodes:
             "error": {"type": error.__name__, "message": "injected failure"}
         }
 
-    def test_wall_beyond_float64_is_inadmissible(self, schema):
-        # At V1 = 1e307 the oracle's tail wall sits where V1 sinh^2 overflows;
-        # a fresh process shows what numpy would print on stderr.
-        result = run_module("verify", "--v1", "1e307", "--alpha", "1", "--lambda", "1")
+    def test_wall_beyond_float64_is_usage_error(self, capsys, schema):
+        # At V1 = 1e307 the oracle's tail wall sits where V1 sinh^2 overflows.
+        code = main(["verify", "--v1", "1e307", "--alpha", "1", "--lambda", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "InadmissibleParametersError"
+        assert "wall L = 2.99" in doc["error"]["message"]
+        assert "--" not in doc["error"]["message"]
+
+    def test_wall_at_inf_minus_inf_leaves_stderr_empty(self, schema):
+        # At alpha = 1e160 the wall sits at alpha L = 375, where V1 sinh^2 and
+        # V2 cosh both overflow, so V(L) = inf + -inf; a fresh process shows
+        # what numpy would print on stderr.
+        result = run_module("verify", "--v1", "1", "--alpha", "1e160", "--lambda", "1")
         assert result.returncode == 2
         assert result.stderr == ""
         doc = json.loads(result.stdout)
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "InadmissibleParametersError"
-        assert "wall L = 2.99" in doc["error"]["message"]
-        assert "--" not in doc["error"]["message"]
+        assert "wall L = 3.75" in doc["error"]["message"]
 
     @pytest.mark.parametrize(
         "argv",
