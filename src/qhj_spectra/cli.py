@@ -35,7 +35,13 @@ from .qhj import (
     infinity_analysis,
     qes_target_v2,
 )
-from .solver import reproduce_paper_tables, sample_wavefunction, solve_classification
+from .solver import (
+    MAX_BLOCK_N,
+    PRINTED_ENERGIES,
+    reproduce_paper_tables,
+    sample_wavefunction,
+    solve_classification,
+)
 
 CONFIG_ENV_VAR = "QHJ_SPECTRA_CONFIG"
 
@@ -180,22 +186,26 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         qes_set = QesSet(set_index=set_index, b1=b1, b1_prime=b1p, n=n)
         target_v2 = _require_finite("V2", qes_target_v2(qes_set, v1, alpha))
         params = PotentialParams(v1=v1, v2=target_v2, alpha=alpha)
-        return params, QesClassification(lam=qes_set.lam, sets=(qes_set,))
-
-    if settings.get("lambda") is not None:
+        classification = QesClassification(lam=qes_set.lam, sets=(qes_set,))
+    elif settings.get("lambda") is not None:
         lam = _require_number(settings, "lambda")
         classification = enumerate_qes_sets(lam)
         if not classification.sets:
             raise UsageError(f"no admissible QES sets for lambda = {lam!r}")
         v2 = _require_finite("V2", -2.0 * math.sqrt(v1) * alpha * lam)
-        return PotentialParams(v1=v1, v2=v2, alpha=alpha), classification
-
-    params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
-    lam = _require_finite("lambda", infinity_analysis(params).lam)
-    classification = enumerate_qes_sets(lam)
-    if not classification.sets:
+        params = PotentialParams(v1=v1, v2=v2, alpha=alpha)
+    else:
+        params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
+        lam = _require_finite("lambda", infinity_analysis(params).lam)
+        classification = enumerate_qes_sets(lam)
+        if not classification.sets:
+            raise UsageError(
+                f"no admissible QES sets at V2 = {params.v2!r} (lambda = {lam!r})"
+            )
+    n = max(qes_set.n for qes_set in classification.sets)
+    if n > MAX_BLOCK_N:
         raise UsageError(
-            f"no admissible QES sets at V2 = {params.v2!r} (lambda = {lam!r})"
+            f"this working point needs n = {n:g}; the dense pencil supports n <= {MAX_BLOCK_N}"
         )
     return params, classification
 
@@ -225,8 +235,6 @@ def _solve_payload(params: PotentialParams, classification: QesClassification):
                 "p2": level.qes_set.p2,
                 "C": -level.params.s,
                 "alpha": level.params.alpha,
-                "coefficients": list(level.coefficients),
-                "parity": level.parity,
             },
         }
         for level in solve_classification(params, classification)
@@ -243,7 +251,6 @@ def cmd_classify(settings) -> tuple[int, dict]:
         "command": "classify",
         "parameters": {**asdict(params), "variant": variant.value},
         "symmetry": {
-            "variant": variant.value,
             "pt_symmetric": report.pt_symmetric,
             "lambda": report.lambda_value,
             "lambda_candidates": list(report.lambda_candidates),
@@ -298,7 +305,8 @@ def cmd_verify(settings) -> tuple[int, dict]:
                 "--assert-paper-table-3.3 needs a working point containing "
                 "set 4 (integer lambda)"
             )
-        printed = -(params.alpha**2) / 4.0 - params.alpha * math.sqrt(params.v1)
+        _, published = PRINTED_ENERGIES["3.3", 4]
+        printed = published(params.alpha, math.sqrt(params.v1))
         analytic_levels = [
             replace(level, energy=printed) if level.qes_set.set_index == 4 else level
             for level in levels
@@ -366,13 +374,13 @@ def cmd_table(settings) -> tuple[int, dict]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v1", default=None)
-    parser.add_argument("--v2", default=None)
     parser.add_argument("--alpha", default=None)
     parser.add_argument("--config", default=None, help="JSON config file; flags win")
     parser.add_argument("--output", default=None, help="write output here instead of stdout")
 
 
 def _add_working_point(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--v2", default=None)
     parser.add_argument("--set", dest="set", default=None)
     parser.add_argument("--n", dest="n", default=None)
     parser.add_argument("--lambda", dest="lambda", default=None)
@@ -390,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="PT classification and admissible QES sets")
     _add_common(p)
+    p.add_argument("--v2", default=None)
     p.add_argument(
         "--variant", default=None, help="one of: " + ", ".join(v.value for v in Variant)
     )

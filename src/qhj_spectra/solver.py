@@ -29,11 +29,11 @@ each filled for the whole set (in blocks of bounded size) on first use and
 kept: log_norm, from one scan of the shared |x| <= 5/alpha grid, and once
 alone on a grid of its own for a row whose turning point lies farther out;
 contour_value, from passes each over the rows not yet converged; and
-closed_form, one evaluation per block of rows at the x asked for, kept (if
-it has more than one row) until another x or block is asked for.  That pays
-when a set's levels are evaluated one after another at one x, as sample
-does; a caller that evaluates one level of a set, or each level at its own
-x, pays for its whole block every time.  Each row has the bits it would
+closed_form, one evaluation per block of rows at the x asked for, kept
+until each of its rows has been read or another x or block is asked for.
+That pays when a set's levels are evaluated one after another at one x, as
+sample does; a caller that evaluates one level of a set, or each level at
+its own x, pays for its whole block every time.  Each row has the bits it would
 have alone, and a row's error is raised only for its own level.  A level
 built any other way (by hand, or by dataclasses.replace) gets a table of
 its own.
@@ -63,6 +63,8 @@ _CONTOUR_HALF_HEIGHT = 1.5
 _CONTOUR_TOLERANCE = 1e-9
 _CONTOUR_MIN_NODES = 64
 _CONTOUR_MAX_NODES = 2**16
+# The largest block degree n: a 501 x 501 float64 pencil is 2 MB.
+MAX_BLOCK_N = 500
 # Rows x points one block of a set scan evaluates at a time.
 _BLOCK_ENTRIES = 2**14
 _LN2 = math.log(2.0)
@@ -104,7 +106,12 @@ class ClosedFormWavefunction:
 
 
 def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
-    """Assemble H for one set; params must satisfy the set's QES condition."""
+    """Assemble H for one set of n <= MAX_BLOCK_N; params must satisfy its QES condition."""
+    if qes_set.n > MAX_BLOCK_N:
+        raise InadmissibleParametersError(
+            f"set {qes_set.set_index} has n = {qes_set.n}; the dense pencil "
+            f"supports n <= {MAX_BLOCK_N}"
+        )
     target = qes_target_v2(qes_set, params.v1, params.alpha)
     if abs(params.v2 - target) > 1e-9 * max(1.0, abs(target)):
         raise InadmissibleParametersError(
@@ -493,11 +500,12 @@ class _SetTable:
         The row's block of rows is evaluated in one pass: the x-only terms
         once, z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 (free of
         cancellation) and its logs, then Horner over the block's columns;
-        the odd-parity sign rides on sinh(alpha x / 2).  Only the last block
-        of more than one row is kept, read-only, with a private copy of the
-        x it was evaluated at, and the set's other levels read their rows
-        from it while x is unchanged bit for bit.  Only a checked x is kept,
-        so a hit needs no check.  Callers ignore divide, over and invalid.
+        the odd-parity sign rides on sinh(alpha x / 2).  The last block is
+        kept, read-only, with a private copy of the x it was evaluated at,
+        until each of its rows has been read; the set's other levels read
+        their rows from it while x is unchanged bit for bit.  Only a checked
+        x is kept, so a hit needs no check.  Callers ignore divide, over and
+        invalid.
         """
         block = self._block
         if block is None or not (block[0].start <= row < block[0].stop
@@ -515,11 +523,13 @@ class _SetTable:
                 sign *= np.sign(sh)
             log_abs.setflags(write=False)
             sign.setflags(write=False)
-            # No other level reads a block of one row: it is not kept.
-            keep = len(log_abs) > 1
-            block = (rows, (x.shape, x.tobytes()) if keep else None, log_abs, sign)
-            self._block = block if keep else None
-        rows, _, log_abs, sign = block
+            unread = set(range(rows.start, rows.start + len(log_abs)))
+            # A block of one row is never kept, so x is not copied for it.
+            key = (x.shape, x.tobytes()) if len(unread) > 1 else None
+            block = (rows, key, log_abs, sign, unread)
+        rows, _, log_abs, sign, unread = block
+        unread.discard(row)
+        self._block = block if unread else None
         return log_abs[row - rows.start], sign[row - rows.start]
 
     def log_norm(self, row: int) -> float:
@@ -646,15 +656,15 @@ def count_moving_poles(level: QesLevel) -> int:
     return int(count)
 
 
-# Published energy rows: (table, set, n, printed closed form in alpha and
-# sqrt(V1)).  Each set's n fixes V2 = -2 sqrt(V1) alpha (b1 + b1' + n).
-_PRINTED_ENERGIES = (
-    ("3.2", 1, 1, lambda alpha, root: -(alpha**2) / 4.0 + alpha * root),
-    ("3.2", 2, 0, lambda alpha, root: -(alpha**2)),
-    ("3.3", 3, 0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
+# Published energy rows, by (table, set): n and the printed closed form in
+# alpha and sqrt(V1).  Each set's n fixes V2 = -2 sqrt(V1) alpha (b1 + b1' + n).
+PRINTED_ENERGIES = {
+    ("3.2", 1): (1, lambda alpha, root: -(alpha**2) / 4.0 + alpha * root),
+    ("3.2", 2): (0, lambda alpha, root: -(alpha**2)),
+    ("3.3", 3): (0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
     # The published set-4 row duplicates the set-3 value.
-    ("3.3", 4, 0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
-)
+    ("3.3", 4): (0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
+}
 
 # Published wavefunction rows, adjudicated structurally; each table's rows
 # follow its energy rows.
@@ -745,7 +755,7 @@ def reproduce_paper_tables(v1: float, alpha: float) -> dict:
     for table in ("3.2", "3.3"):
         rows += [
             _energy_row(table, index, n, printed(alpha, math.sqrt(v1)), v1, alpha)
-            for tbl, index, n, printed in _PRINTED_ENERGIES
+            for (tbl, index), (n, printed) in PRINTED_ENERGIES.items()
             if tbl == table
         ]
         rows += [dict(row) for row in _WAVEFUNCTION_ROWS if row["table"] == table]

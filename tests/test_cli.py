@@ -63,6 +63,9 @@ class TestClassify:
             (2, 0),
         ]
         assert doc["classification"]["total_levels"] == 3
+        # The variant is printed once, with the parameters.
+        assert doc["parameters"]["variant"] == "real"
+        assert "variant" not in doc["symmetry"]
 
     def test_imag_cosh(self, capsys, schema):
         code, doc = run_json(
@@ -114,6 +117,10 @@ class TestSolve:
         energies = [float(level["energy"]) for level in doc["levels"]]
         assert energies == pytest.approx([-1.25, 0.75])
         assert [level["node_count"] for level in doc["levels"]] == [0, 1]
+        # The level holds its coefficients and parity; its wavefunction
+        # block holds only the closed form's other factors.
+        for level in doc["levels"]:
+            assert set(level["wavefunction"]) == {"p1", "p2", "C", "alpha"}
 
     def test_block_of_thirty(self, capsys, schema):
         # lambda = 30 (n = 29, 28): every level keeps its Sturm node count.
@@ -187,6 +194,20 @@ class TestVerify:
         set_four = [row for row in doc["levels"] if row["set"] == 4]
         assert len(set_four) == 1
         assert float(set_four[0]["abs_gap"]) == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("v1, alpha", [("1", "1"), ("2", "0.5")])
+    def test_asserted_energy_is_the_tables_printed_row(self, capsys, v1, alpha):
+        code, doc = run_json(
+            capsys, "verify", "--v1", v1, "--alpha", alpha, "--lambda", "1",
+            "--assert-paper-table-3.3",
+        )
+        assert code == 1
+        (asserted,) = [row["energy_analytic"] for row in doc["levels"] if row["set"] == 4]
+        code, doc = run_json(capsys, "table", "--v1", v1, "--alpha", alpha)
+        assert code == 0
+        (printed,) = [row["printed"] for row in doc["rows"]
+                      if (row["table"], row["set"], row["quantity"]) == ("3.3", 4, "energy")]
+        assert asserted == printed
 
 
 class TestSample:
@@ -319,6 +340,15 @@ class TestTable:
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "usage"
 
+    def test_only_working_point_commands_take_v2(self, capsys):
+        for command in ("classify", "solve", "verify", "sample"):
+            code, _ = run_cli(capsys, command, "--v1", "1", "--alpha", "1", "--v2=-3")
+            assert code == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table", "--v1", "1", "--alpha", "1", "--v2=-3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --v2=-3" in capsys.readouterr().err
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -449,6 +479,35 @@ class TestExitCodes:
         doc = json.loads(captured.out)
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--lambda", "1e300"],
+            ["solve", "--set", "1", "--n", "1e300"],
+            ["verify", "--lambda", "1e5"],
+            ["sample", "--set", "3", "--n", "501"],
+            # lambda = 501.5: set 1 has n = 501, set 2 n = 500.
+            ["solve", "--v2=-1003"],
+        ],
+        ids=["lambda-1e300", "n-1e300", "verify-lambda-1e5", "sample-n-501", "v2-n-501"],
+    )
+    def test_block_beyond_the_bound_is_usage_error(self, capsys, schema, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--v1", "1", "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "usage"
+        assert doc["error"]["message"].endswith(f"supports n <= {solver.MAX_BLOCK_N}")
+
+    def test_block_at_the_bound_is_a_working_point(self):
+        settings = {"v1": 1, "alpha": 1, "set": 3, "n": solver.MAX_BLOCK_N}
+        _, classification = cli._working_point(settings)
+        assert [qes_set.n for qes_set in classification.sets] == [solver.MAX_BLOCK_N]
 
     def test_unwritable_output_is_usage_error(self, capsys, schema, tmp_path):
         target = tmp_path / "missing" / "out.json"

@@ -79,6 +79,17 @@ class TestPencil:
         with pytest.raises(InadmissibleParametersError, match="V2"):
             build_pencil(qes_set, PotentialParams(1.0, -2.9, 1.0))
 
+    def test_block_size_bound(self):
+        # n = MAX_BLOCK_N still builds its pencil; one more is rejected,
+        # naming the bound, before any array is made.
+        qes_set, params = params_for(3, solver.MAX_BLOCK_N)
+        assert build_pencil(qes_set, params).size == solver.MAX_BLOCK_N + 1
+        for n in (solver.MAX_BLOCK_N + 1, 10**300):
+            qes_set, params = params_for(3, n)
+            with pytest.raises(InadmissibleParametersError,
+                               match=f"supports n <= {solver.MAX_BLOCK_N}$"):
+                build_pencil(qes_set, params)
+
     def test_band_structure(self):
         qes_set, params = params_for(1, 5)
         matrix = build_pencil(qes_set, params).matrix
@@ -1006,10 +1017,10 @@ class TestSetTables:
     def test_evaluation_runs_in_bounded_row_blocks(self, monkeypatch):
         # A lambda = 20.5 set (about 20 levels) evaluates its closed forms in
         # blocks of at most _BLOCK_ENTRIES rows x points, or one row: a
-        # 20001-point x goes one row per block.  A table keeps only its last
-        # block of more than one row, with a private copy of its x: at most
-        # 2 _BLOCK_ENTRIES floats, and none for a 20001-point x or a table
-        # of one.
+        # 20001-point x goes one row per block.  A table holds only its last
+        # block, with a private copy of its x, until each of the block's rows
+        # has been read: at most 2 _BLOCK_ENTRIES floats while a sweep runs,
+        # none for a 20001-point x or a table of one, and none after it.
         log_abs, blocks = solver._log_abs, []
 
         def counted(*args):
@@ -1023,32 +1034,45 @@ class TestSetTables:
         tables = {id(table): table for table, _ in map(solver._set_table, levels)}
         for points in (1001, 20001):
             blocks.clear()
+            held = []
             x = np.linspace(-5.0, 5.0, points)
             for level in levels:
                 solver.sample_wavefunction(level, x)
+                table, row = solver._set_table(level)
+                if table._block is not None:
+                    rows, key, *kept, unread = table._block
+                    assert key == (x.shape, x.tobytes())
+                    assert row not in unread
+                    held.append(sum(array.nbytes for array in kept) // 8)
             assert all(rows * size <= solver._BLOCK_ENTRIES or rows == 1
                        for rows, size in blocks)
             assert {size for _, size in blocks} == {points}
             assert sum(rows for rows, _ in blocks) == len(levels)
             if points == 1001:
                 assert len(tables) == 2 and len(blocks) == 4
+                assert held and max(held) <= 2 * solver._BLOCK_ENTRIES
             else:
-                assert len(blocks) == len(levels)
+                assert len(blocks) == len(levels) and not held
             for table in tables.values():
-                held = 0
-                if points == 1001:
-                    rows, key, *kept = table._block
-                    assert key == (x.shape, x.tobytes())
-                    held = sum(array.nbytes for array in kept) // 8
-                else:
-                    assert table._block is None
-                assert held <= 2 * solver._BLOCK_ENTRIES
                 assert [name for name, value in vars(table).items()
-                        if isinstance(value, (np.ndarray, tuple))] == (
-                            ["coefficients", "_block"] if held else ["coefficients"])
+                        if isinstance(value, (np.ndarray, tuple))] == ["coefficients"]
         alone = replace(levels[0], coefficients=levels[0].coefficients)
         solver.sample_wavefunction(alone, x[:1001])
         assert solver._set_table(alone)[0]._block is None
+
+    def test_a_spectrum_sweep_releases_every_block(self, monkeypatch):
+        # Every level of (lambda, s) = (10, 1) evaluated at one x, as the
+        # spectrum op does, two sets interleaved in energy order: one
+        # evaluation per set, and no table holds a block afterwards.
+        params = PotentialParams(1.0, -20.0, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(10.0))
+        wfs = [wavefunction(level, params) for level in levels]
+        scans = self.record_scans(monkeypatch)
+        x = np.linspace(-5.0, 5.0, 1001)
+        for wf in wfs:
+            evaluate_wavefunction(wf, x)
+        assert scans == [(10, 1001)] * 2
+        assert all(solver._set_table(level)[0]._block is None for level in levels)
 
     def test_replaced_level_never_reads_its_sets_table(self):
         qes_set, params = params_for(1, 1)
