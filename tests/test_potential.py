@@ -128,3 +128,57 @@ class TestClassify:
     def test_v1_zero_degenerate(self):
         with pytest.raises(DegeneratePotentialError):
             classify_symmetry(PotentialParams(0.0, -3.0, 1.0), Variant.REAL_SINH_GORDON)
+
+
+# (variant, V1, V2, alpha, repr of lambda_value, repr of -lambda_value): the
+# branches with V1 < 0 or V2 = +-0, pinned bit for bit, signed zeros included.
+PINNED_LAMBDAS = [
+    ("REAL_SINH_GORDON", -1.0, -3.0, 1.0, "-1.5j", "(-0+1.5j)"),
+    ("REAL_SINH_GORDON", -4.0, 3.0, 0.5, "1.5j", "(-0-1.5j)"),
+    ("IMAG_COSH", -1.0, -3.0, 1.0, "(0.75+0j)", "(-0.75-0j)"),
+    ("IMAG_COSH", -4.0, 3.0, 0.5, "(-0.375-0j)", "(0.375+0j)"),
+    ("REAL_SINH_GORDON", 1.0, 0.0, 1.0, "(-0+0j)", "-0j"),
+    ("REAL_SINH_GORDON", 1.0, -0.0, 1.0, "0j", "(-0-0j)"),
+    ("REAL_SINH_GORDON", -1.0, 0.0, 1.0, "0j", "(-0-0j)"),
+    ("REAL_SINH_GORDON", -1.0, -0.0, 1.0, "0j", "(-0-0j)"),
+    ("IMAG_COSH", 1.0, 0.0, 1.0, "-0j", "(-0+0j)"),
+    ("IMAG_COSH", 1.0, -0.0, 1.0, "0j", "(-0-0j)"),
+    ("IMAG_COSH", -1.0, 0.0, 1.0, "-0j", "(-0+0j)"),
+    ("IMAG_COSH", -1.0, -0.0, 1.0, "0j", "(-0-0j)"),
+    ("IMAG_SINH", 1.0, 0.0, 1.0, "0j", "(-0-0j)"),
+    ("IMAG_SINH", 1.0, -0.0, 1.0, "0j", "(-0-0j)"),
+    ("IMAG_SINH", -1.0, 0.0, 1.0, "(-0+0j)", "-0j"),
+    ("IMAG_SINH", -1.0, -0.0, 1.0, "0j", "(-0-0j)"),
+]
+
+
+def _reference_potential(v1, v2, alpha, variant, x):
+    """Each variant's V written out on its own, as numpy evaluates it."""
+    if variant is Variant.REAL_SINH_GORDON:
+        return v1 * np.sinh(alpha * x) ** 2 + v2 * np.cosh(alpha * x) + 0j
+    a = 2.0
+    if variant is Variant.IMAG_COSH:
+        return v1 * np.sinh(a * x) ** 2 + 1j * v2 * np.cosh(a * x)
+    return 1j * v1 * np.sinh(a * x) ** 2 + v2 * np.cosh(a * x)
+
+
+class TestPinnedBranches:
+    """V1 < 0 and V2 = +-0: bits (repr, signed zeros included), not closeness."""
+
+    @pytest.mark.parametrize("name, v1, v2, alpha, lam, minus_lam", PINNED_LAMBDAS)
+    def test_lambda_bits(self, name, v1, v2, alpha, lam, minus_lam):
+        report = classify_symmetry(PotentialParams(v1, v2, alpha), Variant[name])
+        assert repr(report.lambda_value) == lam
+        assert [repr(c) for c in report.lambda_candidates] == [lam, minus_lam]
+        assert report.physical_qes_possible == (lam == "(0.75+0j)")
+
+    @pytest.mark.parametrize("name, v1, v2, alpha", [row[:4] for row in PINNED_LAMBDAS])
+    def test_potential_bits(self, name, v1, v2, alpha):
+        variant = Variant[name]
+        params = PotentialParams(v1, v2, alpha)
+        x = np.array([0.0, -0.0, 0.5, -1.25, 1e-200])
+        expected = _reference_potential(v1, v2, alpha, variant, x)
+        values = evaluate_potential(params, variant, x)
+        assert [repr(v) for v in values.tolist()] == [repr(v) for v in expected.tolist()]
+        scalar = evaluate_potential(params, variant, 0.0)
+        assert repr(scalar) == repr(complex(expected[0]))
