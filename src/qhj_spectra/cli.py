@@ -251,11 +251,8 @@ def cmd_classify(settings) -> tuple[int, dict]:
         "command": "classify",
         "parameters": {**asdict(params), "variant": variant.value},
         "symmetry": {
-            "pt_symmetric": report.pt_symmetric,
-            "lambda": report.lambda_value,
-            "lambda_candidates": list(report.lambda_candidates),
-            "physical_qes_possible": report.physical_qes_possible,
-            "note": report.note,
+            ("lambda" if key == "lambda_value" else key): value
+            for key, value in asdict(report).items() if key != "variant"
         },
     }
     if report.physical_qes_possible:

@@ -205,17 +205,23 @@ def _sign_changes(columns: np.ndarray) -> np.ndarray:
 
 
 def _checked_spectrum(
-    grid: GridSpec, k: int, parity: str, values: np.ndarray, vectors: np.ndarray
+    grid: GridSpec, potential: np.ndarray, k: int, parity: str,
+    values: np.ndarray, vectors: np.ndarray,
 ) -> NumericSpectrum:
     """The k smallest eigenpairs of a sector's eigh, checked: the eigenvalues
     strictly increase, and half-line eigenvector j has j sign changes (Sturm
-    oscillation)."""
+    oscillation) on the points where V(x_i) <= E_j, widened by one point past
+    each end: no node lies where V > E_j, and the tail there is only noise."""
     # A copy, so that the N x N eigenvector matrix is freed before the
     # next grid is solved.
     values, vectors = values[:k], vectors[:, :k].copy()
     if np.any(np.diff(values) <= 0.0):
         raise InvariantViolationError("oracle eigenvalues are not strictly increasing")
-    nodes = _sign_changes(vectors)
+    allowed = potential[:, None] <= values
+    window = allowed.copy()
+    window[1:] |= allowed[:-1]
+    window[:-1] |= allowed[1:]
+    nodes = _sign_changes(np.where(window, vectors, 0.0))
     wrong = np.flatnonzero(nodes != np.arange(k))
     if wrong.size:
         j = int(wrong[0])
@@ -236,13 +242,12 @@ def lowest_eigenvalues(
     """k smallest eigenpairs of one parity sector on (0, L).
 
     Checked: the eigenvalues strictly increase, and half-line eigenvector j
-    has j sign changes (Sturm oscillation).
+    has j sign changes (Sturm oscillation) where V <= E_j.
     """
     _require_points(grid, k)
-    values, vectors = np.linalg.eigh(
-        _sector_hamiltonian(grid, parity, _potential_on(params, grid))
-    )
-    return _checked_spectrum(grid, k, parity, values, vectors)
+    potential = _potential_on(params, grid)
+    values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
+    return _checked_spectrum(grid, potential, k, parity, values, vectors)
 
 
 def _resolved_spectrum(
@@ -262,7 +267,7 @@ def _resolved_spectrum(
         values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
         k_max = math.sqrt(max(float(values[k - 1]) - float(np.min(potential)), 0.0))
         if k_max * grid.step <= 1.0:
-            return _checked_spectrum(grid, k, parity, values, vectors)
+            return _checked_spectrum(grid, potential, k, parity, values, vectors)
         grid = GridSpec(grid.half_width_L, math.ceil(1.1 * k_max * grid.half_width_L))
 
 

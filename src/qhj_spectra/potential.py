@@ -2,8 +2,7 @@
 
 The real family is V(x) = V1 sinh^2(alpha x) + V2 cosh(alpha x) with hbar = 2m = 1.
 Two complex variants (with the frequency fixed at 2) attach a factor i to either
-the cosh or the sinh^2 coefficient; both are classified here but neither admits
-a physical quasi-exactly-solvable branch.
+the cosh or the sinh^2 coefficient.  One table row per variant holds these facts.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +75,35 @@ class SymmetryReport:
     note: str
 
 
+class _Row(NamedTuple):
+    """One variant: V = c1 V1 sinh^2(a x) + c2 V2 cosh(a x)."""
+
+    c1: complex
+    c2: complex
+    alpha: float | None  # the frequency a; None reads the params' own alpha
+    pt_symmetric: bool
+    note: str
+
+
+_VARIANTS = {
+    Variant.REAL_SINH_GORDON: _Row(
+        1.0, 1.0, None, True,
+        "real coefficients: PT symmetric; QES possible when lambda > 0",
+    ),
+    Variant.IMAG_COSH: _Row(
+        1.0, 1j, COMPLEX_VARIANT_ALPHA, True,
+        "imaginary cosh coefficient: PT symmetric under the shifted "
+        "reflection, but the infinity exponent is imaginary, so no "
+        "physical bound-state branch exists",
+    ),
+    Variant.IMAG_SINH: _Row(
+        1j, 1.0, COMPLEX_VARIANT_ALPHA, False,
+        "imaginary sinh^2 coefficient: not PT symmetric; the infinity "
+        "exponent is complex, so no physical bound-state branch exists",
+    ),
+}
+
+
 def evaluate_potential(params: PotentialParams, variant: Variant, x):
     """Evaluate the chosen variant at x (scalar or array); always complex-valued.
 
@@ -83,72 +112,33 @@ def evaluate_potential(params: PotentialParams, variant: Variant, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    if variant is Variant.REAL_SINH_GORDON:
-        a = params.alpha
-        value = params.v1 * np.sinh(a * x) ** 2 + params.v2 * np.cosh(a * x) + 0j
-    elif variant is Variant.IMAG_COSH:
-        a = COMPLEX_VARIANT_ALPHA
-        value = params.v1 * np.sinh(a * x) ** 2 + 1j * params.v2 * np.cosh(a * x)
-    elif variant is Variant.IMAG_SINH:
-        a = COMPLEX_VARIANT_ALPHA
-        value = 1j * params.v1 * np.sinh(a * x) ** 2 + params.v2 * np.cosh(a * x)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {variant!r}")
+    row = _VARIANTS[variant]
+    a = row.alpha or params.alpha
+    value = row.c1 * params.v1 * np.sinh(a * x) ** 2 + row.c2 * params.v2 * np.cosh(a * x)
     value = np.asarray(value, dtype=complex)
-    if value.ndim == 0:
-        return complex(value)
-    return value
+    return complex(value) if value.ndim == 0 else value
 
 
 def classify_symmetry(params: PotentialParams, variant: Variant) -> SymmetryReport:
     """PT classification plus the infinity exponent lambda for one variant.
 
-    lambda comes from matching the large-y expansion of the transformed
-    Riccati equation on the normalizable branch a0 = -sqrt(v1_coeff)/alpha,
-    where (v1_coeff, v2_coeff) are the (possibly imaginary) coefficients of
-    sinh^2 and cosh for the variant.
+    Matching the large-y expansion of the transformed Riccati equation on the
+    normalizable branch a0 = -sqrt(c1 V1)/a gives
+    lambda = -c2 V2 / (2 a sqrt(c1 V1)), with the variant's coefficients c1,
+    c2 and frequency a.  For V1 > 0, cmath.sqrt has math.sqrt's bits.
     """
     if params.v1 == 0.0:
         raise DegeneratePotentialError(
             "V1 = 0: no sinh^2 term, the fixed-pole structure degenerates"
         )
-
-    if variant is Variant.REAL_SINH_GORDON:
-        pt = True
-        if params.v1 > 0.0:
-            lam = complex(-params.v2 / (2.0 * math.sqrt(params.v1) * params.alpha))
-        else:
-            lam = -params.v2 / (2.0 * cmath.sqrt(params.v1) * params.alpha)
-        note = "real coefficients: PT symmetric; QES possible when lambda > 0"
-    elif variant is Variant.IMAG_COSH:
-        pt = True
-        a = COMPLEX_VARIANT_ALPHA
-        if params.v1 > 0.0:
-            lam = complex(0.0, -params.v2 / (2.0 * math.sqrt(params.v1) * a))
-        else:
-            lam = -1j * params.v2 / (2.0 * cmath.sqrt(params.v1) * a)
-        note = (
-            "imaginary cosh coefficient: PT symmetric under the shifted "
-            "reflection, but the infinity exponent is imaginary, so no "
-            "physical bound-state branch exists"
-        )
-    elif variant is Variant.IMAG_SINH:
-        pt = False
-        a = COMPLEX_VARIANT_ALPHA
-        lam = -params.v2 / (2.0 * cmath.sqrt(1j * params.v1) * a)
-        note = (
-            "imaginary sinh^2 coefficient: not PT symmetric; the infinity "
-            "exponent is complex, so no physical bound-state branch exists"
-        )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {variant!r}")
-
-    physical = lam.imag == 0.0 and lam.real > 0.0
+    row = _VARIANTS[variant]
+    a = row.alpha or params.alpha
+    lam = -row.c2 * params.v2 / (2.0 * cmath.sqrt(row.c1 * params.v1) * a)
     return SymmetryReport(
         variant=variant,
-        pt_symmetric=pt,
+        pt_symmetric=row.pt_symmetric,
         lambda_value=lam,
         lambda_candidates=(lam, -lam),
-        physical_qes_possible=physical,
-        note=note,
+        physical_qes_possible=lam.imag == 0.0 and lam.real > 0.0,
+        note=row.note,
     )

@@ -18,28 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ComplexResidueError, UnsupportedBranchError
-from .potential import PotentialParams
-
-_QUARTER = Fraction(1, 4)
-_THREE_QUARTERS = Fraction(3, 4)
+from .potential import PotentialParams, Variant, classify_symmetry
 
 # How far lam - b1 - b1' may sit from an integer and still admit a set.
 INTEGER_TOLERANCE = 1e-9
-
-# Residue pair (b1 at y=+1, b1' at y=-1) for each set index.  Sets 3 and 4
-# follow the convention in which set 3 is the even-parity member (b1 = 1/4);
-# this is the assignment consistent with the closed-form energies
-# -alpha^2/4 -/+ alpha sqrt(V1) for sets 3/4.
-SET_RESIDUES: dict[int, tuple[Fraction, Fraction]] = {
-    1: (_QUARTER, _QUARTER),
-    2: (_THREE_QUARTERS, _THREE_QUARTERS),
-    3: (_QUARTER, _THREE_QUARTERS),
-    4: (_THREE_QUARTERS, _QUARTER),
-}
-# The same residues as floats, in set order, for enumerate_qes_sets.
-_FLOAT_RESIDUES = tuple(
-    (index, float(b1), float(b1p)) for index, (b1, b1p) in sorted(SET_RESIDUES.items())
-)
 
 
 @dataclass(frozen=True)
@@ -60,7 +42,8 @@ class RiccatiFixedTerm:
             energy - self.v1 * y * y - self.v2 * y + self.v1
         ) / (self.alpha**2 * q)
 
-    def double_pole_coefficient(self, location: int) -> Fraction:
+    @staticmethod
+    def double_pole_coefficient(location: int) -> Fraction:
         """Exact coefficient of 1/(y - location)^2; equals 3/16 at both poles.
 
         Only the first term of G contributes (the second has simple poles),
@@ -122,7 +105,7 @@ class QesSet:
         setattr_ = object.__setattr__
         setattr_(self, "p1", (4 * a - b) / (4 * b))
         setattr_(self, "p2", (4 * c - d) / (4 * d))
-        setattr_(self, "parity", "odd" if self.b1 == _THREE_QUARTERS else "even")
+        setattr_(self, "parity", "odd" if self.b1 == _B1_HIGH else "even")
         setattr_(self, "lam", (a * d + c * b + self.n * b * d) / (b * d))
 
 
@@ -177,6 +160,23 @@ def indicial_residues(coefficient):
     return ((1 - root) / 2, (1 + root) / 2)
 
 
+# The indicial roots (low, high) = (1/4, 3/4) at y = +1 (b1) and y = -1 (b1').
+(_B1_LOW, _B1_HIGH), (_B1P_LOW, _B1P_HIGH) = (
+    indicial_residues(RiccatiFixedTerm.double_pole_coefficient(y)) for y in (1, -1)
+)
+# Residue pair (b1, b1') per set index: the four pairings of the roots.  Set 3
+# is the even member of sets 3/4 (b1 = 1/4), consistent with their closed-form
+# energies -alpha^2/4 -/+ alpha sqrt(V1).
+SET_RESIDUES: dict[int, tuple[Fraction, Fraction]] = {
+    1: (_B1_LOW, _B1P_LOW), 2: (_B1_HIGH, _B1P_HIGH),
+    3: (_B1_LOW, _B1P_HIGH), 4: (_B1_HIGH, _B1P_LOW),
+}
+# The same residues as floats, in set order, for enumerate_qes_sets.
+_FLOAT_RESIDUES = tuple(
+    (index, float(b1), float(b1p)) for index, (b1, b1p) in sorted(SET_RESIDUES.items())
+)
+
+
 def fixed_pole_analysis(term: RiccatiFixedTerm, location: int) -> FixedPoleAnalysis:
     """Exact residues {1/4, 3/4} at the fixed pole y = location."""
     g2 = term.double_pole_coefficient(location)
@@ -193,13 +193,13 @@ def fixed_pole_analysis(term: RiccatiFixedTerm, location: int) -> FixedPoleAnaly
 def infinity_analysis(params: PotentialParams) -> InfinityAnalysis:
     """Match chi = a0 + lam/y + ... at large y.
 
-    Order 1 gives a0 = +-sqrt(V1)/alpha; the normalizable branch is
-    a0 = C = -sqrt(V1)/alpha, on which the 1/y order gives
+    Order 1 gives a0 = +-sqrt(V1)/alpha; on the normalizable branch a0 = C =
+    -sqrt(V1)/alpha the 1/y order gives classify_symmetry's real-variant
     lam = -V2 / (2 sqrt(V1) alpha).  lam > 0 (hence QES) requires V2 < 0.
     """
     _require_positive_v1(params)
     s = params.s
-    lam = -params.v2 / (2.0 * math.sqrt(params.v1) * params.alpha)
+    lam = classify_symmetry(params, Variant.REAL_SINH_GORDON).lambda_value.real
     return InfinityAnalysis(
         c_candidates=(s, -s),
         c_physical=-s,

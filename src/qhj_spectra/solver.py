@@ -169,8 +169,15 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     """
     h = pencil.matrix
     upper, lower = h.diagonal(1), h.diagonal(-1)
+    qes_set, parity = pencil.qes_set, pencil.qes_set.parity
     scale = np.ones(len(h))
-    np.cumprod(np.sqrt(upper / lower), out=scale[1:])
+    with np.errstate(over="ignore"):
+        np.cumprod(np.sqrt(upper / lower), out=scale[1:])
+    if not np.isfinite(scale).all():
+        raise InvariantViolationError(
+            f"the diagonal scaling D of set {qes_set.set_index} with "
+            f"n = {qes_set.n} overflows float64"
+        )
     off = np.sqrt(upper * lower)
     # H's diagonal, with both off-diagonals replaced by sqrt(upper * lower).
     jacobi = h.copy()
@@ -178,7 +185,6 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     jacobi.flat[len(h) :: len(h) + 1] = off
     mus, vectors = np.linalg.eigh(jacobi)
     vectors = vectors / scale[:, None]
-    qes_set, parity = pencil.qes_set, pencil.qes_set.parity
 
     # E = -alpha^2 mu, and eigh sorts mu ascending: row j, level j, is
     # column -1 - j, scaled to a leading 1.

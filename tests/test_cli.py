@@ -40,13 +40,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_module(*argv):
+def run_module(*argv, env=None):
     """Run the CLI in a fresh interpreter, as `python -m qhj_spectra.cli`."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.run(
         [sys.executable, "-m", "qhj_spectra.cli", *argv],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
     )
 
 
@@ -560,6 +560,22 @@ class TestExitCodes:
         assert code == 3
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "InvariantViolationError"
+
+    def test_overflowing_diagonal_scaling_is_internal_failure(self, schema):
+        # Set 3's scaling D overflows float64 from n = 305 at s = 1: a typed
+        # failure naming the set and n, without a numpy warning.
+        result = run_module(
+            "solve", "--v1", "1", "--alpha", "1", "--set", "3", "--n", "400",
+            env={"PYTHONWARNINGS": "error"},
+        )
+        assert result.returncode == 3
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["error"] == {
+            "type": "InvariantViolationError",
+            "message": "the diagonal scaling D of set 3 with n = 400 overflows float64",
+        }
 
     def test_module_entry_point(self, schema):
         result = run_module("classify", "--v1", "1", "--v2", "-3", "--alpha", "1")

@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qhj_spectra import (
     DegenerateVectorError,
     GridSpec,
     InadmissibleParametersError,
+    InvariantViolationError,
     PotentialParams,
     default_grid,
     enumerate_qes_sets,
@@ -19,7 +20,12 @@ from qhj_spectra import (
     solve_classification,
     verify_qes,
 )
-from qhj_spectra.oracle import _kinetic_table, _sector_hamiltonian, _sign_changes
+from qhj_spectra.oracle import (
+    _checked_spectrum,
+    _kinetic_table,
+    _sector_hamiltonian,
+    _sign_changes,
+)
 
 
 def quick_grid(params, big_l=None, n=90):
@@ -200,6 +206,28 @@ class TestLowestEigenvalues:
             spectrum = lowest_eigenvalues(params, quick_grid(params), k=5, parity=parity)
             for j in range(5):
                 assert node_count(spectrum.eigenvectors[:, j]) == j
+
+    def test_nodes_are_counted_where_v_is_below_e_and_one_point_past(self):
+        # Points 0-2 are allowed (V <= E) for both eigenvalues, 3-5 forbidden.
+        grid = GridSpec(3.0, 6)
+        potential = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
+        values = np.array([1.0, 2.0])
+        vectors = np.array([
+            [1.0, 1.0],
+            [2.0, 0.5],
+            [3.0, 0.2],  # the last allowed point
+            [1e-3, -0.1],  # vector 1's node lies just before this point
+            [1e-6, -1e-3],
+            [-1e-9, 1e-8],  # tail noise, above 1e-12 of the peak
+        ])
+        # Out to the wall, the vectors have 1 and 2 sign changes.
+        assert _sign_changes(vectors).tolist() == [1, 2]
+        spectrum = _checked_spectrum(grid, potential, 2, "even", values, vectors)
+        assert spectrum.eigenvalues == (1.0, 2.0)
+        # A sign change inside the allowed region still counts.
+        vectors[1, 0] = -2.0
+        with pytest.raises(InvariantViolationError, match="eigenvector 0 has 2"):
+            _checked_spectrum(grid, potential, 2, "even", values, vectors)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_sector_hamiltonian_is_the_folded_sinc_dvr(self, parity):
@@ -442,6 +470,14 @@ class TestVerify:
         log_s=st.floats(min_value=math.log(0.1), max_value=math.log(10.0)),
         alpha=st.sampled_from([0.5, 1.0, 2.0]),
     )
+    # Points of the 25-point log grid s = 10^(i/12 - 1) where counting the
+    # eigenvectors' sign changes out to the wall read tail noise as nodes.
+    @example(twice_lam=14, log_s=math.log(10.0) * (0 / 12 - 1), alpha=1.0)
+    @example(twice_lam=14, log_s=math.log(10.0) * (1 / 12 - 1), alpha=1.0)
+    @example(twice_lam=15, log_s=math.log(10.0) * (0 / 12 - 1), alpha=1.0)
+    @example(twice_lam=15, log_s=math.log(10.0) * (1 / 12 - 1), alpha=1.0)
+    @example(twice_lam=15, log_s=math.log(10.0) * (2 / 12 - 1), alpha=1.0)
+    @example(twice_lam=16, log_s=math.log(10.0) * (3 / 12 - 1), alpha=1.0)
     def test_envelope_passes_and_scales_with_alpha(self, twice_lam, log_s, alpha):
         # Half-integer lambda <= 20.5, log-uniform s in [0.1, 10].
         lam, s = twice_lam / 2.0, math.exp(log_s)

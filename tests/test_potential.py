@@ -137,7 +137,8 @@ PINNED_LAMBDAS = [
     ("REAL_SINH_GORDON", -4.0, 3.0, 0.5, "1.5j", "(-0-1.5j)"),
     ("IMAG_COSH", -1.0, -3.0, 1.0, "(0.75+0j)", "(-0.75-0j)"),
     ("IMAG_COSH", -4.0, 3.0, 0.5, "(-0.375-0j)", "(0.375+0j)"),
-    ("REAL_SINH_GORDON", 1.0, 0.0, 1.0, "(-0+0j)", "-0j"),
+    # -V2 = -0.0 over a complex denominator reads +0.
+    ("REAL_SINH_GORDON", 1.0, 0.0, 1.0, "0j", "(-0-0j)"),
     ("REAL_SINH_GORDON", 1.0, -0.0, 1.0, "0j", "(-0-0j)"),
     ("REAL_SINH_GORDON", -1.0, 0.0, 1.0, "0j", "(-0-0j)"),
     ("REAL_SINH_GORDON", -1.0, -0.0, 1.0, "0j", "(-0-0j)"),
@@ -155,7 +156,9 @@ PINNED_LAMBDAS = [
 def _reference_potential(v1, v2, alpha, variant, x):
     """Each variant's V written out on its own, as numpy evaluates it."""
     if variant is Variant.REAL_SINH_GORDON:
-        return v1 * np.sinh(alpha * x) ** 2 + v2 * np.cosh(alpha * x) + 0j
+        # Cast, not + 0j: V = -0.0 (V1 <= 0, V2 = -0.0, x = 0) keeps its sign.
+        value = v1 * np.sinh(alpha * x) ** 2 + v2 * np.cosh(alpha * x)
+        return np.asarray(value, dtype=complex)
     a = 2.0
     if variant is Variant.IMAG_COSH:
         return v1 * np.sinh(a * x) ** 2 + 1j * v2 * np.cosh(a * x)
