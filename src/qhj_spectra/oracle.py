@@ -8,14 +8,14 @@ Phys. 96, 1982 (1992)), folded onto the sector, gives a dense symmetric
 Hamiltonian, solved with numpy's eigh; its error falls exponentially with N.
 The wall x = L sits where s y - lambda ln y >= 40 (y = cosh(alpha L)), past
 the y^lambda exp(-s y) tail of every QES level.  A set's levels, in energy
-order, are matched by index to its sector's lowest eigenvalues.  Each set's
-grid is sized from the sector's own eigenvalues, never from the analytic
-side: each grid the sizing rule tries is decomposed once, and the checked
-solve on the grid that resolves is the coarse solve.  The sector is solved
-again on 1.5 times as many points: the finer grid's eigenvalue is reported,
-and its distance to the coarser one is the level's self-gap.  The self-gap
-is reported, not gated: overall_pass reads only the gaps to the analytic
-energies and the node counts.
+order, are matched by index to its sector's lowest eigenvalues.
+lowest_eigenvalues sizes its grid from the sector's own eigenvalues, never
+from the analytic side, and returns only a spectrum its grid resolves.  Each
+set is solved by it twice: from default_grid (the coarse solve), then from
+1.5 times as many points as the coarse grid resolved on (the fine solve).
+The fine eigenvalue is reported, and its distance to the coarse one is the
+level's self-gap.  The self-gap is reported, not gated: overall_pass reads
+only the gaps to the analytic energies and the node counts.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class LevelComparison:
     set_index: int
     n: int
     energy_analytic: float
-    energy_oracle: float  # on the finer grid, N2 = ceil(1.5 N)
+    energy_oracle: float  # on the fine grid, N2 >= ceil(1.5 N)
     abs_gap: float
     self_gap: float  # |E(N2) - E(N)|
     # log(gap_N / gap_N2) / log(N2 / N); NaN when either gap is 0.
@@ -239,29 +239,18 @@ def _checked_spectrum(
 def lowest_eigenvalues(
     params: PotentialParams, grid: GridSpec, k: int, parity: str
 ) -> NumericSpectrum:
-    """k smallest eigenpairs of one parity sector on (0, L).
+    """k smallest eigenpairs of one parity sector on (0, L), on a grid that
+    resolves them.
 
-    Checked: the eigenvalues strictly increase, and half-line eigenvector j
-    has j sign changes (Sturm oscillation) where V <= E_j.
+    The sizing rule: from grid, N = ceil(1.1 k_max L) while k_max h > 1, where
+    k_max = sqrt(E_(k-1) - min V) is the largest local wavenumber of the k
+    eigenvalues.  Each grid is decomposed once, and the returned spectrum
+    carries the grid that resolved.  Only that grid is checked, since an
+    unresolved one may break the checks: the eigenvalues strictly increase,
+    and half-line eigenvector j has j sign changes (Sturm oscillation) where
+    V <= E_j.
     """
     _require_points(grid, k)
-    potential = _potential_on(params, grid)
-    values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
-    return _checked_spectrum(grid, potential, k, parity, values, vectors)
-
-
-def _resolved_spectrum(
-    params: PotentialParams, start: GridSpec, k: int, parity: str
-) -> NumericSpectrum:
-    """The sizing rule: from start, N = ceil(1.1 k_max L) while k_max h > 1.
-
-    k_max = sqrt(E_(k-1) - min V) is the largest local wavenumber of the k
-    eigenvalues needed.  Each grid is decomposed once.  The checks of
-    lowest_eigenvalues run only on the grid that resolves, since an
-    unresolved grid may break them; that checked solve is the coarse
-    spectrum.
-    """
-    grid = start
     while True:
         potential = _potential_on(params, grid)
         values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
@@ -279,7 +268,7 @@ def verify_qes(
 ) -> VerificationReport:
     """Adjudicate every analytic level against the two-grid sector oracle.
 
-    Every set's sizing rule starts from default_grid(params), whose wall is
+    Every set's coarse solve starts from default_grid(params), whose wall is
     past the tail of every QES level.  Level j of a set (energy order) is
     compared with eigenvalue j of the sector of the set's parity.
     analytic_levels overrides the solved levels (used to demonstrate that a
@@ -311,16 +300,16 @@ def verify_qes(
             key=lambda i: analytic_levels[i].energy,
         )
         k = qes_set.n + 1 + EXTRA_ORACLE_LEVELS
-        coarse = _resolved_spectrum(params, start, k, qes_set.parity)
-        fine_grid = GridSpec(
+        coarse = lowest_eigenvalues(params, start, k, qes_set.parity)
+        fine_start = GridSpec(
             start.half_width_L, math.ceil(1.5 * coarse.grid.point_count_N)
         )
-        fine = lowest_eigenvalues(params, fine_grid, k, qes_set.parity)
+        fine = lowest_eigenvalues(params, fine_start, k, qes_set.parity)
         coarse_e, fine_e = (np.asarray(s.eigenvalues) for s in (coarse, fine))
-        finest = max(finest, fine_grid, key=lambda g: g.point_count_N)
+        finest = max(finest, fine.grid, key=lambda g: g.point_count_N)
         unmatched.extend(float(e) for e in fine_e[len(members):])
         odd = 1 if qes_set.parity == "odd" else 0
-        grid_ratio = fine_grid.point_count_N / coarse.grid.point_count_N
+        grid_ratio = fine.grid.point_count_N / coarse.grid.point_count_N
 
         for j, i in enumerate(members):
             level = analytic_levels[i]

@@ -133,7 +133,12 @@ def classify_symmetry(params: PotentialParams, variant: Variant) -> SymmetryRepo
         )
     row = _VARIANTS[variant]
     a = row.alpha or params.alpha
-    lam = -row.c2 * params.v2 / (2.0 * cmath.sqrt(row.c1 * params.v1) * a)
+    denominator = 2.0 * cmath.sqrt(row.c1 * params.v1) * a
+    if denominator == 0.0:
+        raise DegeneratePotentialError(
+            f"2 sqrt(V1) alpha underflows to 0 at V1 = {params.v1!r}, alpha = {a!r}"
+        )
+    lam = -row.c2 * params.v2 / denominator
     return SymmetryReport(
         variant=variant,
         pt_symmetric=row.pt_symmetric,

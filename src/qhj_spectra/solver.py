@@ -165,7 +165,8 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     similarity D H D^-1 with D[k+1]/D[k] = sqrt(H[k,k+1]/H[k+1,k]) is a
     symmetric Jacobi matrix: real, simple eigenvalues, and eigenvectors u
     whose last component never vanishes, giving the coefficients u / D.
-    The levels share one _SetTable.
+    In float64 that component can underflow once D grows large, and the
+    set then raises InvariantViolationError.  The levels share one _SetTable.
     """
     h = pencil.matrix
     upper, lower = h.diagonal(1), h.diagonal(-1)
@@ -188,7 +189,16 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
 
     # E = -alpha^2 mu, and eigh sorts mu ascending: row j, level j, is
     # column -1 - j, scaled to a leading 1.
-    coefficients = vectors.T[::-1] / vectors[-1, ::-1, None]
+    last = vectors[-1, ::-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coefficients = vectors.T[::-1] / last[:, None]
+    if not np.isfinite(coefficients).all():
+        j = int(np.isfinite(coefficients).all(axis=1).argmin())
+        raise InvariantViolationError(
+            f"level {j} of set {qes_set.set_index} with n = {qes_set.n} has no "
+            f"leading-1 scaling in float64: its eigenvector's last component "
+            f"is {float(last[j])!r}"
+        )
     coefficients.setflags(write=False)
     nodes = _node_count(coefficients, parity)
     leading = coefficients[:, 0].tolist()

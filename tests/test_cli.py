@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -576,6 +577,25 @@ class TestExitCodes:
             "type": "InvariantViolationError",
             "message": "the diagonal scaling D of set 3 with n = 400 overflows float64",
         }
+
+    def test_underflowed_last_component_is_internal_failure(self, schema):
+        # Set 1's eigenvector's last component underflows to 0 at n = 300: a
+        # typed failure naming the set, n and the level, without a numpy
+        # warning.
+        result = run_module(
+            "solve", "--v1", "1", "--alpha", "1", "--set", "1", "--n", "300",
+            env={"PYTHONWARNINGS": "error"},
+        )
+        assert result.returncode == 3
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "InvariantViolationError"
+        assert re.fullmatch(
+            r"level \d+ of set 1 with n = 300 has no leading-1 scaling in float64: "
+            r"its eigenvector's last component is \S+",
+            doc["error"]["message"],
+        )
 
     def test_module_entry_point(self, schema):
         result = run_module("classify", "--v1", "1", "--v2", "-3", "--alpha", "1")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -300,6 +301,22 @@ class TestLowestEigenvalues:
         )
         assert len(spectrum.eigenvalues) == 50
 
+    def test_unresolved_grid_is_refined_before_it_is_returned(self):
+        # lambda = 10, s = 1: 20 points leave the 12th even eigenvalue off by
+        # 1.4.  The call grows the grid until k_max h <= 1, and only then
+        # returns, with the grid that resolved.
+        params = PotentialParams(1.0, -20.0, 1.0)
+        big_l = default_grid(params).half_width_L
+        spectrum = lowest_eigenvalues(params, GridSpec(big_l, 20), k=12, parity="even")
+        grid = spectrum.grid
+        assert grid.half_width_L == big_l and grid.point_count_N > 20
+        x = grid.points()
+        v_min = np.min(params.v1 * np.sinh(x) ** 2 + params.v2 * np.cosh(x))
+        assert math.sqrt(spectrum.eigenvalues[-1] - v_min) * grid.step <= 1.0
+        reference = lowest_eigenvalues(params, GridSpec(big_l, 90), k=12, parity="even")
+        assert reference.grid.point_count_N == 90
+        assert spectrum.eigenvalues == pytest.approx(reference.eigenvalues, abs=1e-10)
+
     def test_boundary_insensitivity(self):
         # Moving the wall 20% farther out, at the same step, leaves the level.
         params = PotentialParams(1.0, -3.0, 1.0)
@@ -452,8 +469,11 @@ class TestVerify:
             verify_qes(params, enumerate_qes_sets(0.7))
 
     def test_self_gap_and_gap_below_1e_10_on_anchors(self):
-        for lam in (1.0, 1.5, 2.0):
-            params = PotentialParams(1.0, -2.0 * lam, 1.0)
+        # The 60-point floor is what holds the self-gap down at s = 0.1: a
+        # start of 3 points per eigenvalue resolves by the sizing rule, yet
+        # leaves a self-gap of 7e-8 at lambda = 1.
+        for s, lam in itertools.product((0.1, 1.0), (1.0, 1.5, 2.0)):
+            params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
             report = verify_qes(params, enumerate_qes_sets(lam))
             assert report.overall_pass
             assert report.max_self_gap == max(r.self_gap for r in report.rows)

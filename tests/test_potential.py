@@ -11,6 +11,7 @@ from qhj_spectra import (
     Variant,
     classify_symmetry,
     evaluate_potential,
+    infinity_analysis,
 )
 
 finite_reals = st.floats(
@@ -128,6 +129,19 @@ class TestClassify:
     def test_v1_zero_degenerate(self):
         with pytest.raises(DegeneratePotentialError):
             classify_symmetry(PotentialParams(0.0, -3.0, 1.0), Variant.REAL_SINH_GORDON)
+
+    def test_underflowing_denominator_degenerate(self):
+        # 2 sqrt(V1) alpha = 2 * 2.2e-162 * 1e-200 underflows to 0: lambda has
+        # no value, and the error names the working point.
+        params = PotentialParams(5e-324, -1.0, 1e-200)
+        match = r"underflows to 0 at V1 = 5e-324, alpha = 1e-200"
+        with pytest.raises(DegeneratePotentialError, match=match):
+            classify_symmetry(params, Variant.REAL_SINH_GORDON)
+        with pytest.raises(DegeneratePotentialError, match=match):
+            infinity_analysis(params)
+        # The complex variants' fixed frequency 2 keeps it nonzero.
+        for variant in (Variant.IMAG_COSH, Variant.IMAG_SINH):
+            assert math.isfinite(abs(classify_symmetry(params, variant).lambda_value))
 
 
 # (variant, V1, V2, alpha, repr of lambda_value, repr of -lambda_value): the

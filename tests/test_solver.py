@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -253,6 +254,23 @@ class TestLargeBlocks:
             InvariantViolationError, match=r"level 0 of set 3 has P\(0\) = 0.*underflowed"
         ):
             solve_classification(params, enumerate_qes_sets(lam))
+
+    @pytest.mark.parametrize("set_index", [1, 2, 3, 4])
+    def test_underflowed_last_component_is_a_precise_failure(self, set_index):
+        # V1 = alpha = 1, n = 300: D grows with k, and the last components
+        # u_n / D_n of most eigenvectors underflow to 0 (from about n = 123).
+        # Scaling to a leading 1 would divide by them; the set fails first,
+        # naming itself and the level.
+        qes_set, params = params_for(set_index, 300)
+        pencil = build_pencil(qes_set, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvariantViolationError,
+                match=rf"^level \d+ of set {set_index} with n = 300 has no leading-1 "
+                r"scaling in float64: its eigenvector's last component is \S+$",
+            ):
+                solve_levels(pencil, params)
 
     def test_no_false_pole_away_from_the_nodes(self):
         # At x = 2.3 every |P| here exceeds 1e-6 of Horner's roundoff scale
