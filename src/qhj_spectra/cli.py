@@ -44,6 +44,8 @@ from .solver import (
 )
 
 CONFIG_ENV_VAR = "QHJ_SPECTRA_CONFIG"
+# The most points sample writes: at lambda = 10, 100001 points are 35 MB of CSV.
+MAX_SAMPLE_POINTS = 10**6
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -336,10 +338,18 @@ def cmd_sample(settings) -> tuple[int, str]:
     points = _require_whole(settings, "points", 1001)
     if points < 2:
         raise UsageError("--points must be at least 2")
+    if points > MAX_SAMPLE_POINTS:
+        raise UsageError(
+            f"--points must be at most {MAX_SAMPLE_POINTS}, got {settings['points']}"
+        )
     x_min = _require_number(settings, "x_min", -5.0 / params.alpha)
     x_max = _require_number(settings, "x_max", 5.0 / params.alpha)
     if not x_min < x_max:
         raise UsageError("--x-min must be below --x-max")
+    if not math.isfinite(x_max - x_min):
+        raise UsageError(
+            f"--x-max - --x-min = {x_max!r} - {x_min!r} overflows float64"
+        )
     x = np.linspace(x_min, x_max, points)
     # V1 > 0, so where V1 sinh^2 + V2 cosh is inf + -inf, V is +inf.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,8 +11,9 @@ the y^lambda exp(-s y) tail of every QES level.  A set's levels, in energy
 order, are matched by index to its sector's lowest eigenvalues.
 lowest_eigenvalues sizes its grid from the sector's own eigenvalues, never
 from the analytic side, and returns only a spectrum its grid resolves.  Each
-set is solved by it twice: from default_grid (the coarse solve), then from
-1.5 times as many points as the coarse grid resolved on (the fine solve).
+set is solved by it twice: from default_grid, whose step alpha h is at most
+START_STEP (the coarse solve), then from 1.5 times as many points as the
+coarse grid resolved on (the fine solve).
 The fine eigenvalue is reported, and its distance to the coarse one is the
 level's self-gap.  The self-gap is reported, not gated: overall_pass reads
 only the gaps to the analytic energies and the node counts.
@@ -40,8 +41,8 @@ DEFAULT_TOLERANCE = 1e-6
 # Sector eigenvalues solved beyond a set's levels, so that its highest level
 # is matched against eigenvalues on both sides of it.
 EXTRA_ORACLE_LEVELS = 2
-# The sizing rule starts from at least this many points per sector.
-MIN_START_POINTS = 60
+# The sizing rule starts from a step alpha h of at most this.
+START_STEP = 0.136
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,9 @@ class VerificationReport:
 def default_grid(params: PotentialParams) -> GridSpec:
     """Tail-safe half-line grid: the wall y = cosh(alpha L) is the smallest
     y >= 10 with s y - lambda ln y >= 40 (QES levels decay like
-    y^lambda exp(-s y)), and N = max(60, 3 k) starts the sizing rule for the
-    k sector eigenvalues of the largest QES set."""
+    y^lambda exp(-s y)), and N = max(3 k, ceil(acosh(y) / START_STEP))
+    starts the sizing rule for the k sector eigenvalues of the largest QES
+    set, at a step alpha h <= START_STEP."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
     s, lam = params.s, max(infinity_analysis(params).lam, 0.0)
     y, previous = 10.0, 0.0
@@ -123,9 +125,12 @@ def default_grid(params: PotentialParams) -> GridSpec:
             previous, y = y, (40.0 + lam * math.log(y)) / s
     # The largest QES set has floor(lambda + 1/2) levels.
     k = math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS
+    # acosh(y) = alpha L, taken before the division by alpha, so that N does
+    # not depend on alpha's rounding.
+    alpha_l = math.acosh(y)
     return GridSpec(
-        half_width_L=math.acosh(y) / params.alpha,
-        point_count_N=max(MIN_START_POINTS, 3 * k),
+        half_width_L=alpha_l / params.alpha,
+        point_count_N=max(3 * k, math.ceil(alpha_l / START_STEP)),
     )
 
 

@@ -292,6 +292,26 @@ class TestSample:
         assert not any(cell == "nan" for row in rows for cell in row)
         assert [row[1] for row in rows[-2:]] == ["inf", "inf"]
 
+    @pytest.mark.parametrize("args, message", [
+        (("--points", "1e15"), "--points must be at most 1000000, got 1e15"),
+        (("--points", "1e300"), "--points must be at most 1000000, got 1e300"),
+        (("--points", "1000001"), "--points must be at most 1000000, got 1000001"),
+        (("--x-min=-1e308", "--x-max", "1e308", "--points", "3"),
+         "--x-max - --x-min = 1e+308 - -1e+308 overflows float64"),
+    ])
+    def test_oversized_sample_is_usage_error(self, schema, args, message):
+        # Rejected before any numpy work: no allocation error, no overflow
+        # warning and no traceback, in a fresh process with warnings as errors.
+        result = run_module(
+            "sample", "--v1", "1", "--alpha", "1", "--lambda", "1", *args,
+            env={"PYTHONWARNINGS": "error"},
+        )
+        assert result.returncode == 2
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["error"] == {"type": "usage", "message": message}
+
     def test_columns_grouped_by_set_then_energy(self, capsys):
         # at lambda = 2 the set-3 and set-4 energies interleave, so a sort
         # across sets would reorder these columns

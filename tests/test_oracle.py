@@ -22,6 +22,7 @@ from qhj_spectra import (
     verify_qes,
 )
 from qhj_spectra.oracle import (
+    START_STEP,
     _checked_spectrum,
     _kinetic_table,
     _sector_hamiltonian,
@@ -64,11 +65,12 @@ class TestGridSpec:
 class TestDefaultGrid:
     def test_unit_parameters(self):
         # s = 1, lambda = 3/2: the wall solves y - (3/2) ln y = 40, and the
-        # sizing rule starts from its floor of 60 points.
+        # sizing rule starts from the fewest points with alpha h <= START_STEP,
+        # more than the 3 k = 12 the largest set needs.
         grid = default_grid(PotentialParams(1.0, -3.0, 1.0))
         y = math.cosh(grid.half_width_L)
         assert y - 1.5 * math.log(y) == pytest.approx(40.0, abs=1e-9)
-        assert grid.point_count_N == 60
+        assert grid.point_count_N == math.ceil(math.acosh(y) / START_STEP) == 34
 
     def test_strong_well_hits_floor(self):
         grid = default_grid(PotentialParams(100.0, -3.0, 1.0))
@@ -92,6 +94,28 @@ class TestDefaultGrid:
             assert params.s * y - infinity_analysis(params).lam * math.log(y) >= (
                 40.0 - 1e-9
             )
+
+
+    def test_start_step_on_the_envelope_scan(self):
+        # Half-integer lambda in [0.5, 39.5] x s = 10^(i/12 - 1), i = 0..24:
+        # no start has more points than the 60-point floor it replaced, and
+        # every start above 3 k has a step alpha h <= START_STEP.  N is the
+        # same at every alpha, since it is sized from acosh(y) = alpha L.
+        for twice_lam, i in itertools.product(range(1, 80), range(25)):
+            lam, s = twice_lam / 2.0, 10.0 ** (i / 12 - 1)
+            k = math.floor(lam + 0.5) + 2
+            sizes = set()
+            for alpha in (0.5, 1.0, 2.0):
+                v1 = (alpha * s) ** 2
+                grid = default_grid(
+                    PotentialParams(v1, -2.0 * math.sqrt(v1) * alpha * lam, alpha)
+                )
+                n = grid.point_count_N
+                assert n <= max(60, 3 * k)
+                if n > 3 * k:
+                    assert alpha * grid.step <= START_STEP
+                sizes.add(n)
+            assert len(sizes) == 1
 
 
 class TestNodeCount:
@@ -427,7 +451,7 @@ class TestVerify:
         report = verify_qes(params, classification, analytic_levels=levels)
         assert report.overall_pass
         assert len(classification.sets) == 2
-        assert calls == [("eigh", 60), ("eigh", 90)] * 2
+        assert calls == [("eigh", 34), ("eigh", 51)] * 2
 
     def test_resized_start_grid_passes(self, monkeypatch):
         # The default 69-point start is too coarse for lambda = 20.5 at s = 1:
@@ -463,15 +487,24 @@ class TestVerify:
             with pytest.raises(InadmissibleParametersError, match="wall L = 2.99"):
                 verify_qes(params, enumerate_qes_sets(1.0))
 
+    def test_tiny_s_passes(self):
+        # s = 1e-20, lambda = 1: the wall is far out (alpha L = 51.3), and the
+        # start step alpha h <= START_STEP keeps the sinc-DVR on it accurate
+        # to round-off; a fixed 60-point start missed by 6.9e-6.
+        params = PotentialParams(1e-40, -2e-20, 1.0)
+        report = verify_qes(params, enumerate_qes_sets(1.0))
+        assert report.overall_pass
+        assert all(r.abs_gap <= 1e-10 for r in report.rows)
+
     def test_empty_classification_rejected(self):
         params = PotentialParams(1.0, -1.4, 1.0)
         with pytest.raises(ValueError):
             verify_qes(params, enumerate_qes_sets(0.7))
 
     def test_self_gap_and_gap_below_1e_10_on_anchors(self):
-        # The 60-point floor is what holds the self-gap down at s = 0.1: a
-        # start of 3 points per eigenvalue resolves by the sizing rule, yet
-        # leaves a self-gap of 7e-8 at lambda = 1.
+        # The start step alpha h <= START_STEP is what holds the self-gap down
+        # at s = 0.1: a start of 3 points per eigenvalue resolves by the
+        # sizing rule, yet leaves a self-gap of 7e-8 at lambda = 1.
         for s, lam in itertools.product((0.1, 1.0), (1.0, 1.5, 2.0)):
             params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
             report = verify_qes(params, enumerate_qes_sets(lam))
@@ -479,9 +512,10 @@ class TestVerify:
             assert report.max_self_gap == max(r.self_gap for r in report.rows)
             assert report.max_self_gap <= 1e-10
             assert all(r.abs_gap <= 1e-10 for r in report.rows)
-            # The 60-point start already resolves the anchors, so the finer
-            # grid has ceil(1.5 * 60) points.
-            assert report.grid.point_count_N == 90
+            # The start already resolves the anchors, so the finer grid has
+            # ceil(1.5 N) points: 77 or 78 at s = 0.1, 50 or 51 at s = 1.
+            start = default_grid(params).point_count_N
+            assert report.grid.point_count_N == math.ceil(1.5 * start)
 
     @seed(20260)
     @settings(max_examples=30, deadline=None, database=None)
