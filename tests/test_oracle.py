@@ -95,7 +95,6 @@ class TestDefaultGrid:
                 40.0 - 1e-9
             )
 
-
     def test_start_step_on_the_envelope_scan(self):
         # Half-integer lambda in [0.5, 39.5] x s = 10^(i/12 - 1), i = 0..24:
         # no start has more points than the 60-point floor it replaced, and
