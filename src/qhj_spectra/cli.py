@@ -184,20 +184,18 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
             raise UsageError(f"--set must be 1..4, got {set_index}")
         if n < 0:
             raise UsageError(f"--n must be nonnegative, got {n}")
-        b1, b1p = SET_RESIDUES[set_index]
-        qes_set = QesSet(set_index=set_index, b1=b1, b1_prime=b1p, n=n)
+        qes_set = QesSet(set_index, n)
         target_v2 = _require_finite("V2", qes_target_v2(qes_set, v1, alpha))
         params = PotentialParams(v1=v1, v2=target_v2, alpha=alpha)
         classification = QesClassification(lam=qes_set.lam, sets=(qes_set,))
-    elif settings.get("lambda") is not None:
-        lam = _require_number(settings, "lambda")
-        classification = enumerate_qes_sets(lam)
-        if not classification.sets:
-            raise UsageError(f"no admissible QES sets for lambda = {lam!r}")
-        v2 = _require_finite("V2", -2.0 * math.sqrt(v1) * alpha * lam)
-        params = PotentialParams(v1=v1, v2=v2, alpha=alpha)
     else:
-        params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
+        # --lambda only sets V2: the sets are those of the working point's own
+        # lambda, the one build_pencil checks them at.
+        if settings.get("lambda") is not None:
+            v2 = -2.0 * math.sqrt(v1) * alpha * _require_number(settings, "lambda")
+        else:
+            v2 = _require_number(settings, "v2")
+        params = PotentialParams(v1=v1, v2=_require_finite("V2", v2), alpha=alpha)
         lam = _require_finite("lambda", infinity_analysis(params).lam)
         classification = enumerate_qes_sets(lam)
         if not classification.sets:
@@ -258,10 +256,11 @@ def cmd_classify(settings) -> tuple[int, dict]:
         },
     }
     if report.physical_qes_possible:
+        m_paper = _require_finite("M = 2 lambda", 2.0 * report.lambda_value.real)
         classification = enumerate_qes_sets(report.lambda_value.real)
         document["classification"] = {
             "lambda": classification.lam,
-            "m_paper": 2.0 * classification.lam,
+            "m_paper": m_paper,
             "total_levels": classification.total_levels,
             "sets": [_set_payload(q) for q in classification.sets],
         }

@@ -6,9 +6,10 @@ derivative substitutions, the bound-state problem becomes
     chi'(y) + chi(y)^2 + G(y) = 0,
 
 where G carries two fixed double poles at y = +1 and y = -1 and a linear-in-E
-part.  This module extracts the exact fixed-pole residues, the constant and
-1/y coefficients of chi at infinity, and enumerates the admissible residue
-combinations (the QES sets) for a given infinity exponent lambda.
+part.  This module extracts the exact fixed-pole residues and the constant and
+1/y coefficients of chi at infinity, and alone knows the QES condition: a set,
+its Table 3.1 index (fixing b1, b1' in {1/4, 3/4}) and degree n, is admitted
+when lambda = b1 + b1' + n, i.e. M = 2 lambda = 2n + k with k = 2 (b1 + b1').
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .errors import ComplexResidueError, UnsupportedBranchError
 from .potential import PotentialParams, Variant, classify_symmetry
 
-# How far lam - b1 - b1' may sit from an integer and still admit a set.
+# How far lambda may sit from b1 + b1' + n (M from 2n + k: twice this).
 INTEGER_TOLERANCE = 1e-9
 
 
@@ -78,35 +79,28 @@ class InfinityAnalysis:
 
 @dataclass(frozen=True)
 class QesSet:
-    """One admissible residue combination with its polynomial degree n.
+    """One QES set: its index in Table 3.1 and its polynomial degree n.
 
-    p1 = b1 - 1/4, p2 = b1' - 1/4 and lam = b1 + b1' + n (the infinity
-    exponent that admits the set) are converted from the exact residues to
-    floats once, here, and parity is read from b1; the per-level path reads
-    them without Fraction arithmetic.  Equality, hash and repr cover the four
-    defining fields only.
+    The index fixes b1, b1', p1 = b1 - 1/4, p2 = b1' - 1/4 and the parity (odd
+    when b1 = 3/4); lam = b1 + b1' + n is the lambda that admits the set.  All
+    are plain fields, set once here.  Equality, hash and repr cover (set_index, n).
     """
 
     set_index: int
-    b1: Fraction
-    b1_prime: Fraction
     n: int
+    b1: Fraction = field(init=False, repr=False, compare=False)
+    b1_prime: Fraction = field(init=False, repr=False, compare=False)
     p1: float = field(init=False, repr=False, compare=False)
     p2: float = field(init=False, repr=False, compare=False)
     parity: str = field(init=False, repr=False, compare=False)
     lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # b1 = a/b and b1' = c/d.  The sums are exact in integers and rounded
-        # once by int true division, as float() rounds a Fraction: the same
-        # floats as float(b1 - 1/4) etc., at a tenth of the cost.
-        (a, b), (c, d) = self.b1.as_integer_ratio(), self.b1_prime.as_integer_ratio()
-        # The instance is frozen: set the derived fields as dataclass does.
-        setattr_ = object.__setattr__
-        setattr_(self, "p1", (4 * a - b) / (4 * b))
-        setattr_(self, "p2", (4 * c - d) / (4 * d))
-        setattr_(self, "parity", "odd" if self.b1 == _B1_HIGH else "even")
-        setattr_(self, "lam", (a * d + c * b + self.n * b * d) / (b * d))
+        derived, k = _SET_CONSTANTS[self.set_index]  # KeyError for an unknown index
+        # As dataclass does when frozen (a __dict__ update slows later reads).
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "lam", (2 * self.n + k) / 2)
 
 
 @dataclass(frozen=True)
@@ -171,10 +165,12 @@ SET_RESIDUES: dict[int, tuple[Fraction, Fraction]] = {
     1: (_B1_LOW, _B1P_LOW), 2: (_B1_HIGH, _B1P_HIGH),
     3: (_B1_LOW, _B1P_HIGH), 4: (_B1_HIGH, _B1P_LOW),
 }
-# The same residues as floats, in set order, for enumerate_qes_sets.
-_FLOAT_RESIDUES = tuple(
-    (index, float(b1), float(b1p)) for index, (b1, b1p) in sorted(SET_RESIDUES.items())
-)
+# Per set: the fields its index fixes, and k = 2 (b1 + b1') = M - 2n.
+_SET_CONSTANTS = {
+    index: (dict(b1=b1, b1_prime=b1p, p1=float(b1 - _B1_LOW), p2=float(b1p - _B1P_LOW),
+                 parity="odd" if b1 == _B1_HIGH else "even"), int(2 * (b1 + b1p)))
+    for index, (b1, b1p) in SET_RESIDUES.items()
+}
 
 
 def fixed_pole_analysis(term: RiccatiFixedTerm, location: int) -> FixedPoleAnalysis:
@@ -209,20 +205,23 @@ def infinity_analysis(params: PotentialParams) -> InfinityAnalysis:
 
 
 def enumerate_qes_sets(lam: float) -> QesClassification:
-    """Admit each residue pair whose n = lam - b1 - b1' is a nonnegative integer.
+    """Admit each set whose M = 2 lam is within 2 INTEGER_TOLERANCE of 2n + k, n >= 0.
 
     Half-odd lam admits sets 1 and 2, integer lam admits sets 3 and 4;
-    anything else yields an empty classification.
+    anything else yields an empty classification.  modf splits M = 2 whole +
+    frac exactly, even where 2 lam overflows; the 2n + k nearest M is
+    2 whole + j, j = 1 for odd k and 0 or 2 for even k.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
+    half, whole = math.modf(lam)
+    frac, whole = 2.0 * half, int(whole)
     sets = []
-    for index, f1, f2 in _FLOAT_RESIDUES:
-        n_real = lam - f1 - f2
-        n = round(n_real)
-        if n >= 0 and abs(n_real - n) <= INTEGER_TOLERANCE:
-            b1, b1p = SET_RESIDUES[index]
-            sets.append(QesSet(set_index=index, b1=b1, b1_prime=b1p, n=n))
+    for index, (_, k) in _SET_CONSTANTS.items():
+        j = 1 if k % 2 else (0 if frac < 1.0 else 2)
+        n = whole + (j - k) // 2
+        if n >= 0 and abs(frac - j) <= 2.0 * INTEGER_TOLERANCE:
+            sets.append(QesSet(index, n))
     return QesClassification(lam=lam, sets=tuple(sets))
 
 

@@ -55,7 +55,8 @@ from .errors import (
     QmfPoleError,
 )
 from .potential import PotentialParams, Variant, evaluate_potential
-from .qhj import SET_RESIDUES, QesClassification, QesSet, qes_target_v2
+from .qhj import (SET_RESIDUES, QesClassification, QesSet, enumerate_qes_sets,
+                  infinity_analysis, qes_target_v2)
 
 # Moving-pole contour: half-height of the ellipse in w = ln z, agreement
 # between successive trapezoid passes, and the range of node counts tried.
@@ -106,17 +107,18 @@ class ClosedFormWavefunction:
 
 
 def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
-    """Assemble H for one set of n <= MAX_BLOCK_N; params must satisfy its QES condition."""
+    """Assemble H for one set of n <= MAX_BLOCK_N that params' lambda admits."""
     if qes_set.n > MAX_BLOCK_N:
         raise InadmissibleParametersError(
             f"set {qes_set.set_index} has n = {qes_set.n}; the dense pencil "
             f"supports n <= {MAX_BLOCK_N}"
         )
-    target = qes_target_v2(qes_set, params.v1, params.alpha)
-    if abs(params.v2 - target) > 1e-9 * max(1.0, abs(target)):
+    # The set's own lambda (exact for n <= MAX_BLOCK_N) is admitted by definition.
+    lam = infinity_analysis(params).lam
+    if lam != qes_set.lam and qes_set not in enumerate_qes_sets(lam).sets:
         raise InadmissibleParametersError(
-            f"set {qes_set.set_index} with n = {qes_set.n} needs "
-            f"V2 = {target!r}, got V2 = {params.v2!r}"
+            f"set {qes_set.set_index} with n = {qes_set.n} needs M = 2 lambda = "
+            f"{2.0 * qes_set.lam:g}, got lambda = {lam!r} at V2 = {params.v2!r}"
         )
     n = qes_set.n
     s = params.s
@@ -729,8 +731,7 @@ def _energy_row(
     table: str, set_index: int, n: int, printed: float, v1: float, alpha: float
 ) -> dict:
     """One printed energy against the solved levels of its set."""
-    b1, b1p = SET_RESIDUES[set_index]
-    qes_set = QesSet(set_index=set_index, b1=b1, b1_prime=b1p, n=n)
+    qes_set = QesSet(set_index, n)
     params = PotentialParams(v1=v1, v2=qes_target_v2(qes_set, v1, alpha), alpha=alpha)
     computed = [lvl.energy for lvl in solve_levels(build_pencil(qes_set, params), params)]
     matches = any(abs(printed - e) <= 1e-9 * max(1.0, abs(e)) for e in computed)

@@ -90,6 +90,33 @@ class TestClassify:
         jsonschema.validate(doc, schema)
         assert "v1" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("v2, sets", [
+        # lambda = 2500000000000000.5 and 2^51 + 0.5: half-odd, so sets 1 and 2.
+        ("-5000000000000001", [(1, 2500000000000000), (2, 2499999999999999)]),
+        ("-4503599627370497", [(1, 2**51), (2, 2**51 - 1)]),
+    ])
+    def test_admission_is_exact_beyond_two_to_the_51(self, capsys, schema, v2, sets):
+        code, doc = run_json(capsys, "classify", "--v1", "1", f"--v2={v2}", "--alpha", "1")
+        assert code == 0
+        jsonschema.validate(doc, schema)
+        assert [(q["set"], q["n"]) for q in doc["classification"]["sets"]] == sets
+
+    def test_m_beyond_float64_is_usage_error(self, schema):
+        # lambda = 1e308 is finite, M = 2 lambda is not: a usage error before
+        # the sets are enumerated, with nothing on stderr in a fresh process.
+        result = run_module(
+            "classify", "--v1", "1", "--v2=-1e308", "--alpha", "0.5",
+            env={"PYTHONWARNINGS": "error"},
+        )
+        assert result.returncode == 2
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["error"] == {
+            "type": "usage",
+            "message": "M = 2 lambda = inf overflows float64 at this working point",
+        }
+
     def test_missing_flag_is_usage_error(self, capsys):
         code, doc = run_json(capsys, "classify", "--v1", "1", "--alpha", "1")
         assert code == 2
@@ -151,6 +178,29 @@ class TestSolve:
         )
         assert code == 2
         assert "no admissible QES sets" in doc["error"]["message"]
+
+    def test_lambda_within_the_tolerance_solves(self, capsys, schema):
+        # Admitted as set 1 with n = 0; build_pencil checks it by the same rule.
+        code, doc = run_json(
+            capsys, "solve", "--v1", "1", "--alpha", "1", "--lambda", "0.5000000008"
+        )
+        assert code == 0
+        jsonschema.validate(doc, schema)
+        assert doc["lambda"] == "0.5000000008"
+        assert [(q["set"], q["n"]) for q in doc["sets"]] == [(1, 0)]
+
+    def test_sets_are_those_of_the_working_points_lambda(self, capsys):
+        # --lambda sets V2 = -2 sqrt(V1) alpha lambda.  At this tolerance edge
+        # the lambda that V2 gives back is an ulp lower, 1.499999999, and
+        # admits no set; the error names the lambda that was classified.
+        code, doc = run_json(
+            capsys, "solve", "--v1", "2", "--alpha", "1",
+            "--lambda", "1.4999999990000001",
+        )
+        assert code == 2
+        assert doc["error"]["message"] == (
+            "no admissible QES sets at V2 = -4.242640684290858 (lambda = 1.499999999)"
+        )
 
     def test_overdetermined_working_point(self, capsys):
         code, doc = run_json(

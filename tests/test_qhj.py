@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,7 @@ from qhj_spectra import (
     qes_target_v2,
     riccati_fixed_term,
 )
-from qhj_spectra.qhj import SET_RESIDUES, QesSet
+from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
 
 import series_tools
 
@@ -133,10 +133,7 @@ class TestFixedPoleAnalysis:
 
 
 def qes_target_v2_for_set(set_index, n, v1, alpha):
-    from qhj_spectra.qhj import QesSet
-
-    b1, b1p = SET_RESIDUES[set_index]
-    return qes_target_v2(QesSet(set_index, b1, b1p, n), v1, alpha)
+    return qes_target_v2(QesSet(set_index, n), v1, alpha)
 
 
 class TestInfinity:
@@ -206,39 +203,81 @@ class TestEnumeration:
         for q in enumerate_qes_sets(2.0).sets + enumerate_qes_sets(2.5).sets:
             assert q.parity == ("odd" if q.b1 == THREE_QUARTERS else "even")
 
+    @pytest.mark.parametrize(
+        "lam, expected",
+        [
+            # From 2^51 on, lam - 1/4 - 1/4 rounds: these once admitted all
+            # four sets, only set 2, and sets 1 and 2, respectively.
+            (2500000000000000.5, [(1, 2500000000000000), (2, 2499999999999999)]),
+            (2.0**51 + 0.5, [(1, 2**51), (2, 2**51 - 1)]),
+            (1e17, [(3, 10**17 - 1), (4, 10**17 - 1)]),
+            # 2 lam overflows here.
+            (1.7e308, [(3, int(1.7e308) - 1), (4, int(1.7e308) - 1)]),
+        ],
+    )
+    def test_exact_beyond_two_to_the_51(self, lam, expected):
+        assert [(q.set_index, q.n) for q in enumerate_qes_sets(lam).sets] == expected
+
+    @given(
+        m=st.integers(min_value=0, max_value=2**61),
+        edge=st.sampled_from([-1, 0, 1]),
+        ulps=st.integers(min_value=-1, max_value=1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_admissions_match_the_exact_rule(self, m, edge, ulps):
+        # lam sits at M = m +- 2 INTEGER_TOLERANCE (or at m), rounded, then
+        # moved by one ulp either way; the reference takes lam exactly.
+        tol = Fraction(INTEGER_TOLERANCE)
+        lam = float((m + 2 * edge * tol) / 2)
+        for _ in range(abs(ulps)):
+            lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+        expected = []
+        for index, (b1, b1p) in sorted(SET_RESIDUES.items()):
+            k = 2 * (b1 + b1p)
+            n = math.floor((2 * Fraction(lam) - k) / 2 + Fraction(1, 2))
+            if n >= 0 and abs(2 * Fraction(lam) - 2 * n - k) <= 2 * tol:
+                expected.append((index, n))
+        assert [(q.set_index, q.n) for q in enumerate_qes_sets(lam).sets] == expected
+
 
 class TestQesSet:
+    # Table 3.1's residues (b1, b1') per set index.
+    RESIDUES = {1: (QUARTER, QUARTER), 2: (THREE_QUARTERS, THREE_QUARTERS),
+                3: (QUARTER, THREE_QUARTERS), 4: (THREE_QUARTERS, QUARTER)}
+
     @pytest.mark.parametrize("set_index", sorted(SET_RESIDUES))
     @pytest.mark.parametrize("n", [0, 3])
     def test_derived_floats_equal_the_exact_values(self, set_index, n):
-        b1, b1p = SET_RESIDUES[set_index]
-        q = QesSet(set_index, b1, b1p, n)
+        b1, b1p = self.RESIDUES[set_index]
+        q = QesSet(set_index, n)
+        assert (q.b1, q.b1_prime) == (b1, b1p)
         for got, exact in ((q.p1, b1 - QUARTER), (q.p2, b1p - QUARTER),
                            (q.lam, b1 + b1p + n)):
             assert type(got) is float and got == float(exact)
         assert q.parity == ("odd" if b1 == THREE_QUARTERS else "even")
 
-    @given(b1=st.fractions(max_denominator=10**6), b1p=st.fractions(max_denominator=10**6),
-           n=st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=200, deadline=None)
-    def test_derived_floats_round_like_fraction_arithmetic(self, b1, b1p, n):
-        q = QesSet(1, b1, b1p, n)
-        assert (q.p1, q.p2, q.lam) == (
-            float(b1 - QUARTER), float(b1p - QUARTER), float(b1 + b1p + n)
-        )
+    @pytest.mark.parametrize("set_index", [0, 5, -1])
+    def test_unknown_index_raises(self, set_index):
+        with pytest.raises(KeyError):
+            QesSet(set_index, 0)
+
+    @given(n=st.integers(min_value=0, max_value=2**70))
+    def test_lam_rounds_like_fraction_arithmetic(self, n):
+        for set_index, (b1, b1p) in self.RESIDUES.items():
+            assert QesSet(set_index, n).lam == float(b1 + b1p + n)
 
     def test_replace_recomputes_the_derived_fields(self):
-        q = replace(QesSet(1, QUARTER, QUARTER, 0), n=3, b1=THREE_QUARTERS)
+        q = replace(QesSet(1, 0), set_index=4, n=3)
+        assert (q.b1, q.b1_prime) == (THREE_QUARTERS, QUARTER)
         assert (q.p1, q.p2, q.lam, q.parity) == (0.5, 0.0, 4.0, "odd")
 
     def test_equality_hash_and_repr_cover_the_defining_fields(self):
-        a = QesSet(3, QUARTER, THREE_QUARTERS, 2)
-        b = QesSet(3, Fraction(2, 8), Fraction(6, 8), 2)
+        a = QesSet(3, 2)
+        b = QesSet(set_index=3, n=2)
         assert a == b and hash(a) == hash(b)
-        assert a != QesSet(3, QUARTER, THREE_QUARTERS, 1)
-        assert repr(a) == (
-            "QesSet(set_index=3, b1=Fraction(1, 4), b1_prime=Fraction(3, 4), n=2)"
-        )
+        assert a != QesSet(3, 1) and a != QesSet(4, 2)
+        assert repr(a) == "QesSet(set_index=3, n=2)"
+        assert [f.name for f in fields(QesSet) if f.init] == ["set_index", "n"]
 
 
 class TestTargetV2:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qhj_spectra
 from qhj_spectra import (
@@ -24,6 +24,7 @@ from qhj_spectra import (
     enumerate_qes_sets,
     evaluate_potential,
     evaluate_wavefunction,
+    infinity_analysis,
     moving_pole_contour_value,
     qes_target_v2,
     qhj_residual,
@@ -37,13 +38,10 @@ from qhj_spectra import (
     wavefunction,
 )
 from qhj_spectra import solver
-from qhj_spectra.qhj import SET_RESIDUES, QesSet
+from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
 from qhj_spectra.solver import _node_count
 
 
-def make_set(set_index, n):
-    b1, b1p = SET_RESIDUES[set_index]
-    return QesSet(set_index, b1, b1p, n)
 
 
 def closed_form(level, x):
@@ -53,7 +51,7 @@ def closed_form(level, x):
 
 
 def params_for(set_index, n, v1=1.0, alpha=1.0):
-    qes_set = make_set(set_index, n)
+    qes_set = QesSet(set_index, n)
     v2 = qes_target_v2(qes_set, v1, alpha)
     return qes_set, PotentialParams(v1, v2, alpha)
 
@@ -76,9 +74,30 @@ class TestPencil:
         assert pencil.matrix == pytest.approx(np.array([[2.0, 1.0], [2.0, -1.0]]))
 
     def test_inadmissible_v2_rejected(self):
-        qes_set = make_set(2, 0)
-        with pytest.raises(InadmissibleParametersError, match="V2"):
+        qes_set = QesSet(2, 0)
+        with pytest.raises(InadmissibleParametersError,
+                           match="needs M = 2 lambda = 3, got lambda = 1.45 at V2 = -2.9"):
             build_pencil(qes_set, PotentialParams(1.0, -2.9, 1.0))
+
+    @given(
+        set_index=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=0, max_value=8),
+        offset=st.floats(min_value=-1.0, max_value=1.0),
+        s=st.floats(min_value=0.1, max_value=10.0),
+        alpha=st.floats(min_value=0.2, max_value=5.0),
+    )
+    @example(set_index=1, n=0, offset=0.8, s=1.0, alpha=1.0)  # lambda = 0.5000000008
+    @settings(max_examples=60, deadline=None)
+    def test_admitted_sets_are_never_rejected(self, set_index, n, offset, s, alpha):
+        # The working point the CLI builds for a lambda within the tolerance;
+        # its sets are those of its own lambda, where build_pencil checks them.
+        lam = QesSet(set_index, n).lam + offset * INTEGER_TOLERANCE
+        v1 = (s * alpha) ** 2
+        params = PotentialParams(v1, -2.0 * math.sqrt(v1) * alpha * lam, alpha)
+        classification = enumerate_qes_sets(infinity_analysis(params).lam)
+        # Round-off moves lambda by ulps: only at the edges can it leave.
+        assert abs(offset) > 0.5 or QesSet(set_index, n) in classification.sets
+        solve_classification(params, classification)
 
     def test_block_size_bound(self):
         # n = MAX_BLOCK_N still builds its pencil; one more is rejected,
