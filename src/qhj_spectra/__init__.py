@@ -44,7 +44,6 @@ from .qhj import (
     fixed_pole_analysis,
     indicial_residues,
     infinity_analysis,
-    qes_target_v2,
     riccati_fixed_term,
 )
 from .solver import (

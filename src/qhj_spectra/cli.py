@@ -27,14 +27,7 @@ import numpy as np
 from .errors import InvariantViolationError, QhjSpectraError
 from .oracle import DEFAULT_TOLERANCE, verify_qes
 from .potential import PotentialParams, Variant, classify_symmetry, evaluate_potential
-from .qhj import (
-    QesClassification,
-    QesSet,
-    SET_RESIDUES,
-    enumerate_qes_sets,
-    infinity_analysis,
-    qes_target_v2,
-)
+from .qhj import QesClassification, QesSet, SET_RESIDUES, enumerate_qes_sets
 from .solver import (
     MAX_BLOCK_N,
     PRINTED_ENERGIES,
@@ -111,7 +104,12 @@ def _load_config(args) -> dict:
 def _settings(args) -> dict:
     """Config-file values overlaid by the flags that were given (flags win)."""
     flags = {name: value for name, value in vars(args).items() if value is not None}
-    return {**_load_config(args), **flags}
+    settings = {**_load_config(args), **flags}
+    for name, kind, what in (("output", str, "a string"),
+                             ("assert_paper_table_33", bool, "a JSON boolean")):
+        if settings.get(name) is not None and not isinstance(settings[name], kind):
+            raise UsageError(f"{name} must be {what}, got {settings[name]!r}")
+    return settings
 
 
 def _require_number(settings, name, default=None) -> float:
@@ -120,6 +118,8 @@ def _require_number(settings, name, default=None) -> float:
     if value is None:
         raise UsageError(f"{flag} is required")
     try:
+        if isinstance(value, bool):  # a JSON boolean, which float() would take
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{flag} must be a number, got {value!r}")
@@ -175,28 +175,29 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         raise UsageError(
             "exactly one of --v2, --set/--n, --lambda must select the working point"
         )
+    has_set, has_n = settings.get("set") is not None, settings.get("n") is not None
+    if has_set != has_n:
+        raise UsageError("--set requires --n" if has_set else "--n requires --set")
 
-    if settings.get("set") is not None:
-        if settings.get("n") is None:
-            raise UsageError("--set requires --n")
+    if has_set:
         set_index, n = _require_whole(settings, "set"), _require_whole(settings, "n")
         if set_index not in SET_RESIDUES:
             raise UsageError(f"--set must be 1..4, got {set_index}")
         if n < 0:
             raise UsageError(f"--n must be nonnegative, got {n}")
         qes_set = QesSet(set_index, n)
-        target_v2 = _require_finite("V2", qes_target_v2(qes_set, v1, alpha))
-        params = PotentialParams(v1=v1, v2=target_v2, alpha=alpha)
-        classification = QesClassification(lam=qes_set.lam, sets=(qes_set,))
+    if settings.get("v2") is not None:
+        params = PotentialParams(v1=v1, v2=_require_number(settings, "v2"), alpha=alpha)
     else:
-        # --lambda only sets V2: the sets are those of the working point's own
-        # lambda, the one build_pencil checks them at.
-        if settings.get("lambda") is not None:
-            v2 = -2.0 * math.sqrt(v1) * alpha * _require_number(settings, "lambda")
-        else:
-            v2 = _require_number(settings, "v2")
-        params = PotentialParams(v1=v1, v2=_require_finite("V2", v2), alpha=alpha)
-        lam = _require_finite("lambda", infinity_analysis(params).lam)
+        lam = qes_set.lam if has_set else _require_number(settings, "lambda")
+        try:
+            params = PotentialParams.from_lambda(v1, lam, alpha)
+        except ValueError as exc:  # V2 = -2 sqrt(V1) alpha lambda overflows
+            raise UsageError(str(exc)) from None
+    lam = _require_finite("lambda", params.lam)
+    if has_set:
+        classification = QesClassification(lam=lam, sets=(qes_set,))
+    else:
         classification = enumerate_qes_sets(lam)
         if not classification.sets:
             raise UsageError(

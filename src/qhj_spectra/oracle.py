@@ -33,7 +33,7 @@ from .errors import (
     InvariantViolationError,
 )
 from .potential import PotentialParams, Variant, evaluate_potential
-from .qhj import QesClassification, infinity_analysis
+from .qhj import QesClassification
 from .solver import QesLevel, _row_sign_changes, solve_classification
 
 # Default bound on |E_analytic - E_oracle| for a level to pass.
@@ -116,7 +116,7 @@ def default_grid(params: PotentialParams) -> GridSpec:
     starts the sizing rule for the k sector eigenvalues of the largest QES
     set, at a step alpha h <= START_STEP."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
-    s, lam = params.s, max(infinity_analysis(params).lam, 0.0)
+    s, lam = params.s, max(params.lam, 0.0)
     y, previous = 10.0, 0.0
     if s * y - lam * math.log(y) < 40.0:
         # Fixed-point iteration onto the largest root: it rises monotonically

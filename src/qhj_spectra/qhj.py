@@ -9,7 +9,8 @@ where G carries two fixed double poles at y = +1 and y = -1 and a linear-in-E
 part.  This module extracts the exact fixed-pole residues and the constant and
 1/y coefficients of chi at infinity, and alone knows the QES condition: a set,
 its Table 3.1 index (fixing b1, b1' in {1/4, 3/4}) and degree n, is admitted
-when lambda = b1 + b1' + n, i.e. M = 2 lambda = 2n + k with k = 2 (b1 + b1').
+when lambda = b1 + b1' + n, i.e. M = 2 lambda = 2n + k with k = 2 (b1 + b1'),
+for the working point's own lambda, PotentialParams.lam.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ComplexResidueError, UnsupportedBranchError
-from .potential import PotentialParams, Variant, classify_symmetry
+from .errors import ComplexResidueError
+from .potential import PotentialParams, _require_positive_v1
 
 # How far lambda may sit from b1 + b1' + n (M from 2n + k: twice this).
 INTEGER_TOLERANCE = 1e-9
@@ -115,16 +116,9 @@ class QesClassification:
         return sum(q.n + 1 for q in self.sets)
 
 
-def _require_positive_v1(params: PotentialParams) -> None:
-    if params.v1 <= 0.0:
-        raise UnsupportedBranchError(
-            f"the pole analysis needs V1 > 0, got V1 = {params.v1}"
-        )
-
-
 def riccati_fixed_term(params: PotentialParams) -> RiccatiFixedTerm:
     """Build G(y; E) for the real variant; requires V1 > 0."""
-    _require_positive_v1(params)
+    _require_positive_v1(params.v1)
     return RiccatiFixedTerm(v1=params.v1, v2=params.v2, alpha=params.alpha)
 
 
@@ -190,12 +184,11 @@ def infinity_analysis(params: PotentialParams) -> InfinityAnalysis:
     """Match chi = a0 + lam/y + ... at large y.
 
     Order 1 gives a0 = +-sqrt(V1)/alpha; on the normalizable branch a0 = C =
-    -sqrt(V1)/alpha the 1/y order gives classify_symmetry's real-variant
-    lam = -V2 / (2 sqrt(V1) alpha).  lam > 0 (hence QES) requires V2 < 0.
+    -sqrt(V1)/alpha the 1/y order gives lam = -V2 / (2 sqrt(V1) alpha), the
+    working point's own params.lam.  lam > 0 (hence QES) requires V2 < 0.
     """
-    _require_positive_v1(params)
+    lam = params.lam
     s = params.s
-    lam = classify_symmetry(params, Variant.REAL_SINH_GORDON).lambda_value.real
     return InfinityAnalysis(
         c_candidates=(s, -s),
         c_physical=-s,
@@ -223,12 +216,3 @@ def enumerate_qes_sets(lam: float) -> QesClassification:
         if n >= 0 and abs(frac - j) <= 2.0 * INTEGER_TOLERANCE:
             sets.append(QesSet(index, n))
     return QesClassification(lam=lam, sets=tuple(sets))
-
-
-def qes_target_v2(qes_set: QesSet, v1: float, alpha: float) -> float:
-    """The unique (negative) V2 making this set admissible for given V1, alpha."""
-    if v1 <= 0.0:
-        raise UnsupportedBranchError(f"V1 must be positive, got {v1}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return -2.0 * math.sqrt(v1) * alpha * qes_set.lam

@@ -55,8 +55,7 @@ from .errors import (
     QmfPoleError,
 )
 from .potential import PotentialParams, Variant, evaluate_potential
-from .qhj import (SET_RESIDUES, QesClassification, QesSet, enumerate_qes_sets,
-                  infinity_analysis, qes_target_v2)
+from .qhj import SET_RESIDUES, QesClassification, QesSet, enumerate_qes_sets
 
 # Moving-pole contour: half-height of the ellipse in w = ln z, agreement
 # between successive trapezoid passes, and the range of node counts tried.
@@ -114,7 +113,7 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
             f"supports n <= {MAX_BLOCK_N}"
         )
     # The set's own lambda (exact for n <= MAX_BLOCK_N) is admitted by definition.
-    lam = infinity_analysis(params).lam
+    lam = params.lam
     if lam != qes_set.lam and qes_set not in enumerate_qes_sets(lam).sets:
         raise InadmissibleParametersError(
             f"set {qes_set.set_index} with n = {qes_set.n} needs M = 2 lambda = "
@@ -732,7 +731,7 @@ def _energy_row(
 ) -> dict:
     """One printed energy against the solved levels of its set."""
     qes_set = QesSet(set_index, n)
-    params = PotentialParams(v1=v1, v2=qes_target_v2(qes_set, v1, alpha), alpha=alpha)
+    params = PotentialParams.from_lambda(v1, qes_set.lam, alpha)
     computed = [lvl.energy for lvl in solve_levels(build_pencil(qes_set, params), params)]
     matches = any(abs(printed - e) <= 1e-9 * max(1.0, abs(e)) for e in computed)
     return {

@@ -1,19 +1,23 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qhj_spectra import cli, solver
+from qhj_spectra import cli, enumerate_qes_sets, solve_classification, solver
 from qhj_spectra.cli import main
+from qhj_spectra.qhj import INTEGER_TOLERANCE
 from qhj_spectra.errors import (
     ContourCollisionError,
     DegenerateVectorError,
@@ -190,17 +194,72 @@ class TestSolve:
         assert [(q["set"], q["n"]) for q in doc["sets"]] == [(1, 0)]
 
     def test_sets_are_those_of_the_working_points_lambda(self, capsys):
-        # --lambda sets V2 = -2 sqrt(V1) alpha lambda.  At this tolerance edge
-        # the lambda that V2 gives back is an ulp lower, 1.499999999, and
-        # admits no set; the error names the lambda that was classified.
+        # --lambda gives the working point's lambda itself.  At this tolerance
+        # edge the V2 it derives, -2 sqrt(V1) alpha lambda, gives back a
+        # lambda an ulp lower, 1.499999999, which admits no set: --lambda
+        # solves the sets of the lambda given, --v2 classifies V2's own.
         code, doc = run_json(
             capsys, "solve", "--v1", "2", "--alpha", "1",
             "--lambda", "1.4999999990000001",
+        )
+        assert code == 0
+        assert [(q["set"], q["n"]) for q in doc["sets"]] == [(1, 1), (2, 0)]
+        assert doc["parameters"]["v2"] == "-4.24264068429"
+        code, doc = run_json(
+            capsys, "solve", "--v1", "2", "--alpha", "1", "--v2=-4.242640684290858"
         )
         assert code == 2
         assert doc["error"]["message"] == (
             "no admissible QES sets at V2 = -4.242640684290858 (lambda = 1.499999999)"
         )
+
+    @given(
+        q=st.integers(min_value=1, max_value=40),
+        edge=st.sampled_from([-1, 1]),
+        ulps=st.integers(min_value=-1, max_value=1),
+        s=st.floats(min_value=0.1, max_value=10.0),
+        log_alpha=st.floats(min_value=-0.5, max_value=0.5),
+    )
+    @example(q=3, edge=-1, ulps=1, s=math.sqrt(2.0), log_alpha=0.0)  # 1.4999999990000001
+    @settings(max_examples=150, deadline=None)
+    def test_lambda_admits_exactly_the_enumerated_sets(self, q, edge, ulps, s, log_alpha):
+        # lambda at a tolerance edge of M = q, rounded, then moved by one ulp
+        # either way: --lambda solves exactly enumerate_qes_sets(lambda).
+        lam = float((q + 2 * edge * Fraction(INTEGER_TOLERANCE)) / 2)
+        for _ in range(abs(ulps)):
+            lam = math.nextafter(lam, math.copysign(math.inf, ulps))
+        alpha = 10.0**log_alpha
+        settings = {"v1": repr((s * alpha) ** 2), "alpha": repr(alpha), "lambda": repr(lam)}
+        expected = enumerate_qes_sets(lam).sets
+        if not expected:
+            with pytest.raises(cli.UsageError, match="no admissible QES sets"):
+                cli._working_point(settings)
+            return
+        params, classification = cli._working_point(settings)
+        assert params.lam == lam
+        assert classification.sets == expected
+        solve_classification(params, classification)
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--lambda", "1.5", "--n", "7"], {}),
+            (["--v2", "-3", "--n", "7"], {}),
+            (["--lambda", "1.5"], {"n": 7}),
+        ],
+        ids=["lambda-flag", "v2-flag", "lambda-config"],
+    )
+    def test_n_without_set_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, config):
+        # --n only completes --set; alone it would be ignored.  The error
+        # comes before any numpy work.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setattr(cli, "solve_classification", None)
+        code, doc = run_json(
+            capsys, "solve", "--v1", "1", "--alpha", "1", "--config", str(path), *argv
+        )
+        assert code == 2
+        assert doc["error"] == {"type": "usage", "message": "--n requires --set"}
 
     def test_overdetermined_working_point(self, capsys):
         code, doc = run_json(
@@ -705,6 +764,43 @@ class TestContract:
         )
         assert code == 0
         assert len(doc["levels"]) == 3
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("solve", {"v1": True, "alpha": 1, "lambda": 1}, "--v1 must be a number, got True"),
+            ("solve", {"v1": 1, "alpha": 1, "lambda": False},
+             "--lambda must be a number, got False"),
+            ("verify", {"v1": 1, "alpha": 1, "lambda": 1, "assert_paper_table_33": "no"},
+             "assert_paper_table_33 must be a JSON boolean, got 'no'"),
+            ("solve", {"v1": 1, "alpha": 1, "lambda": 1, "output": 2},
+             "output must be a string, got 2"),
+        ],
+        ids=["v1-true", "lambda-false", "flag-string", "output-number"],
+    )
+    def test_config_value_of_the_wrong_type_is_usage_error(
+        self, capfd, schema, tmp_path, command, config, message
+    ):
+        # A number is a JSON number or a numeric string, never a boolean; the
+        # flag is a JSON boolean; the output path is a string.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path)])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, schema)
+        assert doc["error"] == {"type": "usage", "message": message}
+
+    def test_config_flag_and_numeric_strings_still_work(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"v1": "1", "alpha": 1.0, "lambda": "1", "assert_paper_table_33": False}
+        ))
+        code, doc = run_json(capsys, "verify", "--config", str(path))
+        assert code == 0
+        assert "adjudication" not in doc
 
     def test_config_env_var(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"

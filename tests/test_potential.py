@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from qhj_spectra import (
     DegeneratePotentialError,
     PotentialParams,
+    UnsupportedBranchError,
     Variant,
     classify_symmetry,
     evaluate_potential,
@@ -37,6 +39,79 @@ class TestParams:
     def test_s_needs_positive_v1(self):
         with pytest.raises(DegeneratePotentialError):
             PotentialParams(-1.0, -3.0, 1.0).s
+
+
+class TestLambda:
+    """lam is one float: derived from V2, or given exactly to from_lambda."""
+
+    @given(
+        v1=st.floats(min_value=1e-3, max_value=1e3),
+        v2=finite_reals,
+        alpha=st.floats(min_value=0.1, max_value=10.0),
+    )
+    def test_derived_lambda_is_the_real_rows(self, v1, v2, alpha):
+        # The real row's complex expression, written out; signed zeros included.
+        params = PotentialParams(v1, v2, alpha)
+        expected = (-v2 / (2.0 * complex(math.sqrt(v1)) * alpha)).real
+        assert repr(params.lam) == repr(expected)
+        assert repr(classify_symmetry(params, Variant.REAL_SINH_GORDON).lambda_value) == (
+            repr(complex(expected))
+        )
+
+    def test_from_lambda_keeps_lambda_and_derives_v2(self):
+        # The round trip through V2 loses an ulp here: from_lambda keeps the
+        # lambda given, and V2 = -2 sqrt(V1) alpha lambda is the V2 stored.
+        lam = 1.4999999990000001
+        params = PotentialParams.from_lambda(2.0, lam, 1.0)
+        assert params.v2 == -2.0 * math.sqrt(2.0) * 1.0 * lam == -4.242640684290858
+        assert params.lam == lam
+        assert PotentialParams(2.0, params.v2, 1.0).lam == 1.499999999
+        assert infinity_analysis(params).lam == lam
+        assert classify_symmetry(params, Variant.REAL_SINH_GORDON).lambda_value == lam
+        # A V2 that is given is the V2 stored; alpha is normalized first.
+        assert PotentialParams(1.0, -3.0000000001, 1.0).v2 == -3.0000000001
+        params = PotentialParams.from_lambda(1.0, 1.5, -1.0)
+        assert (params.v2, params.alpha, params.lam) == (-3.0, 1.0, 1.5)
+
+    def test_equality_hash_and_repr_leave_lambda_out(self):
+        # The same potential compares equal whichever way lambda was set ...
+        given = PotentialParams.from_lambda(2.0, 1.4999999990000001, 1.0)
+        derived = PotentialParams(2.0, given.v2, 1.0)
+        assert given.lam != derived.lam
+        assert given == derived and hash(given) == hash(derived)
+        assert repr(given) == "PotentialParams(v1=2.0, v2=-4.242640684290858, alpha=1.0)"
+        assert asdict(given) == {"v1": 2.0, "v2": given.v2, "alpha": 1.0}
+        # ... another V2 does not, and replace derives lambda from V2 again.
+        assert given != PotentialParams(2.0, -4.242640684290859, 1.0)
+        assert replace(given).lam == derived.lam
+        assert replace(given, v1=8.0).lam == PotentialParams(8.0, given.v2, 1.0).lam
+
+    @pytest.mark.parametrize(
+        "v1, lam, alpha, error, match",
+        [
+            (0.0, 1.0, 1.0, UnsupportedBranchError, "needs V1 > 0, got V1 = 0.0"),
+            (-1.0, 1.0, 1.0, UnsupportedBranchError, "needs V1 > 0, got V1 = -1.0"),
+            (1.0, 1.0, 0.0, ValueError, "alpha must be nonzero"),
+            (1.0, math.inf, 1.0, ValueError, "V2 = -inf overflows float64"),
+            (1e300, 1.5, 1e300, ValueError,
+             "V2 = -inf overflows float64 at this working point"),
+        ],
+    )
+    def test_from_lambda_rejects(self, v1, lam, alpha, error, match):
+        with pytest.raises(error, match=match):
+            PotentialParams.from_lambda(v1, lam, alpha)
+
+    def test_no_lambda_without_the_pole_analysis(self):
+        # V1 <= 0 and an underflowing 2 sqrt(V1) alpha keep their typed errors,
+        # however lambda was set.
+        for v1 in (0.0, -1.0):
+            with pytest.raises(UnsupportedBranchError, match="needs V1 > 0"):
+                PotentialParams(v1, -3.0, 1.0).lam
+        match = r"underflows to 0 at V1 = 5e-324, alpha = 1e-200"
+        for params in (PotentialParams(5e-324, -1.0, 1e-200),
+                       PotentialParams.from_lambda(5e-324, 1.5, 1e-200)):
+            with pytest.raises(DegeneratePotentialError, match=match):
+                params.lam
 
 
 class TestEvaluate:

@@ -14,7 +14,6 @@ from qhj_spectra import (
     fixed_pole_analysis,
     indicial_residues,
     infinity_analysis,
-    qes_target_v2,
     riccati_fixed_term,
 )
 from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
@@ -121,8 +120,7 @@ class TestFixedPoleAnalysis:
     def test_series_matching_consistency(self, v1, alpha, energy):
         # mechanical Laurent matching must reproduce the closed-form residues
         # and leave sub-1e-10 residuals at the matched orders
-        v2 = qes_target_v2_for_set(2, 0, v1, alpha)
-        term = riccati_fixed_term(PotentialParams(v1, v2, alpha))
+        term = riccati_fixed_term(params_for_set(2, 0, v1, alpha))
         for pole in (1, -1):
             for branch, expected in ((0, 0.25), (1, 0.75)):
                 b, _, residuals = series_tools.match_fixed_pole(
@@ -132,8 +130,8 @@ class TestFixedPoleAnalysis:
                 assert residuals[0] < 1e-10 and residuals[1] < 1e-10
 
 
-def qes_target_v2_for_set(set_index, n, v1, alpha):
-    return qes_target_v2(QesSet(set_index, n), v1, alpha)
+def params_for_set(set_index, n, v1, alpha):
+    return PotentialParams.from_lambda(v1, QesSet(set_index, n).lam, alpha)
 
 
 class TestInfinity:
@@ -286,17 +284,21 @@ class TestTargetV2:
         [(2, 0, -3.0), (3, 0, -2.0), (4, 0, -2.0), (1, 0, -1.0), (1, 1, -3.0)],
     )
     def test_unit_parameters(self, set_index, n, expected):
-        assert qes_target_v2_for_set(set_index, n, 1.0, 1.0) == pytest.approx(expected)
+        # The V2 that from_lambda derives from the set's lambda.
+        assert params_for_set(set_index, n, 1.0, 1.0).v2 == pytest.approx(expected)
 
     @given(v1=positive_v1, alpha=positive_alpha,
            set_index=st.integers(min_value=1, max_value=4),
            n=st.integers(min_value=0, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_through_infinity_analysis(self, v1, alpha, set_index, n):
-        v2 = qes_target_v2_for_set(set_index, n, v1, alpha)
-        analysis = infinity_analysis(PotentialParams(v1, v2, alpha))
+        # from_lambda keeps the set's lambda exactly; the working point built
+        # from its V2 gives it back to rounding and admits the same set.
+        params = params_for_set(set_index, n, v1, alpha)
         b1, b1p = SET_RESIDUES[set_index]
         lam = float(b1 + b1p) + n
+        assert infinity_analysis(params).lam == lam
+        analysis = infinity_analysis(PotentialParams(v1, params.v2, alpha))
         assert analysis.lam == pytest.approx(lam, rel=1e-12)
         admitted = enumerate_qes_sets(analysis.lam)
         assert any(q.set_index == set_index and q.n == n for q in admitted.sets)

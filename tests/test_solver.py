@@ -24,9 +24,7 @@ from qhj_spectra import (
     enumerate_qes_sets,
     evaluate_potential,
     evaluate_wavefunction,
-    infinity_analysis,
     moving_pole_contour_value,
-    qes_target_v2,
     qhj_residual,
     quantum_momentum,
     quantum_momentum_derivative,
@@ -52,8 +50,7 @@ def closed_form(level, x):
 
 def params_for(set_index, n, v1=1.0, alpha=1.0):
     qes_set = QesSet(set_index, n)
-    v2 = qes_target_v2(qes_set, v1, alpha)
-    return qes_set, PotentialParams(v1, v2, alpha)
+    return qes_set, PotentialParams.from_lambda(v1, qes_set.lam, alpha)
 
 
 class TestPencil:
@@ -89,15 +86,40 @@ class TestPencil:
     @example(set_index=1, n=0, offset=0.8, s=1.0, alpha=1.0)  # lambda = 0.5000000008
     @settings(max_examples=60, deadline=None)
     def test_admitted_sets_are_never_rejected(self, set_index, n, offset, s, alpha):
-        # The working point the CLI builds for a lambda within the tolerance;
-        # its sets are those of its own lambda, where build_pencil checks them.
+        # The working point the CLI builds for a lambda within the tolerance
+        # keeps that lambda exactly; its sets are those build_pencil checks.
         lam = QesSet(set_index, n).lam + offset * INTEGER_TOLERANCE
-        v1 = (s * alpha) ** 2
-        params = PotentialParams(v1, -2.0 * math.sqrt(v1) * alpha * lam, alpha)
-        classification = enumerate_qes_sets(infinity_analysis(params).lam)
-        # Round-off moves lambda by ulps: only at the edges can it leave.
+        params = PotentialParams.from_lambda((s * alpha) ** 2, lam, alpha)
+        assert params.lam == lam
+        classification = enumerate_qes_sets(lam)
+        # Only the rounding of lam itself can leave the tolerance, at its edges.
         assert abs(offset) > 0.5 or QesSet(set_index, n) in classification.sets
         solve_classification(params, classification)
+
+    def test_lambda_is_read_not_derived(self, monkeypatch):
+        # Neither the analytic path nor the oracle builds a SymmetryReport or
+        # an InfinityAnalysis to learn lambda: they read params.lam.
+        calls = []
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
+
+        from qhj_spectra import cli, oracle, potential, qhj
+        for module in (qhj_spectra, potential, qhj, solver, oracle, cli):
+            for name in ("classify_symmetry", "infinity_analysis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        for params in (PotentialParams(1.0, -3.0, 1.0),
+                       PotentialParams.from_lambda(2.0, 2.0, 0.5)):
+            classification = enumerate_qes_sets(params.lam)
+            solve_classification(params, classification)
+            verify_qes(params, classification)
+        cli._working_point({"v1": "1", "alpha": "1", "lambda": "1.5"})
+        cli._working_point({"v1": "1", "alpha": "1", "v2": "-3"})
+        assert calls == []
 
     def test_block_size_bound(self):
         # n = MAX_BLOCK_N still builds its pencil; one more is rejected,
