@@ -35,7 +35,7 @@ from qhj_spectra import (
     verify_qes,
     wavefunction,
 )
-from qhj_spectra import solver
+from qhj_spectra import cli, oracle, potential, qhj, solver
 from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
 from qhj_spectra.solver import _node_count
 
@@ -107,7 +107,6 @@ class TestPencil:
                 return function(*args, **kwargs)
             return wrapper
 
-        from qhj_spectra import cli, oracle, potential, qhj
         for module in (qhj_spectra, potential, qhj, solver, oracle, cli):
             for name in ("classify_symmetry", "infinity_analysis"):
                 if hasattr(module, name):
