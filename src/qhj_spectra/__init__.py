@@ -8,7 +8,6 @@ eigensolver that adjudicates every analytic result.
 
 from .errors import (
     ComplexResidueError,
-    ContourCollisionError,
     DegeneratePotentialError,
     DegenerateVectorError,
     InadmissibleParametersError,
@@ -48,6 +47,7 @@ from .qhj import (
 )
 from .solver import (
     ClosedFormWavefunction,
+    OrthonormalBasis,
     QesLevel,
     SpectralPencil,
     build_pencil,

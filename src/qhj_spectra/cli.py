@@ -4,8 +4,8 @@ Outputs are deterministic: JSON with sorted keys and all floating-point
 numbers rendered as decimal strings with 12 significant digits; sample emits
 RFC-4180 CSV.  Exit codes: 0 success/pass, 1 verification mismatch,
 2 usage or parameter error (an --output that cannot be written included),
-3 internal failure (a broken invariant, a contour collision, a degenerate
-oracle vector, or any other exception, whose traceback goes to stderr).
+3 internal failure (a broken invariant, a degenerate oracle vector, or any
+other exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -31,14 +31,18 @@ from .qhj import QesClassification, QesSet, SET_RESIDUES, enumerate_qes_sets
 from .solver import (
     MAX_BLOCK_N,
     PRINTED_ENERGIES,
+    evaluate_wavefunction,
     reproduce_paper_tables,
-    sample_wavefunction,
     solve_classification,
+    wavefunction,
 )
 
 CONFIG_ENV_VAR = "QHJ_SPECTRA_CONFIG"
 # The most points sample writes: at lambda = 10, 100001 points are 35 MB of CSV.
 MAX_SAMPLE_POINTS = 10**6
+# A closed form's error is round-off relative to its own peak, so sample
+# rejects an x range that holds less than this of a level's peak.
+MIN_WINDOW_PEAK = 1e-6
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -221,25 +225,22 @@ def _set_payload(qes_set: QesSet) -> dict:
     }
 
 
-def _solve_payload(params: PotentialParams, classification: QesClassification):
+def _level_payload(level) -> dict:
     # Every factor of the closed form is read from the level; nothing is evaluated.
-    return [
-        {
-            "set": level.qes_set.set_index,
-            "n": level.qes_set.n,
-            "energy": level.energy,
-            "parity": level.parity,
-            "node_count": level.node_count,
-            "coefficients": list(level.coefficients),
-            "wavefunction": {
-                "p1": level.qes_set.p1,
-                "p2": level.qes_set.p2,
-                "C": -level.params.s,
-                "alpha": level.params.alpha,
-            },
-        }
-        for level in solve_classification(params, classification)
-    ]
+    return {
+        "set": level.qes_set.set_index,
+        "n": level.qes_set.n,
+        "energy": level.energy,
+        "parity": level.parity,
+        "node_count": level.node_count,
+        "basis_coefficients": list(level.basis_coefficients),
+        "wavefunction": {
+            "p1": level.qes_set.p1,
+            "p2": level.qes_set.p2,
+            "C": -level.params.s,
+            "alpha": level.params.alpha,
+        },
+    }
 
 
 def cmd_classify(settings) -> tuple[int, dict]:
@@ -274,12 +275,14 @@ def cmd_classify(settings) -> tuple[int, dict]:
 
 def cmd_solve(settings) -> tuple[int, dict]:
     params, classification = _working_point(settings)
+    levels = solve_classification(params, classification)
+    bases = {level.qes_set: level.basis for level in levels}
     document = {
         "command": "solve",
         "parameters": asdict(params),
         "lambda": classification.lam,
-        "sets": [_set_payload(q) for q in classification.sets],
-        "levels": _solve_payload(params, classification),
+        "sets": [{**_set_payload(q), "basis": asdict(bases[q])} for q in classification.sets],
+        "levels": [_level_payload(level) for level in levels],
     }
     return EXIT_OK, document
 
@@ -363,7 +366,15 @@ def cmd_sample(settings) -> tuple[int, str]:
     for level in sorted(levels, key=lambda level: level.qes_set.set_index):
         qes_set = level.qes_set
         name = f"psi_set{qes_set.set_index}_n{qes_set.n}_E{'%.6g' % level.energy}"
-        columns.append((name, sample_wavefunction(level, x)))
+        # Relative to the level's own peak first.
+        values = evaluate_wavefunction(wavefunction(level, params), x)
+        peak = float(np.max(np.abs(values)))
+        if not peak >= MIN_WINDOW_PEAK:
+            raise UsageError(
+                f"the x range holds at most {peak:.3g} of the peak of {name}, below "
+                f"{MIN_WINDOW_PEAK:g}: its values there would be round-off"
+            )
+        columns.append((name, values / peak))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)  # RFC 4180: CRLF line endings
@@ -374,7 +385,12 @@ def cmd_sample(settings) -> tuple[int, str]:
 
 
 def cmd_table(settings) -> tuple[int, dict]:
-    document = reproduce_paper_tables(*_v1_alpha(settings, default=1.0))
+    v1, alpha = _v1_alpha(settings, default=1.0)
+    # The tables' largest numbers: alpha^2 in every energy, and the V2 of
+    # their largest lambda, 3/2.
+    _require_finite("alpha^2", alpha * alpha)
+    _require_finite("V2 = -2 sqrt(V1) alpha lambda", -3.0 * math.sqrt(v1) * alpha)
+    document = reproduce_paper_tables(v1, alpha)
     document["command"] = "table"
     return EXIT_OK, document
 

@@ -30,9 +30,5 @@ class QmfPoleError(QhjSpectraError):
     """The quantum momentum function was evaluated at one of its poles."""
 
 
-class ContourCollisionError(InvariantViolationError):
-    """A polynomial zero sits on (or too close to) the counting contour."""
-
-
 class DegenerateVectorError(InvariantViolationError):
     """A grid vector is identically zero up to noise; node counting undefined."""

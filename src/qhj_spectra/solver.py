@@ -3,40 +3,36 @@
 With p1 = b1 - 1/4, p2 = b1' - 1/4 and s = sqrt(V1)/alpha, the bound states
 in the QES block take the form
 
-    psi = z^p1 (z + 2)^p2 exp(-s (1 + z)) P_n(z),   z = cosh(alpha x) - 1,
+    psi = w(z) P_n(z),   w = z^p1 (z + 2)^p2 exp(-s (1 + z)),   z = cosh(alpha x) - 1,
 
 extended to x < 0 by parity (odd when p1 = 1/2).  Substituting this into the
 Schrodinger equation and matching powers of z yields a three-term recurrence:
-a tridiagonal matrix H with positive off-diagonal products, symmetrized by a
-diagonal scaling and solved with numpy's eigh.  E = -alpha^2 * eig(H), and
-the eigenvectors are the coefficients of P_n in ascending powers of z.  Every
-release must pass the residual and oracle checks in the test suite; the
-recursion below is validated there, not trusted.
+a tridiagonal matrix H with positive off-diagonal products, and
+E = -alpha^2 eig(H), taken from numpy's eigh of H's symmetric Jacobi form.
+Every release must pass the residual and oracle checks in the test suite;
+the recursion below is validated there, not trusted.
 
-A Jacobi eigenvector's polynomial has only real zeros (Heine-Stieltjes), in
-(-2, 0) and (0, inf).  Its moving poles (zeros in z > 0) are counted twice,
-independently, and neither count locates a root: by Descartes' rule, the sign
-changes of its coefficients, which is exact for a real-rooted polynomial; and
-by the argument principle on an ellipse in ln z that spans the two Fujiwara
-root bounds, integrated with the periodic trapezoid rule.  In z the ellipse
-encloses the positive axis and strays off it only where |arg z| < 3/2, where
-no zero can lie.  Every polynomial, P, P', P'' or a roundoff scale, goes
-through one in-place Horner helper.
+A set's levels are orthogonal in L^2(dx), so their polynomials are
+orthogonal for the weight w^2 dx, and P_n is held in that weight's
+orthonormal basis q_0 = 1, ..., q_n (unit mass), whose recurrence comes from
+the Stieltjes procedure on the midpoint rule at the cell-centred nodes of a
+GridSpec out to default_grid's wall: spectrally accurate, as every integrand
+is even in x and decays like exp(-2 s cosh(alpha x)).  A node's values are
+mantissas times a shared exp(l), so neither w's decay nor q_k's growth
+leaves float64.  In the basis the set's operator is a symmetric tridiagonal
+A: its eigenvalues must reproduce eig(H), its eigenvectors are the levels'
+basis coefficients, and level j must change sign j times on the nodes.
+Those sign changes are its moving poles, the zeros of P_n in z > 0 where
+p = -i psi'/psi has its poles.  An n = 0 set has P = 1 and no basis.
 
-The levels of one set share a working point, (p1, p2) and the degree n, so
-solve_levels attaches one table to all of them, with one accessor per result,
-each filled for the whole set (in blocks of bounded size) on first use and
-kept: log_norm, from one scan of the shared |x| <= 5/alpha grid, and once
-alone on a grid of its own for a row whose turning point lies farther out;
-contour_value, from passes each over the rows not yet converged; and
-closed_form, one evaluation per block of rows at the x asked for, kept
-until each of its rows has been read or another x or block is asked for.
-That pays when a set's levels are evaluated one after another at one x, as
-sample does; a caller that evaluates one level of a set, or each level at
-its own x, pays for its whole block every time.  Each row has the bits it would
-have alone, and a row's error is raised only for its own level.  A level
-built any other way (by hand, or by dataclasses.replace) gets a table of
-its own.
+psi is evaluated anywhere by the same scaled recurrence, then one product
+with the coefficients of a block of the set's levels.  The levels of a set
+share one _SetTable, which fills each result for all of them (in blocks of
+bounded size) on first use: log_norm, from one scan of the shared
+|x| <= 5/alpha grid (a row whose turning point lies farther out is scanned
+alone, on a grid of its own), and closed_form, one evaluation per block of
+rows at the x asked for, kept until each of its rows has been read.  A level
+built any other way (by hand, or by dataclasses.replace) gets its own table.
 """
 
 from __future__ import annotations
@@ -48,26 +44,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContourCollisionError,
-    InadmissibleParametersError,
-    InvariantViolationError,
-    QmfPoleError,
-)
+from .errors import InadmissibleParametersError, InvariantViolationError, QmfPoleError
+from .grid import GridSpec, _alpha_wall, _kept_signs, _row_sign_changes
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import SET_RESIDUES, QesClassification, QesSet, enumerate_qes_sets
 
-# Moving-pole contour: half-height of the ellipse in w = ln z, agreement
-# between successive trapezoid passes, and the range of node counts tried.
-_CONTOUR_HALF_HEIGHT = 1.5
-_CONTOUR_TOLERANCE = 1e-9
-_CONTOUR_MIN_NODES = 64
-_CONTOUR_MAX_NODES = 2**16
 # The largest block degree n: a 501 x 501 float64 pencil is 2 MB.
 MAX_BLOCK_N = 500
-# Rows x points one block of a set scan evaluates at a time.
+# Entries (rows x points, or basis functions x points) one block of an
+# evaluation holds at a time, unless it is one row or one point.
 _BLOCK_ENTRIES = 2**14
-_LN2 = math.log(2.0)
+# The quadrature's nodes lie at most this far apart in alpha x, and a set's
+# table of q_k at its nodes holds at most _MAX_NODE_ENTRIES entries.
+_NODE_STEP = 0.1
+_MAX_NODE_ENTRIES = 2**23
+# A mantissa beyond _RESCALE is divided by it, and its point's exponent raised.
+_RESCALE = 1e100
+_LOG_RESCALE = math.log(_RESCALE)
+# eig(A) must reproduce the energies' mu to this, relative to max(1, |mu|).
+_MU_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,14 +78,28 @@ class SpectralPencil:
 
 
 @dataclass(frozen=True)
+class OrthonormalBasis:
+    """A set's q_0 = 1, ..., q_n: beta_(k+1) q_(k+1) = (z - alpha_k) q_k - beta_k q_(k-1).
+
+    The q_k are orthonormal for the weight w(z)^2 dx on x > 0 scaled to unit
+    mass.  alpha holds alpha_0..alpha_(n-1) and beta beta_1..beta_n; both
+    are empty for n = 0.
+    """
+
+    alpha: tuple[float, ...]
+    beta: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class QesLevel:
     """One analytic eigenvalue with its polynomial, node count and working point."""
 
     energy: float
-    coefficients: tuple[float, ...]  # c0..cn in powers of z = y - 1, leading 1
+    basis_coefficients: tuple[float, ...]  # P = sum_k c_k q_k(z), c orthonormal
     qes_set: QesSet
     node_count: int
     params: PotentialParams
+    basis: OrthonormalBasis
 
     @property
     def parity(self) -> str:
@@ -135,99 +144,240 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
     return SpectralPencil(matrix=matrix, qes_set=qes_set)
 
 
-def _row_sign_changes(signs: np.ndarray) -> np.ndarray:
-    """Sign changes along each row of a 2-D table of signs, zeros skipped."""
-    kept = signs != 0.0
-    row = np.nonzero(kept)[0]
-    signs = signs[kept]
-    # The kept entries, row after row, each with its row's index: a change
-    # is a flip between neighbours of the same row.
-    flips = (signs[1:] != signs[:-1]) & (row[1:] == row[:-1])
-    return np.bincount(row[1:][flips], minlength=len(kept))
+def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
+    """ln w = -s (1 + z) + p1 ln z + p2 ln(z + 2); z = 0 gives -inf when p1 > 0."""
+    log_w = -s * (1.0 + z)
+    if qes_set.p1 > 0.0:
+        log_w += qes_set.p1 * log_z
+    if qes_set.p2 > 0.0:
+        log_w += qes_set.p2 * log_z2
+    return log_w
 
 
-def _node_count(coefficients: np.ndarray, parity: str) -> list[int]:
-    """Real-line node count of each row c0..cn: 2 per zero of P in z > 0, +1 if odd.
+def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
+    """z and ln w at the quadrature nodes of a set whose highest level has mu_top.
 
-    The zeros in z > 0 are counted by Descartes' rule: the sign changes of
-    c0..cn, zeros skipped.  The rule is exact for a real-rooted polynomial
-    with P(0) != 0, and P is the polynomial of a Jacobi eigenvector, so its
-    zeros are real (Heine-Stieltjes).
+    The nodes are GridSpec(L, M)'s points, L default_grid's wall, with
+    M = max(ceil(k_max L), ceil(alpha L / _NODE_STEP)) and k_max the top
+    level's largest local wavenumber.  The midpoint rule's weights
+    omega = h w^2 are ln w up to a constant, which _stieltjes normalises away.
     """
-    odd = 1 if parity == "odd" else 0
-    changes = _row_sign_changes(np.sign(coefficients))
-    return [2 * count + odd for count in changes.tolist()]
+    lam, s = params.lam, params.s
+    alpha_l = _alpha_wall(s, max(lam, 0.0))
+    # min V / alpha^2: -(lambda^2 + s^2) at cosh(alpha x) = lambda / s, if that is > 1.
+    v_min = -(lam * lam + s * s) if lam > s else -2.0 * s * lam
+    k_max_l = math.sqrt(max(-mu_top - v_min, 0.0)) * alpha_l
+    count = max(math.ceil(k_max_l), math.ceil(alpha_l / _NODE_STEP))
+    if count * (qes_set.n + 1) > _MAX_NODE_ENTRIES:
+        raise InadmissibleParametersError(
+            f"set {qes_set.set_index} with n = {qes_set.n} needs {count} quadrature "
+            f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_NODE_ENTRIES}"
+        )
+    z, log_z, log_z2 = _node_terms(alpha_l, count, params.alpha)
+    return z, _log_weight(qes_set, s, z, log_z, log_z2)
+
+
+def _z_terms(alpha: float, x: np.ndarray):
+    """z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1, ln z and ln(z + 2), read-only."""
+    sh = np.sinh(0.5 * alpha * x)
+    z = 2.0 * sh * sh
+    with np.errstate(divide="ignore"):
+        terms = (z, np.log(z), np.log(z + 2.0))
+    for table in terms:
+        table.setflags(write=False)
+    return terms
+
+
+@functools.lru_cache(maxsize=8)
+def _node_terms(alpha_l: float, count: int, alpha: float):
+    """_z_terms at GridSpec(alpha_l / alpha, count)'s points, which the sets of
+    a working point share when their top levels ask for the same count."""
+    return _z_terms(alpha, GridSpec(alpha_l / alpha, count).points())
+
+
+def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
+    """alpha_0..alpha_(n-1), beta_1..beta_n, and the q_k sqrt(omega) at the
+    nodes as (t, l): row k of t times exp(l), the weight scaled to unit mass.
+
+    The Stieltjes procedure without reorthogonalisation, which keeps the
+    q_k orthonormal to round-off.  A node's rows share its exponent l, so
+    that neither the decay of omega nor the growth of q_k leaves float64:
+    where a new row passes _RESCALE, the node's rows are divided by it.
+    """
+    n = qes_set.n
+    log_scale = log_w - log_w.max()
+    weight = np.exp(2.0 * log_scale)
+    total = float(weight.sum())
+    log_scale -= 0.5 * math.log(total)
+    weight /= total
+    z_weight = z * weight
+    t = np.empty((n + 1, z.size))
+    t[0] = 1.0
+    alpha, beta = np.empty(n), np.empty(n)
+    # bound >= max |t[k]|, so that the rows are searched only when one may
+    # have passed _RESCALE.
+    bound, top, b = 1.0, float(z.max()), 0.0
+    for k in range(n):
+        row = t[k + 1]
+        a = float(np.dot(z_weight * t[k], t[k]))
+        np.subtract(z, a, out=row)
+        row *= t[k]
+        if k:
+            row -= b * t[k - 1]
+        b_next = math.sqrt(float(np.dot(weight * row, row)))
+        if not 0.0 < b_next < math.inf:
+            raise InvariantViolationError(
+                f"the quadrature of set {qes_set.set_index} with n = {n} cannot "
+                f"hold q_{k + 1}: beta_{k + 1} = {b_next!r}"
+            )
+        row /= b_next
+        bound *= max(1.0, (top + abs(a) + b) / b_next)
+        alpha[k], beta[k], b = a, b_next, b_next
+        if bound > _RESCALE:
+            big = np.abs(row) > _RESCALE
+            t[: k + 2, big] /= _RESCALE
+            log_scale[big] += _LOG_RESCALE
+            weight[big] = np.exp(2.0 * log_scale[big])
+            z_weight[big] = z[big] * weight[big]
+            bound = float(np.abs(t[k : k + 2]).max())
+    return alpha, beta, t, log_scale
+
+
+def _q_table(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray, top: float):
+    """(t, l) with q_k(z) = t[k] exp(l) for k = 0..n at the points 0 <= z <= top (1-D).
+
+    A point's rows share its exponent l: where a new row passes _RESCALE,
+    the point's rows are divided by it.
+    """
+    n = len(alpha)
+    t = np.empty((n + 1, z.size))
+    t[0] = 1.0
+    log_scale = np.zeros(z.size)
+    bound = 1.0
+    for k in range(n):
+        row = t[k + 1]
+        np.subtract(z, alpha[k], out=row)
+        row *= t[k]
+        b = beta[k - 1] if k else 0.0
+        if k:
+            row -= b * t[k - 1]
+        row /= beta[k]
+        bound *= max(1.0, (top + abs(alpha[k]) + b) / beta[k])
+        if bound > _RESCALE:
+            big = np.abs(row) > _RESCALE
+            t[: k + 2, big] /= _RESCALE
+            log_scale[big] += _LOG_RESCALE
+            bound = float(np.abs(t[k : k + 2]).max(initial=0.0))
+    return t, log_scale
+
+
+def _evaluate(coefficients, alpha, beta, z, log_w):
+    """(P, l) with psi = P exp(l) for each row of coefficients (rows x (n + 1))
+    at the points z >= 0 (1-D); log_w holds ln w at z.
+
+    The q_k are tabled in chunks of points, each of at most _BLOCK_ENTRIES
+    entries or one point.  Where psi has no value in float64 (the table
+    overflows, or ln w is NaN at z = inf), P is 0 and l is -inf.
+    """
+    rows, points = coefficients.shape[0], z.size
+    poly, log_scale = np.empty((rows, points)), np.empty(points)
+    finite = np.empty(points, dtype=bool)
+    top = float(z.max(initial=0.0))
+    step = max(1, _BLOCK_ENTRIES // (len(alpha) + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, points, step):
+            part = slice(start, start + step)
+            t, log_scale[part] = _q_table(alpha, beta, z[part], top)
+            np.matmul(coefficients, t, out=poly[:, part])
+            # An overflowed entry leaves every later row non-finite.
+            np.isfinite(t[-1], out=finite[part])
+        log_scale += log_w
+    bad = ~finite | np.isnan(log_scale)
+    if bad.any():
+        poly[:, bad] = 0.0
+        log_scale[bad] = -np.inf
+    return poly, log_scale
+
+
+def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
+                       mus: np.ndarray) -> tuple[OrthonormalBasis, np.ndarray]:
+    """The set's basis and the levels' coefficients (a row per level, mu descending).
+
+    With S_k = alpha_0 + ... + alpha_(k-1) and H[k+1, k] = 2 s (n - k),
+    A[k, k] = H[k, k] - S_k H[k, k-1] + S_(k+1) H[k+1, k] and
+    A[k+1, k] = H[k+1, k] beta_(k+1): compare the z^(k+1) and z^k
+    coefficients of L pi_k for the monic pi_k = z^k - S_k z^(k-1) + ...
+    Level j has j sign changes on the nodes, skipping values below 1e-12 of
+    its peak, and the sign of a monic P: positive beyond its outermost zero.
+    """
+    n, index = qes_set.n, qes_set.set_index
+    z, log_w = _nodes(qes_set, params, float(mus[-1]))
+    alpha, beta, t, log_scale = _stieltjes(qes_set, z, log_w)
+    sub = h.diagonal(-1)
+    shift = np.cumsum(alpha) * sub
+    diagonal = h.diagonal().copy()
+    diagonal[:-1] += shift
+    diagonal[1:] -= shift
+    a = np.diag(diagonal)
+    a.flat[1 :: n + 2] = a.flat[n + 1 :: n + 2] = sub * beta
+    values, vectors = np.linalg.eigh(a)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    miss = float(np.max(np.abs(values - mus)))
+    if not miss <= _MU_TOLERANCE * max(1.0, abs(float(mus[0])), abs(float(mus[-1]))):
+        raise InvariantViolationError(
+            f"the basis of set {index} with n = {n} reproduces its energies' mu "
+            f"only to {miss:.3g}"
+        )
+    # The signs of sqrt(omega) P_j at the nodes, a row per level.
+    signs = _kept_signs((t.T @ vectors) * np.exp(log_scale)[:, None])
+    changes = _row_sign_changes(signs)
+    wrong = np.flatnonzero(changes != np.arange(n + 1))
+    if wrong.size:
+        j = int(wrong[0])
+        odd = 1 if qes_set.parity == "odd" else 0
+        raise InvariantViolationError(
+            f"Sturm ordering violated: level {j} of set {index} has "
+            f"{2 * int(changes[j]) + odd} nodes"
+        )
+    vectors *= signs[np.arange(n + 1), len(z) - 1 - np.abs(signs[:, ::-1]).argmax(axis=1)]
+    return OrthonormalBasis(tuple(alpha.tolist()), tuple(beta.tolist())), vectors.T
 
 
 def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLevel]:
-    """Energies and polynomial coefficients for one set, sorted by energy.
+    """Energies, basis coefficients and node counts for one set, sorted by energy.
 
-    H is tridiagonal with positive off-diagonal products, so the diagonal
-    similarity D H D^-1 with D[k+1]/D[k] = sqrt(H[k,k+1]/H[k+1,k]) is a
-    symmetric Jacobi matrix: real, simple eigenvalues, and eigenvectors u
-    whose last component never vanishes, giving the coefficients u / D.
-    In float64 that component can underflow once D grows large, and the
-    set then raises InvariantViolationError.  The levels share one _SetTable.
+    The energies are the eigenvalues mu of H's symmetric Jacobi form (H's
+    diagonal, both off-diagonals sqrt(H[k, k+1] H[k+1, k])), E = -alpha^2 mu.
+    For n >= 1 the coefficients are the eigenvectors of the set's matrix A
+    in its orthonormal basis.  Raises InvariantViolationError when eig(A)
+    misses mu, or when level j does not change sign j times on the nodes.
+    The levels share one _SetTable.
     """
     h = pencil.matrix
-    upper, lower = h.diagonal(1), h.diagonal(-1)
-    qes_set, parity = pencil.qes_set, pencil.qes_set.parity
-    scale = np.ones(len(h))
-    with np.errstate(over="ignore"):
-        np.cumprod(np.sqrt(upper / lower), out=scale[1:])
-    if not np.isfinite(scale).all():
-        raise InvariantViolationError(
-            f"the diagonal scaling D of set {qes_set.set_index} with "
-            f"n = {qes_set.n} overflows float64"
-        )
-    off = np.sqrt(upper * lower)
-    # H's diagonal, with both off-diagonals replaced by sqrt(upper * lower).
+    qes_set = pencil.qes_set
+    off = np.sqrt(h.diagonal(1) * h.diagonal(-1))
     jacobi = h.copy()
     jacobi.flat[1 :: len(h) + 1] = off
     jacobi.flat[len(h) :: len(h) + 1] = off
-    mus, vectors = np.linalg.eigh(jacobi)
-    vectors = vectors / scale[:, None]
-
-    # E = -alpha^2 mu, and eigh sorts mu ascending: row j, level j, is
-    # column -1 - j, scaled to a leading 1.
-    last = vectors[-1, ::-1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        coefficients = vectors.T[::-1] / last[:, None]
-    if not np.isfinite(coefficients).all():
-        j = int(np.isfinite(coefficients).all(axis=1).argmin())
-        raise InvariantViolationError(
-            f"level {j} of set {qes_set.set_index} with n = {qes_set.n} has no "
-            f"leading-1 scaling in float64: its eigenvector's last component "
-            f"is {float(last[j])!r}"
-        )
+    # eigh sorts mu ascending, and E = -alpha^2 mu: level j has mus[j].
+    mus = np.linalg.eigh(jacobi)[0][::-1]
+    energies = (-params.alpha**2 * mus).tolist()
+    if qes_set.n == 0:
+        basis, coefficients = OrthonormalBasis((), ()), np.ones((1, 1))
+    else:
+        basis, coefficients = _basis_and_vectors(h, qes_set, params, mus)
     coefficients.setflags(write=False)
-    nodes = _node_count(coefficients, parity)
-    leading = coefficients[:, 0].tolist()
-    # An unreduced Jacobi eigenvector has u_0 != 0, and level j has 2 j
-    # nodes, plus one if odd.
-    odd = 1 if parity == "odd" else 0
-    expected = list(range(odd, 2 * len(nodes) + odd, 2))
-    if nodes != expected or 0.0 in leading:
-        j = next(j for j, c0 in enumerate(leading) if c0 == 0.0 or nodes[j] != expected[j])
-        if leading[j] == 0.0:
-            raise InvariantViolationError(
-                f"level {j} of set {qes_set.set_index} has P(0) = 0: the "
-                "eigenvector's smallest component underflowed"
-            )
-        raise InvariantViolationError(
-            f"Sturm ordering violated: level {j} of set {qes_set.set_index} "
-            f"has {nodes[j]} nodes"
-        )
-    energies = (-params.alpha**2 * mus[::-1]).tolist()
-    table = _SetTable(coefficients, energies, qes_set, params)
+    table = _SetTable(coefficients, energies, basis, qes_set, params)
+    odd = 1 if qes_set.parity == "odd" else 0
     levels = []
     for j, row in enumerate(coefficients.tolist()):
         level = QesLevel(
             energy=energies[j],
-            coefficients=tuple(row),
+            basis_coefficients=tuple(row),
             qes_set=qes_set,
-            node_count=nodes[j],
+            node_count=2 * j + odd,
             params=params,
+            basis=basis,
         )
         object.__setattr__(level, "_set_table", (table, j))
         levels.append(level)
@@ -247,58 +397,16 @@ def solve_classification(
     return levels
 
 
-def _horner(coefficients, z):
-    """c0 + c1 z + ... + cn z^n by Horner's rule in place, as numpy's polyval; each
-    c_k a scalar, or a (rows, 1) column: rows never mix, each keeps its bits alone."""
-    poly = np.empty(np.broadcast(coefficients[-1], z).shape, z.dtype)
-    poly[...] = coefficients[-1]
-    for c in coefficients[-2::-1]:
-        poly *= z
-        poly += c
-    return poly
-
-
-def _log_abs(coefficients, qes_set: QesSet, s: float, z, log_z=None, log_z2=None):
-    """Unnormalized log|psi| and P at z = cosh(alpha x) - 1, accumulated in log space.
-
-    log|psi| = ln|P(z)| - s (1 + z) + p1 ln z + p2 ln(z + 2), added left to
-    right; ln z and ln(z + 2) are taken from log_z and log_z2 when given.
-    coefficients holds c0..cn as _horner takes them, for one level or a block.
-    Callers ignore divide, over and invalid: a zero of P or z gives -inf.
-    """
-    p1, p2 = qes_set.p1, qes_set.p2
-    poly = _horner(coefficients, z)
-    # In place, so that a set's scan holds two tables of its size, not four.
-    log_abs = np.log(np.abs(poly))
-    log_abs += -s * (1.0 + z)
-    if p1 > 0.0:
-        log_abs += p1 * (np.log(z) if log_z is None else log_z)
-    if p2 > 0.0:
-        log_abs += p2 * (np.log(z + 2.0) if log_z2 is None else log_z2)
-    return log_abs, poly
-
-
-def _grid_z(alpha: float, half_width: float) -> np.ndarray:
-    """z on the normalisation grid: x in [0, half_width/alpha], steps <= 0.005/alpha."""
+def _grid_terms(alpha: float, half_width: float):
+    """_z_terms on the normalisation grid: x in [0, half_width/alpha], steps <= 0.005/alpha."""
     x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
-    sh = np.sinh(0.5 * alpha * x)
-    return 2.0 * sh * sh
+    return _z_terms(alpha, x)
 
 
 @functools.lru_cache(maxsize=8)
-def _default_grid_terms(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z, ln z and ln(z + 2) on the default grid |x| <= 5/alpha; read-only.
-
-    They depend on alpha alone, so every level at one alpha shares them.
-    Each is one (1, points) row, the shape a set's rows broadcast against
-    fastest.
-    """
-    z = _grid_z(alpha, 5.0)[None, :]
-    with np.errstate(divide="ignore"):
-        terms = (z, np.log(z), np.log(z + 2.0))
-    for table in terms:
-        table.setflags(write=False)
-    return terms
+def _default_grid_terms(alpha: float):
+    """_grid_terms on the default grid |x| <= 5/alpha, which every level at one alpha shares."""
+    return _grid_terms(alpha, 5.0)
 
 
 def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
@@ -323,35 +431,15 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     return ClosedFormWavefunction(level, table.log_norm(row))
 
 
-def _scaled_closed_form(level: QesLevel, x, log_norm=None) -> np.ndarray:
-    """sign exp(log|psi| - log_norm) at the finite points x; 0 where psi underflows.
-
-    log_norm defaults to the maximum of log|psi| over x itself.
-    """
-    table, row = _set_table(level)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_abs, sign = table.closed_form(row, np.asarray(x, dtype=float))
-        finite = np.isfinite(log_abs)
-        if log_norm is None:
-            log_norm = np.where(finite, log_abs, -np.inf).max(initial=-np.inf)
-        return sign * np.where(finite, np.exp(log_abs - log_norm), 0.0)
-
-
 def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     """psi(x), max-normalized; underflow-safe (extreme |x| returns 0)."""
-    value = _scaled_closed_form(wf.level, x, wf.log_norm)
+    table, row = _set_table(wf.level)
+    poly, log_scale = table.closed_form(row, np.asarray(x, dtype=float))
+    with np.errstate(under="ignore"):
+        value = poly * np.exp(log_scale - wf.log_norm)
     if value.ndim == 0:
         return float(value)
     return value
-
-
-def sample_wavefunction(level: QesLevel, x: np.ndarray) -> np.ndarray:
-    """psi at the points x, scaled so that max|psi| over x is exactly 1.
-
-    The level's row of its set's evaluation at x, its maximum taken over x.
-    Where psi underflows it is 0, everywhere if need be.
-    """
-    return _scaled_closed_form(level, x)
 
 
 @contextmanager
@@ -370,17 +458,32 @@ def _log_derivative_pieces(level: QesLevel, x: float):
         raise ValueError("x must be finite")
     a = level.params.alpha
     p1, p2 = level.qes_set.p1, level.qes_set.p2
-    c = np.asarray(level.coefficients)
-    # The coefficients of P' and P'' (numpy's polyder), each with a zero on top,
-    # so that Horner starts as polyval does and a constant has P' = 0.
-    dc = np.append(np.arange(1, len(c)) * c[1:], 0.0)
-    ddc = np.append(np.arange(1, len(dc)) * dc[1:], 0.0)
+    c = level.basis_coefficients
+    alpha, beta = level.basis.alpha, level.basis.beta
     with _overflow_names(x):
         # cosh(a x) - 1 without cancellation, as a numpy scalar to obey errstate.
         z = 2.0 * np.float64(math.sinh(0.5 * a * x)) ** 2
-        p, dp, ddp = _horner(c, z), _horner(dc, z), _horner(ddc, z)
-        # Horner's roundoff scale: sum_k |c_k| |z|^k.
-        if abs(p) < 1e-12 * _horner(np.abs(c), abs(z)):
+        # q_k and its first two derivatives in z by the differentiated
+        # recurrence, in plain floats; P = sum c_k q_k, and the basis's
+        # roundoff scale is sum |c_k q_k|.
+        zf = float(z)
+        q, dq, ddq, q_, dq_, ddq_ = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+        p, dp, ddp, scale = c[0], 0.0, 0.0, abs(c[0])
+        for k, (ak, bk) in enumerate(zip(alpha, beta)):
+            b = beta[k - 1] if k else 0.0
+            q, q_, dq, dq_, ddq, ddq_ = (
+                ((zf - ak) * q - b * q_) / bk, q,
+                ((zf - ak) * dq + q - b * dq_) / bk, dq,
+                ((zf - ak) * ddq + 2.0 * dq - b * ddq_) / bk, ddq,
+            )
+            p += c[k + 1] * q
+            dp += c[k + 1] * dq
+            ddp += c[k + 1] * ddq
+            scale += abs(c[k + 1] * q)
+        if not all(map(math.isfinite, (p, dp, ddp, scale))):
+            raise OverflowError
+        p, dp, ddp = np.float64(p), np.float64(dp), np.float64(ddp)
+        if abs(p) < 1e-12 * scale:
             raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
         if p1 > 0.0 and x == 0.0:
             raise QmfPoleError("moving pole at the origin (odd-parity node)")
@@ -434,95 +537,35 @@ def schrodinger_residual(
     return qhj_residual(wf, energy, params, x) * evaluate_wavefunction(wf, x)
 
 
-@functools.lru_cache(maxsize=16)
-def _contour_pass_tables(nodes: int) -> tuple[np.ndarray, ...]:
-    """cos t, exp(i b sin t), -sin t and i b cos t at the new nodes of one pass.
-
-    The pass completes the nodes-point trapezoid rule on t in [0, 2 pi): the
-    first (2 * _CONTOUR_MIN_NODES) covers the 64-point rule, then its
-    midpoints; a later one the midpoints of the nodes/2-point rule.
-    """
-    k = np.arange(1.0, nodes, 2.0)  # the midpoints of the nodes/2-point rule
-    if nodes == 2 * _CONTOUR_MIN_NODES:
-        k = np.concatenate((k - 1.0, k))
-    theta = 2.0 * math.pi / nodes * k
-    cos, sin = np.cos(theta), np.sin(theta)
-    b = _CONTOUR_HALF_HEIGHT
-    tables = (cos, np.exp(1j * b * sin), -sin, 1j * b * cos)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _contour_terms(coefficients: np.ndarray, center, a, nodes: int) -> np.ndarray:
-    """The trapezoid terms (P'/P) dz/dt at the new nodes of one pass.
-
-    One row per row of coefficients (c0..cn, n >= 1) on its own ellipse
-    (center and half-width a in ln z); P' has the coefficients k c_k.
-    """
-    cos, exp_ib_sin, neg_sin, ib_cos = _contour_pass_tables(nodes)
-    z = np.exp(center[:, None] + a[:, None] * cos) * exp_ib_sin
-    columns = coefficients.T[:, :, None]
-    terms = _horner(np.arange(1, len(columns))[:, None, None] * columns[1:], z)
-    terms /= _horner(columns, z)
-    terms *= z
-    del z  # freed before the dz/dt step, where the pass peaks in memory
-    terms *= a[:, None] * neg_sin + ib_cos
-    return terms
-
-
-def moving_pole_contour_value(level: QesLevel) -> complex:
-    """Raw (1/2 pi i) * contour integral of P'/P around the half-line z > 0.
-
-    The contour is an ellipse in w = ln z, so dz = z dw, with real vertices
-    -ln B_rev and ln B and half-height 3/2.  B is the Fujiwara bound on the
-    zeros of P and B_rev the same bound on the zeros of the reversed
-    polynomial, so every zero has 1/B_rev <= |z| <= B and no root needs to be
-    located.  In z the ellipse encloses the whole positive axis and strays
-    off it only where |arg z| < 3/2.  No complex zero can be counted
-    there: P is the polynomial of an eigenvector of a Jacobi matrix, so by
-    Heine-Stieltjes theory all its zeros are real, in (-2, 0) and (0, inf).
-    The negative ones sit at Im w = pi, and the half-height splits the gap.
-
-    The periodic trapezoid rule converges exponentially for this analytic
-    integrand.  The first pass gives the 64- and the 128-node estimates;
-    while two successive estimates disagree, the node count doubles, in one
-    pass of the level's set over its levels that still need it.
-    A zero on the contour stalls convergence and raises ContourCollisionError.
-    """
-    table, row = _set_table(level)
-    return table.contour_value(row)
-
-
 class _SetTable:
     """Results shared by the levels of one set, computed for all of them (or a block) on first use.
 
     Row j belongs to level j: coefficients (levels x (n + 1)) and energies
-    (a list); the levels share qes_set and params.  A row's failure is kept
-    as its message and raised only for its own level.
+    (a list); the levels share the basis's recurrence, qes_set and params.
+    A row's failure is kept as its message and raised only for its own level.
     """
 
-    def __init__(self, coefficients, energies, qes_set: QesSet, params: PotentialParams):
+    def __init__(self, coefficients, energies, basis: OrthonormalBasis,
+                 qes_set: QesSet, params: PotentialParams):
         self.coefficients = coefficients
         self.energies = energies
+        self.recurrence = (np.array(basis.alpha, dtype=float), np.array(basis.beta, dtype=float))
         self.qes_set = qes_set
         self.params = params
         self._log_norms = None
-        self._contour = None
         self._block = None
 
     def closed_form(self, row: int, x: np.ndarray):
-        """Unnormalized log|psi| and sign of level row at the points x, which must be finite.
+        """(P, l) with psi = P exp(l), unnormalized, for level row at the points x, which must be finite.
 
         The row's block of rows is evaluated in one pass: the x-only terms
         once, z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 (free of
-        cancellation) and its logs, then Horner over the block's columns;
-        the odd-parity sign rides on sinh(alpha x / 2).  The last block is
-        kept, read-only, with a private copy of the x it was evaluated at,
-        until each of its rows has been read; the set's other levels read
-        their rows from it while x is unchanged bit for bit.  Only a checked
-        x is kept, so a hit needs no check.  Callers ignore divide, over and
-        invalid.
+        cancellation) and ln w, then the q_k table and one product with the
+        block's coefficients; an odd level takes the sign of x.
+        The last block is kept, read-only, with a private copy of the x it
+        was evaluated at, until each of its rows has been read; the set's
+        other levels read their rows from it while x is unchanged bit for
+        bit.  Only a checked x is kept, so a hit needs no check.
         """
         block = self._block
         if block is None or not (block[0].start <= row < block[0].stop
@@ -531,23 +574,25 @@ class _SetTable:
                 raise ValueError("x must be finite")
             rows = next(b for b in _row_blocks(len(self.energies), max(x.size, 1))
                         if row < b.stop)
-            columns = self.coefficients.T[:, rows]
-            sh = np.sinh(0.5 * self.params.alpha * x)
-            log_abs, poly = _log_abs(columns.reshape(columns.shape + (1,) * x.ndim),
-                                     self.qes_set, self.params.s, 2.0 * sh * sh)
-            sign = np.sign(poly)
+            with np.errstate(over="ignore", invalid="ignore"):
+                z, log_z, log_z2 = _z_terms(self.params.alpha, x.ravel())
+                poly, log_scale = _evaluate(self.coefficients[rows], *self.recurrence, z,
+                                            _log_weight(self.qes_set, self.params.s, z,
+                                                        log_z, log_z2))
             if self.qes_set.p1 > 0.0:
-                sign *= np.sign(sh)
-            log_abs.setflags(write=False)
-            sign.setflags(write=False)
-            unread = set(range(rows.start, rows.start + len(log_abs)))
+                poly *= np.sign(x.ravel())
+            poly = poly.reshape(poly.shape[:1] + x.shape)
+            log_scale = log_scale.reshape(x.shape)
+            poly.setflags(write=False)
+            log_scale.setflags(write=False)
+            unread = set(range(rows.start, rows.start + len(poly)))
             # A block of one row is never kept, so x is not copied for it.
             key = (x.shape, x.tobytes()) if len(unread) > 1 else None
-            block = (rows, key, log_abs, sign, unread)
-        rows, _, log_abs, sign, unread = block
+            block = (rows, key, poly, log_scale, unread)
+        rows, _, poly, log_scale, unread = block
         unread.discard(row)
         self._block = block if unread else None
-        return log_abs[row - rows.start], sign[row - rows.start]
+        return poly[row - rows.start], log_scale
 
     def log_norm(self, row: int) -> float:
         """Level row's log_norm: the max of log|psi| on x in [0, 5/alpha], in steps <= 0.005/alpha.
@@ -561,7 +606,7 @@ class _SetTable:
             shared = [_turning_point(self.params, energy) <= math.cosh(5.0)  # False for NaN
                       for energy in self.energies]
             maxima = iter(self._maxima(np.flatnonzero(shared),
-                                       _default_grid_terms(self.params.alpha)))
+                                       *_default_grid_terms(self.params.alpha)))
             self._log_norms = [next(maxima) if on else None for on in shared]
         if self._log_norms[row] is None:
             y_turn = _turning_point(self.params, self.energies[row])
@@ -569,68 +614,23 @@ class _SetTable:
                 self._log_norms[row] = (
                     f"energy {self.energies[row]!r} lies below the minimum of V")
             else:
-                grid = _grid_z(self.params.alpha, math.acosh(y_turn))[None, :]
-                (self._log_norms[row],) = self._maxima([row], (grid,))
+                (self._log_norms[row],) = self._maxima(
+                    np.array([row]), *_grid_terms(self.params.alpha, math.acosh(y_turn)))
         return _kept(self._log_norms[row], InvariantViolationError)
 
-    def _maxima(self, rows, grid) -> list:
-        """Max of log|psi| over the grid for each of rows, in blocks of rows."""
-        columns = self.coefficients.T[:, rows, None]
+    def _maxima(self, rows: np.ndarray, z, log_z, log_z2) -> list:
+        """Max of log|psi| over the grid z for each of rows, in blocks of rows."""
         maxima = []
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for block in _row_blocks(len(rows), grid[0].shape[1]):
-                log_abs, _ = _log_abs(columns[:, block], self.qes_set, self.params.s, *grid)
-                maxima += log_abs.max(axis=1, where=np.isfinite(log_abs),
-                                      initial=-np.inf).tolist()
+            log_w = _log_weight(self.qes_set, self.params.s, z, log_z, log_z2)
+            for block in _row_blocks(len(rows), z.size):
+                poly, log_scale = _evaluate(self.coefficients[rows[block]], *self.recurrence,
+                                            z, log_w)
+                log_abs = np.log(np.abs(poly))
+                log_abs += log_scale
+                maxima += log_abs.max(axis=1, initial=-np.inf).tolist()
         return [value if value > -math.inf else
                 "the closed form has no finite value on its grid" for value in maxima]
-
-    def contour_value(self, row: int) -> complex:
-        """Level row's moving_pole_contour_value; the first call makes every row's passes."""
-        if self.coefficients.shape[1] == 1:
-            return 0j
-        if self.coefficients[row, 0] == 0.0:
-            raise ContourCollisionError("P(0) = 0: a zero sits on the fixed pole z = 0")
-        if self._contour is None:
-            c = self.coefficients
-            k = np.arange(1, c.shape[1])
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                # Fujiwara, in logs: ln B = ln 2 + max_k ln|c_(n-k)| / k for
-                # the monic P, and ln B_rev = ln 2 + max_k (ln|c_k| - ln|c_0|)
-                # / k for its reversal.
-                log_abs = np.log(np.abs(c))
-                right = _LN2 + (log_abs[:, -2::-1] / k).max(axis=1)
-                left = -(_LN2 + ((log_abs[:, 1:] - log_abs[:, :1]) / k).max(axis=1))
-                center, a = 0.5 * (right + left), 0.5 * (right - left)
-
-                def pass_sums(rows, nodes, parts):
-                    # Each row's sums over `parts` equal runs of the pass's nodes.
-                    c_rows, center_rows, a_rows = c[rows], center[rows], a[rows]
-                    points = len(_contour_pass_tables(nodes)[0])
-                    return np.concatenate([
-                        _contour_terms(c_rows[b], center_rows[b], a_rows[b], nodes)
-                        .reshape(-1, parts, points // parts).sum(axis=2)
-                        for b in _row_blocks(len(c_rows), points)
-                    ])
-
-                # The 64-node rule, then its midpoints: both first estimates.
-                nodes = 2 * _CONTOUR_MIN_NODES
-                half, midpoints = pass_sums(slice(None), nodes, 2).T
-                total = half + midpoints
-                previous, mean = half / _CONTOUR_MIN_NODES, total / nodes
-                # NaN never converges.
-                active = np.flatnonzero(~(abs(mean - previous) <= _CONTOUR_TOLERANCE))
-                while active.size and nodes < _CONTOUR_MAX_NODES:
-                    nodes *= 2
-                    total[active] += pass_sums(active, nodes, 1)[:, 0]
-                    previous = mean[active]
-                    mean[active] = total[active] / nodes
-                    active = active[~(abs(mean[active] - previous) <= _CONTOUR_TOLERANCE)]
-            self._contour = [complex(value) / 1j for value in mean.tolist()]
-            for j in active.tolist():
-                self._contour[j] = (f"contour integral did not converge with {_CONTOUR_MAX_NODES} "
-                                    "nodes; a polynomial zero lies on or near the contour")
-        return _kept(self._contour[row], ContourCollisionError)
 
 
 def _kept(value, error: type[Exception]):
@@ -650,27 +650,26 @@ def _set_table(level: QesLevel) -> tuple[_SetTable, int]:
     """The level's set table and its row; a level solve_levels did not make
     gets a table of one on first use."""
     if not hasattr(level, "_set_table"):
-        table = _SetTable(np.array([level.coefficients], dtype=float), [level.energy],
-                          level.qes_set, level.params)
+        table = _SetTable(np.array([level.basis_coefficients], dtype=float), [level.energy],
+                          level.basis, level.qes_set, level.params)
         object.__setattr__(level, "_set_table", (table, 0))
     return level._set_table
 
 
 def count_moving_poles(level: QesLevel) -> int:
-    """Number of P_n zeros in the physical region z > 0 (argument principle).
+    """Number of P_n zeros in the physical region z > 0.
 
-    Rounds moving_pole_contour_value, whose ellipse in ln z also encloses
-    complex points with |arg z| < 3/2; P_n has no zeros there, as all its
-    zeros are real.  A zero at z = 0, on the fixed pole, raises
-    ContourCollisionError, as does a value more than 1e-3 from an integer.
+    They are the sign changes of the level's closed form on its set's
+    quadrature nodes, which solve_levels counted (j for level j) into
+    node_count = 2 moving poles + 1 if odd.
     """
-    raw = moving_pole_contour_value(level)
-    count = round(raw.real)
-    if abs(raw.real - count) > 1e-3 or abs(raw.imag) > 1e-3:
-        raise ContourCollisionError(
-            f"contour integral {raw!r} is not close to an integer"
-        )
-    return int(count)
+    return (level.node_count - (1 if level.parity == "odd" else 0)) // 2
+
+
+def moving_pole_contour_value(level: QesLevel) -> complex:
+    """count_moving_poles as a complex number, for callers of the former
+    argument-principle count; it integrates nothing, so it has no drift."""
+    return complex(count_moving_poles(level))
 
 
 # Published energy rows, by (table, set): n and the printed closed form in

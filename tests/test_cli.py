@@ -19,7 +19,6 @@ from qhj_spectra import cli, enumerate_qes_sets, solve_classification, solver
 from qhj_spectra.cli import main
 from qhj_spectra.qhj import INTEGER_TOLERANCE
 from qhj_spectra.errors import (
-    ContourCollisionError,
     DegenerateVectorError,
     InadmissibleParametersError,
     InvariantViolationError,
@@ -149,10 +148,45 @@ class TestSolve:
         energies = [float(level["energy"]) for level in doc["levels"]]
         assert energies == pytest.approx([-1.25, 0.75])
         assert [level["node_count"] for level in doc["levels"]] == [0, 1]
-        # The level holds its coefficients and parity; its wavefunction
-        # block holds only the closed form's other factors.
+        # The level holds its basis coefficients and parity; its wavefunction
+        # block holds only the closed form's other factors, and its set the
+        # basis.  At lambda = 1 both sets have n = 0: P = 1 and no basis.
         for level in doc["levels"]:
             assert set(level["wavefunction"]) == {"p1", "p2", "C", "alpha"}
+            assert level["basis_coefficients"] == ["1"]
+        assert [qes_set["basis"] for qes_set in doc["sets"]] == [{"alpha": [], "beta": []}] * 2
+
+    def test_basis_reconstructs_the_closed_form(self, capsys, schema):
+        # From the printed basis and coefficients alone, psi = w(z) sum_k c_k
+        # q_k(z) with q_0 = 1 and beta_(k+1) q_(k+1) = (z - alpha_k) q_k -
+        # beta_k q_(k-1) matches sample's columns (each max-normalised).
+        argv = ("--v1", "1", "--alpha", "1", "--lambda", "5.5")
+        code, doc = run_json(capsys, "solve", *argv)
+        assert code == 0
+        jsonschema.validate(doc, schema)
+        code, out = run_cli(capsys, "sample", *argv, "--points", "201")
+        rows = list(csv.reader(io.StringIO(out)))
+        x = np.array([float(row[0]) for row in rows[1:]])
+        columns = {name: np.array([float(row[i]) for row in rows[1:]])
+                   for i, name in enumerate(rows[0])}
+        z = np.cosh(x) - 1.0
+        bases = {qes_set["set"]: qes_set["basis"] for qes_set in doc["sets"]}
+        for level in doc["levels"]:
+            basis = bases[level["set"]]
+            alpha, beta = ([float(v) for v in basis[key]] for key in ("alpha", "beta"))
+            c = [float(v) for v in level["basis_coefficients"]]
+            q, q_, poly = np.ones_like(z), np.zeros_like(z), c[0] * np.ones_like(z)
+            for k, (ak, bk) in enumerate(zip(alpha, beta)):
+                q, q_ = ((z - ak) * q - (beta[k - 1] if k else 0.0) * q_) / bk, q
+                poly += c[k + 1] * q
+            w = level["wavefunction"]
+            p1, p2, big_c = float(w["p1"]), float(w["p2"]), float(w["C"])
+            psi = np.abs(z) ** p1 * (z + 2.0) ** p2 * np.exp(big_c * (1.0 + z)) * poly
+            psi *= np.where(x < 0.0, -1.0, 1.0) if p1 > 0.0 else 1.0
+            psi /= np.abs(psi).max()
+            energy = "%.6g" % float(level["energy"])
+            name = f"psi_set{level['set']}_n{level['n']}_E{energy}"
+            np.testing.assert_allclose(psi, columns[name], rtol=0.0, atol=1e-10)
 
     def test_block_of_thirty(self, capsys, schema):
         # lambda = 30 (n = 29, 28): every level keeps its Sturm node count.
@@ -356,22 +390,24 @@ class TestSample:
 
     @pytest.mark.parametrize("v1, lam", [("1", "1.5"), ("1", "10"), ("0.05", "10")])
     def test_one_closed_form_evaluation_per_column(self, capsys, monkeypatch, v1, lam):
-        # Each column is sign exp(log|psi| - its maximum over the sampled
-        # points), read from one evaluation per row block of its set: every
-        # level's row is evaluated exactly once, and each peak is exactly 1.
-        log_abs, solve = solver._log_abs, cli.solve_classification
+        # Each column is psi over its maximum on the sampled points, read
+        # from one evaluation per row block of its set: every level's row is
+        # evaluated at the sampled points exactly once, and each peak is
+        # exactly 1.
+        evaluate, solve = solver._evaluate, cli.solve_classification
         blocks, levels = [], []
 
         def counted(*args, **kwargs):
-            blocks.append([tuple(row) for row in args[0][:, :, 0].T.tolist()])
-            return log_abs(*args, **kwargs)
+            if args[3].size == 1001 and args[3][0] != 0.0:  # not a normalisation scan
+                blocks.append([tuple(row) for row in args[0].tolist()])
+            return evaluate(*args, **kwargs)
 
         def solved(*args):
             result = solve(*args)
             levels.extend(result)
             return result
 
-        monkeypatch.setattr(solver, "_log_abs", counted)
+        monkeypatch.setattr(solver, "_evaluate", counted)
         monkeypatch.setattr(cli, "solve_classification", solved)
         code, out = run_cli(capsys, "sample", "--v1", v1, "--alpha", "1", "--lambda", lam)
         assert code == 0
@@ -383,8 +419,27 @@ class TestSample:
         assert len(per_set) == 2
         assert len(blocks) == sum(len(solver._row_blocks(count, 1001)) for count in per_set)
         evaluated = sorted(row for block in blocks for row in block)
-        assert evaluated == sorted(level.coefficients for level in levels)
+        assert evaluated == sorted(level.basis_coefficients for level in levels)
         assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]
+
+    @pytest.mark.parametrize("args, ratio", [
+        (("--v1", "1e-6", "--lambda", "10"), "7.14e-17"),
+        (("--v1", "1", "--lambda", "1", "--x-max", "1000", "--points", "5"), "9.84e-32"),
+    ])
+    def test_window_that_misses_the_peak_is_usage_error(self, schema, args, ratio):
+        # The closed form is exact to round-off relative to its own peak, so
+        # a window holding less than 1e-6 of a level's peak would print
+        # round-off: a usage error naming the level and the ratio, with an
+        # empty stderr under warnings as errors.
+        result = run_module("sample", "--alpha", "1", *args, env={"PYTHONWARNINGS": "error"})
+        assert result.returncode == 2
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "usage"
+        assert re.fullmatch(rf"the x range holds at most {ratio} of the peak of "
+                            r"psi_set\d_n\d+_E\S+, below 1e-06: its values there "
+                            r"would be round-off", doc["error"]["message"])
 
     def test_far_out_v_is_inf_and_stderr_empty(self):
         # From x = 748.75 on both sinh^2 and cosh overflow, so V1 sinh^2 +
@@ -392,7 +447,7 @@ class TestSample:
         # process shows what numpy would print on stderr.
         result = run_module(
             "sample", "--v1", "1", "--alpha", "1", "--lambda", "1",
-            "--x-max", "1000", "--points", "5",
+            "--x-min=-1", "--x-max", "1000", "--points", "5",
         )
         assert result.returncode == 0
         assert result.stderr == ""
@@ -525,7 +580,6 @@ class TestExitCodes:
         "error, expected",
         [
             (InvariantViolationError, 3),
-            (ContourCollisionError, 3),
             (DegenerateVectorError, 3),
             (InadmissibleParametersError, 2),
         ],
@@ -680,51 +734,70 @@ class TestExitCodes:
         assert "ValueError" in captured.err
 
     def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
-        # lambda = 40 (n = 39, 38): eigh's eigenvector loses the signs of its
-        # smallest components, so the sign changes of P's coefficients break
-        # the Sturm node-count invariant, which fails instead of printing
-        # wrong nodes.
+        # lambda = 40 (n = 39, 38): the monomial eigenvector lost the signs of
+        # its smallest components and the Sturm check failed the set.  In the
+        # orthonormal basis every level keeps its node count, and solve exits 0.
         code, doc = run_json(
             capsys, "solve", "--v1", "1", "--alpha", "1", "--lambda", "40"
         )
-        assert code == 3
+        assert code == 0
         jsonschema.validate(doc, schema)
-        assert doc["error"]["type"] == "InvariantViolationError"
+        assert len(doc["levels"]) == 80
+        for qes_set in doc["sets"]:
+            in_set = [lvl for lvl in doc["levels"] if lvl["set"] == qes_set["set"]]
+            odd = 1 if qes_set["parity"] == "odd" else 0
+            assert [lvl["node_count"] for lvl in in_set] == [
+                2 * j + odd for j in range(qes_set["n"] + 1)
+            ]
 
-    def test_overflowing_diagonal_scaling_is_internal_failure(self, schema):
-        # Set 3's scaling D overflows float64 from n = 305 at s = 1: a typed
-        # failure naming the set and n, without a numpy warning.
-        result = run_module(
-            "solve", "--v1", "1", "--alpha", "1", "--set", "3", "--n", "400",
-            env={"PYTHONWARNINGS": "error"},
-        )
-        assert result.returncode == 3
+    @staticmethod
+    def solved_without_a_warning(capsys, set_index, n):
+        # solve at V1 = alpha = 1 with warnings as errors: exit 0, an empty
+        # stderr, n + 1 levels with node counts 2 j + odd, and n alpha_k
+        # and beta_k for the set.  (The schema is checked on smaller sets:
+        # here it would cost seconds.)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--v1", "1", "--alpha", "1", "--set", str(set_index),
+                         "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        (qes_set,) = doc["sets"]
+        odd = 1 if qes_set["parity"] == "odd" else 0
+        assert [lvl["node_count"] for lvl in doc["levels"]] == [
+            2 * j + odd for j in range(n + 1)]
+        assert len(qes_set["basis"]["alpha"]) == len(qes_set["basis"]["beta"]) == n
+
+    def test_overflowing_diagonal_scaling_is_internal_failure(self, capsys):
+        # Set 3's monomial scaling D overflowed float64 from n = 305 at s = 1
+        # and the set failed; the orthonormal basis has no such scaling.
+        self.solved_without_a_warning(capsys, 3, 400)
+
+    def test_underflowed_last_component_is_internal_failure(self, capsys):
+        # Set 1's monomial eigenvector's last component underflowed to 0 at
+        # n = 300 and the set failed; the basis has no leading-1 division.
+        self.solved_without_a_warning(capsys, 1, 300)
+
+    def test_table_beyond_float64_is_usage_error(self, schema):
+        # alpha^2 in the printed energies, and V2 = -2 sqrt(V1) alpha lambda,
+        # overflow float64 here: a usage error naming alpha^2, with an empty
+        # stderr under warnings as errors.
+        result = run_module("table", "--v1", "1e300", "--alpha", "1e200",
+                            env={"PYTHONWARNINGS": "error"})
+        assert result.returncode == 2
         assert result.stderr == ""
         doc = json.loads(result.stdout)
         jsonschema.validate(doc, schema)
         assert doc["error"] == {
-            "type": "InvariantViolationError",
-            "message": "the diagonal scaling D of set 3 with n = 400 overflows float64",
+            "type": "usage",
+            "message": "alpha^2 = inf overflows float64 at this working point",
         }
-
-    def test_underflowed_last_component_is_internal_failure(self, schema):
-        # Set 1's eigenvector's last component underflows to 0 at n = 300: a
-        # typed failure naming the set, n and the level, without a numpy
-        # warning.
-        result = run_module(
-            "solve", "--v1", "1", "--alpha", "1", "--set", "1", "--n", "300",
-            env={"PYTHONWARNINGS": "error"},
-        )
-        assert result.returncode == 3
-        assert result.stderr == ""
-        doc = json.loads(result.stdout)
-        jsonschema.validate(doc, schema)
-        assert doc["error"]["type"] == "InvariantViolationError"
-        assert re.fullmatch(
-            r"level \d+ of set 1 with n = 300 has no leading-1 scaling in float64: "
-            r"its eigenvector's last component is \S+",
-            doc["error"]["message"],
-        )
+        result = run_module("table", "--v1", "1.7e308", "--alpha", "1.3e154")
+        assert result.returncode == 2 and result.stderr == ""
+        assert json.loads(result.stdout)["error"]["message"] == (
+            "V2 = -2 sqrt(V1) alpha lambda = -inf overflows float64 at this working point")
 
     def test_module_entry_point(self, schema):
         result = run_module("classify", "--v1", "1", "--v2", "-3", "--alpha", "1")

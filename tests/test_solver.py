@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import qhj_spectra
 from qhj_spectra import (
-    ContourCollisionError,
     InadmissibleParametersError,
     InvariantViolationError,
     PotentialParams,
@@ -36,16 +35,24 @@ from qhj_spectra import (
     wavefunction,
 )
 from qhj_spectra import cli, oracle, potential, qhj, solver
+from qhj_spectra.grid import _row_sign_changes, _sign_changes
 from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
-from qhj_spectra.solver import _node_count
-
-
 
 
 def closed_form(level, x):
     # The unnormalized log|psi| and sign of one level, read from its set's table.
     table, row = solver._set_table(level)
-    return table.closed_form(row, np.asarray(x, dtype=float))
+    poly, log_scale = table.closed_form(row, np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(poly)) + log_scale, np.sign(poly)
+
+
+def dense_closed_form(level, points=4000):
+    # z in (0, z at the oracle's wall] and the level's closed form there, on
+    # a grid much finer than the basis's quadrature nodes.
+    x = np.linspace(0.0, oracle.default_grid(level.params).half_width_L, points + 1)[1:]
+    psi = evaluate_wavefunction(wavefunction(level, level.params), x)
+    return np.cosh(level.params.alpha * x) - 1.0, psi
 
 
 def params_for(set_index, n, v1=1.0, alpha=1.0):
@@ -202,9 +209,13 @@ class TestLevels:
         r = math.sqrt(17.0)
         assert levels[0].energy == pytest.approx(-(1.0 + r) / 2.0, rel=1e-14)
         assert levels[1].energy == pytest.approx((r - 1.0) / 2.0, rel=1e-14)
-        assert levels[0].coefficients[1] == pytest.approx(1.0)
-        assert levels[0].coefficients[0] == pytest.approx((r + 3.0) / 4.0)
-        assert levels[1].coefficients[0] == pytest.approx((3.0 - r) / 4.0)
+        # P = z + a0 up to its scale: in the basis, c0 + c1 (z - alpha_0) / beta_1,
+        # with c1 > 0 (positive beyond the zero) and c0^2 + c1^2 = 1.
+        for level, a0 in zip(levels, ((r + 3.0) / 4.0, (3.0 - r) / 4.0)):
+            (c0, c1), (alpha0,), (beta1,) = (level.basis_coefficients, level.basis.alpha,
+                                             level.basis.beta)
+            assert c1 > 0.0 and c0 * c0 + c1 * c1 == pytest.approx(1.0, rel=1e-14)
+            assert alpha0 - c0 * beta1 / c1 == pytest.approx(-a0, rel=1e-12)
         assert [lvl.node_count for lvl in levels] == [0, 2]
 
     @pytest.mark.parametrize("set_index", [1, 2, 3, 4])
@@ -260,7 +271,7 @@ class TestLevels:
 class TestLargeBlocks:
     # (lambda, s) with V1 = s^2 and alpha = 1: blocks of n = 19, 20 and 9, 10
     # that the earlier four-diagonal pencil in powers of y could not solve,
-    # and n = 29, 28, whose node counts rest on tiny eigenvector components.
+    # and n = 29, 28, which the monomial coefficients could not hold.
     @pytest.mark.parametrize(
         "lam, s",
         [(20.5, 0.1), (20.5, 0.3), (20.5, 1.0), (20.5, 3.0), (10.0, 0.1), (30.0, 1.0)],
@@ -280,42 +291,103 @@ class TestLargeBlocks:
         for level in levels:
             wf = wavefunction(level, params)
             bound = 1e-8 * max(1.0, abs(level.energy))
-            # Inside the wells; farther out the float64 monomial coefficients
-            # of P round to residuals above this bound at s >= 1.
-            for x in (0.3, 0.7, 1.1):
-                assert abs(schrodinger_residual(wf, level.energy, params, x)) < bound
+            # From the origin out to the turning point.  The closed form is
+            # exact to round-off relative to its peak, so in the central
+            # barrier, where a deep level holds far less than 1e-12 of its
+            # peak, P is round-off and the QMF guard raises: those points are
+            # skipped, and at least four of the eight are checked.
+            x_turn = math.acosh(solver._turning_point(params, level.energy))
+            checked = 0
+            for x in np.linspace(0.3, x_turn, 8):
+                try:
+                    residual = schrodinger_residual(wf, level.energy, params, x)
+                except QmfPoleError:
+                    continue
+                assert abs(residual) < bound, x
+                checked += 1
+            assert checked >= 4, (level.energy, checked)
 
     def test_underflowed_eigenvector_is_a_precise_failure(self):
-        # From lambda = 40 at s ~ 0.3 the eigenvector's smallest component,
-        # u_0, underflows to 0, which an unreduced Jacobi matrix rules out.
+        # At (40, 0.27) the monomial eigenvector's smallest component
+        # underflowed to 0 and the set failed; in the orthonormal basis no
+        # entry over- or underflows, and every level keeps its node count.
         lam, s = 40.0, 0.27
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
-        with pytest.raises(
-            InvariantViolationError, match=r"level 0 of set 3 has P\(0\) = 0.*underflowed"
-        ):
-            solve_classification(params, enumerate_qes_sets(lam))
+        classification = enumerate_qes_sets(lam)
+        levels = solve_classification(params, classification)
+        assert len(levels) == 80
+        for qes_set in classification.sets:
+            odd = 1 if qes_set.parity == "odd" else 0
+            in_set = [lvl for lvl in levels if lvl.qes_set == qes_set]
+            assert [lvl.node_count for lvl in in_set] == [
+                2 * j + odd for j in range(qes_set.n + 1)]
+            coefficients = np.array([lvl.basis_coefficients for lvl in in_set])
+            np.testing.assert_allclose(coefficients @ coefficients.T, np.eye(len(in_set)),
+                                       atol=1e-13)
 
     @pytest.mark.parametrize("set_index", [1, 2, 3, 4])
     def test_underflowed_last_component_is_a_precise_failure(self, set_index):
-        # V1 = alpha = 1, n = 300: D grows with k, and the last components
-        # u_n / D_n of most eigenvectors underflow to 0 (from about n = 123).
-        # Scaling to a leading 1 would divide by them; the set fails first,
-        # naming itself and the level.
+        # V1 = alpha = 1, n = 300: the monomial eigenvectors' last components
+        # underflowed to 0 (from about n = 123) and the set failed.  In the
+        # orthonormal basis it solves without a numpy warning: 301 levels in
+        # energy order, with orthonormal coefficients and node counts 2 j + odd.
         qes_set, params = params_for(set_index, 300)
         pencil = build_pencil(qes_set, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(
-                InvariantViolationError,
-                match=rf"^level \d+ of set {set_index} with n = 300 has no leading-1 "
-                r"scaling in float64: its eigenvector's last component is \S+$",
-            ):
-                solve_levels(pencil, params)
+            levels = solve_levels(pencil, params)
+        odd = 1 if qes_set.parity == "odd" else 0
+        assert [lvl.node_count for lvl in levels] == [2 * j + odd for j in range(301)]
+        assert all(np.diff([lvl.energy for lvl in levels]) > 0.0)
+        coefficients = np.array([lvl.basis_coefficients for lvl in levels])
+        np.testing.assert_allclose(coefficients @ coefficients.T, np.eye(301), atol=1e-12)
+
+    def test_lambda_thirty_set_three_matches_a_60_digit_closed_form(self):
+        # (30, 1), set 3, n = 29: each level's mu refined by the secant rule
+        # on the last row of (H - mu) c = 0, with c from the first n rows in
+        # 60 digits (c_0 = 1), and psi = z^p1 (z + 2)^p2 exp(-s (1 + z)) P(z)
+        # summed in 60 digits.  Both sides max-normalised on the grid, the
+        # reference's sign that of its leading coefficient.  The monomial
+        # closed form was off by 0.96 of a level's peak here.
+        lam, s = 30.0, 1.0
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        qes_set = QesSet(3, 29)
+        pencil = build_pencil(qes_set, params)
+        levels = solve_levels(pencil, params)
+        x = np.linspace(0.0, 6.0, 121)
+        with mpmath.workdps(60):
+            h = [[mpmath.mpf(float(value)) for value in row] for row in pencil.matrix]
+            n = len(h) - 1
+
+            def coefficients(mu):
+                c = [mpmath.mpf(1), -(h[0][0] - mu) / h[0][1]]
+                for k in range(1, n):
+                    c.append(-(h[k][k - 1] * c[k - 1] + (h[k][k] - mu) * c[k]) / h[k][k + 1])
+                return c, h[n][n - 1] * c[n - 1] + (h[n][n] - mu) * c[n]
+
+            z = [mpmath.cosh(mpmath.mpf(float(xi))) - 1 for xi in x]
+            prefactor = [zi ** mpmath.mpf(qes_set.p1) * (zi + 2) ** mpmath.mpf(qes_set.p2)
+                         * mpmath.exp(-s * (1 + zi)) for zi in z]
+            for level in levels:
+                a = mpmath.mpf(-level.energy)
+                b = a * (1 + mpmath.mpf(2) ** -40)
+                fa, fb = coefficients(a)[1], coefficients(b)[1]
+                for _ in range(60):
+                    if fb == fa:
+                        break
+                    a, b, fa = b, b - fb * (b - a) / (fb - fa), fb
+                    fb = coefficients(b)[1]
+                c, _ = coefficients(b)
+                psi = [w * mpmath.polyval(c[::-1], zi) for w, zi in zip(prefactor, z)]
+                reference = np.array([float(value) for value in psi]) * float(mpmath.sign(c[-1]))
+                reference /= np.abs(reference).max()
+                got = evaluate_wavefunction(wavefunction(level, params), x)
+                got /= np.abs(got).max()
+                assert np.abs(got - reference).max() <= 1e-10, level.energy
 
     def test_no_false_pole_away_from_the_nodes(self):
-        # At x = 2.3 every |P| here exceeds 1e-6 of Horner's roundoff scale
-        # sum |c_k| |z|^k; the cruder sum |c_k| max(1, |z|)^n flagged most
-        # of the upper levels as moving poles.
+        # At x = 2.3 every |P| here exceeds 1e-12 of the basis's roundoff
+        # scale sum |c_k q_k(z)|: no level is flagged as a moving pole.
         lam, s = 20.5, 1.0
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
         for level in solve_classification(params, enumerate_qes_sets(lam)):
@@ -398,36 +470,6 @@ class TestWavefunction:
         wf = wavefunction(level, params)
         assert evaluate_wavefunction(wf, 0.0) == 0.0
 
-    def test_horner_matches_polyval_bit_for_bit(self):
-        lam, s = 20.5, 1.0
-        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
-        x = np.linspace(-4.0, 4.0, 801)
-        z = 2.0 * np.sinh(0.5 * x) ** 2
-        theta = np.linspace(0.0, 2.0 * math.pi, 257)
-        levels = solve_classification(params, enumerate_qes_sets(lam))
-        set_one = [level for level in levels if level.qes_set.set_index == 1]
-        assert len(set_one) == 21
-        for level in set_one:
-            # Set 1 has p1 = p2 = 0: log|psi| = -s (1 + z) + ln|P(z)|, sign P(z).
-            log_abs, sign = closed_form(level, x)
-            desc = np.asarray(level.coefficients[::-1])
-            poly = np.polyval(desc, z)
-            np.testing.assert_array_equal(sign, np.sign(poly))
-            np.testing.assert_array_equal(log_abs, -s * (1.0 + z) + np.log(np.abs(poly)))
-            # The helper itself: complex z on an ellipse in ln z like the
-            # contour's, the derivatives' coefficients, and the roundoff
-            # scale sum |c_k| |z|^k, each also as one row of a column table.
-            ellipse = np.exp(1.0 + 4.0 * np.cos(theta) + 1.5j * np.sin(theta))
-            cases = [(desc, ellipse), (np.polyder(desc), z), (np.polyder(desc, 2), z),
-                     (np.abs(desc), np.abs(z))]
-            for coefficients, points in cases:
-                want = np.polyval(coefficients, points)
-                ascending = coefficients[::-1]
-                assert solver._horner(ascending, points).tobytes() == want.tobytes()
-                table = np.stack([ascending, np.ones_like(ascending)], axis=1)[..., None]
-                got = solver._horner(table, points[None, :])
-                assert got[0].tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("p1", [0.0, 0.5])
     @pytest.mark.parametrize("p2", [0.0, 0.5])
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
@@ -438,7 +480,8 @@ class TestWavefunction:
         set_index = {(0.0, 0.0): 1, (0.5, 0.5): 2, (0.0, 0.5): 3, (0.5, 0.0): 4}[p1, p2]
         qes_set, params = params_for(set_index, 0, v1=s * s)
         (level,) = solve_levels(build_pencil(qes_set, params), params)
-        assert level.coefficients == (1.0,) and params.s == s
+        assert level.basis_coefficients == (1.0,) and params.s == s
+        assert level.basis == solver.OrthonormalBasis((), ())
         assert (float(qes_set.p1), float(qes_set.p2)) == (p1, p2)
         x = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 700.0])
         log_abs, sign = closed_form(level, x)
@@ -475,15 +518,36 @@ class TestWavefunction:
             assert np.max(np.abs(psi)) <= 1.0 + 1e-3
 
     @staticmethod
-    def uncached_log_norm(level, params):
-        # wavefunction's grid rule, with z, ln z and ln(z + 2) computed afresh.
-        v1, v2, alpha = params.v1, params.v2, params.alpha
+    def half_width(level, params):
+        # wavefunction's grid rule: alpha x up to 5, or to the turning point.
+        v1, v2 = params.v1, params.v2
         y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
-        half_width = math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
+        return math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
+
+    @classmethod
+    def uncached_log_norm(cls, level, params, rows=None):
+        # wavefunction's grid rule, with z, ln z and ln(z + 2) computed afresh,
+        # and the level's row evaluated in the block its set scans it with:
+        # rows holds the coefficients of the set's levels on the shared grid;
+        # a level on a grid of its own is scanned alone.
+        alpha, half_width = params.alpha, cls.half_width(level, params)
         x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
+        sh = np.sinh(0.5 * alpha * x)
+        z = 2.0 * sh * sh
+        rows = [level.basis_coefficients] if rows is None or half_width > 5.0 else rows
+        index = rows.index(level.basis_coefficients)
+        block = next(b for b in solver._row_blocks(len(rows), x.size) if index < b.stop)
         # As in wavefunction: ln z = -inf at x = 0 for an odd level.
         with np.errstate(divide="ignore"):
-            log_abs, _ = closed_form(level, x)
+            log_w = -params.s * (1.0 + z)
+            if level.qes_set.p1 > 0.0:
+                log_w += level.qes_set.p1 * np.log(z)
+            if level.qes_set.p2 > 0.0:
+                log_w += level.qes_set.p2 * np.log(z + 2.0)
+            poly, log_scale = solver._evaluate(np.array(rows[block]), np.array(level.basis.alpha),
+                                               np.array(level.basis.beta), z, log_w)
+            log_abs = np.log(np.abs(poly[index - block.start]))
+        log_abs += log_scale
         return float(np.max(log_abs[np.isfinite(log_abs)])), half_width
 
     def test_log_norm_matches_uncached_grid_bit_for_bit(self):
@@ -499,8 +563,12 @@ class TestWavefunction:
         for lam, s, alpha in points + points[::-1]:
             params = PotentialParams((s * alpha) ** 2, -2.0 * s * alpha**2 * lam, alpha)
             widths = []
-            for level in solve_classification(params, enumerate_qes_sets(lam)):
-                expected, half_width = self.uncached_log_norm(level, params)
+            levels = solve_classification(params, enumerate_qes_sets(lam))
+            for level in levels:
+                shared = [other.basis_coefficients for other in levels
+                          if other.qes_set == level.qes_set
+                          and self.half_width(other, params) == 5.0]
+                expected, half_width = self.uncached_log_norm(level, params, shared)
                 assert wavefunction(level, params).log_norm == expected
                 widths.append(half_width)
             if (lam, s) == (10.0, 0.1):
@@ -514,17 +582,17 @@ class TestWavefunction:
         with pytest.raises(InvariantViolationError, match="below the minimum of V"):
             wavefunction(replace(level, energy=-100.0), params)
         with pytest.raises(InvariantViolationError, match="no finite value"):
-            wavefunction(replace(level, coefficients=(math.nan, 1.0)), params)
+            wavefunction(replace(level, basis_coefficients=(math.nan, 1.0)), params)
 
     def test_empty_x_gives_an_empty_array(self):
         qes_set, params = params_for(1, 1)
         level = solve_levels(build_pencil(qes_set, params), params)[0]
         x = np.array([])
-        assert solver.sample_wavefunction(level, x).shape == (0,)
+        assert closed_form(level, x)[0].shape == (0,)
         assert evaluate_wavefunction(wavefunction(level, params), x).shape == (0,)
 
     def test_cached_tables_are_read_only(self):
-        tables = [*solver._default_grid_terms(1.0), *solver._contour_pass_tables(128)]
+        tables = [*solver._default_grid_terms(1.0), *solver._node_terms(3.0, 40, 1.0)]
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
@@ -565,8 +633,10 @@ class TestQuantumMomentum:
         qes_set, params = params_for(1, 1)
         excited = solve_levels(build_pencil(qes_set, params), params)[1]
         wf = wavefunction(excited, params)
-        y_node = 1.0 - excited.coefficients[0]  # root of z + a0, z = y - 1
-        x_node = math.acosh(y_node)
+        # The zero of c0 + c1 (z - alpha_0) / beta_1, z = y - 1.
+        (c0, c1), (alpha0,), (beta1,) = (excited.basis_coefficients, excited.basis.alpha,
+                                         excited.basis.beta)
+        x_node = math.acosh(1.0 + alpha0 - c0 * beta1 / c1)
         with pytest.raises(QmfPoleError):
             quantum_momentum(wf, x_node)
 
@@ -586,11 +656,12 @@ class TestQuantumMomentum:
         return wavefunction(top, params), top.energy, params
 
     def test_finite_where_p_squared_overflows(self):
-        # lambda = 20.5: the top level is set 1's, n = 20.  At x = 20,
-        # P ~ z^20 ~ 1e168, so P^2 overflows while P'/P and P''/P stay moderate.
+        # lambda = 20.5: the top level is set 1's, n = 20.  At x = 20, z^20
+        # is about 1e168, so a monic P^2 overflows while P'/P and P''/P stay
+        # moderate; the basis's q_k are smaller, and the ratios are the same.
         wf, energy, params = self._top_level(20.5)
         top = wf.level
-        assert top.qes_set.set_index == 1 and len(top.coefficients) == 21
+        assert top.qes_set.set_index == 1 and len(top.basis_coefficients) == 21
         assert top.qes_set.p1 == top.qes_set.p2 == 0
         p = quantum_momentum(wf, 20.0)
         residual = qhj_residual(wf, energy, params, 20.0)
@@ -599,7 +670,7 @@ class TestQuantumMomentum:
 
     @pytest.mark.parametrize(
         "lam, x",
-        # z^20 overflows; (alpha sinh(alpha x))^2 overflows.
+        # q_20(z) overflows; (alpha sinh(alpha x))^2 overflows.
         [(20.5, 40.0), (2.0, 356.0)],
     )
     def test_float64_overflow_names_x(self, lam, x):
@@ -670,8 +741,9 @@ class TestMovingPoles:
 
     @staticmethod
     def direct_count(level):
-        roots = np.roots(np.asarray(level.coefficients[::-1]))
-        return sum(1 for r in roots if abs(r.imag) < 1e-9 and r.real > 0.0)
+        # The sign changes of the closed form on a dense grid, the oracle's
+        # node rule; zeros of P in z > 0 are the closed form's nodes on x > 0.
+        return oracle.node_count(dense_closed_form(level)[1])
 
     def test_counts_match_direct_root_counting(self):
         # (lambda, s) with V1 = s^2 and alpha = 1; at (10, 0.27) the top set-4
@@ -697,10 +769,11 @@ class TestMovingPoles:
         ]
 
         def no_roots(*args, **kwargs):
-            raise AssertionError("the analytic path called np.roots")
+            raise AssertionError("the analytic path located a root")
 
         with monkeypatch.context() as patched:
             patched.setattr(np, "roots", no_roots)
+            patched.setattr(np.linalg, "eigvals", no_roots)
             solved = solve_classification(params, enumerate_qes_sets(lam))
             counted = [count_moving_poles(level) for level in solved]
         assert [level.node_count for level in solved] == expected_nodes
@@ -717,10 +790,16 @@ class TestMovingPoles:
         ],
     )
     def test_node_count_by_descartes(self, coefficients, even_nodes):
-        # One row per level; a second row checks that rows do not mix.
-        rows = np.array([coefficients, np.ones(len(coefficients))])
-        assert _node_count(rows, "even") == [even_nodes, 0]
-        assert _node_count(rows, "odd") == [even_nodes + 1, 1]
+        # Descartes' rule counts the zeros in z > 0 of a real-rooted P from
+        # its coefficients' signs: the node rule of solve_levels (the sign
+        # changes of P sampled in z > 0, ignoring values below 1e-12 of the
+        # peak) must count as many.  A second row checks that rows do not mix.
+        z = np.geomspace(1e-3, 1e3, 2001)
+        weight = np.exp(-z)
+        rows = np.stack([np.polyval(coefficients[::-1], z), np.ones_like(z)]) * weight
+        changes = _sign_changes(rows.T).tolist()
+        assert [2 * count for count in changes] == [even_nodes, 0]
+        assert [2 * count + 1 for count in changes] == [even_nodes + 1, 1]
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(
@@ -735,13 +814,12 @@ class TestMovingPoles:
         table = rng.standard_normal((rows, width))
         table[rng.random((rows, width)) < 0.4] = 0.0
         table[rng.random((rows, width)) < 0.1] = -0.0
-        for parity, odd in (("even", 0), ("odd", 1)):
-            expected = []
-            for row in table:
-                signs = np.sign(row)
-                signs = signs[signs != 0.0]
-                expected.append(2 * int(np.count_nonzero(signs[1:] != signs[:-1])) + odd)
-            assert _node_count(table, parity) == expected
+        expected = []
+        for row in table:
+            signs = np.sign(row)
+            signs = signs[signs != 0.0]
+            expected.append(int(np.count_nonzero(signs[1:] != signs[:-1])))
+        assert _row_sign_changes(np.sign(table)).tolist() == expected
 
     def test_contour_value_close_to_integer(self):
         qes_set, params = params_for(1, 1)
@@ -750,46 +828,35 @@ class TestMovingPoles:
             assert abs(raw.real - round(raw.real)) < 1e-3
             assert abs(raw.imag) < 1e-3
 
-    def test_zero_on_the_contour_raises(self):
-        qes_set, params = params_for(1, 1)
-        level = solve_levels(build_pencil(qes_set, params), params)[0]
-        # coefficients in powers of z = y - 1: a zero at z = 1 ...
-        assert count_moving_poles(replace(level, coefficients=(-1.0, 1.0))) == 1
-        # ... and one on the fixed pole z = 0, where ln z has no finite vertex
-        with pytest.raises(ContourCollisionError, match="fixed pole"):
-            count_moving_poles(replace(level, coefficients=(0.0, 1.0)))
-
-        # ... then the pair 3 exp(+-i phi).  Its root bounds give 3/2 <= |z| <= 6,
-        # so the ellipse in ln z is centred on ln 3 with half-height 3/2: phi =
-        # 1.5 puts both zeros on it, a smaller phi inside, a larger one outside.
-        def pair(phi):
-            return replace(level, coefficients=(9.0, -6.0 * math.cos(phi), 1.0))
-
-        with pytest.raises(ContourCollisionError):
-            count_moving_poles(pair(1.5))
-        assert count_moving_poles(pair(1.2)) == 2
-        assert count_moving_poles(pair(1.8)) == 0
-
     @staticmethod
     def nested_trapezoid(level):
-        # The same ellipse and stopping rule, written plainly: 64 nodes, then
-        # one pass per doubling at the midpoints, P and P' by np.polyval.
-        c = np.asarray(level.coefficients)
-        n = len(c) - 1
-        if n == 0:
+        # The argument principle, (1/2 pi i) times the contour integral of
+        # P'/P, on an ellipse in ln z of half-height 3/2 from the smallest z
+        # where the level holds 1e-6 of its peak to twice the largest (its
+        # zeros in z > 0 lie there, and P has digits to spare on the whole
+        # contour), by the trapezoid rule: 64 nodes, then
+        # one pass per doubling at the midpoints, until two passes agree to
+        # 1e-9.  P and P' come from the basis's three-term recurrence in
+        # complex z, so the count rests on neither the nodes nor their signs.
+        c, alpha, beta = level.basis_coefficients, level.basis.alpha, level.basis.beta
+        if not alpha:
             return 0j
-
-        def bound(d):
-            return 2.0 * max(abs(d[k]) ** (1.0 / k) for k in range(1, len(d)))
-
-        left, right = -math.log(bound(c / c[0])), math.log(bound(c[::-1]))
+        z, psi = dense_closed_form(level)
+        held = z[np.abs(psi) >= 1e-6 * np.abs(psi).max()]
+        left, right = math.log(held.min()), math.log(2.0 * held.max())
         center, a, b = 0.5 * (right + left), 0.5 * (right - left), 1.5
-        desc = c[::-1]
 
         def pass_sum(theta):
             z = np.exp(center + a * np.cos(theta) + 1j * b * np.sin(theta))
             dz_dtheta = z * (-a * np.sin(theta) + 1j * b * np.cos(theta))
-            return np.sum(np.polyval(np.polyder(desc), z) / np.polyval(desc, z) * dz_dtheta)
+            q, q_, dq, dq_ = np.ones_like(z), 0 * z, 0 * z, 0 * z
+            p, dp = c[0] * q, 0 * z
+            for k, (ak, bk) in enumerate(zip(alpha, beta)):
+                b_prev = beta[k - 1] if k else 0.0
+                q, q_, dq, dq_ = (((z - ak) * q - b_prev * q_) / bk, q,
+                                  ((z - ak) * dq + q - b_prev * dq_) / bk, dq)
+                p, dp = p + c[k + 1] * q, dp + c[k + 1] * dq
+            return np.sum(dp / p * dz_dtheta)
 
         nodes = 64
         total = pass_sum(2.0 * math.pi * np.arange(nodes) / nodes)
@@ -804,73 +871,14 @@ class TestMovingPoles:
         raise AssertionError("the reference rule did not converge")
 
     def test_contour_value_matches_plain_nested_trapezoid(self):
+        # The moving poles counted on the basis's nodes equal the argument
+        # principle's count of P's zeros inside the contour.
         points = [(lam, s) for lam in (1.0, 1.5, 2.0, 5.5) for s in (0.3, 1.0, 3.0)]
         for lam, s in points + [(10.0, 1.0), (10.0, 3.0), (20.5, 1.0)]:
             params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
             for level in solve_classification(params, enumerate_qes_sets(lam)):
                 got = moving_pole_contour_value(level)
-                assert abs(got - self.nested_trapezoid(level)) <= 1e-12, (lam, s)
-
-    @staticmethod
-    def record_contour_passes(monkeypatch):
-        # (nodes, coefficient rows, terms) of every _contour_terms call.
-        contour_terms = solver._contour_terms
-        calls = []
-
-        def recorded(coefficients, center, a, nodes):
-            terms = contour_terms(coefficients, center, a, nodes)
-            calls.append((nodes, [tuple(row) for row in coefficients.tolist()], terms))
-            return terms
-
-        monkeypatch.setattr(solver, "_contour_terms", recorded)
-        return calls
-
-    def test_one_contour_evaluation_per_level(self, monkeypatch):
-        # At (2, 1) and (10, 1) every level converges at 128 nodes: the first
-        # pass covers the 64-node rule and its midpoints for the whole set
-        # in one block, when its first level is counted, and a second count
-        # of a level evaluates nothing.
-        calls = self.record_contour_passes(monkeypatch)
-        for lam in (2.0, 10.0):
-            params = PotentialParams(1.0, -2.0 * lam, 1.0)
-            for qes_set in enumerate_qes_sets(lam).sets:
-                levels = solve_levels(build_pencil(qes_set, params), params)
-                assert qes_set.n > 0
-                calls.clear()
-                for level in levels:
-                    count_moving_poles(level)
-                assert [(nodes, len(rows)) for nodes, rows, _ in calls] == [(128, len(levels))]
-                calls.clear()
-                for level in levels:
-                    count_moving_poles(level)
-                assert calls == []
-
-    def test_one_doubling_pass_per_set_covers_every_row_that_needs_it(self, monkeypatch):
-        # At (20.5, 1) 25 of the 41 levels need more than 128 nodes.  Each set
-        # makes one 256-node pass, over exactly the rows whose 64- and
-        # 128-node estimates differ by more than 1e-9, and each later pass
-        # covers only rows of the pass before it.
-        calls = self.record_contour_passes(monkeypatch)
-        params = PotentialParams(1.0, -41.0, 1.0)
-        needing = 0
-        for qes_set in enumerate_qes_sets(20.5).sets:
-            levels = solve_levels(build_pencil(qes_set, params), params)
-            calls.clear()
-            for level in levels:
-                count_moving_poles(level)
-            need = set()
-            for nodes, rows, terms in calls:
-                if nodes == 128:
-                    half = terms[:, :64].sum(axis=1)
-                    previous, value = half / 64, (half + terms[:, 64:].sum(axis=1)) / 128
-                    need |= {row for row, d in zip(rows, abs(value - previous)) if d > 1e-9}
-            passes = [(nodes, rows) for nodes, rows, _ in calls if nodes > 128]
-            assert [nodes for nodes, _ in passes] == [256 * 2**k for k in range(len(passes))]
-            assert set(passes[0][1]) == need and len(passes[0][1]) == len(need)
-            for (_, rows), (_, later) in zip(passes, passes[1:]):
-                assert set(later) <= set(rows)
-            needing += len(need)
-        assert needing == 25
+                assert abs(got - self.nested_trapezoid(level)) <= 1e-6, (lam, s)
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
     def test_import_leaves_scipy_module_unloaded(self, module):
@@ -924,26 +932,33 @@ class TestSetTables:
     @staticmethod
     def record_scans(monkeypatch):
         # (rows, points) of every normalisation scan or evaluation.
-        log_abs, scans = solver._log_abs, []
+        evaluate, scans = solver._evaluate, []
 
         def counted(*args):
-            result = log_abs(*args)
-            scans.append((args[0].shape[1], result[0].shape[-1]))
-            return result
+            scans.append((args[0].shape[0], args[3].size))
+            return evaluate(*args)
 
-        monkeypatch.setattr(solver, "_log_abs", counted)
+        monkeypatch.setattr(solver, "_evaluate", counted)
         return scans
 
+    @staticmethod
+    def alone(level):
+        # An equal level that reads a table of its own.
+        return replace(level, basis_coefficients=level.basis_coefficients)
+
     def test_shared_rows_equal_a_table_of_one(self, monkeypatch):
+        # A level normalised from its set's scan has, to round-off, the
+        # log_norm of the same level scanned alone (the set's rows are one
+        # product, whose bits depend on the block's shape).
         split_sets = 0
         for lam, params in self.working_points():
             for level in solve_classification(params, enumerate_qes_sets(lam)):
-                # replace gives an equal level with a table of its own.
-                alone = replace(level, coefficients=level.coefficients)
+                alone = self.alone(level)
                 assert alone == level
                 assert solver._set_table(alone)[0] is not solver._set_table(level)[0]
                 wf = wavefunction(level, params)
-                assert wf.log_norm == wavefunction(alone, params).log_norm
+                assert wf.log_norm == pytest.approx(wavefunction(alone, params).log_norm,
+                                                    rel=1e-14, abs=1e-14)
                 value = moving_pole_contour_value(level)
                 assert value == moving_pole_contour_value(alone)
                 assert count_moving_poles(level) == count_moving_poles(alone)
@@ -965,13 +980,12 @@ class TestSetTables:
 
     def test_shared_evaluation_equals_a_table_of_one(self):
         # Each level's values are read from one evaluation per row block of
-        # its set; they must have the bits of a level evaluated alone, in
-        # energy order (the two sets interleaved) and in reverse, at a grid,
-        # a 2-D x and scalars.
+        # its set; they agree, to round-off of the level's peak, with a level
+        # evaluated alone, in energy order (the two sets interleaved) and in
+        # reverse, at a grid, a 2-D x and scalars.
         for lam, params in self.working_points():
             levels = solve_classification(params, enumerate_qes_sets(lam))
-            alone = {level: replace(level, coefficients=level.coefficients)
-                     for level in levels}
+            alone = {level: self.alone(level) for level in levels}
             wfs = {level: wavefunction(level, params) for level in levels}
             grid = np.linspace(-5.0, 5.0, 1001) / params.alpha
 
@@ -979,10 +993,9 @@ class TestSetTables:
                 for level in order:
                     wf, wf_alone = wfs[level], replace(wfs[level], level=alone[level])
                     got = evaluate_wavefunction(wf, x)
-                    assert np.asarray(got).tobytes() == np.asarray(
-                        evaluate_wavefunction(wf_alone, x)).tobytes()
-                    got = solver.sample_wavefunction(level, x)
-                    assert got.tobytes() == solver.sample_wavefunction(alone[level], x).tobytes()
+                    want = evaluate_wavefunction(wf_alone, x)
+                    assert np.shape(got) == np.shape(want)
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
             same(grid, levels)
             same(grid, levels[::-1])
@@ -996,7 +1009,9 @@ class TestSetTables:
                         continue
                     want = schrodinger_residual(replace(wfs[level], level=alone[level]),
                                                 level.energy, params, x)
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    # A residual at round-off, over values equal to round-off.
+                    assert got == pytest.approx(want, rel=1e-12,
+                                                abs=1e-13 * max(1.0, abs(level.energy)))
 
     def test_evaluation_follows_x_bit_for_bit(self, monkeypatch):
         # The kept block is keyed by a copy of x: an x mutated in place is
@@ -1004,73 +1019,69 @@ class TestSetTables:
         params = PotentialParams(1.0, -20.0, 1.0)
         qes_set = enumerate_qes_sets(10.0).sets[0]
         levels = solve_levels(build_pencil(qes_set, params), params)
-        log_abs, calls = solver._log_abs, []
+        wfs = [wavefunction(level, params) for level in levels]
+        evaluate, calls = solver._evaluate, []
 
         def counted(*args):
-            calls.append(args[0].shape[1])
-            return log_abs(*args)
+            calls.append(args[0].shape[0])
+            return evaluate(*args)
 
-        monkeypatch.setattr(solver, "_log_abs", counted)
+        monkeypatch.setattr(solver, "_evaluate", counted)
         x = np.linspace(-5.0, 5.0, 1001)
-        for step, level in enumerate(levels):
+        for step, wf in enumerate(wfs):
             if step == 3:
                 x[500:] *= 0.5
             elif step == 6:
                 x = x.copy()
-            alone = replace(level, coefficients=level.coefficients)
-            got = solver.sample_wavefunction(level, x)
-            assert got.tobytes() == solver.sample_wavefunction(alone, x).tobytes()
+            got = evaluate_wavefunction(wf, x)
+            want = evaluate_wavefunction(replace(wf, level=self.alone(wf.level)), x)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
         # One block of the set and one table of one per level; the mutated x
         # was evaluated again, the copy was not.
         assert calls == [len(levels)] + [1] * 3 + [len(levels)] + [1] * (len(levels) - 3)
 
     def test_first_pass_runs_in_bounded_row_blocks(self, monkeypatch):
         # A lambda = 20.5 set (about 20 levels of degree about 20) scans its
-        # normalisation grid and makes its contour passes in blocks of rows,
-        # each of at most _BLOCK_ENTRIES rows x points unless it is one row;
-        # every row has the bits it has when the whole set is one block.
-        # The default bound splits the 1001-point scan; 1000 splits every
-        # contour pass and leaves one row per block of the scan.
-        log_abs, contour_terms = solver._log_abs, solver._contour_terms
-        blocks = []  # (scan, rows, points)
+        # normalisation grid in blocks of rows, each of at most
+        # _BLOCK_ENTRIES rows x points unless it is one row, and tables its
+        # q_k in chunks of at most _BLOCK_ENTRIES entries unless one point;
+        # every row's log_norm matches the whole set as one block to
+        # round-off.  The default bound splits the 1001-point scan; 1000
+        # leaves one row per block and 47 points per chunk.
+        evaluate, q_table = solver._evaluate, solver._q_table
+        blocks, chunks = [], []
 
         def scan(coefficients, *args):
-            result = log_abs(coefficients, *args)
-            blocks.append(("norm", coefficients.shape[1], result[0].shape[1]))
-            return result
+            blocks.append((coefficients.shape[0], args[2].size))
+            return evaluate(coefficients, *args)
 
-        def contour(coefficients, center, a, nodes):
-            terms = contour_terms(coefficients, center, a, nodes)
-            blocks.append((nodes, *terms.shape))
-            return terms
+        def table(alpha, beta, z, top):
+            chunks.append((len(alpha) + 1) * z.size)
+            return q_table(alpha, beta, z, top)
 
         def filled(table):
-            rows = range(len(table.energies))
-            return (np.array([table.log_norm(j) for j in rows]),
-                    np.array([table.contour_value(j) for j in rows]))
+            return np.array([table.log_norm(j) for j in range(len(table.energies))])
 
         params = PotentialParams(1.0, -41.0, 1.0)
-        for bound, first_pass_blocks in ((solver._BLOCK_ENTRIES, 1), (1000, 3)):
+        for bound in (solver._BLOCK_ENTRIES, 1000):
             for qes_set in enumerate_qes_sets(20.5).sets:
                 rows = solve_levels(build_pencil(qes_set, params), params)
                 whole = solve_levels(build_pencil(qes_set, params), params)
                 blocks.clear()
+                chunks.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(solver, "_BLOCK_ENTRIES", bound)
-                    patch.setattr(solver, "_log_abs", scan)
-                    patch.setattr(solver, "_contour_terms", contour)
+                    patch.setattr(solver, "_evaluate", scan)
+                    patch.setattr(solver, "_q_table", table)
                     blocked = filled(solver._set_table(rows[0])[0])
-                assert all(rows * points <= bound or rows == 1 for _, rows, points in blocks)
-                norm_rows = [rows for kind, rows, _ in blocks if kind == "norm"]
-                first_rows = [rows for kind, rows, _ in blocks if kind == 128]
+                assert all(rows * points <= bound or rows == 1 for rows, points in blocks)
+                assert all(entries <= bound for entries in chunks)
+                norm_rows = [rows for rows, _ in blocks]
                 assert len(norm_rows) > 1 and sum(norm_rows) == len(rows)
-                assert len(first_rows) == first_pass_blocks
-                assert sum(first_rows) == len(rows)
                 with monkeypatch.context() as patch:
                     patch.setattr(solver, "_BLOCK_ENTRIES", 2**30)
                     single = filled(solver._set_table(whole[0])[0])
-                for got, want in zip(blocked, single):
-                    assert got.tobytes() == want.tobytes()
+                np.testing.assert_allclose(blocked, single, rtol=1e-14)
 
     def test_evaluation_runs_in_bounded_row_blocks(self, monkeypatch):
         # A lambda = 20.5 set (about 20 levels) evaluates its closed forms in
@@ -1079,24 +1090,25 @@ class TestSetTables:
         # block, with a private copy of its x, until each of the block's rows
         # has been read: at most 2 _BLOCK_ENTRIES floats while a sweep runs,
         # none for a 20001-point x or a table of one, and none after it.
-        log_abs, blocks = solver._log_abs, []
+        evaluate, blocks = solver._evaluate, []
 
         def counted(*args):
-            result = log_abs(*args)
-            blocks.append((args[0].shape[1], result[0][0].size))
+            result = evaluate(*args)
+            blocks.append((args[0].shape[0], result[0][0].size))
             return result
 
-        monkeypatch.setattr(solver, "_log_abs", counted)
+        monkeypatch.setattr(solver, "_evaluate", counted)
         params = PotentialParams(1.0, -41.0, 1.0)
         levels = solve_classification(params, enumerate_qes_sets(20.5))
+        wfs = [wavefunction(level, params) for level in levels]
         tables = {id(table): table for table, _ in map(solver._set_table, levels)}
         for points in (1001, 20001):
             blocks.clear()
             held = []
             x = np.linspace(-5.0, 5.0, points)
-            for level in levels:
-                solver.sample_wavefunction(level, x)
-                table, row = solver._set_table(level)
+            for wf in wfs:
+                evaluate_wavefunction(wf, x)
+                table, row = solver._set_table(wf.level)
                 if table._block is not None:
                     rows, key, *kept, unread = table._block
                     assert key == (x.shape, x.tobytes())
@@ -1113,9 +1125,10 @@ class TestSetTables:
                 assert len(blocks) == len(levels) and not held
             for table in tables.values():
                 assert [name for name, value in vars(table).items()
-                        if isinstance(value, (np.ndarray, tuple))] == ["coefficients"]
-        alone = replace(levels[0], coefficients=levels[0].coefficients)
-        solver.sample_wavefunction(alone, x[:1001])
+                        if isinstance(value, (np.ndarray, tuple))] == ["coefficients",
+                                                                       "recurrence"]
+        alone = self.alone(levels[0])
+        evaluate_wavefunction(replace(wfs[0], level=alone), x[:1001])
         assert solver._set_table(alone)[0]._block is None
 
     def test_a_spectrum_sweep_releases_every_block(self, monkeypatch):
@@ -1136,46 +1149,36 @@ class TestSetTables:
         qes_set, params = params_for(1, 1)
         ground, excited = solve_levels(build_pencil(qes_set, params), params)
         wavefunction(ground, params)
-        count_moving_poles(ground)
         # Poison the filled table of the set: a level that read it would
         # return these values.
         table, _ = solver._set_table(ground)
         table._log_norms = [1e300, 1e300]
-        table._contour = [complex(math.nan, math.nan)] * 2
-        for coefficients in [ground.coefficients, excited.coefficients, (-1.0, 1.0)]:
-            other = replace(ground, coefficients=coefficients)
+        for coefficients in [ground.basis_coefficients, excited.basis_coefficients,
+                             (-0.6, 0.8)]:
+            other = replace(ground, basis_coefficients=coefficients)
             expected, _ = TestWavefunction.uncached_log_norm(other, params)
             assert wavefunction(other, params).log_norm == expected
-            assert count_moving_poles(other) == TestMovingPoles.direct_count(other)
         assert wavefunction(ground, params).log_norm == 1e300
 
     def test_a_failing_row_fails_only_its_own_level(self):
         qes_set, params = params_for(1, 1)
         (level, _) = solve_levels(build_pencil(qes_set, params), params)
-        # Zeros at z = 1 and -3/2, then the pair 3 exp(+-1.5 i) on the contour.
-        rows = [(-1.5, 0.5, 1.0), (9.0, -6.0 * math.cos(1.5), 1.0)]
-        table = solver._SetTable(np.array(rows), [level.energy] * 2, qes_set, params)
-        good, bad = (replace(level, coefficients=row) for row in rows)
-        for j, member in enumerate((good, bad)):
-            object.__setattr__(member, "_set_table", (table, j))
-        with pytest.raises(ContourCollisionError):
-            count_moving_poles(bad)
-        assert count_moving_poles(good) == 1
         # A normalisation row with no finite value on its grid.
-        rows = [(-1.5, 0.5, 1.0), (math.nan, 0.5, 1.0)]
-        table = solver._SetTable(np.array(rows), [level.energy] * 2, qes_set, params)
-        good, bad = (replace(level, coefficients=row) for row in rows)
+        rows = [(0.6, 0.8), (math.nan, 0.8)]
+        table = solver._SetTable(np.array(rows), [level.energy] * 2, level.basis,
+                                 qes_set, params)
+        good, bad = (replace(level, basis_coefficients=row) for row in rows)
         for j, member in enumerate((good, bad)):
             object.__setattr__(member, "_set_table", (table, j))
         with pytest.raises(InvariantViolationError, match="no finite value"):
             wavefunction(bad, params)
-        alone = replace(good, coefficients=good.coefficients)
-        assert wavefunction(good, params).log_norm == wavefunction(alone, params).log_norm
+        assert wavefunction(good, params).log_norm == pytest.approx(
+            wavefunction(self.alone(good), params).log_norm, rel=1e-14)
 
     def test_a_row_with_no_finite_value_is_scanned_once(self, monkeypatch):
         params = PotentialParams(1.0, -4.0, 1.0)
         level = solve_classification(params, enumerate_qes_sets(2.0))[0]
-        nan_level = replace(level, coefficients=(math.nan, 1.0))
+        nan_level = replace(level, basis_coefficients=(math.nan, 1.0))
         scans = self.record_scans(monkeypatch)
         for _ in range(2):
             with pytest.raises(InvariantViolationError, match="no finite value"):
@@ -1202,7 +1205,7 @@ class TestSetTables:
         assert verify_qes(params, classification, analytic_levels=levels).overall_pass
         for level in levels:
             table, _ = solver._set_table(level)
-            assert table._log_norms is None and table._contour is None
+            assert table._log_norms is None and table._block is None
 
 
 class TestPaperTables:
