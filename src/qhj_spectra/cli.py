@@ -40,8 +40,7 @@ from .solver import (
 CONFIG_ENV_VAR = "QHJ_SPECTRA_CONFIG"
 # The most points sample writes: at lambda = 10, 100001 points are 35 MB of CSV.
 MAX_SAMPLE_POINTS = 10**6
-# A closed form's error is round-off relative to its own peak, so sample
-# rejects an x range that holds less than this of a level's peak.
+# sample rejects a window holding less than this of a level's own peak.
 MIN_WINDOW_PEAK = 1e-6
 
 EXIT_OK = 0
@@ -366,7 +365,7 @@ def cmd_sample(settings) -> tuple[int, str]:
     for level in sorted(levels, key=lambda level: level.qes_set.set_index):
         qes_set = level.qes_set
         name = f"psi_set{qes_set.set_index}_n{qes_set.n}_E{'%.6g' % level.energy}"
-        # Relative to the level's own peak first.
+        # Relative to the level's own peak, to which its error is round-off.
         values = evaluate_wavefunction(wavefunction(level, params), x)
         peak = float(np.max(np.abs(values)))
         if not peak >= MIN_WINDOW_PEAK:
@@ -386,8 +385,7 @@ def cmd_sample(settings) -> tuple[int, str]:
 
 def cmd_table(settings) -> tuple[int, dict]:
     v1, alpha = _v1_alpha(settings, default=1.0)
-    # The tables' largest numbers: alpha^2 in every energy, and the V2 of
-    # their largest lambda, 3/2.
+    # The tables' largest numbers: alpha^2, and V2 at their largest lambda, 3/2.
     _require_finite("alpha^2", alpha * alpha)
     _require_finite("V2 = -2 sqrt(V1) alpha lambda", -3.0 * math.sqrt(v1) * alpha)
     document = reproduce_paper_tables(v1, alpha)

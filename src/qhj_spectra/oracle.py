@@ -27,15 +27,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleParametersError, InvariantViolationError
-# GridSpec, default_grid and START_STEP are the oracle's public names too.
-from .grid import EXTRA_ORACLE_LEVELS, START_STEP, GridSpec, _sign_changes, default_grid  # noqa: F401
+from .errors import (
+    DegenerateVectorError,
+    InadmissibleParametersError,
+    InvariantViolationError,
+)
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import QesClassification
-from .solver import QesLevel, solve_classification
+from .solver import QesLevel, _row_sign_changes, qes_wall, solve_classification
 
 # Default bound on |E_analytic - E_oracle| for a level to pass.
 DEFAULT_TOLERANCE = 1e-6
+# Sector eigenvalues solved beyond a set's levels, so that its highest level
+# is matched against eigenvalues on both sides of it.
+EXTRA_ORACLE_LEVELS = 2
+# The sizing rule starts from a step alpha h of at most this.
+START_STEP = 0.136
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Cell-centred half-line grid x_i = (i - 1/2) h, i = 1..N, h = L/N.
+
+    One parity sector lives on (0, L): the mirror images of the points carry
+    the parity, and the wall is at x = L.
+    """
+
+    half_width_L: float
+    point_count_N: int
+
+    def __post_init__(self):
+        if self.half_width_L <= 0.0:
+            raise ValueError("half_width_L must be positive")
+        if not math.isfinite(self.half_width_L):
+            raise ValueError("half_width_L must be finite")
+        if self.point_count_N < 1:
+            raise ValueError("point_count_N must be at least 1")
+
+    @property
+    def step(self) -> float:
+        return self.half_width_L / self.point_count_N
+
+    def points(self) -> np.ndarray:
+        return self.step * (np.arange(1, self.point_count_N + 1) - 0.5)
 
 
 @dataclass(frozen=True)
@@ -73,6 +107,21 @@ class VerificationReport:
     overall_pass: bool
     unmatched_oracle: tuple[float, ...]
     grid: GridSpec  # the finest grid solved; every set used its wall
+
+
+def default_grid(params: PotentialParams) -> GridSpec:
+    """Tail-safe half-line grid: the wall is solver.qes_wall's, and
+    N = max(3 k, ceil(alpha L / START_STEP)) starts the sizing rule for the
+    k sector eigenvalues of the largest QES set, at a step alpha h <= START_STEP."""
+    # A decaying y^lambda (lambda < 0) only moves the wall inwards.
+    lam = max(params.lam, 0.0)
+    alpha_l = qes_wall(params.s, lam)
+    # The largest QES set has floor(lambda + 1/2) levels.
+    k = math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS
+    return GridSpec(
+        half_width_L=alpha_l / params.alpha,
+        point_count_N=max(3 * k, math.ceil(alpha_l / START_STEP)),
+    )
 
 
 def node_count(vector: np.ndarray) -> int:
@@ -135,6 +184,19 @@ def _sector_hamiltonian(
 
 def _potential_on(params: PotentialParams, grid: GridSpec) -> np.ndarray:
     return evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.points()).real
+
+
+def _sign_changes(columns: np.ndarray) -> np.ndarray:
+    """node_count of every column at once: strict sign changes, ignoring
+    entries below 1e-12 of the column's peak."""
+    magnitudes = np.abs(columns.T)
+    peaks = magnitudes.max(axis=1, initial=0.0)
+    if not np.isfinite(peaks).all():
+        raise DegenerateVectorError("non-finite vector has no node count")
+    if not (peaks > 0.0).all():
+        raise DegenerateVectorError("all-zero vector has no node count")
+    kept = magnitudes >= 1e-12 * peaks[:, None]
+    return _row_sign_changes(np.where(kept, np.sign(columns.T), 0.0))
 
 
 def _checked_spectrum(

@@ -15,9 +15,9 @@ the recursion below is validated there, not trusted.
 A set's levels are orthogonal in L^2(dx), so their polynomials are
 orthogonal for the weight w^2 dx, and P_n is held in that weight's
 orthonormal basis q_0 = 1, ..., q_n (unit mass), whose recurrence comes from
-the Stieltjes procedure on the midpoint rule at the cell-centred nodes of a
-GridSpec out to default_grid's wall: spectrally accurate, as every integrand
-is even in x and decays like exp(-2 s cosh(alpha x)).  A node's values are
+the Stieltjes procedure on the midpoint rule at cell-centred nodes out to
+qes_wall, which the oracle's grid shares: spectrally accurate, as every
+integrand is even in x and decays like exp(-2 s cosh(alpha x)).  A node's values are
 mantissas times a shared exp(l), so neither w's decay nor q_k's growth
 leaves float64.  In the basis the set's operator is a symmetric tridiagonal
 A: its eigenvalues must reproduce eig(H), its eigenvectors are the levels'
@@ -26,13 +26,8 @@ Those sign changes are its moving poles, the zeros of P_n in z > 0 where
 p = -i psi'/psi has its poles.  An n = 0 set has P = 1 and no basis.
 
 psi is evaluated anywhere by the same scaled recurrence, then one product
-with the coefficients of a block of the set's levels.  The levels of a set
-share one _SetTable, which fills each result for all of them (in blocks of
-bounded size) on first use: log_norm, from one scan of the shared
-|x| <= 5/alpha grid (a row whose turning point lies farther out is scanned
-alone, on a grid of its own), and closed_form, one evaluation per block of
-rows at the x asked for, kept until each of its rows has been read.  A level
-built any other way (by hand, or by dataclasses.replace) gets its own table.
+with the coefficients of a block of the set's levels: the levels of a set
+share one _SetTable, and a level built by hand gets its own.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleParametersError, InvariantViolationError, QmfPoleError
-from .grid import GridSpec, _alpha_wall, _kept_signs, _row_sign_changes
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import SET_RESIDUES, QesClassification, QesSet, enumerate_qes_sets
 
@@ -154,16 +148,29 @@ def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
     return log_w
 
 
+@functools.lru_cache(maxsize=64)
+def qes_wall(s: float, lam: float) -> float:
+    """alpha L = acosh(y) for the smallest y >= 10 with s y - lam ln y >= 40:
+    every QES level (decaying like y^lam exp(-s y)) is past its tail there."""
+    y, previous = 10.0, 0.0
+    if s * y - lam * math.log(y) < 40.0:
+        # Fixed-point iteration onto the largest root: it rises monotonically
+        # from y = 10, with contraction lam / (s y) < 1/ln(10) at the root.
+        while y - previous > 1e-12 * y:
+            previous, y = y, (40.0 + lam * math.log(y)) / s
+    return math.acosh(y)
+
+
 def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
     """z and ln w at the quadrature nodes of a set whose highest level has mu_top.
 
-    The nodes are GridSpec(L, M)'s points, L default_grid's wall, with
+    alpha x_m = (m - 1/2) alpha L / M for m = 1..M, alpha L = qes_wall, with
     M = max(ceil(k_max L), ceil(alpha L / _NODE_STEP)) and k_max the top
     level's largest local wavenumber.  The midpoint rule's weights
     omega = h w^2 are ln w up to a constant, which _stieltjes normalises away.
     """
     lam, s = params.lam, params.s
-    alpha_l = _alpha_wall(s, max(lam, 0.0))
+    alpha_l = qes_wall(s, max(lam, 0.0))
     # min V / alpha^2: -(lambda^2 + s^2) at cosh(alpha x) = lambda / s, if that is > 1.
     v_min = -(lam * lam + s * s) if lam > s else -2.0 * s * lam
     k_max_l = math.sqrt(max(-mu_top - v_min, 0.0)) * alpha_l
@@ -173,7 +180,7 @@ def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
             f"set {qes_set.set_index} with n = {qes_set.n} needs {count} quadrature "
             f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_NODE_ENTRIES}"
         )
-    z, log_z, log_z2 = _node_terms(alpha_l, count, params.alpha)
+    z, log_z, log_z2 = _z_terms(1.0, (np.arange(count) + 0.5) * (alpha_l / count))
     return z, _log_weight(qes_set, s, z, log_z, log_z2)
 
 
@@ -188,16 +195,10 @@ def _z_terms(alpha: float, x: np.ndarray):
     return terms
 
 
-@functools.lru_cache(maxsize=8)
-def _node_terms(alpha_l: float, count: int, alpha: float):
-    """_z_terms at GridSpec(alpha_l / alpha, count)'s points, which the sets of
-    a working point share when their top levels ask for the same count."""
-    return _z_terms(alpha, GridSpec(alpha_l / alpha, count).points())
-
-
 def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
     """alpha_0..alpha_(n-1), beta_1..beta_n, and the q_k sqrt(omega) at the
-    nodes as (t, l): row k of t times exp(l), the weight scaled to unit mass.
+    ascending nodes z as (t, l): row k of t times exp(l), the weight scaled to
+    unit mass.
 
     The Stieltjes procedure without reorthogonalisation, which keeps the
     q_k orthonormal to round-off.  A node's rows share its exponent l, so
@@ -208,7 +209,7 @@ def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
     log_scale = log_w - log_w.max()
     weight = np.exp(2.0 * log_scale)
     total = float(weight.sum())
-    log_scale -= 0.5 * math.log(total)
+    log_scale -= 0.5 * math.log(total)  # weight = exp(2 l) after a rescale, too
     weight /= total
     z_weight = z * weight
     t = np.empty((n + 1, z.size))
@@ -216,7 +217,7 @@ def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
     alpha, beta = np.empty(n), np.empty(n)
     # bound >= max |t[k]|, so that the rows are searched only when one may
     # have passed _RESCALE.
-    bound, top, b = 1.0, float(z.max()), 0.0
+    bound, top, b = 1.0, float(z[-1]), 0.0
     for k in range(n):
         row = t[k + 1]
         a = float(np.dot(z_weight * t[k], t[k]))
@@ -300,8 +301,8 @@ def _evaluate(coefficients, alpha, beta, z, log_w):
 
 
 def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
-                       mus: np.ndarray) -> tuple[OrthonormalBasis, np.ndarray]:
-    """The set's basis and the levels' coefficients (a row per level, mu descending).
+                       mus: np.ndarray):
+    """The set's alpha and beta, and the levels' coefficients (a row per level).
 
     With S_k = alpha_0 + ... + alpha_(k-1) and H[k+1, k] = 2 s (n - k),
     A[k, k] = H[k, k] - S_k H[k, k-1] + S_(k+1) H[k+1, k] and
@@ -319,7 +320,7 @@ def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
     diagonal[:-1] += shift
     diagonal[1:] -= shift
     a = np.diag(diagonal)
-    a.flat[1 :: n + 2] = a.flat[n + 1 :: n + 2] = sub * beta
+    a.flat[n + 1 :: n + 2] = sub * beta  # eigh reads the lower triangle
     values, vectors = np.linalg.eigh(a)
     values, vectors = values[::-1], vectors[:, ::-1]
     miss = float(np.max(np.abs(values - mus)))
@@ -328,8 +329,12 @@ def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
             f"the basis of set {index} with n = {n} reproduces its energies' mu "
             f"only to {miss:.3g}"
         )
-    # The signs of sqrt(omega) P_j at the nodes, a row per level.
-    signs = _kept_signs((t.T @ vectors) * np.exp(log_scale)[:, None])
+    # The signs of sqrt(omega) P_j at the nodes, a row per level, 0 below
+    # 1e-12 of the row's peak.
+    psi = (vectors.T @ t) * np.exp(log_scale)
+    magnitude = np.abs(psi)
+    signs = np.sign(psi)
+    signs[magnitude < 1e-12 * magnitude.max(axis=1, keepdims=True)] = 0.0
     changes = _row_sign_changes(signs)
     wrong = np.flatnonzero(changes != np.arange(n + 1))
     if wrong.size:
@@ -340,7 +345,18 @@ def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
             f"{2 * int(changes[j]) + odd} nodes"
         )
     vectors *= signs[np.arange(n + 1), len(z) - 1 - np.abs(signs[:, ::-1]).argmax(axis=1)]
-    return OrthonormalBasis(tuple(alpha.tolist()), tuple(beta.tolist())), vectors.T
+    return alpha, beta, vectors.T
+
+
+def _row_sign_changes(signs: np.ndarray) -> np.ndarray:
+    """Sign changes along each row of a 2-D table of signs, zeros skipped."""
+    kept = signs != 0.0
+    row = np.nonzero(kept)[0]
+    signs = signs[kept]
+    # The kept entries, row after row, each with its row's index: a change
+    # is a flip between neighbours of the same row.
+    flips = (signs[1:] != signs[:-1]) & (row[1:] == row[:-1])
+    return np.bincount(row[1:][flips], minlength=len(kept))
 
 
 def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLevel]:
@@ -351,7 +367,6 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     For n >= 1 the coefficients are the eigenvectors of the set's matrix A
     in its orthonormal basis.  Raises InvariantViolationError when eig(A)
     misses mu, or when level j does not change sign j times on the nodes.
-    The levels share one _SetTable.
     """
     h = pencil.matrix
     qes_set = pencil.qes_set
@@ -363,22 +378,17 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     mus = np.linalg.eigh(jacobi)[0][::-1]
     energies = (-params.alpha**2 * mus).tolist()
     if qes_set.n == 0:
-        basis, coefficients = OrthonormalBasis((), ()), np.ones((1, 1))
+        alpha = beta = np.empty(0)
+        coefficients = np.ones((1, 1))
     else:
-        basis, coefficients = _basis_and_vectors(h, qes_set, params, mus)
+        alpha, beta, coefficients = _basis_and_vectors(h, qes_set, params, mus)
     coefficients.setflags(write=False)
-    table = _SetTable(coefficients, energies, basis, qes_set, params)
+    basis = OrthonormalBasis(tuple(alpha.tolist()), tuple(beta.tolist()))
+    table = _SetTable(coefficients, energies, (alpha, beta), qes_set, params)
     odd = 1 if qes_set.parity == "odd" else 0
     levels = []
     for j, row in enumerate(coefficients.tolist()):
-        level = QesLevel(
-            energy=energies[j],
-            basis_coefficients=tuple(row),
-            qes_set=qes_set,
-            node_count=2 * j + odd,
-            params=params,
-            basis=basis,
-        )
+        level = QesLevel(energies[j], tuple(row), qes_set, 2 * j + odd, params, basis)
         object.__setattr__(level, "_set_table", (table, j))
         levels.append(level)
     return levels
@@ -397,16 +407,12 @@ def solve_classification(
     return levels
 
 
+@functools.lru_cache(maxsize=8)
 def _grid_terms(alpha: float, half_width: float):
-    """_z_terms on the normalisation grid: x in [0, half_width/alpha], steps <= 0.005/alpha."""
+    """_z_terms on a normalisation grid, x in [0, half_width/alpha] in steps
+    <= 0.005/alpha; every level at one alpha shares the default, half_width 5."""
     x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
     return _z_terms(alpha, x)
-
-
-@functools.lru_cache(maxsize=8)
-def _default_grid_terms(alpha: float):
-    """_grid_terms on the default grid |x| <= 5/alpha, which every level at one alpha shares."""
-    return _grid_terms(alpha, 5.0)
 
 
 def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
@@ -435,8 +441,7 @@ def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     """psi(x), max-normalized; underflow-safe (extreme |x| returns 0)."""
     table, row = _set_table(wf.level)
     poly, log_scale = table.closed_form(row, np.asarray(x, dtype=float))
-    with np.errstate(under="ignore"):
-        value = poly * np.exp(log_scale - wf.log_norm)
+    value = poly * np.exp(log_scale - wf.log_norm)
     if value.ndim == 0:
         return float(value)
     return value
@@ -540,16 +545,15 @@ def schrodinger_residual(
 class _SetTable:
     """Results shared by the levels of one set, computed for all of them (or a block) on first use.
 
-    Row j belongs to level j: coefficients (levels x (n + 1)) and energies
-    (a list); the levels share the basis's recurrence, qes_set and params.
-    A row's failure is kept as its message and raised only for its own level.
+    Row j belongs to level j: coefficients (levels x (n + 1)) and energies; a
+    row's failure is kept as its message and raised only for its own level.
     """
 
-    def __init__(self, coefficients, energies, basis: OrthonormalBasis,
-                 qes_set: QesSet, params: PotentialParams):
+    def __init__(self, coefficients, energies, recurrence, qes_set: QesSet,
+                 params: PotentialParams):
         self.coefficients = coefficients
         self.energies = energies
-        self.recurrence = (np.array(basis.alpha, dtype=float), np.array(basis.beta, dtype=float))
+        self.recurrence = recurrence  # the basis's alpha and beta as arrays
         self.qes_set = qes_set
         self.params = params
         self._log_norms = None
@@ -558,14 +562,10 @@ class _SetTable:
     def closed_form(self, row: int, x: np.ndarray):
         """(P, l) with psi = P exp(l), unnormalized, for level row at the points x, which must be finite.
 
-        The row's block of rows is evaluated in one pass: the x-only terms
-        once, z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1 (free of
-        cancellation) and ln w, then the q_k table and one product with the
-        block's coefficients; an odd level takes the sign of x.
-        The last block is kept, read-only, with a private copy of the x it
-        was evaluated at, until each of its rows has been read; the set's
-        other levels read their rows from it while x is unchanged bit for
-        bit.  Only a checked x is kept, so a hit needs no check.
+        The row's block of rows is evaluated in one pass (an odd level takes
+        the sign of x) and kept, read-only, with a private copy of x, until
+        each of its rows has been read; the set's other levels read their
+        rows from it while x is unchanged bit for bit.
         """
         block = self._block
         if block is None or not (block[0].start <= row < block[0].stop
@@ -606,7 +606,7 @@ class _SetTable:
             shared = [_turning_point(self.params, energy) <= math.cosh(5.0)  # False for NaN
                       for energy in self.energies]
             maxima = iter(self._maxima(np.flatnonzero(shared),
-                                       *_default_grid_terms(self.params.alpha)))
+                                       *_grid_terms(self.params.alpha, 5.0)))
             self._log_norms = [next(maxima) if on else None for on in shared]
         if self._log_norms[row] is None:
             y_turn = _turning_point(self.params, self.energies[row])
@@ -616,7 +616,9 @@ class _SetTable:
             else:
                 (self._log_norms[row],) = self._maxima(
                     np.array([row]), *_grid_terms(self.params.alpha, math.acosh(y_turn)))
-        return _kept(self._log_norms[row], InvariantViolationError)
+        if isinstance(self._log_norms[row], str):
+            raise InvariantViolationError(self._log_norms[row])
+        return self._log_norms[row]
 
     def _maxima(self, rows: np.ndarray, z, log_z, log_z2) -> list:
         """Max of log|psi| over the grid z for each of rows, in blocks of rows."""
@@ -633,13 +635,6 @@ class _SetTable:
                 "the closed form has no finite value on its grid" for value in maxima]
 
 
-def _kept(value, error: type[Exception]):
-    """A kept per-row result: the value, or error raised with the kept message."""
-    if isinstance(value, str):
-        raise error(value)
-    return value
-
-
 def _row_blocks(count: int, points: int) -> list[slice]:
     """Slices splitting count rows into blocks of _BLOCK_ENTRIES // points rows or one."""
     step = max(1, _BLOCK_ENTRIES // points)
@@ -650,19 +645,17 @@ def _set_table(level: QesLevel) -> tuple[_SetTable, int]:
     """The level's set table and its row; a level solve_levels did not make
     gets a table of one on first use."""
     if not hasattr(level, "_set_table"):
+        recurrence = (np.array(level.basis.alpha, dtype=float),
+                      np.array(level.basis.beta, dtype=float))
         table = _SetTable(np.array([level.basis_coefficients], dtype=float), [level.energy],
-                          level.basis, level.qes_set, level.params)
+                          recurrence, level.qes_set, level.params)
         object.__setattr__(level, "_set_table", (table, 0))
     return level._set_table
 
 
 def count_moving_poles(level: QesLevel) -> int:
-    """Number of P_n zeros in the physical region z > 0.
-
-    They are the sign changes of the level's closed form on its set's
-    quadrature nodes, which solve_levels counted (j for level j) into
-    node_count = 2 moving poles + 1 if odd.
-    """
+    """Number of P_n zeros in z > 0: the sign changes on its set's quadrature
+    nodes that solve_levels counted into node_count = 2 poles + 1 if odd."""
     return (level.node_count - (1 if level.parity == "odd" else 0)) // 2
 
 

@@ -35,7 +35,8 @@ from qhj_spectra import (
     wavefunction,
 )
 from qhj_spectra import cli, oracle, potential, qhj, solver
-from qhj_spectra.grid import _row_sign_changes, _sign_changes
+from qhj_spectra.oracle import _sign_changes
+from qhj_spectra.solver import _row_sign_changes
 from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
 
 
@@ -559,7 +560,7 @@ class TestWavefunction:
             for lam, s in [(1.5, 1.0), (10.0, 1.0), (20.5, 1.0), (10.0, 0.1)]
             for alpha in (0.5, 1.0, 2.0)
         ]
-        solver._default_grid_terms.cache_clear()
+        solver._grid_terms.cache_clear()
         for lam, s, alpha in points + points[::-1]:
             params = PotentialParams((s * alpha) ** 2, -2.0 * s * alpha**2 * lam, alpha)
             widths = []
@@ -592,7 +593,7 @@ class TestWavefunction:
         assert evaluate_wavefunction(wavefunction(level, params), x).shape == (0,)
 
     def test_cached_tables_are_read_only(self):
-        tables = [*solver._default_grid_terms(1.0), *solver._node_terms(3.0, 40, 1.0)]
+        tables = solver._grid_terms(1.0, 5.0)
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
@@ -1165,8 +1166,8 @@ class TestSetTables:
         (level, _) = solve_levels(build_pencil(qes_set, params), params)
         # A normalisation row with no finite value on its grid.
         rows = [(0.6, 0.8), (math.nan, 0.8)]
-        table = solver._SetTable(np.array(rows), [level.energy] * 2, level.basis,
-                                 qes_set, params)
+        recurrence = (np.array(level.basis.alpha), np.array(level.basis.beta))
+        table = solver._SetTable(np.array(rows), [level.energy] * 2, recurrence, qes_set, params)
         good, bad = (replace(level, basis_coefficients=row) for row in rows)
         for j, member in enumerate((good, bad)):
             object.__setattr__(member, "_set_table", (table, j))
