@@ -180,8 +180,14 @@ def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
             f"set {qes_set.set_index} with n = {qes_set.n} needs {count} quadrature "
             f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_NODE_ENTRIES}"
         )
-    z, log_z, log_z2 = _z_terms(1.0, (np.arange(count) + 0.5) * (alpha_l / count))
+    z, log_z, log_z2 = _node_terms(alpha_l, count)
     return z, _log_weight(qes_set, s, z, log_z, log_z2)
+
+
+@functools.lru_cache(maxsize=8)
+def _node_terms(alpha_l: float, count: int):
+    """_z_terms at the nodes, which a working point's sets share when they ask for one count."""
+    return _z_terms(1.0, (np.arange(count) + 0.5) * (alpha_l / count))
 
 
 def _z_terms(alpha: float, x: np.ndarray):
@@ -196,14 +202,10 @@ def _z_terms(alpha: float, x: np.ndarray):
 
 
 def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
-    """alpha_0..alpha_(n-1), beta_1..beta_n, and the q_k sqrt(omega) at the
-    ascending nodes z as (t, l): row k of t times exp(l), the weight scaled to
-    unit mass.
-
-    The Stieltjes procedure without reorthogonalisation, which keeps the
-    q_k orthonormal to round-off.  A node's rows share its exponent l, so
-    that neither the decay of omega nor the growth of q_k leaves float64:
-    where a new row passes _RESCALE, the node's rows are divided by it.
+    """alpha_0..alpha_(n-1), beta_1..beta_n, and q_k sqrt(omega) (unit mass) at
+    the ascending nodes z as (t, l), row k of t times exp(l), by the Stieltjes
+    procedure; without reorthogonalisation it keeps the q_k orthonormal to
+    round-off.  As in _q_table, a node's rows share its exponent l.
     """
     n = qes_set.n
     log_scale = log_w - log_w.max()
@@ -212,8 +214,7 @@ def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
     log_scale -= 0.5 * math.log(total)  # weight = exp(2 l) after a rescale, too
     weight /= total
     z_weight = z * weight
-    t = np.empty((n + 1, z.size))
-    t[0] = 1.0
+    t = np.ones((n + 1, z.size))
     alpha, beta = np.empty(n), np.empty(n)
     # bound >= max |t[k]|, so that the rows are searched only when one may
     # have passed _RESCALE.
@@ -245,11 +246,8 @@ def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
 
 
 def _q_table(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray, top: float):
-    """(t, l) with q_k(z) = t[k] exp(l) for k = 0..n at the points 0 <= z <= top (1-D).
-
-    A point's rows share its exponent l: where a new row passes _RESCALE,
-    the point's rows are divided by it.
-    """
+    """(t, l) with q_k(z) = t[k] exp(l) for k = 0..n at the points 0 <= z <= top (1-D);
+    where a new row passes _RESCALE, the point's rows are divided by it."""
     n = len(alpha)
     t = np.empty((n + 1, z.size))
     t[0] = 1.0
@@ -274,11 +272,9 @@ def _q_table(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray, top: float):
 
 def _evaluate(coefficients, alpha, beta, z, log_w):
     """(P, l) with psi = P exp(l) for each row of coefficients (rows x (n + 1))
-    at the points z >= 0 (1-D); log_w holds ln w at z.
-
-    The q_k are tabled in chunks of points, each of at most _BLOCK_ENTRIES
-    entries or one point.  Where psi has no value in float64 (the table
-    overflows, or ln w is NaN at z = inf), P is 0 and l is -inf.
+    at the points z >= 0 (1-D), ln w at z given, the q_k tabled in chunks of at
+    most _BLOCK_ENTRIES entries or one point.  Where psi has no value in
+    float64 (the table overflows, or ln w is NaN at z = inf), P is 0 and l -inf.
     """
     rows, points = coefficients.shape[0], z.size
     poly, log_scale = np.empty((rows, points)), np.empty(points)
