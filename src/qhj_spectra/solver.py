@@ -17,9 +17,9 @@ orthogonal for the weight w^2 dx, and P_n is held in that weight's
 orthonormal basis q_0 = 1, ..., q_n (unit mass), whose recurrence comes from
 the Stieltjes procedure on the midpoint rule at cell-centred nodes out to
 qes_wall, which the oracle's grid shares: spectrally accurate, as every
-integrand is even in x and decays like exp(-2 s cosh(alpha x)).  A node's values are
-mantissas times a shared exp(l), so neither w's decay nor q_k's growth
-leaves float64.  In the basis the set's operator is a symmetric tridiagonal
+integrand is even in x and decays like exp(-2 s cosh(alpha x)).  A node's
+values are mantissas times a shared exp(l), so neither w's decay nor q_k's
+growth leaves float64.  In the basis the set's operator is a symmetric tridiagonal
 A: its eigenvalues must reproduce eig(H), its eigenvectors are the levels'
 basis coefficients, and level j must change sign j times on the nodes.
 Those sign changes are its moving poles, the zeros of P_n in z > 0 where
@@ -249,8 +249,7 @@ def _q_table(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray, top: float):
     """(t, l) with q_k(z) = t[k] exp(l) for k = 0..n at the points 0 <= z <= top (1-D);
     where a new row passes _RESCALE, the point's rows are divided by it."""
     n = len(alpha)
-    t = np.empty((n + 1, z.size))
-    t[0] = 1.0
+    t = np.ones((n + 1, z.size))
     log_scale = np.zeros(z.size)
     bound = 1.0
     for k in range(n):
@@ -556,7 +555,7 @@ class _SetTable:
         self._block = None
 
     def closed_form(self, row: int, x: np.ndarray):
-        """(P, l) with psi = P exp(l), unnormalized, for level row at the points x, which must be finite.
+        """(P, l), psi = P exp(l) unnormalized, for level row at the finite points x.
 
         The row's block of rows is evaluated in one pass (an odd level takes
         the sign of x) and kept, read-only, with a private copy of x, until
