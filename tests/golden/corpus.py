@@ -40,11 +40,12 @@ ROUND_OFF_TOLERANCE = 1e-10
 # JSON keys whose values sit at round-off level: verify's gaps to the oracle
 # and self-gaps, and the entries of a level's orthonormal-basis coefficient
 # vector, whose smallest entries are round-off.  The oracle's eigenvalues
-# (energy_oracle, unmatched_but_expected) carry round-off of about 1e-12
-# absolute, which can move their 12th printed digit with the BLAS build and
-# thread count: they take the same tolerance.
+# (energy_oracle, unmatched_but_expected) and a set's basis (alpha_k and
+# beta_k, sums of BLAS dot products) carry round-off that can move their 12th
+# printed digit with the BLAS build and thread count: they take the same
+# tolerance.
 ROUND_OFF_FIELDS = frozenset({"abs_gap", "self_gap", "max_self_gap", "basis_coefficients",
-                              "energy_oracle", "unmatched_but_expected"})
+                              "basis", "energy_oracle", "unmatched_but_expected"})
 # sample's wavefunction columns (psi_*) are max-normalised values whose error
 # is round-off relative to the peak: they take the same tolerance.
 ROUND_OFF_COLUMN_PREFIX = "psi_"
