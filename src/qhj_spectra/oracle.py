@@ -34,7 +34,7 @@ from .errors import (
 )
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import QesClassification
-from .solver import QesLevel, _row_sign_changes, qes_wall, solve_classification
+from .solver import QesLevel, _row_sign_changes, solve_classification
 
 # Default bound on |E_analytic - E_oracle| for a level to pass.
 DEFAULT_TOLERANCE = 1e-6
@@ -110,14 +110,24 @@ class VerificationReport:
 
 
 def default_grid(params: PotentialParams) -> GridSpec:
-    """Tail-safe half-line grid: the wall is solver.qes_wall's, and
-    N = max(3 k, ceil(alpha L / START_STEP)) starts the sizing rule for the
-    k sector eigenvalues of the largest QES set, at a step alpha h <= START_STEP."""
+    """Tail-safe half-line grid: the wall y = cosh(alpha L) is the smallest
+    y >= 10 with s y - lambda ln y >= 40 (QES levels decay like
+    y^lambda exp(-s y)), and N = max(3 k, ceil(acosh(y) / START_STEP))
+    starts the sizing rule for the k sector eigenvalues of the largest QES
+    set, at a step alpha h <= START_STEP."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
-    lam = max(params.lam, 0.0)
-    alpha_l = qes_wall(params.s, lam)
+    s, lam = params.s, max(params.lam, 0.0)
+    y, previous = 10.0, 0.0
+    if s * y - lam * math.log(y) < 40.0:
+        # Fixed-point iteration onto the largest root: it rises monotonically
+        # from y = 10, with contraction lam / (s y) < 1/ln(10) at the root.
+        while y - previous > 1e-12 * y:
+            previous, y = y, (40.0 + lam * math.log(y)) / s
     # The largest QES set has floor(lambda + 1/2) levels.
     k = math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS
+    # acosh(y) = alpha L, taken before the division by alpha, so that N does
+    # not depend on alpha's rounding.
+    alpha_l = math.acosh(y)
     return GridSpec(
         half_width_L=alpha_l / params.alpha,
         point_count_N=max(3 * k, math.ceil(alpha_l / START_STEP)),

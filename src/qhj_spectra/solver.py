@@ -16,10 +16,10 @@ A set's levels are orthogonal in L^2(dx), so their polynomials are
 orthogonal for the weight w^2 dx, and P_n is held in that weight's
 orthonormal basis q_0 = 1, ..., q_n (unit mass), whose recurrence comes from
 the Stieltjes procedure on the midpoint rule at cell-centred nodes out to
-qes_wall, which the oracle's grid shares: spectrally accurate, as every
-integrand is even in x and decays like exp(-2 s cosh(alpha x)).  A node's
-values are mantissas times a shared exp(l), so neither w's decay nor q_k's
-growth leaves float64.  In the basis the set's operator is a symmetric tridiagonal
+the weight's tail: spectrally accurate, as every integrand is even in x and
+decays like exp(-2 s cosh(alpha x)).  A node's values are mantissas times a
+shared exp(l), so neither w's decay nor q_k's growth leaves float64.  In the
+basis the set's operator is a symmetric tridiagonal
 A: its eigenvalues must reproduce eig(H), its eigenvectors are the levels'
 basis coefficients, and level j must change sign j times on the nodes.
 Those sign changes are its moving poles, the zeros of P_n in z > 0 where
@@ -27,7 +27,11 @@ p = -i psi'/psi has its poles.  An n = 0 set has P = 1 and no basis.
 
 psi is evaluated anywhere by the same scaled recurrence, then one product
 with the coefficients of a block of the set's levels: the levels of a set
-share one _SetTable, and a level built by hand gets its own.
+share one _SetTable, and a level built by hand gets its own.  A value's last
+bits depend on the block it was evaluated in, so psi and log_norm repeat
+only to about 1e-13 of the level's peak across blocks of other composition.
+Where P is round-off in the basis, far below the peak, the QMF functions
+take it from its Frobenius series at z = 0 instead.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ MAX_BLOCK_N = 500
 # Entries (rows x points, or basis functions x points) one block of an
 # evaluation holds at a time, unless it is one row or one point.
 _BLOCK_ENTRIES = 2**14
-# The quadrature's nodes lie at most this far apart in alpha x, and a set's
-# table of q_k at its nodes holds at most _MAX_NODE_ENTRIES entries.
+# The quadrature's nodes lie at most this far apart in alpha x, at least
+# _MIN_NODES resolve the weight, and a set's table of q_k at its nodes holds
+# at most _MAX_NODE_ENTRIES entries.
 _NODE_STEP = 0.1
+_MIN_NODES = 40
 _MAX_NODE_ENTRIES = 2**23
 # A mantissa beyond _RESCALE is divided by it, and its point's exponent raised.
 _RESCALE = 1e100
@@ -138,9 +144,11 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
     return SpectralPencil(matrix=matrix, qes_set=qes_set)
 
 
-def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
-    """ln w = -s (1 + z) + p1 ln z + p2 ln(z + 2); z = 0 gives -inf when p1 > 0."""
-    log_w = -s * (1.0 + z)
+def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2, constant: bool = True):
+    """ln w = -s (1 + z) + p1 ln z + p2 ln(z + 2); z = 0 gives -inf when p1 > 0.
+    The nodes' weights leave out the constant -s: at large s it would round
+    away the -s z that w's shape depends on."""
+    log_w = -s * (1.0 + z) if constant else -s * z
     if qes_set.p1 > 0.0:
         log_w += qes_set.p1 * log_z
     if qes_set.p2 > 0.0:
@@ -149,39 +157,40 @@ def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
 
 
 @functools.lru_cache(maxsize=64)
-def qes_wall(s: float, lam: float) -> float:
-    """alpha L = acosh(y) for the smallest y >= 10 with s y - lam ln y >= 40:
-    every QES level (decaying like y^lam exp(-s y)) is past its tail there."""
-    y, previous = 10.0, 0.0
-    if s * y - lam * math.log(y) < 40.0:
-        # Fixed-point iteration onto the largest root: it rises monotonically
-        # from y = 10, with contraction lam / (s y) < 1/ln(10) at the root.
-        while y - previous > 1e-12 * y:
-            previous, y = y, (40.0 + lam * math.log(y)) / s
-    return math.acosh(y)
+def _node_wall(s: float, lam: float) -> float:
+    """alpha L = acosh(1 + z), z = z_e + u: every zero of the basis's q_n lies
+    below z_e = 2 lam / s (Laguerre's bound for w^2, a polynomial of degree
+    2 lam - 2 n - 1 times exp(-2 s z)), and z^lam exp(-s z) falls by e^-40
+    from z_e to z, so the basis's integrands are past their tails, at any s."""
+    z_e = 2.0 * lam / s
+    u, previous = 40.0 / s, 0.0
+    # Fixed-point iteration, rising monotonically with contraction z_e / (2 z) < 1/2.
+    while u - previous > 1e-12 * u:
+        previous, u = u, (40.0 + lam * math.log1p(u / z_e)) / s
+    return 2.0 * math.asinh(math.sqrt(0.5 * (z_e + u)))
 
 
 def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
     """z and ln w at the quadrature nodes of a set whose highest level has mu_top.
 
-    alpha x_m = (m - 1/2) alpha L / M for m = 1..M, alpha L = qes_wall, with
-    M = max(ceil(k_max L), ceil(alpha L / _NODE_STEP)) and k_max the top
-    level's largest local wavenumber.  The midpoint rule's weights
-    omega = h w^2 are ln w up to a constant, which _stieltjes normalises away.
+    alpha x_m = (m - 1/2) alpha L / M for m = 1..M, alpha L = _node_wall, with
+    M = max(ceil(k_max L), ceil(alpha L / _NODE_STEP), _MIN_NODES) and k_max
+    the top level's largest local wavenumber.  The midpoint rule's weights
+    omega = h w^2 are ln w up to a constant, which _q_table normalises away.
     """
     lam, s = params.lam, params.s
-    alpha_l = qes_wall(s, max(lam, 0.0))
+    alpha_l = _node_wall(s, lam)
     # min V / alpha^2: -(lambda^2 + s^2) at cosh(alpha x) = lambda / s, if that is > 1.
     v_min = -(lam * lam + s * s) if lam > s else -2.0 * s * lam
     k_max_l = math.sqrt(max(-mu_top - v_min, 0.0)) * alpha_l
-    count = max(math.ceil(k_max_l), math.ceil(alpha_l / _NODE_STEP))
+    count = max(math.ceil(k_max_l), math.ceil(alpha_l / _NODE_STEP), _MIN_NODES)
     if count * (qes_set.n + 1) > _MAX_NODE_ENTRIES:
         raise InadmissibleParametersError(
             f"set {qes_set.set_index} with n = {qes_set.n} needs {count} quadrature "
             f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_NODE_ENTRIES}"
         )
     z, log_z, log_z2 = _node_terms(alpha_l, count)
-    return z, _log_weight(qes_set, s, z, log_z, log_z2)
+    return z, _log_weight(qes_set, s, z, log_z, log_z2, constant=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -201,70 +210,50 @@ def _z_terms(alpha: float, x: np.ndarray):
     return terms
 
 
-def _stieltjes(qes_set: QesSet, z: np.ndarray, log_w: np.ndarray):
-    """alpha_0..alpha_(n-1), beta_1..beta_n, and q_k sqrt(omega) (unit mass) at
-    the ascending nodes z as (t, l), row k of t times exp(l), by the Stieltjes
-    procedure; without reorthogonalisation it keeps the q_k orthonormal to
-    round-off.  As in _q_table, a node's rows share its exponent l.
+def _q_table(alpha, beta, z: np.ndarray, top: float, log_w=None):
+    """(t, l) with q_k(z) = t[k] exp(l) for k = 0..n at the points 0 <= z <= top
+    (1-D); where a new row passes _RESCALE, the point's rows are divided by it.
+
+    Given ln w at the ascending nodes z, alpha and beta are filled in by the
+    Stieltjes procedure on the midpoint rule's weights omega = exp(2 l) (unit
+    mass), and row k holds q_k sqrt(omega); without reorthogonalisation it
+    keeps the q_k orthonormal to round-off.
     """
-    n = qes_set.n
-    log_scale = log_w - log_w.max()
-    weight = np.exp(2.0 * log_scale)
-    total = float(weight.sum())
-    log_scale -= 0.5 * math.log(total)  # weight = exp(2 l) after a rescale, too
-    weight /= total
-    z_weight = z * weight
+    n, stieltjes = len(alpha), log_w is not None
     t = np.ones((n + 1, z.size))
-    alpha, beta = np.empty(n), np.empty(n)
+    log_scale = log_w - log_w.max() if stieltjes else np.zeros(z.size)
+    if stieltjes:
+        weight = np.exp(2.0 * log_scale)
+        total = float(weight.sum())
+        log_scale -= 0.5 * math.log(total)  # weight = exp(2 l) after a rescale, too
+        weight /= total
+        z_weight = z * weight
     # bound >= max |t[k]|, so that the rows are searched only when one may
     # have passed _RESCALE.
-    bound, top, b = 1.0, float(z[-1]), 0.0
+    bound, b = 1.0, 0.0
     for k in range(n):
+        a = float(np.dot(z_weight * t[k], t[k])) if stieltjes else alpha[k]
         row = t[k + 1]
-        a = float(np.dot(z_weight * t[k], t[k]))
         np.subtract(z, a, out=row)
         row *= t[k]
         if k:
             row -= b * t[k - 1]
-        b_next = math.sqrt(float(np.dot(weight * row, row)))
-        if not 0.0 < b_next < math.inf:
-            raise InvariantViolationError(
-                f"the quadrature of set {qes_set.set_index} with n = {n} cannot "
-                f"hold q_{k + 1}: beta_{k + 1} = {b_next!r}"
-            )
+        if stieltjes:
+            alpha[k], beta[k] = a, math.sqrt(float(np.dot(weight * row, row)))
+            if not 0.0 < beta[k] < math.inf:
+                raise InvariantViolationError(
+                    f"the basis's quadrature cannot hold q_{k + 1}: beta_{k + 1} = {beta[k]!r}")
+        b_next = float(beta[k])
         row /= b_next
         bound *= max(1.0, (top + abs(a) + b) / b_next)
-        alpha[k], beta[k], b = a, b_next, b_next
+        b = b_next
         if bound > _RESCALE:
             big = np.abs(row) > _RESCALE
             t[: k + 2, big] /= _RESCALE
             log_scale[big] += _LOG_RESCALE
-            weight[big] = np.exp(2.0 * log_scale[big])
-            z_weight[big] = z[big] * weight[big]
-            bound = float(np.abs(t[k : k + 2]).max())
-    return alpha, beta, t, log_scale
-
-
-def _q_table(alpha: np.ndarray, beta: np.ndarray, z: np.ndarray, top: float):
-    """(t, l) with q_k(z) = t[k] exp(l) for k = 0..n at the points 0 <= z <= top (1-D);
-    where a new row passes _RESCALE, the point's rows are divided by it."""
-    n = len(alpha)
-    t = np.ones((n + 1, z.size))
-    log_scale = np.zeros(z.size)
-    bound = 1.0
-    for k in range(n):
-        row = t[k + 1]
-        np.subtract(z, alpha[k], out=row)
-        row *= t[k]
-        b = beta[k - 1] if k else 0.0
-        if k:
-            row -= b * t[k - 1]
-        row /= beta[k]
-        bound *= max(1.0, (top + abs(alpha[k]) + b) / beta[k])
-        if bound > _RESCALE:
-            big = np.abs(row) > _RESCALE
-            t[: k + 2, big] /= _RESCALE
-            log_scale[big] += _LOG_RESCALE
+            if stieltjes:
+                weight[big] = np.exp(2.0 * log_scale[big])
+                z_weight[big] = z[big] * weight[big]
             bound = float(np.abs(t[k : k + 2]).max(initial=0.0))
     return t, log_scale
 
@@ -308,7 +297,8 @@ def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
     """
     n, index = qes_set.n, qes_set.set_index
     z, log_w = _nodes(qes_set, params, float(mus[-1]))
-    alpha, beta, t, log_scale = _stieltjes(qes_set, z, log_w)
+    alpha, beta = np.empty(n), np.empty(n)
+    t, log_scale = _q_table(alpha, beta, z, float(z[-1]), log_w)
     sub = h.diagonal(-1)
     shift = np.cumsum(alpha) * sub
     diagonal = h.diagonal().copy()
@@ -379,7 +369,7 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
         alpha, beta, coefficients = _basis_and_vectors(h, qes_set, params, mus)
     coefficients.setflags(write=False)
     basis = OrthonormalBasis(tuple(alpha.tolist()), tuple(beta.tolist()))
-    table = _SetTable(coefficients, energies, (alpha, beta), qes_set, params)
+    table = _SetTable(coefficients, energies, basis, qes_set, params)
     odd = 1 if qes_set.parity == "odd" else 0
     levels = []
     for j, row in enumerate(coefficients.tolist()):
@@ -458,33 +448,21 @@ def _log_derivative_pieces(level: QesLevel, x: float):
         raise ValueError("x must be finite")
     a = level.params.alpha
     p1, p2 = level.qes_set.p1, level.qes_set.p2
-    c = level.basis_coefficients
-    alpha, beta = level.basis.alpha, level.basis.beta
+    c, alpha, beta = level.basis_coefficients, level.basis.alpha, level.basis.beta
     with _overflow_names(x):
         # cosh(a x) - 1 without cancellation, as a numpy scalar to obey errstate.
         z = 2.0 * np.float64(math.sinh(0.5 * a * x)) ** 2
-        # q_k and its first two derivatives in z by the differentiated
-        # recurrence, in plain floats; P = sum c_k q_k, and the basis's
-        # roundoff scale is sum |c_k q_k|.
-        zf = float(z)
-        q, dq, ddq, q_, dq_, ddq_ = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
-        p, dp, ddp, scale = c[0], 0.0, 0.0, abs(c[0])
-        for k, (ak, bk) in enumerate(zip(alpha, beta)):
-            b = beta[k - 1] if k else 0.0
-            q, q_, dq, dq_, ddq, ddq_ = (
-                ((zf - ak) * q - b * q_) / bk, q,
-                ((zf - ak) * dq + q - b * dq_) / bk, dq,
-                ((zf - ak) * ddq + 2.0 * dq - b * ddq_) / bk, ddq,
-            )
-            p += c[k + 1] * q
-            dp += c[k + 1] * dq
-            ddp += c[k + 1] * ddq
-            scale += abs(c[k + 1] * q)
+        # P = sum c_k q_k in the basis, whose roundoff scale is sum |c_k q_k|.
+        p, dp, ddp, scale = _series(float(z), c, c, alpha, beta, (0.0,) + beta[:-1])
         if not all(map(math.isfinite, (p, dp, ddp, scale))):
             raise OverflowError
+        if not abs(p) >= 1e-12 * scale:
+            # Far below the level's peak (a central barrier) P is round-off
+            # in the basis, but its series at z = 0 can hold it.
+            p, dp, ddp, scale = _frobenius(level, float(z))
+            if not (math.isfinite(scale) and abs(p) >= 1e-12 * scale):
+                raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
         p, dp, ddp = np.float64(p), np.float64(dp), np.float64(ddp)
-        if abs(p) < 1e-12 * scale:
-            raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
         if p1 > 0.0 and x == 0.0:
             raise QmfPoleError("moving pole at the origin (odd-parity node)")
 
@@ -502,6 +480,40 @@ def _log_derivative_pieces(level: QesLevel, x: float):
         big_l = a * sh * m
         big_lp = a * a * (1.0 + z) * m + (a * sh) ** 2 * dm
     return big_l, big_lp
+
+
+def _series(z: float, c, m, a, b, g):
+    """sum c_k q_k(z), its first two derivatives in z and sum |m_k q_k(z)| for
+    q_0 = 1, b_k q_(k+1) = (z - a_k) q_k - g_k q_(k-1), by the differentiated
+    recurrence in plain floats."""
+    q, dq, ddq, q_, dq_, ddq_ = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    p, dp, ddp, scale = c[0], 0.0, 0.0, abs(m[0])
+    for k, (ak, bk, gk) in enumerate(zip(a, b, g)):
+        q, q_, dq, dq_, ddq, ddq_ = (
+            ((z - ak) * q - gk * q_) / bk, q,
+            ((z - ak) * dq + q - gk * dq_) / bk, dq,
+            ((z - ak) * ddq + 2.0 * dq - gk * ddq_) / bk, ddq,
+        )
+        p += c[k + 1] * q
+        dp += c[k + 1] * dq
+        ddp += c[k + 1] * ddq
+        scale += abs(m[k + 1] * q)
+    return p, dp, ddp, scale
+
+
+def _frobenius(level: QesLevel, z: float):
+    """_series for P scaled to P(0) = 1 in monomials, its coefficients a_k from
+    the rows of (H - mu) a = 0 with a_0 = 1, and m_k >= |a_k| bounding their
+    propagated round-off in place of c_k in the scale."""
+    h = build_pencil(level.qes_set, level.params).matrix
+    mu = -level.energy / level.params.alpha**2
+    d, u, l = h.diagonal().tolist(), h.diagonal(1).tolist(), [0.0] + h.diagonal(-1).tolist()
+    a, m = [1.0], [1.0]
+    for k in range(len(u)):  # l[0] = 0: a[-1] and m[-1] drop out
+        a.append(((mu - d[k]) * a[k] - l[k] * a[k - 1]) / u[k])
+        m.append(((abs(mu) + abs(d[k])) * m[k] + l[k] * m[k - 1]) / u[k])
+    zeros = [0.0] * len(u)
+    return _series(z, a, m, zeros, [1.0] * len(u), zeros)
 
 
 def quantum_momentum(wf: ClosedFormWavefunction, x: float) -> complex:
@@ -544,11 +556,11 @@ class _SetTable:
     row's failure is kept as its message and raised only for its own level.
     """
 
-    def __init__(self, coefficients, energies, recurrence, qes_set: QesSet,
+    def __init__(self, coefficients, energies, basis: OrthonormalBasis, qes_set: QesSet,
                  params: PotentialParams):
         self.coefficients = coefficients
         self.energies = energies
-        self.recurrence = recurrence  # the basis's alpha and beta as arrays
+        self.recurrence = (np.array(basis.alpha, dtype=float), np.array(basis.beta, dtype=float))
         self.qes_set = qes_set
         self.params = params
         self._log_norms = None
@@ -570,10 +582,7 @@ class _SetTable:
             rows = next(b for b in _row_blocks(len(self.energies), max(x.size, 1))
                         if row < b.stop)
             with np.errstate(over="ignore", invalid="ignore"):
-                z, log_z, log_z2 = _z_terms(self.params.alpha, x.ravel())
-                poly, log_scale = _evaluate(self.coefficients[rows], *self.recurrence, z,
-                                            _log_weight(self.qes_set, self.params.s, z,
-                                                        log_z, log_z2))
+                poly, log_scale = self._psi(rows, *_z_terms(self.params.alpha, x.ravel()))
             if self.qes_set.p1 > 0.0:
                 poly *= np.sign(x.ravel())
             poly = poly.reshape(poly.shape[:1] + x.shape)
@@ -615,14 +624,17 @@ class _SetTable:
             raise InvariantViolationError(self._log_norms[row])
         return self._log_norms[row]
 
+    def _psi(self, rows, z, log_z, log_z2):
+        """_evaluate for the given rows at the points z, with their ln z and ln(z + 2)."""
+        return _evaluate(self.coefficients[rows], *self.recurrence, z,
+                         _log_weight(self.qes_set, self.params.s, z, log_z, log_z2))
+
     def _maxima(self, rows: np.ndarray, z, log_z, log_z2) -> list:
         """Max of log|psi| over the grid z for each of rows, in blocks of rows."""
         maxima = []
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_w = _log_weight(self.qes_set, self.params.s, z, log_z, log_z2)
             for block in _row_blocks(len(rows), z.size):
-                poly, log_scale = _evaluate(self.coefficients[rows[block]], *self.recurrence,
-                                            z, log_w)
+                poly, log_scale = self._psi(rows[block], z, log_z, log_z2)
                 log_abs = np.log(np.abs(poly))
                 log_abs += log_scale
                 maxima += log_abs.max(axis=1, initial=-np.inf).tolist()
@@ -640,10 +652,8 @@ def _set_table(level: QesLevel) -> tuple[_SetTable, int]:
     """The level's set table and its row; a level solve_levels did not make
     gets a table of one on first use."""
     if not hasattr(level, "_set_table"):
-        recurrence = (np.array(level.basis.alpha, dtype=float),
-                      np.array(level.basis.beta, dtype=float))
         table = _SetTable(np.array([level.basis_coefficients], dtype=float), [level.energy],
-                          recurrence, level.qes_set, level.params)
+                          level.basis, level.qes_set, level.params)
         object.__setattr__(level, "_set_table", (table, 0))
     return level._set_table
 

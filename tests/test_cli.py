@@ -302,6 +302,44 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["40", "80.5", "200.5"])
+    @pytest.mark.parametrize("v1", ["0.01", "1", "100"])
+    def test_large_blocks_solve_with_sturm_node_counts(self, capsys, lam, v1):
+        # s = 0.1, 1 and 10 at alpha = 1, up to n = 200: exit 0, nothing on
+        # stderr under warnings as errors, and level j of each set has
+        # 2 j + odd nodes.  About 1.5 s for the nine points.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--v1", v1, "--alpha", "1", "--lambda", lam])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        doc = json.loads(captured.out)
+        assert len(doc["levels"]) == round(2 * float(lam))
+        for qes_set in doc["sets"]:
+            odd = 1 if qes_set["parity"] == "odd" else 0
+            counts = [level["node_count"] for level in doc["levels"]
+                      if level["set"] == qes_set["set"]]
+            assert counts == [2 * j + odd for j in range(qes_set["n"] + 1)]
+
+    def test_strong_well_solves_on_a_few_nodes(self, capsys, monkeypatch):
+        # s = 1e12: the basis's nodes span the weight's own width, about
+        # 1e-5 in alpha x, not the oracle's wall at alpha L >= 3, so set 1
+        # (n = 1) takes 40 nodes.  The energies are the monomial code's.
+        sizes, nodes = [], solver._nodes
+
+        def spy(*args):
+            z, log_w = nodes(*args)
+            sizes.append(z.size)
+            return z, log_w
+
+        monkeypatch.setattr(solver, "_nodes", spy)
+        code, doc = run_json(capsys, "solve", "--v1", "1e24", "--alpha", "1",
+                             "--lambda", "1.5")
+        assert code == 0
+        assert [(level["energy"], level["node_count"]) for level in doc["levels"]] == [
+            ("-2e+12", 0), ("-1", 1), ("2e+12", 2)]
+        assert sizes == [40]
+
 
 class TestVerify:
     def test_lambda_one_passes(self, capsys, schema):
@@ -423,7 +461,7 @@ class TestSample:
         assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]
 
     @pytest.mark.parametrize("args, ratio", [
-        (("--v1", "1e-6", "--lambda", "10"), "7.14e-17"),
+        (("--v1", "1e-6", "--lambda", "10"), "7.64e-17"),
         (("--v1", "1", "--lambda", "1", "--x-max", "1000", "--points", "5"), "9.84e-32"),
     ])
     def test_window_that_misses_the_peak_is_usage_error(self, schema, args, ratio):

@@ -292,21 +292,11 @@ class TestLargeBlocks:
         for level in levels:
             wf = wavefunction(level, params)
             bound = 1e-8 * max(1.0, abs(level.energy))
-            # From the origin out to the turning point.  The closed form is
-            # exact to round-off relative to its peak, so in the central
-            # barrier, where a deep level holds far less than 1e-12 of its
-            # peak, P is round-off and the QMF guard raises: those points are
-            # skipped, and at least four of the eight are checked.
-            x_turn = math.acosh(solver._turning_point(params, level.energy))
-            checked = 0
-            for x in np.linspace(0.3, x_turn, 8):
-                try:
-                    residual = schrodinger_residual(wf, level.energy, params, x)
-                except QmfPoleError:
-                    continue
-                assert abs(residual) < bound, x
-                checked += 1
-            assert checked >= 4, (level.energy, checked)
+            # The central barrier and the wells, where a deep level holds far
+            # less than 1e-12 of its peak and P in the basis is round-off: the
+            # QMF pieces there come from P's series at z = 0.
+            for x in (0.3, 0.7, 1.1):
+                assert abs(schrodinger_residual(wf, level.energy, params, x)) < bound
 
     def test_underflowed_eigenvector_is_a_precise_failure(self):
         # At (40, 0.27) the monomial eigenvector's smallest component
@@ -1166,8 +1156,7 @@ class TestSetTables:
         (level, _) = solve_levels(build_pencil(qes_set, params), params)
         # A normalisation row with no finite value on its grid.
         rows = [(0.6, 0.8), (math.nan, 0.8)]
-        recurrence = (np.array(level.basis.alpha), np.array(level.basis.beta))
-        table = solver._SetTable(np.array(rows), [level.energy] * 2, recurrence, qes_set, params)
+        table = solver._SetTable(np.array(rows), [level.energy] * 2, level.basis, qes_set, params)
         good, bad = (replace(level, basis_coefficients=row) for row in rows)
         for j, member in enumerate((good, bad)):
             object.__setattr__(member, "_set_table", (table, j))
