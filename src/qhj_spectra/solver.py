@@ -297,8 +297,11 @@ def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
     """
     n, index = qes_set.n, qes_set.set_index
     z, log_w = _nodes(qes_set, params, float(mus[-1]))
+    # In z / c, c a power of two near the wall's z: exact, and z q_k^2 stays finite.
+    c = math.ldexp(1.0, math.frexp(float(z[-1]))[1])
     alpha, beta = np.empty(n), np.empty(n)
-    t, log_scale = _q_table(alpha, beta, z, float(z[-1]), log_w)
+    t, log_scale = _q_table(alpha, beta, z / c, float(z[-1]) / c, log_w)
+    alpha, beta = alpha * c, beta * c
     sub = h.diagonal(-1)
     shift = np.cumsum(alpha) * sub
     diagonal = h.diagonal().copy()
@@ -512,8 +515,7 @@ def _frobenius(level: QesLevel, z: float):
     for k in range(len(u)):  # l[0] = 0: a[-1] and m[-1] drop out
         a.append(((mu - d[k]) * a[k] - l[k] * a[k - 1]) / u[k])
         m.append(((abs(mu) + abs(d[k])) * m[k] + l[k] * m[k - 1]) / u[k])
-    zeros = [0.0] * len(u)
-    return _series(z, a, m, zeros, [1.0] * len(u), zeros)
+    return _series(z, a, m, [0.0] * len(u), [1.0] * len(u), [0.0] * len(u))
 
 
 def quantum_momentum(wf: ClosedFormWavefunction, x: float) -> complex:

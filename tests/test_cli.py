@@ -321,24 +321,33 @@ class TestSolve:
                       if level["set"] == qes_set["set"]]
             assert counts == [2 * j + odd for j in range(qes_set["n"] + 1)]
 
-    def test_strong_well_solves_on_a_few_nodes(self, capsys, monkeypatch):
-        # s = 1e12: the basis's nodes span the weight's own width, about
-        # 1e-5 in alpha x, not the oracle's wall at alpha L >= 3, so set 1
-        # (n = 1) takes 40 nodes.  The energies are the monomial code's.
-        sizes, nodes = [], solver._nodes
+    @pytest.mark.parametrize("v1, alpha, levels, nodes", [
+        # s = 1e12: the nodes span the weight's own width, about 1e-5 in
+        # alpha x, not the oracle's wall at alpha L >= 3.
+        ("1e24", "1", [("-2e+12", 0), ("-1", 1), ("2e+12", 2)], 40),
+        # s = 1e-300: the nodes reach z ~ 1e301, and the Stieltjes procedure
+        # runs in z over a power of two, so z q_k^2 stays within float64.
+        ("1e-300", "1e150", [("-1e+300", 0), ("-1e+300", 1), ("3.31561842338e-16", 2)], 6954),
+    ])
+    def test_extreme_wells_solve_as_the_monomial_code_did(self, capsys, monkeypatch, v1,
+                                                          alpha, levels, nodes):
+        # The energies and node counts the monomial code printed; set 1
+        # (n = 1) is the one set with a basis.
+        sizes, spied = [], solver._nodes
 
         def spy(*args):
-            z, log_w = nodes(*args)
+            z, log_w = spied(*args)
             sizes.append(z.size)
             return z, log_w
 
         monkeypatch.setattr(solver, "_nodes", spy)
-        code, doc = run_json(capsys, "solve", "--v1", "1e24", "--alpha", "1",
-                             "--lambda", "1.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_json(capsys, "solve", "--v1", v1, "--alpha", alpha,
+                                 "--lambda", "1.5")
         assert code == 0
-        assert [(level["energy"], level["node_count"]) for level in doc["levels"]] == [
-            ("-2e+12", 0), ("-1", 1), ("2e+12", 2)]
-        assert sizes == [40]
+        assert [(level["energy"], level["node_count"]) for level in doc["levels"]] == levels
+        assert sizes == [nodes]
 
 
 class TestVerify:
