@@ -19,9 +19,9 @@ the Stieltjes procedure on the midpoint rule at cell-centred nodes out to
 the weight's tail: spectrally accurate, as every integrand is even in x and
 decays like exp(-2 s cosh(alpha x)).  A node's values are mantissas times a
 shared exp(l), so neither w's decay nor q_k's growth leaves float64.  In the
-basis the set's operator is a symmetric tridiagonal
-A: its eigenvalues must reproduce eig(H), its eigenvectors are the levels'
-basis coefficients, and level j must change sign j times on the nodes.
+basis the set's operator is a symmetric tridiagonal A: its eigenvalues must
+reproduce eig(H), its eigenvectors are the levels' basis coefficients, and
+level j must change sign j times on the nodes.
 Those sign changes are its moving poles, the zeros of P_n in z > 0 where
 p = -i psi'/psi has its poles.  An n = 0 set has P = 1 and no basis.
 
