@@ -396,23 +396,14 @@ def solve_classification(
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_terms(alpha: float, half_width: float):
-    """_z_terms on a normalisation grid, x in [0, half_width/alpha] in steps
-    <= 0.005/alpha; every level at one alpha shares the default, half_width 5."""
-    x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
-    return _z_terms(alpha, x)
+def _grid_terms(count: int):
+    """_z_terms at the first count points of the normalisation lattice alpha x_k = 0.005 k."""
+    return _z_terms(1.0, np.arange(count) * 0.005)
 
 
 def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
     if params != level.params:
         raise InadmissibleParametersError("level was solved for different parameters")
-
-
-def _turning_point(params: PotentialParams, energy: float) -> float:
-    """The outer turning point y_t, V(y_t) = E; NaN if V never falls to E."""
-    v1, v2 = params.v1, params.v2
-    discriminant = v2 * v2 + 4.0 * v1 * (v1 + energy)
-    return (-v2 + math.sqrt(discriminant)) / (2.0 * v1) if discriminant >= 0.0 else math.nan
 
 
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
@@ -601,27 +592,26 @@ class _SetTable:
         return poly[row - rows.start], log_scale
 
     def log_norm(self, row: int) -> float:
-        """Level row's log_norm: the max of log|psi| on x in [0, 5/alpha], in steps <= 0.005/alpha.
+        """Level row's log_norm: the max of log|psi| on the lattice alpha x_k = 0.005 k, k >= 0.
 
-        |psi| is even in x and has no interior maximum where V > E, so its
-        peak lies inside the outer turning point y_t (V(y_t) = E).  The first
-        call scans that grid once for every row with y_t <= cosh 5; a row
-        with y_t farther out is scanned alone, out to y_t, when first asked.
+        |psi| is even in x and has no interior maximum where V > E, so a
+        level's peak lies inside its outer turning point y_t = cosh(alpha x_t):
+        V / alpha^2 = s^2 y^2 - 2 s lam y - s^2 meets E / alpha^2 = -mu at
+        y_t = (lam + sqrt(lam^2 + s^2 - mu)) / s.  The first call scans every
+        row once, out to the farther of alpha x = 5 and the set's farthest y_t;
+        past its own y_t a row's |psi| only falls, so each row's maximum is
+        the one on its own range.
         """
         if self._log_norms is None:
-            shared = [_turning_point(self.params, energy) <= math.cosh(5.0)  # False for NaN
-                      for energy in self.energies]
-            maxima = iter(self._maxima(np.flatnonzero(shared),
-                                       *_grid_terms(self.params.alpha, 5.0)))
-            self._log_norms = [next(maxima) if on else None for on in shared]
-        if self._log_norms[row] is None:
-            y_turn = _turning_point(self.params, self.energies[row])
-            if math.isnan(y_turn):
-                self._log_norms[row] = (
-                    f"energy {self.energies[row]!r} lies below the minimum of V")
-            else:
-                (self._log_norms[row],) = self._maxima(
-                    np.array([row]), *_grid_terms(self.params.alpha, math.acosh(y_turn)))
+            lam, s, alpha2 = self.params.lam, self.params.s, self.params.alpha**2
+            # lam^2 + s^2 - mu per row, mu = -E / alpha^2; negative or NaN has no y_t.
+            spreads = [lam * lam + s * s + energy / alpha2 for energy in self.energies]
+            y_turn = max([(lam + math.sqrt(d)) / s for d in spreads if d >= 0.0], default=1.0)
+            reach = max(5.0, math.acosh(y_turn))
+            maxima = self._maxima(*_grid_terms(math.ceil(200.0 * reach) + 1))
+            self._log_norms = [value if d >= 0.0 else
+                               f"energy {energy!r} lies below the minimum of V"
+                               for value, d, energy in zip(maxima, spreads, self.energies)]
         if isinstance(self._log_norms[row], str):
             raise InvariantViolationError(self._log_norms[row])
         return self._log_norms[row]
@@ -631,12 +621,12 @@ class _SetTable:
         return _evaluate(self.coefficients[rows], *self.recurrence, z,
                          _log_weight(self.qes_set, self.params.s, z, log_z, log_z2))
 
-    def _maxima(self, rows: np.ndarray, z, log_z, log_z2) -> list:
-        """Max of log|psi| over the grid z for each of rows, in blocks of rows."""
+    def _maxima(self, z, log_z, log_z2) -> list:
+        """Max of log|psi| over the points z for every row, in blocks of rows."""
         maxima = []
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for block in _row_blocks(len(rows), z.size):
-                poly, log_scale = self._psi(rows[block], z, log_z, log_z2)
+            for rows in _row_blocks(len(self.energies), z.size):
+                poly, log_scale = self._psi(rows, z, log_z, log_z2)
                 log_abs = np.log(np.abs(poly))
                 log_abs += log_scale
                 maxima += log_abs.max(axis=1, initial=-np.inf).tolist()

@@ -499,35 +499,36 @@ class TestWavefunction:
         grid = np.linspace(-5.0, 5.0, 2001)
         assert np.max(np.abs(evaluate_wavefunction(wf, grid))) == pytest.approx(1.0)
 
-    # Large lambda/s puts the peak beyond |x| = 5/alpha.
-    @pytest.mark.parametrize("lam, s", [(20.5, 0.1), (10.0, 0.1)])
+    # Large lambda/s puts the peak beyond |x| = 5/alpha: the lattice reaches it.
+    @pytest.mark.parametrize("lam, s", [(20.5, 0.1), (10.0, 0.1), (20.5, 0.3), (40.0, 1.0)])
     def test_max_normalized_beyond_five_over_alpha(self, lam, s):
         params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
         grid = np.linspace(-9.0, 9.0, 3601)
         for level in solve_classification(params, enumerate_qes_sets(lam)):
             psi = evaluate_wavefunction(wavefunction(level, params), grid)
-            assert np.max(np.abs(psi)) <= 1.0 + 1e-3
+            assert np.max(np.abs(psi)) <= 1.0 + 1e-12
 
     @staticmethod
-    def half_width(level, params):
-        # wavefunction's grid rule: alpha x up to 5, or to the turning point.
-        v1, v2 = params.v1, params.v2
-        y_turn = (-v2 + math.sqrt(v2 * v2 + 4.0 * v1 * (v1 + level.energy))) / (2.0 * v1)
-        return math.acosh(y_turn) if y_turn > math.cosh(5.0) else 5.0
+    def lattice_count(levels, params):
+        # wavefunction's lattice rule: alpha x_k = 0.005 k out to alpha x = 5,
+        # or to the farthest outer turning point of the levels scanned together.
+        lam, s = params.lam, params.s
+        y_turn = max((lam + math.sqrt(lam * lam + s * s + level.energy / params.alpha**2)) / s
+                     for level in levels)
+        return math.ceil(200.0 * max(5.0, math.acosh(y_turn))) + 1
 
     @classmethod
-    def uncached_log_norm(cls, level, params, rows=None):
-        # wavefunction's grid rule, with z, ln z and ln(z + 2) computed afresh,
-        # and the level's row evaluated in the block its set scans it with:
-        # rows holds the coefficients of the set's levels on the shared grid;
-        # a level on a grid of its own is scanned alone.
-        alpha, half_width = params.alpha, cls.half_width(level, params)
-        x = np.linspace(0.0, half_width / alpha, math.ceil(200.0 * half_width) + 1)
-        sh = np.sinh(0.5 * alpha * x)
+    def uncached_log_norm(cls, level, params, members=None):
+        # wavefunction's lattice rule, with z, ln z and ln(z + 2) computed
+        # afresh, and the level's row evaluated in the block its set scans it
+        # with: members are the levels scanned together (default: the level alone).
+        members = [level] if members is None else members
+        count = cls.lattice_count(members, params)
+        sh = np.sinh(0.5 * (np.arange(count) * 0.005))
         z = 2.0 * sh * sh
-        rows = [level.basis_coefficients] if rows is None or half_width > 5.0 else rows
+        rows = [member.basis_coefficients for member in members]
         index = rows.index(level.basis_coefficients)
-        block = next(b for b in solver._row_blocks(len(rows), x.size) if index < b.stop)
+        block = next(b for b in solver._row_blocks(len(rows), count) if index < b.stop)
         # As in wavefunction: ln z = -inf at x = 0 for an odd level.
         with np.errstate(divide="ignore"):
             log_w = -params.s * (1.0 + z)
@@ -539,33 +540,51 @@ class TestWavefunction:
                                                np.array(level.basis.beta), z, log_w)
             log_abs = np.log(np.abs(poly[index - block.start]))
         log_abs += log_scale
-        return float(np.max(log_abs[np.isfinite(log_abs)])), half_width
+        return float(np.max(log_abs[np.isfinite(log_abs)])), count
 
     def test_log_norm_matches_uncached_grid_bit_for_bit(self):
-        # alpha changes between consecutive points, and the second round hits
-        # the cache, so an entry served for another alpha would show.  At
-        # (10, 0.1) every level's turning point lies past 5/alpha.
+        # Every level is scanned with its whole set on the alpha-free lattice;
+        # alpha is a power of two here, so the log_norms repeat bit for bit
+        # across alpha, and the second round hits the cache, keyed by the
+        # lattice's point count.  At (10, 0.1) every level's turning point
+        # lies past 5/alpha, so the lattice reaches farther.
         points = [
             (lam, s, alpha)
             for lam, s in [(1.5, 1.0), (10.0, 1.0), (20.5, 1.0), (10.0, 0.1)]
             for alpha in (0.5, 1.0, 2.0)
         ]
         solver._grid_terms.cache_clear()
+        norms = {}
         for lam, s, alpha in points + points[::-1]:
             params = PotentialParams((s * alpha) ** 2, -2.0 * s * alpha**2 * lam, alpha)
-            widths = []
+            counts = set()
             levels = solve_classification(params, enumerate_qes_sets(lam))
+            got = []
             for level in levels:
-                shared = [other.basis_coefficients for other in levels
-                          if other.qes_set == level.qes_set
-                          and self.half_width(other, params) == 5.0]
-                expected, half_width = self.uncached_log_norm(level, params, shared)
-                assert wavefunction(level, params).log_norm == expected
-                widths.append(half_width)
+                members = [other for other in levels if other.qes_set == level.qes_set]
+                expected, count = self.uncached_log_norm(level, params, members)
+                got.append(wavefunction(level, params).log_norm)
+                assert got[-1] == expected
+                counts.add(count)
+            assert norms.setdefault((lam, s), got) == got
             if (lam, s) == (10.0, 0.1):
-                assert min(widths) > 5.0
+                assert min(counts) > 1001
             else:
-                assert 5.0 in widths
+                assert counts == {1001}
+
+    @pytest.mark.parametrize("s, lam", [(1.0, 1.5), (0.1, 10.0), (0.25, 20.5), (1.0, 40.0)])
+    def test_log_norm_is_alpha_free(self, s, lam):
+        # psi = w(z) P(z), z = cosh(alpha x) - 1, with w and P set by (s, lam)
+        # alone, so at alpha = 2^k, where E = -alpha^2 mu is exact, every
+        # level's log_norm is the same float from k = -300 to 300.
+        norms = []
+        for k in (-300, -10, 0, 10, 300):
+            alpha = math.ldexp(1.0, k)
+            params = PotentialParams.from_lambda((s * alpha) ** 2, lam, alpha)
+            assert params.s == s
+            levels = solve_classification(params, enumerate_qes_sets(lam))
+            norms.append([wavefunction(level, params).log_norm for level in levels])
+        assert all(got == norms[0] for got in norms)
 
     def test_unnormalisable_level_is_an_invariant_violation(self):
         qes_set, params = params_for(3, 1)
@@ -583,7 +602,7 @@ class TestWavefunction:
         assert evaluate_wavefunction(wavefunction(level, params), x).shape == (0,)
 
     def test_cached_tables_are_read_only(self):
-        tables = solver._grid_terms(1.0, 5.0)
+        tables = solver._grid_terms(1001)
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
@@ -905,8 +924,8 @@ class TestMovingPoles:
 
 class TestSetTables:
     # The spectrum_sweep timed mix, (20.5, 1), (10, 0.1) and the mixed point
-    # lambda = 10, V1 = 0.05, where each set has 2 of its 10 levels on the
-    # shared 5/alpha grid and 8 on grids of their own (at alpha = 1).
+    # lambda = 10, V1 = 0.05, where 8 of each set's 10 levels turn past
+    # 5/alpha, so that the set's lattice reaches past it.
     MIX = [(lam, s) for lam in (1.0, 1.5, 2.0, 5.5) for s in (0.3, 1.0, 3.0)] + [
         (10.0, 1.0), (10.0, 3.0), (20.5, 1.0), (10.0, 0.1),
     ]
@@ -954,18 +973,14 @@ class TestSetTables:
                 assert value == moving_pole_contour_value(alone)
                 assert count_moving_poles(level) == count_moving_poles(alone)
             if (lam, params.v1) == (10.0, 0.05) and params.alpha == 1.0:
-                # One scan of 2 rows on the 1001-point shared grid, and one
-                # of 1 row on a wider grid of its own for each other level.
+                # One scan of the set's 10 rows, on a lattice past 5/alpha.
                 with monkeypatch.context() as patch:
                     scans = self.record_scans(patch)
                     for qes_set in enumerate_qes_sets(lam).sets:
                         scans.clear()
                         for level in solve_levels(build_pencil(qes_set, params), params):
                             wavefunction(level, params)
-                        assert scans[0] == (2, 1001)
-                        own = scans[1:]
-                        assert len(own) == 8 and all(rows == 1 and points > 1001
-                                                     for rows, points in own)
+                        assert len(scans) == 1 and scans[0][0] == 10 and scans[0][1] > 1001
                         split_sets += 1
         assert split_sets == 2
 
@@ -1177,8 +1192,8 @@ class TestSetTables:
 
     def test_a_widened_level_is_scanned_once(self, monkeypatch):
         # At V1 = 0.01, lambda = 10 every level's turning point lies past
-        # 5/alpha: each is scanned alone, on a grid of its own, the first
-        # time only.
+        # 5/alpha: each set's 10 rows are scanned in one block, on a lattice
+        # past 5/alpha, the first time only.
         params = PotentialParams(0.01, -2.0, 1.0)
         levels = solve_classification(params, enumerate_qes_sets(10.0))
         assert len(levels) == 20
@@ -1186,7 +1201,7 @@ class TestSetTables:
         norms = [[wavefunction(level, params).log_norm for level in levels]
                  for _ in range(3)]
         assert norms[0] == norms[1] == norms[2]
-        assert len(scans) == 20 and all(rows == 1 and points > 1001 for rows, points in scans)
+        assert len(scans) == 2 and all(rows == 10 and points > 1001 for rows, points in scans)
 
     def test_verify_fills_no_table(self):
         params = PotentialParams(1.0, -4.0, 1.0)
