@@ -32,12 +32,19 @@ bits depend on the block it was evaluated in, so psi and log_norm repeat
 only to about 1e-13 of the level's peak across blocks of other composition.
 Where P is round-off in the basis, far below the peak, the QMF functions
 take it from its Frobenius series at z = 0 instead.
+
+A level is scaled to max |psi| = 1 on the lattice alpha x_k = 0.005 k, which
+a set scans once for all its rows, out to the farther of alpha x = 5 and its
+farthest outer turning point.  At fixed (s, lambda) psi depends on x only
+through alpha x, so the lattice and every log_norm are free of alpha.
+Values leave out w's constant factor exp(-s), which normalising divides out.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -111,7 +118,7 @@ class ClosedFormWavefunction:
     """Evaluable closed form of one level; decays like exp(-s cosh(alpha x))."""
 
     level: QesLevel
-    log_norm: float  # max of log|psi| on the default grid; fixes the scale
+    log_norm: float  # max of log(|psi| e^s) on the normalisation lattice; fixes the scale
 
 
 def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
@@ -144,11 +151,12 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
     return SpectralPencil(matrix=matrix, qes_set=qes_set)
 
 
-def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2, constant: bool = True):
-    """ln w = -s (1 + z) + p1 ln z + p2 ln(z + 2); z = 0 gives -inf when p1 > 0.
-    The nodes' weights leave out the constant -s: at large s it would round
-    away the -s z that w's shape depends on."""
-    log_w = -s * (1.0 + z) if constant else -s * z
+def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
+    """ln w + s = -s z + p1 ln z + p2 ln(z + 2); z = 0 gives -inf when p1 > 0.
+    w's constant factor exp(-s) is left out, which every normalised value
+    divides out: at large s it would round away the -s z that w's shape
+    depends on."""
+    log_w = -s * z
     if qes_set.p1 > 0.0:
         log_w += qes_set.p1 * log_z
     if qes_set.p2 > 0.0:
@@ -190,7 +198,7 @@ def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
             f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_NODE_ENTRIES}"
         )
     z, log_z, log_z2 = _node_terms(alpha_l, count)
-    return z, _log_weight(qes_set, s, z, log_z, log_z2, constant=False)
+    return z, _log_weight(qes_set, s, z, log_z, log_z2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -407,9 +415,10 @@ def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
 
 
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
-    """Closed form for one solved level; normalized so max|psi| = 1 on the grid.
+    """Closed form for one solved level; normalized so max|psi| = 1 on the
+    lattice alpha x_k = 0.005 k that _SetTable.log_norm scans.
 
-    params must be the level's own working point; the grid is _SetTable.log_norm's.
+    params must be the level's own working point.
     """
     _require_own_params(level, params)
     table, row = _set_table(level)
@@ -560,7 +569,7 @@ class _SetTable:
         self._block = None
 
     def closed_form(self, row: int, x: np.ndarray):
-        """(P, l), psi = P exp(l) unnormalized, for level row at the finite points x.
+        """(P, l), psi e^s = P exp(l) unnormalized, for level row at the finite points x.
 
         The row's block of rows is evaluated in one pass (an odd level takes
         the sign of x) and kept, read-only, with a private copy of x, until
@@ -592,7 +601,7 @@ class _SetTable:
         return poly[row - rows.start], log_scale
 
     def log_norm(self, row: int) -> float:
-        """Level row's log_norm: the max of log|psi| on the lattice alpha x_k = 0.005 k, k >= 0.
+        """Level row's log_norm: the max of log(|psi| e^s) on the lattice alpha x_k = 0.005 k.
 
         |psi| is even in x and has no interior maximum where V > E, so a
         level's peak lies inside its outer turning point y_t = cosh(alpha x_t):
@@ -607,8 +616,9 @@ class _SetTable:
             # lam^2 + s^2 - mu per row, mu = -E / alpha^2; negative or NaN has no y_t.
             spreads = [lam * lam + s * s + energy / alpha2 for energy in self.energies]
             y_turn = max([(lam + math.sqrt(d)) / s for d in spreads if d >= 0.0], default=1.0)
-            reach = max(5.0, math.acosh(y_turn))
-            maxima = self._maxima(*_grid_terms(math.ceil(200.0 * reach) + 1))
+            # Past y = float max, z overflows and psi has no value.
+            reach = max(5.0, math.acosh(min(y_turn, sys.float_info.max)))
+            maxima = self._maxima(math.ceil(200.0 * reach) + 1)
             self._log_norms = [value if d >= 0.0 else
                                f"energy {energy!r} lies below the minimum of V"
                                for value, d, energy in zip(maxima, spreads, self.energies)]
@@ -621,17 +631,19 @@ class _SetTable:
         return _evaluate(self.coefficients[rows], *self.recurrence, z,
                          _log_weight(self.qes_set, self.params.s, z, log_z, log_z2))
 
-    def _maxima(self, z, log_z, log_z2) -> list:
-        """Max of log|psi| over the points z for every row, in blocks of rows."""
+    def _maxima(self, count: int) -> list:
+        """Max of log(|psi| e^s) over the first count lattice points for every row,
+        in blocks of rows."""
         maxima = []
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for rows in _row_blocks(len(self.energies), z.size):
-                poly, log_scale = self._psi(rows, z, log_z, log_z2)
+            z_terms = _grid_terms(count)
+            for rows in _row_blocks(len(self.energies), count):
+                poly, log_scale = self._psi(rows, *z_terms)
                 log_abs = np.log(np.abs(poly))
                 log_abs += log_scale
                 maxima += log_abs.max(axis=1, initial=-np.inf).tolist()
         return [value if value > -math.inf else
-                "the closed form has no finite value on its grid" for value in maxima]
+                "the closed form has no finite value on its lattice" for value in maxima]
 
 
 def _row_blocks(count: int, points: int) -> list[slice]:

@@ -465,9 +465,9 @@ class TestWavefunction:
     @pytest.mark.parametrize("p2", [0.0, 0.5])
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_prefactor_log_matches_50_digit_closed_form_in_z(self, p1, p2, s):
-        # An n = 0 level has P = 1, so log|psi| = -s (1 + z) + p1 ln z
-        # + p2 ln(z + 2), z = cosh(x) - 1; checked from near the origin out to
-        # the far tail.
+        # An n = 0 level has P = 1, so log|psi| = -s z + p1 ln z + p2 ln(z + 2)
+        # (w's constant factor exp(-s) left out), z = cosh(x) - 1; checked
+        # from near the origin out to the far tail.
         set_index = {(0.0, 0.0): 1, (0.5, 0.5): 2, (0.0, 0.5): 3, (0.5, 0.0): 4}[p1, p2]
         qes_set, params = params_for(set_index, 0, v1=s * s)
         (level,) = solve_levels(build_pencil(qes_set, params), params)
@@ -480,7 +480,7 @@ class TestWavefunction:
         with mpmath.workdps(50):
             for xi, got in zip(x, log_abs):
                 z = mpmath.cosh(mpmath.mpf(float(xi))) - 1
-                ref = -mpmath.mpf(s) * (1 + z)
+                ref = -mpmath.mpf(s) * z
                 ref += p1 * mpmath.log(z) + p2 * mpmath.log(z + 2)
                 assert abs(got - ref) <= 4e-15 * max(1, abs(ref)), (xi, got, ref)
 
@@ -508,6 +508,24 @@ class TestWavefunction:
             psi = evaluate_wavefunction(wavefunction(level, params), grid)
             assert np.max(np.abs(psi)) <= 1.0 + 1e-12
 
+    def test_strong_well_keeps_the_exponent_digits(self):
+        # At s = 1e12 the ground level of set 1 (lambda = 3/2, n = 1) peaks
+        # at x = 0 inside a well of width about 1e-6, where its max-normalised
+        # value is exp(-s z) P(z) / P(0) with P(z) = 1 + (mu - 2 s) z and
+        # mu = (1 + sqrt(1 + 16 s^2)) / 2.  Keeping w's constant exp(-s) in
+        # the exponent would round away digits of -s z (1.3e-4 of the peak).
+        params = PotentialParams.from_lambda(1e24, 1.5, 1.0)
+        ground = next(level for level in solve_classification(params, enumerate_qes_sets(1.5))
+                      if level.qes_set.set_index == 1)
+        x = np.linspace(0.0, 4e-6, 41)
+        got = evaluate_wavefunction(wavefunction(ground, params), x)
+        with mpmath.workdps(50):
+            s = mpmath.mpf(params.s)
+            slope = (1 + mpmath.sqrt(1 + 16 * s * s)) / 2 - 2 * s
+            for xi, value in zip(x, got):
+                z = 2 * mpmath.sinh(mpmath.mpf(float(xi)) / 2) ** 2
+                assert abs(value - mpmath.exp(-s * z) * (1 + slope * z)) <= 1e-15, xi
+
     @staticmethod
     def lattice_count(levels, params):
         # wavefunction's lattice rule: alpha x_k = 0.005 k out to alpha x = 5,
@@ -531,7 +549,7 @@ class TestWavefunction:
         block = next(b for b in solver._row_blocks(len(rows), count) if index < b.stop)
         # As in wavefunction: ln z = -inf at x = 0 for an odd level.
         with np.errstate(divide="ignore"):
-            log_w = -params.s * (1.0 + z)
+            log_w = -params.s * z
             if level.qes_set.p1 > 0.0:
                 log_w += level.qes_set.p1 * np.log(z)
             if level.qes_set.p2 > 0.0:
@@ -1169,7 +1187,7 @@ class TestSetTables:
     def test_a_failing_row_fails_only_its_own_level(self):
         qes_set, params = params_for(1, 1)
         (level, _) = solve_levels(build_pencil(qes_set, params), params)
-        # A normalisation row with no finite value on its grid.
+        # A normalisation row with no finite value on its lattice.
         rows = [(0.6, 0.8), (math.nan, 0.8)]
         table = solver._SetTable(np.array(rows), [level.energy] * 2, level.basis, qes_set, params)
         good, bad = (replace(level, basis_coefficients=row) for row in rows)
