@@ -32,12 +32,9 @@ bits depend on the block it was evaluated in, so psi and log_norm repeat
 only to about 1e-13 of the level's peak across blocks of other composition.
 Where P is round-off in the basis, far below the peak, the QMF functions
 take it from its Frobenius series at z = 0 instead.
-
-A level is scaled to max |psi| = 1 on the lattice alpha x_k = 0.005 k, which
-a set scans once for all its rows, out to the farther of alpha x = 5 and its
-farthest outer turning point.  At fixed (s, lambda) psi depends on x only
-through alpha x, so the lattice and every log_norm are free of alpha.
-Values leave out w's constant factor exp(-s), which normalising divides out.
+A set scans its levels once, on the lattice alpha x_k = 0.005 k, to scale
+each to max |psi| = 1; at fixed (s, lambda) psi depends on x only through
+alpha x, so the lattice and every log_norm are free of alpha.
 """
 
 from __future__ import annotations
@@ -153,9 +150,8 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
 
 def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
     """ln w + s = -s z + p1 ln z + p2 ln(z + 2); z = 0 gives -inf when p1 > 0.
-    w's constant factor exp(-s) is left out, which every normalised value
-    divides out: at large s it would round away the -s z that w's shape
-    depends on."""
+    w's constant exp(-s) is left out (normalising divides it out): at large s
+    it would round away the -s z that w's shape depends on."""
     log_w = -s * z
     if qes_set.p1 > 0.0:
         log_w += qes_set.p1 * log_z
@@ -415,8 +411,7 @@ def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
 
 
 def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunction:
-    """Closed form for one solved level; normalized so max|psi| = 1 on the
-    lattice alpha x_k = 0.005 k that _SetTable.log_norm scans.
+    """Closed form for one solved level; max|psi| = 1 on _SetTable.log_norm's lattice.
 
     params must be the level's own working point.
     """
@@ -617,11 +612,20 @@ class _SetTable:
             spreads = [lam * lam + s * s + energy / alpha2 for energy in self.energies]
             y_turn = max([(lam + math.sqrt(d)) / s for d in spreads if d >= 0.0], default=1.0)
             # Past y = float max, z overflows and psi has no value.
-            reach = max(5.0, math.acosh(min(y_turn, sys.float_info.max)))
-            maxima = self._maxima(math.ceil(200.0 * reach) + 1)
-            self._log_norms = [value if d >= 0.0 else
-                               f"energy {energy!r} lies below the minimum of V"
-                               for value, d, energy in zip(maxima, spreads, self.energies)]
+            count = math.ceil(200.0 * max(5.0, math.acosh(min(y_turn, sys.float_info.max)))) + 1
+            maxima = []
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                z_terms = _grid_terms(count)
+                for rows in _row_blocks(len(spreads), count):
+                    poly, log_scale = self._psi(rows, *z_terms)
+                    log_abs = np.log(np.abs(poly))
+                    log_abs += log_scale
+                    maxima += log_abs.max(axis=1, initial=-np.inf).tolist()
+            self._log_norms = [
+                f"energy {energy!r} lies below the minimum of V" if not d >= 0.0
+                else value if value > -math.inf
+                else "the closed form has no finite value on its lattice"
+                for value, d, energy in zip(maxima, spreads, self.energies)]
         if isinstance(self._log_norms[row], str):
             raise InvariantViolationError(self._log_norms[row])
         return self._log_norms[row]
@@ -630,20 +634,6 @@ class _SetTable:
         """_evaluate for the given rows at the points z, with their ln z and ln(z + 2)."""
         return _evaluate(self.coefficients[rows], *self.recurrence, z,
                          _log_weight(self.qes_set, self.params.s, z, log_z, log_z2))
-
-    def _maxima(self, count: int) -> list:
-        """Max of log(|psi| e^s) over the first count lattice points for every row,
-        in blocks of rows."""
-        maxima = []
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z_terms = _grid_terms(count)
-            for rows in _row_blocks(len(self.energies), count):
-                poly, log_scale = self._psi(rows, *z_terms)
-                log_abs = np.log(np.abs(poly))
-                log_abs += log_scale
-                maxima += log_abs.max(axis=1, initial=-np.inf).tolist()
-        return [value if value > -math.inf else
-                "the closed form has no finite value on its lattice" for value in maxima]
 
 
 def _row_blocks(count: int, points: int) -> list[slice]:
