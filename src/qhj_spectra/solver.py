@@ -607,9 +607,9 @@ class _SetTable:
         the one on its own range.
         """
         if self._log_norms is None:
-            lam, s, alpha2 = self.params.lam, self.params.s, self.params.alpha**2
+            lam, s, alpha = self.params.lam, self.params.s, self.params.alpha
             # lam^2 + s^2 - mu per row, mu = -E / alpha^2; negative or NaN has no y_t.
-            spreads = [lam * lam + s * s + energy / alpha2 for energy in self.energies]
+            spreads = [lam * lam + s * s + energy / alpha / alpha for energy in self.energies]
             y_turn = max([(lam + math.sqrt(d)) / s for d in spreads if d >= 0.0], default=1.0)
             # Past y = float max, z overflows and psi has no value.
             count = math.ceil(200.0 * max(5.0, math.acosh(min(y_turn, sys.float_info.max)))) + 1
