@@ -154,15 +154,13 @@ def _require_finite(name: str, value):
 
 
 def _v1_alpha(settings, default=None) -> tuple[float, float]:
-    """Positive V1 and alpha, with sqrt(V1) alpha > 0 and s = sqrt(V1)/alpha finite."""
+    """Positive V1 and alpha, with s = sqrt(V1)/alpha finite."""
     v1 = _require_number(settings, "v1", default)
     alpha = _require_number(settings, "alpha", default)
     if v1 <= 0.0:
         raise UsageError("v1 must be positive")
     if alpha <= 0.0:
         raise UsageError("alpha must be positive")
-    if math.sqrt(v1) * alpha == 0.0:
-        raise UsageError("sqrt(V1) alpha underflows to 0 at this working point")
     _require_finite("s = sqrt(V1)/alpha", math.sqrt(v1) / alpha)
     return v1, alpha
 
@@ -306,10 +304,10 @@ def cmd_verify(settings) -> tuple[int, dict]:
                 "--assert-paper-table-3.3 needs a working point containing "
                 "set 4 (integer lambda)"
             )
-        _, published = PRINTED_ENERGIES["3.3", 4]
-        printed = published(params.alpha, math.sqrt(params.v1))
+        eps = PRINTED_ENERGIES["3.3", 4][1](params.s)
+        (printed,) = params.scaled("the published E", [eps], 2)
         analytic_levels = [
-            replace(level, energy=printed) if level.qes_set.set_index == 4 else level
+            replace(level, energy=printed, mu=-eps) if level.qes_set.set_index == 4 else level
             for level in levels
         ]
         document["adjudication"] = (
@@ -322,7 +320,8 @@ def cmd_verify(settings) -> tuple[int, dict]:
     )
     document.update(
         tolerance=tolerance,
-        grid={"L": report.grid.half_width_L, "N": report.grid.point_count_N},
+        grid={"L": params.scaled("the oracle's wall L", [report.grid.half_width_L], -1)[0],
+              "N": report.grid.point_count_N},
         overall_pass=report.overall_pass,
         max_self_gap=report.max_self_gap,
         levels=[
@@ -344,8 +343,11 @@ def cmd_sample(settings) -> tuple[int, str]:
         raise UsageError(
             f"--points must be at most {MAX_SAMPLE_POINTS}, got {settings['points']}"
         )
-    x_min = _require_number(settings, "x_min", -5.0 / params.alpha)
-    x_max = _require_number(settings, "x_max", 5.0 / params.alpha)
+    if settings.get("x_min") is None or settings.get("x_max") is None:
+        (half,) = params.scaled("the default window +-5/alpha", [5.0], -1)
+        settings = {"x_min": -half, "x_max": half, **settings}
+    x_min = _require_number(settings, "x_min")
+    x_max = _require_number(settings, "x_max")
     if not x_min < x_max:
         raise UsageError("--x-min must be below --x-max")
     if not math.isfinite(x_max - x_min):
@@ -385,8 +387,7 @@ def cmd_sample(settings) -> tuple[int, str]:
 
 def cmd_table(settings) -> tuple[int, dict]:
     v1, alpha = _v1_alpha(settings, default=1.0)
-    # The tables' largest numbers: alpha^2, and V2 at their largest lambda, 3/2.
-    _require_finite("alpha^2", alpha * alpha)
+    # V2 at the tables' largest lambda, 3/2; their energies check themselves.
     _require_finite("V2 = -2 sqrt(V1) alpha lambda", -3.0 * math.sqrt(v1) * alpha)
     document = reproduce_paper_tables(v1, alpha)
     document["command"] = "table"

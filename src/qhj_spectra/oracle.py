@@ -1,12 +1,14 @@
 """Independent sinc-DVR eigenvalue oracle for -psi'' + V psi = E psi.
 
-V is even in x, so each QES set, whose residue b1 fixes its parity, is checked
-in its own sector.  The cell-centred half-line points x_i = (i - 1/2) h and
+It solves -phi'' + v phi = eps phi in xi = alpha x, v = V / alpha^2, which
+depends on (s, lambda) alone: its grids are grids of xi, and E = alpha^2 eps.
+v is even, so each QES set, whose residue b1 fixes its parity, is checked
+in its own sector.  The cell-centred half-line points xi_i = (i - 1/2) h and
 their mirror images form one uniform grid of step h.  On it the sinc
-discrete-variable representation of -d^2/dx^2 (Colbert & Miller, J. Chem.
+discrete-variable representation of -d^2/dxi^2 (Colbert & Miller, J. Chem.
 Phys. 96, 1982 (1992)), folded onto the sector, gives a dense symmetric
 Hamiltonian, solved with numpy's eigh; its error falls exponentially with N.
-The wall x = L sits where s y - lambda ln y >= 40 (y = cosh(alpha L)), past
+The wall xi = L sits where s y - lambda ln y >= 40 (y = cosh L), past
 the y^lambda exp(-s y) tail of every QES level.  A set's levels, in energy
 order, are matched by index to its sector's lowest eigenvalues.
 lowest_eigenvalues sizes its grid from the sector's own eigenvalues, never
@@ -16,7 +18,8 @@ START_STEP (the coarse solve), then from 1.5 times as many points as the
 coarse grid resolved on (the fine solve).
 The fine eigenvalue is reported, and its distance to the coarse one is the
 level's self-gap.  The self-gap is reported, not gated: overall_pass reads
-only the gaps to the analytic energies and the node counts.
+only the gaps |E_analytic - E_oracle| / alpha^2 = |mu + eps| and the node
+counts, so its verdict is the same at every alpha.
 """
 
 from __future__ import annotations
@@ -32,25 +35,25 @@ from .errors import (
     InadmissibleParametersError,
     InvariantViolationError,
 )
-from .potential import PotentialParams, Variant, evaluate_potential
+from .potential import PotentialParams
 from .qhj import QesClassification
 from .solver import QesLevel, _row_sign_changes, solve_classification
 
-# Default bound on |E_analytic - E_oracle| for a level to pass.
+# Default bound on |E_analytic - E_oracle| / alpha^2 for a level to pass.
 DEFAULT_TOLERANCE = 1e-6
 # Sector eigenvalues solved beyond a set's levels, so that its highest level
 # is matched against eigenvalues on both sides of it.
 EXTRA_ORACLE_LEVELS = 2
-# The sizing rule starts from a step alpha h of at most this.
+# The sizing rule starts from a step h of at most this.
 START_STEP = 0.136
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cell-centred half-line grid x_i = (i - 1/2) h, i = 1..N, h = L/N.
+    """Cell-centred half-line grid xi_i = (i - 1/2) h, i = 1..N, h = L/N, in xi = alpha x.
 
     One parity sector lives on (0, L): the mirror images of the points carry
-    the parity, and the wall is at x = L.
+    the parity, and the wall is at xi = L, that is at x = L / alpha.
     """
 
     half_width_L: float
@@ -76,7 +79,8 @@ class GridSpec:
 class NumericSpectrum:
     """Lowest eigenvalues and grid-sampled eigenvectors of one parity sector."""
 
-    eigenvalues: tuple[float, ...]
+    eigenvalues: tuple[float, ...]  # E = alpha^2 eps
+    eps: tuple[float, ...]  # of -phi'' + v phi on the grid
     eigenvectors: np.ndarray  # column j belongs to eigenvalue j
     grid: GridSpec
 
@@ -89,7 +93,7 @@ class LevelComparison:
     n: int
     energy_analytic: float
     energy_oracle: float  # on the fine grid, N2 >= ceil(1.5 N)
-    abs_gap: float
+    abs_gap: float  # |E_analytic - E_oracle|
     self_gap: float  # |E(N2) - E(N)|
     # log(gap_N / gap_N2) / log(N2 / N); NaN when either gap is 0.
     convergence_order: float
@@ -110,11 +114,11 @@ class VerificationReport:
 
 
 def default_grid(params: PotentialParams) -> GridSpec:
-    """Tail-safe half-line grid: the wall y = cosh(alpha L) is the smallest
+    """Tail-safe half-line grid: the wall y = cosh(L) is the smallest
     y >= 10 with s y - lambda ln y >= 40 (QES levels decay like
-    y^lambda exp(-s y)), and N = max(3 k, ceil(acosh(y) / START_STEP))
+    y^lambda exp(-s y)), and N = max(3 k, ceil(L / START_STEP))
     starts the sizing rule for the k sector eigenvalues of the largest QES
-    set, at a step alpha h <= START_STEP."""
+    set, at a step h <= START_STEP."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
     s, lam = params.s, max(params.lam, 0.0)
     y, previous = 10.0, 0.0
@@ -125,13 +129,8 @@ def default_grid(params: PotentialParams) -> GridSpec:
             previous, y = y, (40.0 + lam * math.log(y)) / s
     # The largest QES set has floor(lambda + 1/2) levels.
     k = math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS
-    # acosh(y) = alpha L, taken before the division by alpha, so that N does
-    # not depend on alpha's rounding.
-    alpha_l = math.acosh(y)
-    return GridSpec(
-        half_width_L=alpha_l / params.alpha,
-        point_count_N=max(3 * k, math.ceil(alpha_l / START_STEP)),
-    )
+    wall = math.acosh(y)
+    return GridSpec(wall, max(3 * k, math.ceil(wall / START_STEP)))
 
 
 def node_count(vector: np.ndarray) -> int:
@@ -173,10 +172,10 @@ def _sector_hamiltonian(
 ) -> np.ndarray:
     """Dense sinc-DVR Hamiltonian of one parity sector on grid's points.
 
-    H[i, j] = t(|i - j|) +- t(i + j + 1) + V(x_i) delta_ij, with
+    H[i, j] = t(|i - j|) +- t(i + j + 1) + v(xi_i) delta_ij, with
     t(0) = pi^2 / (3 h^2) and t(m) = 2 (-1)^m / (m^2 h^2): the mirror image
     of point j lies i + j + 1 steps from point i.  + for even, - for odd.
-    potential holds V(x_i) on grid's points.
+    potential holds v(xi_i) on grid's points.
     """
     combine = {"even": np.add, "odd": np.subtract}[parity]
     n, h = grid.point_count_N, grid.step
@@ -192,8 +191,10 @@ def _sector_hamiltonian(
     return hamiltonian
 
 
-def _potential_on(params: PotentialParams, grid: GridSpec) -> np.ndarray:
-    return evaluate_potential(params, Variant.REAL_SINH_GORDON, grid.points()).real
+def _potential(params: PotentialParams, xi):
+    """v = (V1 / alpha^2) sinh^2 xi + (V2 / alpha^2) cosh xi: at alpha = 1, V bit for bit."""
+    a = params.alpha
+    return (params.v1 / a / a) * np.sinh(xi) ** 2 + (params.v2 / a / a) * np.cosh(xi)
 
 
 def _sign_changes(columns: np.ndarray) -> np.ndarray:
@@ -210,13 +211,12 @@ def _sign_changes(columns: np.ndarray) -> np.ndarray:
 
 
 def _checked_spectrum(
-    grid: GridSpec, potential: np.ndarray, k: int, parity: str,
-    values: np.ndarray, vectors: np.ndarray,
-) -> NumericSpectrum:
+    potential: np.ndarray, k: int, parity: str, values: np.ndarray, vectors: np.ndarray,
+) -> tuple[tuple[float, ...], np.ndarray]:
     """The k smallest eigenpairs of a sector's eigh, checked: the eigenvalues
     strictly increase, and half-line eigenvector j has j sign changes (Sturm
-    oscillation) on the points where V(x_i) <= E_j, widened by one point past
-    each end: no node lies where V > E_j, and the tail there is only noise."""
+    oscillation) on the points where v(xi_i) <= eps_j, widened by one point past
+    each end: no node lies where v > eps_j, and the tail there is only noise."""
     # A copy, so that the N x N eigenvector matrix is freed before the
     # next grid is solved.
     values, vectors = values[:k], vectors[:, :k].copy()
@@ -234,34 +234,32 @@ def _checked_spectrum(
             f"Sturm oscillation violated: {parity} eigenvector {j} has "
             f"{nodes[j]} sign changes on the half-line"
         )
-    return NumericSpectrum(
-        eigenvalues=tuple(float(v) for v in values),
-        eigenvectors=vectors,
-        grid=grid,
-    )
+    return tuple(values.tolist()), vectors
 
 
 def lowest_eigenvalues(
     params: PotentialParams, grid: GridSpec, k: int, parity: str
 ) -> NumericSpectrum:
-    """k smallest eigenpairs of one parity sector on (0, L), on a grid that
-    resolves them.
+    """k smallest eigenpairs of one parity sector on (0, L), on a grid of xi
+    that resolves them.
 
     The sizing rule: from grid, N = ceil(1.1 k_max L) while k_max h > 1, where
-    k_max = sqrt(E_(k-1) - min V) is the largest local wavenumber of the k
+    k_max = sqrt(eps_(k-1) - min v) is the largest local wavenumber of the k
     eigenvalues.  Each grid is decomposed once, and the returned spectrum
     carries the grid that resolved.  Only that grid is checked, since an
     unresolved one may break the checks: the eigenvalues strictly increase,
     and half-line eigenvector j has j sign changes (Sturm oscillation) where
-    V <= E_j.
+    v <= eps_j.
     """
     _require_points(grid, k)
     while True:
-        potential = _potential_on(params, grid)
+        potential = _potential(params, grid.points())
         values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
         k_max = math.sqrt(max(float(values[k - 1]) - float(np.min(potential)), 0.0))
         if k_max * grid.step <= 1.0:
-            return _checked_spectrum(grid, potential, k, parity, values, vectors)
+            eps, vectors = _checked_spectrum(potential, k, parity, values, vectors)
+            energies = tuple(params.scaled("the oracle's E = alpha^2 eps", eps, 2))
+            return NumericSpectrum(energies, eps, vectors, grid)
         grid = GridSpec(grid.half_width_L, math.ceil(1.1 * k_max * grid.half_width_L))
 
 
@@ -277,20 +275,26 @@ def verify_qes(
     past the tail of every QES level.  Level j of a set (energy order) is
     compared with eigenvalue j of the sector of the set's parity.
     analytic_levels overrides the solved levels (used to demonstrate that a
-    published value fails the match).  A level farther than tolerance from
-    its sector eigenvalue fails overall_pass.  Raises
-    InadmissibleParametersError, before anything is solved, when V at the
-    wall is beyond float64.
+    published value fails the match).  A level whose |mu + eps| =
+    |E_analytic - E_oracle| / alpha^2 exceeds tolerance fails overall_pass.
+    Raises InadmissibleParametersError, before anything is solved, when
+    V / alpha^2 at the wall is beyond float64.
     """
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
     start = default_grid(params)
+    if not math.isfinite(params.s * params.s):
+        raise InadmissibleParametersError(
+            f"s^2 = V1 / alpha^2 overflows float64 at s = {params.s!r}: the oracle "
+            "solves in xi = alpha x, where the potential is V / alpha^2"
+        )
     # Far out, v1 sinh^2 + v2 cosh can be inf + -inf: ignore both warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        wall = evaluate_potential(params, Variant.REAL_SINH_GORDON, start.half_width_L)
-    if not math.isfinite(wall.real):
+        wall = _potential(params, start.half_width_L)
+    if not math.isfinite(wall):
+        (big_l,) = params.scaled("the oracle's wall L", [start.half_width_L], -1)
         raise InadmissibleParametersError(
-            f"V overflows float64 at the oracle's wall L = {start.half_width_L!r}, "
+            f"V overflows float64 at the oracle's wall L = {big_l!r}, "
             "where the QES levels' tails fall below exp(-40)"
         )
     if analytic_levels is None:
@@ -299,10 +303,11 @@ def verify_qes(
     rows: dict[int, LevelComparison] = {}
     unmatched: list[float] = []
     finest = start
+    passed = True
     for qes_set in classification.sets:
         members = sorted(
             (i for i, level in enumerate(analytic_levels) if level.qes_set == qes_set),
-            key=lambda i: analytic_levels[i].energy,
+            key=lambda i: -analytic_levels[i].mu,
         )
         k = qes_set.n + 1 + EXTRA_ORACLE_LEVELS
         coarse = lowest_eigenvalues(params, start, k, qes_set.parity)
@@ -310,29 +315,31 @@ def verify_qes(
             start.half_width_L, math.ceil(1.5 * coarse.grid.point_count_N)
         )
         fine = lowest_eigenvalues(params, fine_start, k, qes_set.parity)
-        coarse_e, fine_e = (np.asarray(s.eigenvalues) for s in (coarse, fine))
         finest = max(finest, fine.grid, key=lambda g: g.point_count_N)
-        unmatched.extend(float(e) for e in fine_e[len(members):])
+        unmatched.extend(fine.eigenvalues[len(members):])
         odd = 1 if qes_set.parity == "odd" else 0
         grid_ratio = fine.grid.point_count_N / coarse.grid.point_count_N
+        # The gaps in units of alpha^2, from mu and eps alone.
+        mus = [analytic_levels[i].mu for i in members]
+        gaps = [abs(eps + mu) for eps, mu in zip(fine.eps, mus)]
+        passed = passed and all(gap <= tolerance for gap in gaps)
+        abs_gaps = params.scaled("|E_analytic - E_oracle|", gaps, 2)
+        self_gaps = params.scaled("the oracle's self-gap", [
+            abs(f - c) for f, c, _ in zip(fine.eps, coarse.eps, mus)], 2)
 
         for j, i in enumerate(members):
-            level = analytic_levels[i]
-            gap_coarse = abs(coarse_e[j] - level.energy)
-            gap_fine = abs(fine_e[j] - level.energy)
-            order = (
-                math.log(gap_coarse / gap_fine) / math.log(grid_ratio)
-                if gap_coarse > 0.0 and gap_fine > 0.0
-                else float("nan")
-            )
+            level, gap_coarse = analytic_levels[i], abs(coarse.eps[j] + mus[j])
             rows[i] = LevelComparison(
                 set_index=qes_set.set_index,
                 n=qes_set.n,
                 energy_analytic=level.energy,
-                energy_oracle=float(fine_e[j]),
-                abs_gap=float(gap_fine),
-                self_gap=float(abs(fine_e[j] - coarse_e[j])),
-                convergence_order=float(order),
+                energy_oracle=fine.eigenvalues[j],
+                abs_gap=abs_gaps[j],
+                self_gap=self_gaps[j],
+                convergence_order=(
+                    math.log(gap_coarse / gaps[j]) / math.log(grid_ratio)
+                    if gap_coarse > 0.0 and gaps[j] > 0.0 else math.nan
+                ),
                 node_count_analytic=level.node_count,
                 # Both grids' solves have checked that eigenvector j has j sign
                 # changes on the half-line; mirrored, 2 j + odd.
@@ -341,11 +348,7 @@ def verify_qes(
             )
 
     ordered = tuple(rows[i] for i in range(len(analytic_levels)))
-    overall = all(
-        r.abs_gap <= tolerance
-        and r.node_count_analytic == r.node_count_oracle
-        for r in ordered
-    )
+    overall = passed and all(r.node_count_analytic == r.node_count_oracle for r in ordered)
     return VerificationReport(
         rows=ordered,
         max_self_gap=max(r.self_gap for r in ordered),

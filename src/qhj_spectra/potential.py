@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneratePotentialError, UnsupportedBranchError
+from .errors import DegeneratePotentialError, InadmissibleParametersError, UnsupportedBranchError
 
 # The complex variants are defined with this fixed inverse-length scale.
 COMPLEX_VARIANT_ALPHA = 2.0
@@ -91,6 +91,16 @@ class PotentialParams:
                 f"s = sqrt(V1)/alpha needs V1 > 0, got V1 = {self.v1}"
             )
         return math.sqrt(self.v1) / self.alpha
+
+    def scaled(self, name: str, reduced: list[float], power: int) -> list[float]:
+        """The (s, lambda) core's values, Python floats, in units: energies
+        (power 2, E = alpha^2 eps) or lengths (power -1, x = xi / alpha).  One
+        that leaves float64 raises InadmissibleParametersError naming it."""
+        a = self.alpha
+        values = [v * a * a for v in reduced] if power == 2 else [v / a for v in reduced]
+        if not all(map(math.isfinite, values)):
+            raise InadmissibleParametersError(f"{name} overflows float64 at alpha = {a!r}")
+        return values
 
 
 def _require_positive_v1(v1: float) -> None:

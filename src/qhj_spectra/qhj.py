@@ -42,7 +42,7 @@ class RiccatiFixedTerm:
         q = y * y - 1.0
         return (y * y + 2.0) / (4.0 * q * q) + (
             energy - self.v1 * y * y - self.v2 * y + self.v1
-        ) / (self.alpha**2 * q)
+        ) / (self.alpha * self.alpha * q)
 
     @staticmethod
     def double_pole_coefficient(location: int) -> Fraction:

@@ -33,8 +33,8 @@ only to about 1e-13 of the level's peak across blocks of other composition.
 Where P is round-off in the basis, far below the peak, the QMF functions
 take it from its Frobenius series at z = 0 instead.
 A set scans its levels once, on the lattice alpha x_k = 0.005 k, to scale
-each to max |psi| = 1; at fixed (s, lambda) psi depends on x only through
-alpha x, so the lattice and every log_norm are free of alpha.
+each to max |psi| = 1.  All of it is computed from (s, lambda) in xi = alpha x:
+alpha enters only as xi = alpha x and E = -alpha^2 mu (PotentialParams.scaled).
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ class QesLevel:
     """One analytic eigenvalue with its polynomial, node count and working point."""
 
     energy: float
+    mu: float  # the eigenvalue of H: E = -alpha^2 mu
     basis_coefficients: tuple[float, ...]  # P = sum_k c_k q_k(z), c orthonormal
     qes_set: QesSet
     node_count: int
@@ -200,12 +201,12 @@ def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
 @functools.lru_cache(maxsize=8)
 def _node_terms(alpha_l: float, count: int):
     """_z_terms at the nodes, which a working point's sets share when they ask for one count."""
-    return _z_terms(1.0, (np.arange(count) + 0.5) * (alpha_l / count))
+    return _z_terms((np.arange(count) + 0.5) * (alpha_l / count))
 
 
-def _z_terms(alpha: float, x: np.ndarray):
-    """z = 2 sinh(alpha x / 2)^2 = cosh(alpha x) - 1, ln z and ln(z + 2), read-only."""
-    sh = np.sinh(0.5 * alpha * x)
+def _z_terms(xi: np.ndarray):
+    """z = 2 sinh(xi / 2)^2 = cosh(xi) - 1, ln z and ln(z + 2), read-only."""
+    sh = np.sinh(0.5 * xi)
     z = 2.0 * sh * sh
     with np.errstate(divide="ignore"):
         terms = (z, np.log(z), np.log(z + 2.0))
@@ -368,7 +369,7 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     jacobi.flat[len(h) :: len(h) + 1] = off
     # eigh sorts mu ascending, and E = -alpha^2 mu: level j has mus[j].
     mus = np.linalg.eigh(jacobi)[0][::-1]
-    energies = (-params.alpha**2 * mus).tolist()
+    energies = params.scaled("E = -alpha^2 mu", (-mus).tolist(), 2)
     if qes_set.n == 0:
         alpha = beta = np.empty(0)
         coefficients = np.ones((1, 1))
@@ -376,11 +377,12 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
         alpha, beta, coefficients = _basis_and_vectors(h, qes_set, params, mus)
     coefficients.setflags(write=False)
     basis = OrthonormalBasis(tuple(alpha.tolist()), tuple(beta.tolist()))
-    table = _SetTable(coefficients, energies, basis, qes_set, params)
+    mus = mus.tolist()
+    table = _SetTable(coefficients, mus, basis, qes_set, params)
     odd = 1 if qes_set.parity == "odd" else 0
     levels = []
     for j, row in enumerate(coefficients.tolist()):
-        level = QesLevel(energies[j], tuple(row), qes_set, 2 * j + odd, params, basis)
+        level = QesLevel(energies[j], mus[j], tuple(row), qes_set, 2 * j + odd, params, basis)
         object.__setattr__(level, "_set_table", (table, j))
         levels.append(level)
     return levels
@@ -393,16 +395,16 @@ def solve_classification(
     levels: list[QesLevel] = []
     for qes_set in classification.sets:
         levels.extend(solve_levels(build_pencil(qes_set, params), params))
-    # Tunnelling doublets can be degenerate below roundoff: order by the
-    # energy as printed (12 significant digits), then by set.
-    levels.sort(key=lambda lvl: (float("%.12g" % lvl.energy), lvl.qes_set.set_index))
+    # Tunnelling doublets can be degenerate below roundoff: order by
+    # E / alpha^2 = -mu to 12 significant digits, then by set, at every alpha.
+    levels.sort(key=lambda lvl: (float("%.12g" % -lvl.mu), lvl.qes_set.set_index))
     return levels
 
 
 @functools.lru_cache(maxsize=8)
 def _grid_terms(count: int):
     """_z_terms at the first count points of the normalisation lattice alpha x_k = 0.005 k."""
-    return _z_terms(1.0, np.arange(count) * 0.005)
+    return _z_terms(np.arange(count) * 0.005)
 
 
 def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
@@ -441,15 +443,15 @@ def _overflow_names(x: float):
 
 
 def _log_derivative_pieces(level: QesLevel, x: float):
-    """L = d(ln psi)/dx and L' as numpy scalars; raises at QMF poles."""
+    """(ln phi)' and (ln phi)'' in xi = alpha x, as numpy scalars; raises at QMF poles."""
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    a = level.params.alpha
+    xi = level.params.alpha * x
     p1, p2 = level.qes_set.p1, level.qes_set.p2
     c, alpha, beta = level.basis_coefficients, level.basis.alpha, level.basis.beta
     with _overflow_names(x):
-        # cosh(a x) - 1 without cancellation, as a numpy scalar to obey errstate.
-        z = 2.0 * np.float64(math.sinh(0.5 * a * x)) ** 2
+        # cosh(xi) - 1 without cancellation, as a numpy scalar to obey errstate.
+        z = 2.0 * np.float64(math.sinh(0.5 * xi)) ** 2
         # P = sum c_k q_k in the basis, whose roundoff scale is sum |c_k q_k|.
         p, dp, ddp, scale = _series(float(z), c, c, alpha, beta, (0.0,) + beta[:-1])
         if not all(map(math.isfinite, (p, dp, ddp, scale))):
@@ -461,7 +463,7 @@ def _log_derivative_pieces(level: QesLevel, x: float):
             if not (math.isfinite(scale) and abs(p) >= 1e-12 * scale):
                 raise QmfPoleError(f"moving pole: P(y) = 0 at x = {x!r}")
         p, dp, ddp = np.float64(p), np.float64(dp), np.float64(ddp)
-        if p1 > 0.0 and x == 0.0:
+        if p1 > 0.0 and xi == 0.0:
             raise QmfPoleError("moving pole at the origin (odd-parity node)")
 
         # Ratios to P: P^2 overflows long before L does.
@@ -474,10 +476,8 @@ def _log_derivative_pieces(level: QesLevel, x: float):
         if p2 > 0.0:
             m += p2 / (z + 2.0)
             dm -= p2 / (z + 2.0) ** 2
-        sh = np.float64(math.sinh(a * x))
-        big_l = a * sh * m
-        big_lp = a * a * (1.0 + z) * m + (a * sh) ** 2 * dm
-    return big_l, big_lp
+        sh = np.float64(math.sinh(xi))
+        return sh * m, (1.0 + z) * m + sh**2 * dm
 
 
 def _series(z: float, c, m, a, b, g):
@@ -504,7 +504,7 @@ def _frobenius(level: QesLevel, z: float):
     the rows of (H - mu) a = 0 with a_0 = 1, and m_k >= |a_k| bounding their
     propagated round-off in place of c_k in the scale."""
     h = build_pencil(level.qes_set, level.params).matrix
-    mu = -level.energy / level.params.alpha**2
+    mu = level.mu
     d, u, l = h.diagonal().tolist(), h.diagonal(1).tolist(), [0.0] + h.diagonal(-1).tolist()
     a, m = [1.0], [1.0]
     for k in range(len(u)):  # l[0] = 0: a[-1] and m[-1] drop out
@@ -516,13 +516,16 @@ def _frobenius(level: QesLevel, z: float):
 def quantum_momentum(wf: ClosedFormWavefunction, x: float) -> complex:
     """p(x) = -i psi'/psi; purely imaginary for the real closed form."""
     big_l, _ = _log_derivative_pieces(wf.level, x)
-    return complex(0.0, -big_l)
+    with _overflow_names(x):
+        return complex(0.0, -wf.level.params.alpha * big_l)
 
 
 def quantum_momentum_derivative(wf: ClosedFormWavefunction, x: float) -> complex:
     """dp/dx from the analytic closed form (no finite differences)."""
     _, big_lp = _log_derivative_pieces(wf.level, x)
-    return complex(0.0, -big_lp)
+    alpha = wf.level.params.alpha
+    with _overflow_names(x):
+        return complex(0.0, -alpha * alpha * big_lp)
 
 
 def qhj_residual(
@@ -536,7 +539,7 @@ def qhj_residual(
     big_l, big_lp = _log_derivative_pieces(wf.level, x)
     with _overflow_names(x):
         v = evaluate_potential(params, Variant.REAL_SINH_GORDON, x).real
-        return float((-big_l * big_l - big_lp) - (energy - v))
+        return float(params.alpha * params.alpha * (-big_l * big_l - big_lp) - (energy - v))
 
 
 def schrodinger_residual(
@@ -549,14 +552,14 @@ def schrodinger_residual(
 class _SetTable:
     """Results shared by the levels of one set, computed for all of them (or a block) on first use.
 
-    Row j belongs to level j: coefficients (levels x (n + 1)) and energies; a
+    Row j belongs to level j: coefficients (levels x (n + 1)) and mus; a
     row's failure is kept as its message and raised only for its own level.
     """
 
-    def __init__(self, coefficients, energies, basis: OrthonormalBasis, qes_set: QesSet,
+    def __init__(self, coefficients, mus, basis: OrthonormalBasis, qes_set: QesSet,
                  params: PotentialParams):
         self.coefficients = coefficients
-        self.energies = energies
+        self.mus = mus
         self.recurrence = (np.array(basis.alpha, dtype=float), np.array(basis.beta, dtype=float))
         self.qes_set = qes_set
         self.params = params
@@ -576,10 +579,10 @@ class _SetTable:
                                  and block[1] == (x.shape, x.tobytes())):
             if not np.isfinite(x).all():
                 raise ValueError("x must be finite")
-            rows = next(b for b in _row_blocks(len(self.energies), max(x.size, 1))
+            rows = next(b for b in _row_blocks(len(self.mus), max(x.size, 1))
                         if row < b.stop)
             with np.errstate(over="ignore", invalid="ignore"):
-                poly, log_scale = self._psi(rows, *_z_terms(self.params.alpha, x.ravel()))
+                poly, log_scale = self._psi(rows, *_z_terms(self.params.alpha * x.ravel()))
             if self.qes_set.p1 > 0.0:
                 poly *= np.sign(x.ravel())
             poly = poly.reshape(poly.shape[:1] + x.shape)
@@ -607,9 +610,9 @@ class _SetTable:
         the one on its own range.
         """
         if self._log_norms is None:
-            lam, s, alpha = self.params.lam, self.params.s, self.params.alpha
-            # lam^2 + s^2 - mu per row, mu = -E / alpha^2; negative or NaN has no y_t.
-            spreads = [lam * lam + s * s + energy / alpha / alpha for energy in self.energies]
+            lam, s = self.params.lam, self.params.s
+            # lam^2 + s^2 - mu per row; negative or NaN has no y_t.
+            spreads = [lam * lam + s * s - mu for mu in self.mus]
             y_turn = max([(lam + math.sqrt(d)) / s for d in spreads if d >= 0.0], default=1.0)
             # Past y = float max, z overflows and psi has no value.
             count = math.ceil(200.0 * max(5.0, math.acosh(min(y_turn, sys.float_info.max)))) + 1
@@ -622,10 +625,10 @@ class _SetTable:
                     log_abs += log_scale
                     maxima += log_abs.max(axis=1, initial=-np.inf).tolist()
             self._log_norms = [
-                f"energy {energy!r} lies below the minimum of V" if not d >= 0.0
+                f"E = -alpha^2 mu at mu = {mu!r} lies below the minimum of V" if not d >= 0.0
                 else value if value > -math.inf
                 else "the closed form has no finite value on its lattice"
-                for value, d, energy in zip(maxima, spreads, self.energies)]
+                for value, d, mu in zip(maxima, spreads, self.mus)]
         if isinstance(self._log_norms[row], str):
             raise InvariantViolationError(self._log_norms[row])
         return self._log_norms[row]
@@ -646,7 +649,7 @@ def _set_table(level: QesLevel) -> tuple[_SetTable, int]:
     """The level's set table and its row; a level solve_levels did not make
     gets a table of one on first use."""
     if not hasattr(level, "_set_table"):
-        table = _SetTable(np.array([level.basis_coefficients], dtype=float), [level.energy],
+        table = _SetTable(np.array([level.basis_coefficients], dtype=float), [level.mu],
                           level.basis, level.qes_set, level.params)
         object.__setattr__(level, "_set_table", (table, 0))
     return level._set_table
@@ -664,14 +667,14 @@ def moving_pole_contour_value(level: QesLevel) -> complex:
     return complex(count_moving_poles(level))
 
 
-# Published energy rows, by (table, set): n and the printed closed form in
-# alpha and sqrt(V1).  Each set's n fixes V2 = -2 sqrt(V1) alpha (b1 + b1' + n).
+# Published energy rows, by (table, set): n and the printed E / alpha^2 in
+# s = sqrt(V1)/alpha.  Each set's n fixes V2 = -2 sqrt(V1) alpha (b1 + b1' + n).
 PRINTED_ENERGIES = {
-    ("3.2", 1): (1, lambda alpha, root: -(alpha**2) / 4.0 + alpha * root),
-    ("3.2", 2): (0, lambda alpha, root: -(alpha**2)),
-    ("3.3", 3): (0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
+    ("3.2", 1): (1, lambda s: -0.25 + s),
+    ("3.2", 2): (0, lambda s: -1.0),
+    ("3.3", 3): (0, lambda s: -0.25 - s),
     # The published set-4 row duplicates the set-3 value.
-    ("3.3", 4): (0, lambda alpha, root: -(alpha**2) / 4.0 - alpha * root),
+    ("3.3", 4): (0, lambda s: -0.25 - s),
 }
 
 # Published wavefunction rows, adjudicated structurally; each table's rows
@@ -717,20 +720,19 @@ _M_CONDITIONS = {
 }
 
 
-def _energy_row(
-    table: str, set_index: int, n: int, printed: float, v1: float, alpha: float
-) -> dict:
-    """One printed energy against the solved levels of its set."""
+def _energy_row(table: str, set_index: int, n: int, printed, v1: float, alpha: float) -> dict:
+    """One printed energy, E / alpha^2 = printed(s), against its set's levels' -mu."""
     qes_set = QesSet(set_index, n)
     params = PotentialParams.from_lambda(v1, qes_set.lam, alpha)
-    computed = [lvl.energy for lvl in solve_levels(build_pencil(qes_set, params), params)]
-    matches = any(abs(printed - e) <= 1e-9 * max(1.0, abs(e)) for e in computed)
+    levels = solve_levels(build_pencil(qes_set, params), params)
+    eps = printed(params.s)
+    matches = any(abs(eps + lvl.mu) <= 1e-9 * max(1.0, abs(lvl.mu)) for lvl in levels)
     return {
         "table": table,
         "set": set_index,
         "quantity": "energy",
-        "printed": printed,
-        "computed": computed,
+        "printed": params.scaled("the printed E", [eps], 2)[0],
+        "computed": [lvl.energy for lvl in levels],
         "flag": "matches-paper" if matches else "paper-typo-suspected",
     }
 
@@ -761,7 +763,7 @@ def reproduce_paper_tables(v1: float, alpha: float) -> dict:
     rows = []
     for table in ("3.2", "3.3"):
         rows += [
-            _energy_row(table, index, n, printed(alpha, math.sqrt(v1)), v1, alpha)
+            _energy_row(table, index, n, printed, v1, alpha)
             for (tbl, index), (n, printed) in PRINTED_ENERGIES.items()
             if tbl == table
         ]

@@ -672,20 +672,23 @@ class TestExitCodes:
         assert "wall L = 3.75" in doc["error"]["message"]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, kind",
         [
             # s = sqrt(V1)/alpha is inf.
-            ["solve", "--v1", "1", "--alpha", "1e-320", "--lambda", "1.5"],
-            # 2 sqrt(V1) alpha underflows to 0.
-            ["solve", "--v1", "1e-300", "--v2=-1e300", "--alpha", "1e-300"],
-            ["classify", "--v1", "1e-300", "--v2=-1e300", "--alpha", "1e-300"],
+            (["solve", "--v1", "1", "--alpha", "1e-320", "--lambda", "1.5"], "usage"),
+            # 2 sqrt(V1) alpha underflows to 0: the working point's own check.
+            (["solve", "--v1", "1e-300", "--v2=-1e300", "--alpha", "1e-300"],
+             "DegeneratePotentialError"),
+            (["classify", "--v1", "1e-300", "--v2=-1e300", "--alpha", "1e-300"],
+             "DegeneratePotentialError"),
             # The derived V2 is -inf.
-            ["solve", "--v1", "1e300", "--alpha", "1e300", "--lambda", "1.5"],
+            (["solve", "--v1", "1e300", "--alpha", "1e300", "--lambda", "1.5"], "usage"),
             # The derived lambda is inf.
-            ["classify", "--v1", "1", "--v2", "-3", "--alpha", "1e-320"],
-            ["classify", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"],
-            ["solve", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"],
-            ["solve", "--v1", "1e300", "--alpha", "1", "--set", "1", "--n", "1e300"],
+            (["classify", "--v1", "1", "--v2", "-3", "--alpha", "1e-320"], "usage"),
+            (["classify", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"], "usage"),
+            (["solve", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"], "usage"),
+            (["solve", "--v1", "1e300", "--alpha", "1", "--set", "1", "--n", "1e300"],
+             "usage"),
         ],
         ids=[
             "s-inf",
@@ -699,7 +702,7 @@ class TestExitCodes:
         ],
     )
     def test_derived_numbers_beyond_float64_are_usage_errors(
-        self, capsys, schema, argv
+        self, capsys, schema, argv, kind
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -709,7 +712,7 @@ class TestExitCodes:
         assert captured.err == ""
         doc = json.loads(captured.out)
         jsonschema.validate(doc, schema)
-        assert doc["error"]["type"] == "usage"
+        assert doc["error"]["type"] == kind
 
     @pytest.mark.parametrize(
         "argv",
@@ -769,16 +772,19 @@ class TestExitCodes:
         assert captured.err.startswith("Traceback")
         assert f"{error.__name__}: injected failure" in captured.err
 
-    def test_grid_beyond_numpy_is_internal_failure(self, capsys, schema):
-        # At s = 1e160 the grid rule asks for ~1e161 points, which numpy
-        # refuses before allocating anything.
-        code = main(["verify", "--v1", "1e300", "--alpha", "1e-10", "--lambda", "1"])
+    @pytest.mark.parametrize("v1, alpha, message", [
+        # s = 1e160: V / alpha^2 has no float64 value, so no grid is sized.
+        ("1e300", "1e-10", "s^2 = V1 / alpha^2 overflows float64 at s = 1e+160"),
+    ], ids=["s1e160"])
+    def test_grid_beyond_its_cap_is_inadmissible(self, capsys, schema, v1, alpha, message):
+        code = main(["verify", "--v1", v1, "--alpha", alpha, "--lambda", "1"])
         captured = capsys.readouterr()
-        assert code == 3
+        assert code == 2
+        assert captured.err == ""
         doc = json.loads(captured.out)
         jsonschema.validate(doc, schema)
-        assert doc["error"]["type"] == "ValueError"
-        assert "ValueError" in captured.err
+        assert doc["error"]["type"] == "InadmissibleParametersError"
+        assert doc["error"]["message"].startswith(message)
 
     def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
         # lambda = 40 (n = 39, 38): the monomial eigenvector lost the signs of
@@ -828,9 +834,8 @@ class TestExitCodes:
         self.solved_without_a_warning(capsys, 1, 300)
 
     def test_table_beyond_float64_is_usage_error(self, schema):
-        # alpha^2 in the printed energies, and V2 = -2 sqrt(V1) alpha lambda,
-        # overflow float64 here: a usage error naming alpha^2, with an empty
-        # stderr under warnings as errors.
+        # V2 = -2 sqrt(V1) alpha lambda overflows float64 here: a usage error
+        # naming V2, with an empty stderr under warnings as errors.
         result = run_module("table", "--v1", "1e300", "--alpha", "1e200",
                             env={"PYTHONWARNINGS": "error"})
         assert result.returncode == 2
@@ -839,12 +844,20 @@ class TestExitCodes:
         jsonschema.validate(doc, schema)
         assert doc["error"] == {
             "type": "usage",
-            "message": "alpha^2 = inf overflows float64 at this working point",
+            "message": "V2 = -2 sqrt(V1) alpha lambda = -inf overflows float64 at this working point",
         }
         result = run_module("table", "--v1", "1.7e308", "--alpha", "1.3e154")
         assert result.returncode == 2 and result.stderr == ""
         assert json.loads(result.stdout)["error"]["message"] == (
             "V2 = -2 sqrt(V1) alpha lambda = -inf overflows float64 at this working point")
+        # s = 1e-310: V2 is finite, but E = alpha^2 eps is not.
+        result = run_module("table", "--v1", "1e-300", "--alpha", "1e160",
+                            env={"PYTHONWARNINGS": "error"})
+        assert result.returncode == 2 and result.stderr == ""
+        assert json.loads(result.stdout)["error"] == {
+            "type": "InadmissibleParametersError",
+            "message": "E = -alpha^2 mu overflows float64 at alpha = 1e+160",
+        }
 
     def test_module_entry_point(self, schema):
         result = run_module("classify", "--v1", "1", "--v2", "-3", "--alpha", "1")

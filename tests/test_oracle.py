@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,10 +87,11 @@ class TestDefaultGrid:
         assert len(spectrum.eigenvalues) == 153
 
     def test_tail_criterion(self):
+        # The grid is one of xi = alpha x: its wall is y = cosh(L).
         for v1, alpha in [(1.0, 1.0), (0.25, 0.5), (100.0, 1.0), (9.0, 3.0)]:
             params = PotentialParams(v1, -3.0, alpha)
             grid = default_grid(params)
-            y = math.cosh(alpha * grid.half_width_L)
+            y = math.cosh(grid.half_width_L)
             assert params.s * y >= 40.0 - 1e-9
             assert params.s * y - infinity_analysis(params).lam * math.log(y) >= (
                 40.0 - 1e-9
@@ -98,12 +100,12 @@ class TestDefaultGrid:
     def test_start_step_on_the_envelope_scan(self):
         # Half-integer lambda in [0.5, 39.5] x s = 10^(i/12 - 1), i = 0..24:
         # no start has more points than the 60-point floor it replaced, and
-        # every start above 3 k has a step alpha h <= START_STEP.  N is the
-        # same at every alpha, since it is sized from acosh(y) = alpha L.
+        # every start above 3 k has a step h <= START_STEP in xi = alpha x.
+        # The grid is the same at every alpha, since it is sized from (s, lambda).
         for twice_lam, i in itertools.product(range(1, 80), range(25)):
             lam, s = twice_lam / 2.0, 10.0 ** (i / 12 - 1)
             k = math.floor(lam + 0.5) + 2
-            sizes = set()
+            grids = set()
             for alpha in (0.5, 1.0, 2.0):
                 v1 = (alpha * s) ** 2
                 grid = default_grid(
@@ -112,9 +114,9 @@ class TestDefaultGrid:
                 n = grid.point_count_N
                 assert n <= max(60, 3 * k)
                 if n > 3 * k:
-                    assert alpha * grid.step <= START_STEP
-                sizes.add(n)
-            assert len(sizes) == 1
+                    assert grid.step <= START_STEP
+                grids.add(grid)
+            assert len(grids) == 1
 
 
 class TestNodeCount:
@@ -233,7 +235,6 @@ class TestLowestEigenvalues:
 
     def test_nodes_are_counted_where_v_is_below_e_and_one_point_past(self):
         # Points 0-2 are allowed (V <= E) for both eigenvalues, 3-5 forbidden.
-        grid = GridSpec(3.0, 6)
         potential = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
         values = np.array([1.0, 2.0])
         vectors = np.array([
@@ -246,12 +247,12 @@ class TestLowestEigenvalues:
         ])
         # Out to the wall, the vectors have 1 and 2 sign changes.
         assert _sign_changes(vectors).tolist() == [1, 2]
-        spectrum = _checked_spectrum(grid, potential, 2, "even", values, vectors)
-        assert spectrum.eigenvalues == (1.0, 2.0)
+        eps, _ = _checked_spectrum(potential, 2, "even", values, vectors)
+        assert eps == (1.0, 2.0)
         # A sign change inside the allowed region still counts.
         vectors[1, 0] = -2.0
         with pytest.raises(InvariantViolationError, match="eigenvector 0 has 2"):
-            _checked_spectrum(grid, potential, 2, "even", values, vectors)
+            _checked_spectrum(potential, 2, "even", values, vectors)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_sector_hamiltonian_is_the_folded_sinc_dvr(self, parity):
@@ -378,16 +379,8 @@ class TestVerify:
         params = PotentialParams(1.0, -2.0, 1.0)
         classification = enumerate_qes_sets(1.0)
         levels = solve_classification(params, classification)
-
-        class Shifted:
-            def __init__(self, level, energy):
-                self._level = level
-                self.energy = energy
-
-            def __getattr__(self, name):
-                return getattr(self._level, name)
-
-        fake = [Shifted(levels[0], -1.7), levels[1]]
+        # verify reads a level through its mu = -E / alpha^2.
+        fake = [replace(levels[0], energy=-1.7, mu=1.7), levels[1]]
         report = verify_qes(params, classification, tolerance=1e-4, analytic_levels=fake)
         assert not report.overall_pass
         # Set 3's even sector has its lowest eigenvalue at -1.25.
@@ -398,18 +391,9 @@ class TestVerify:
         params = PotentialParams(1.0, -2.0, 1.0)
         classification = enumerate_qes_sets(1.0)
         levels = solve_classification(params, classification)
-
-        class Shifted:
-            def __init__(self, level, energy):
-                self._level = level
-                self.energy = energy
-
-            def __getattr__(self, name):
-                return getattr(self._level, name)
-
         # Set 4's level moved onto set 3's energy: its odd sector has no
         # eigenvalue there.
-        fake = [levels[0], Shifted(levels[1], levels[0].energy)]
+        fake = [levels[0], replace(levels[1], energy=levels[0].energy, mu=levels[0].mu)]
         report = verify_qes(params, classification, tolerance=1e-4, analytic_levels=fake)
         assert not report.overall_pass
         assert report.rows[0].abs_gap <= 1e-4

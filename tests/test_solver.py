@@ -50,10 +50,12 @@ def closed_form(level, x):
 
 def dense_closed_form(level, points=4000):
     # z in (0, z at the oracle's wall] and the level's closed form there, on
-    # a grid much finer than the basis's quadrature nodes.
-    x = np.linspace(0.0, oracle.default_grid(level.params).half_width_L, points + 1)[1:]
+    # a grid much finer than the basis's quadrature nodes; the oracle's grid
+    # is one of alpha x.
+    alpha = level.params.alpha
+    x = np.linspace(0.0, oracle.default_grid(level.params).half_width_L / alpha, points + 1)[1:]
     psi = evaluate_wavefunction(wavefunction(level, level.params), x)
-    return np.cosh(level.params.alpha * x) - 1.0, psi
+    return np.cosh(alpha * x) - 1.0, psi
 
 
 def params_for(set_index, n, v1=1.0, alpha=1.0):
@@ -608,7 +610,7 @@ class TestWavefunction:
         qes_set, params = params_for(3, 1)
         level = solve_levels(build_pencil(qes_set, params), params)[0]
         with pytest.raises(InvariantViolationError, match="below the minimum of V"):
-            wavefunction(replace(level, energy=-100.0), params)
+            wavefunction(replace(level, energy=-100.0, mu=100.0), params)
         with pytest.raises(InvariantViolationError, match="no finite value"):
             wavefunction(replace(level, basis_coefficients=(math.nan, 1.0)), params)
 
@@ -1084,7 +1086,7 @@ class TestSetTables:
             return q_table(alpha, beta, z, top)
 
         def filled(table):
-            return np.array([table.log_norm(j) for j in range(len(table.energies))])
+            return np.array([table.log_norm(j) for j in range(len(table.mus))])
 
         params = PotentialParams(1.0, -41.0, 1.0)
         for bound in (solver._BLOCK_ENTRIES, 1000):

@@ -63,7 +63,7 @@ def psi_gap(params, classification, levels, grid: GridSpec) -> float:
         spectrum = lowest_eigenvalues(
             params, grid, qes_set.n + 1 + EXTRA_ORACLE_LEVELS, qes_set.parity
         )
-        x = spectrum.grid.points()
+        x = spectrum.grid.points() / params.alpha  # the grid is one of alpha x
         for j, level in enumerate(members):
             psi = evaluate_wavefunction(wavefunction(level, params), x)
             psi = psi / np.max(np.abs(psi))
