@@ -432,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="adjudicate analytic levels against the oracle")
     _add_common(p)
     _add_working_point(p)
-    p.add_argument("--tol", default=None)
+    p.add_argument(
+        "--tol", default=None,
+        help=f"bound on |E_analytic - E_oracle| / alpha^2 (default {DEFAULT_TOLERANCE:g})",
+    )
     p.add_argument(
         "--assert-paper-table-3.3", dest="assert_paper_table_33", action="store_true",
         default=None,

@@ -46,6 +46,9 @@ DEFAULT_TOLERANCE = 1e-6
 EXTRA_ORACLE_LEVELS = 2
 # The sizing rule starts from a step h of at most this.
 START_STEP = 0.136
+# The most points a grid may have: its dense Hamiltonian takes 8 N^2 bytes,
+# 512 MiB here.
+MAX_GRID_POINTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -249,10 +252,16 @@ def lowest_eigenvalues(
     carries the grid that resolved.  Only that grid is checked, since an
     unresolved one may break the checks: the eigenvalues strictly increase,
     and half-line eigenvector j has j sign changes (Sturm oscillation) where
-    v <= eps_j.
+    v <= eps_j.  A grid of more than MAX_GRID_POINTS points raises
+    InadmissibleParametersError before it is built.
     """
     _require_points(grid, k)
     while True:
+        if grid.point_count_N > MAX_GRID_POINTS:
+            raise InadmissibleParametersError(
+                f"the oracle's sizing rule asks for N = {grid.point_count_N:.3g} grid points "
+                f"at s = {params.s!r}; N is limited to {MAX_GRID_POINTS}"
+            )
         potential = _potential(params, grid.points())
         values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
         k_max = math.sqrt(max(float(values[k - 1]) - float(np.min(potential)), 0.0))

@@ -386,6 +386,19 @@ class TestVerify:
         assert len(set_four) == 1
         assert float(set_four[0]["abs_gap"]) == pytest.approx(2.0, abs=1e-6)
 
+    def test_assert_paper_table_exits_one_at_small_alpha(self, capsys, schema):
+        # s = 1, alpha = 1e-4: the published set-4 energy is 2 alpha^2 = 2e-8
+        # from the oracle's, far inside an absolute 1e-6, yet 2 in units of
+        # alpha^2, which --tol bounds.
+        code, doc = run_json(
+            capsys, "verify", "--v1", "1e-8", "--alpha", "1e-4", "--lambda", "1",
+            "--assert-paper-table-3.3",
+        )
+        assert code == 1
+        jsonschema.validate(doc, schema)
+        (set_four,) = [row for row in doc["levels"] if row["set"] == 4]
+        assert float(set_four["abs_gap"]) == pytest.approx(2e-8, rel=1e-6)
+
     @pytest.mark.parametrize("v1, alpha", [("1", "1"), ("2", "0.5")])
     def test_asserted_energy_is_the_tables_printed_row(self, capsys, v1, alpha):
         code, doc = run_json(
@@ -773,9 +786,13 @@ class TestExitCodes:
         assert f"{error.__name__}: injected failure" in captured.err
 
     @pytest.mark.parametrize("v1, alpha, message", [
+        # s = 1e100: the start grid leaves eps ~ s^2 unresolved, and the rule
+        # asks for ~1e100 points.
+        ("1e200", "1", "the oracle's sizing rule asks for N = 1.07e+100 grid points at "
+                        "s = 1e+100; N is limited to 8192"),
         # s = 1e160: V / alpha^2 has no float64 value, so no grid is sized.
         ("1e300", "1e-10", "s^2 = V1 / alpha^2 overflows float64 at s = 1e+160"),
-    ], ids=["s1e160"])
+    ], ids=["s1e100", "s1e160"])
     def test_grid_beyond_its_cap_is_inadmissible(self, capsys, schema, v1, alpha, message):
         code = main(["verify", "--v1", v1, "--alpha", alpha, "--lambda", "1"])
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -505,31 +506,50 @@ class TestVerify:
     @given(
         twice_lam=st.integers(min_value=1, max_value=41),
         log_s=st.floats(min_value=math.log(0.1), max_value=math.log(10.0)),
-        alpha=st.sampled_from([0.5, 1.0, 2.0]),
     )
     # Points of the 25-point log grid s = 10^(i/12 - 1) where counting the
     # eigenvectors' sign changes out to the wall read tail noise as nodes.
-    @example(twice_lam=14, log_s=math.log(10.0) * (0 / 12 - 1), alpha=1.0)
-    @example(twice_lam=14, log_s=math.log(10.0) * (1 / 12 - 1), alpha=1.0)
-    @example(twice_lam=15, log_s=math.log(10.0) * (0 / 12 - 1), alpha=1.0)
-    @example(twice_lam=15, log_s=math.log(10.0) * (1 / 12 - 1), alpha=1.0)
-    @example(twice_lam=15, log_s=math.log(10.0) * (2 / 12 - 1), alpha=1.0)
-    @example(twice_lam=16, log_s=math.log(10.0) * (3 / 12 - 1), alpha=1.0)
-    def test_envelope_passes_and_scales_with_alpha(self, twice_lam, log_s, alpha):
-        # Half-integer lambda <= 20.5, log-uniform s in [0.1, 10].
+    @example(twice_lam=14, log_s=math.log(10.0) * (0 / 12 - 1))
+    @example(twice_lam=14, log_s=math.log(10.0) * (1 / 12 - 1))
+    @example(twice_lam=15, log_s=math.log(10.0) * (0 / 12 - 1))
+    @example(twice_lam=15, log_s=math.log(10.0) * (1 / 12 - 1))
+    @example(twice_lam=15, log_s=math.log(10.0) * (2 / 12 - 1))
+    @example(twice_lam=16, log_s=math.log(10.0) * (3 / 12 - 1))
+    def test_envelope_passes_at_alpha_one(self, twice_lam, log_s):
+        # Half-integer lambda <= 20.5, log-uniform s in [0.1, 10]; every other
+        # alpha scales exactly (test_report_scales_exactly_with_alpha).
         lam, s = twice_lam / 2.0, math.exp(log_s)
-        v1 = (alpha * s) ** 2
-        params = PotentialParams(v1, -2.0 * math.sqrt(v1) * alpha * lam, alpha)
-        unit = PotentialParams(s * s, -2.0 * s * lam, 1.0)
-        report = verify_qes(params, enumerate_qes_sets(lam))
+        report = verify_qes(PotentialParams(s * s, -2.0 * s * lam, 1.0),
+                            enumerate_qes_sets(lam))
         assert report.overall_pass
         assert report.max_self_gap <= 1e-9
         assert all(r.abs_gap <= 1e-6 for r in report.rows)
-        unit_report = verify_qes(unit, enumerate_qes_sets(lam))
-        # E at (V1, alpha) is alpha^2 E at (s^2, 1), on both sides.
-        for row, unit_row in zip(report.rows, unit_report.rows):
-            for name in ("energy_analytic", "energy_oracle"):
-                value = alpha**2 * getattr(unit_row, name)
-                assert getattr(row, name) == pytest.approx(
-                    value, rel=1e-12, abs=1e-12 * alpha**2
-                )
+
+    @pytest.mark.parametrize("lam, s", [(1.5, 1.0), (10.0, 0.3), (20.5, 3.0)])
+    def test_report_scales_exactly_with_alpha(self, lam, s):
+        # The oracle solves in xi = alpha x and gates on |mu + eps|, both set
+        # by (s, lambda) alone: at alpha = 2^k the verdict and N are those of
+        # alpha = 1, and every energy and gap is 2^(2k) times its alpha = 1
+        # value, bit for bit, wherever that is a normal float.
+        reports = {}
+        for k in (-500, -20, 0, 20, 500):
+            alpha = math.ldexp(1.0, k)
+            params = PotentialParams.from_lambda((s * alpha) ** 2, lam, alpha)
+            reports[k] = (params.s, verify_qes(params, enumerate_qes_sets(lam)))
+        unit_s, unit = reports[0]
+        assert unit.overall_pass
+        compared = 0
+        for k, (scaled_s, report) in reports.items():
+            assert scaled_s == unit_s
+            assert report.overall_pass == unit.overall_pass
+            assert report.grid.point_count_N == unit.grid.point_count_N
+            pairs = [(report.max_self_gap, unit.max_self_gap)]
+            pairs += zip(report.unmatched_oracle, unit.unmatched_oracle)
+            for row, unit_row in zip(report.rows, unit.rows):
+                pairs += [(getattr(row, name), getattr(unit_row, name)) for name in
+                          ("energy_analytic", "energy_oracle", "abs_gap", "self_gap")]
+            for value, unit_value in pairs:
+                if abs(value) >= sys.float_info.min:
+                    assert math.ldexp(value, -2 * k) == unit_value, (k, value, unit_value)
+                    compared += 1
+        assert compared > 4 * 4 * len(unit.rows)
