@@ -304,7 +304,8 @@ def cmd_verify(settings) -> tuple[int, dict]:
                 "--assert-paper-table-3.3 needs a working point containing "
                 "set 4 (integer lambda)"
             )
-        eps = PRINTED_ENERGIES["3.3", 4][1](params.s)
+        _, published = PRINTED_ENERGIES["3.3", 4]
+        eps = published(params.s)
         (printed,) = params.scaled("the published E", [eps], 2)
         analytic_levels = [
             replace(level, energy=printed, mu=-eps) if level.qes_set.set_index == 4 else level
