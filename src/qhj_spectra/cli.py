@@ -308,7 +308,7 @@ def cmd_verify(settings) -> tuple[int, dict]:
         eps = published(params.s)
         (printed,) = params.scaled("the published E", [eps], 2)
         analytic_levels = [
-            replace(level, energy=printed, mu=-eps) if level.qes_set.set_index == 4 else level
+            replace(level, mu=-eps) if level.qes_set.set_index == 4 else level
             for level in levels
         ]
         document["adjudication"] = (

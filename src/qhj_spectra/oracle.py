@@ -47,8 +47,9 @@ EXTRA_ORACLE_LEVELS = 2
 # The sizing rule starts from a step h of at most this.
 START_STEP = 0.136
 # The most points a grid may have: its dense Hamiltonian takes 8 N^2 bytes,
-# 512 MiB here.
-MAX_GRID_POINTS = 2**13
+# 1.125 GiB here, and eigh's peak is about five such arrays.  The largest
+# blocks (n = 500, lambda <= 501) need at most 9620 fine points for s >= 0.1.
+MAX_GRID_POINTS = 3 * 2**12
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class GridSpec:
 class NumericSpectrum:
     """Lowest eigenvalues and grid-sampled eigenvectors of one parity sector."""
 
-    eigenvalues: tuple[float, ...]  # E = alpha^2 eps
-    eps: tuple[float, ...]  # of -phi'' + v phi on the grid
+    eigenvalues: tuple[float, ...]  # eps, of -phi'' + v phi on the grid; E = alpha^2 eps
     eigenvectors: np.ndarray  # column j belongs to eigenvalue j
     grid: GridSpec
 
@@ -266,9 +266,7 @@ def lowest_eigenvalues(
         values, vectors = np.linalg.eigh(_sector_hamiltonian(grid, parity, potential))
         k_max = math.sqrt(max(float(values[k - 1]) - float(np.min(potential)), 0.0))
         if k_max * grid.step <= 1.0:
-            eps, vectors = _checked_spectrum(potential, k, parity, values, vectors)
-            energies = tuple(params.scaled("the oracle's E = alpha^2 eps", eps, 2))
-            return NumericSpectrum(energies, eps, vectors, grid)
+            return NumericSpectrum(*_checked_spectrum(potential, k, parity, values, vectors), grid)
         grid = GridSpec(grid.half_width_L, math.ceil(1.1 * k_max * grid.half_width_L))
 
 
@@ -287,24 +285,19 @@ def verify_qes(
     published value fails the match).  A level whose |mu + eps| =
     |E_analytic - E_oracle| / alpha^2 exceeds tolerance fails overall_pass.
     Raises InadmissibleParametersError, before anything is solved, when
-    V / alpha^2 at the wall is beyond float64.
+    v = V / alpha^2 at the wall is beyond float64.
     """
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
     start = default_grid(params)
-    if not math.isfinite(params.s * params.s):
-        raise InadmissibleParametersError(
-            f"s^2 = V1 / alpha^2 overflows float64 at s = {params.s!r}: the oracle "
-            "solves in xi = alpha x, where the potential is V / alpha^2"
-        )
     # Far out, v1 sinh^2 + v2 cosh can be inf + -inf: ignore both warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         wall = _potential(params, start.half_width_L)
     if not math.isfinite(wall):
-        (big_l,) = params.scaled("the oracle's wall L", [start.half_width_L], -1)
         raise InadmissibleParametersError(
-            f"V overflows float64 at the oracle's wall L = {big_l!r}, "
-            "where the QES levels' tails fall below exp(-40)"
+            f"v = V / alpha^2 overflows float64 at s = {params.s!r}, at the oracle's "
+            f"wall xi = alpha L = {start.half_width_L!r}, where the QES levels' "
+            "tails fall below exp(-40)"
         )
     if analytic_levels is None:
         analytic_levels = solve_classification(params, classification)
@@ -325,24 +318,25 @@ def verify_qes(
         )
         fine = lowest_eigenvalues(params, fine_start, k, qes_set.parity)
         finest = max(finest, fine.grid, key=lambda g: g.point_count_N)
-        unmatched.extend(fine.eigenvalues[len(members):])
+        energies = params.scaled("the oracle's E = alpha^2 eps", fine.eigenvalues, 2)
+        unmatched.extend(energies[len(members):])
         odd = 1 if qes_set.parity == "odd" else 0
         grid_ratio = fine.grid.point_count_N / coarse.grid.point_count_N
         # The gaps in units of alpha^2, from mu and eps alone.
         mus = [analytic_levels[i].mu for i in members]
-        gaps = [abs(eps + mu) for eps, mu in zip(fine.eps, mus)]
+        gaps = [abs(eps + mu) for eps, mu in zip(fine.eigenvalues, mus)]
         passed = passed and all(gap <= tolerance for gap in gaps)
         abs_gaps = params.scaled("|E_analytic - E_oracle|", gaps, 2)
         self_gaps = params.scaled("the oracle's self-gap", [
-            abs(f - c) for f, c, _ in zip(fine.eps, coarse.eps, mus)], 2)
+            abs(f - c) for f, c, _ in zip(fine.eigenvalues, coarse.eigenvalues, mus)], 2)
 
         for j, i in enumerate(members):
-            level, gap_coarse = analytic_levels[i], abs(coarse.eps[j] + mus[j])
+            level, gap_coarse = analytic_levels[i], abs(coarse.eigenvalues[j] + mus[j])
             rows[i] = LevelComparison(
                 set_index=qes_set.set_index,
                 n=qes_set.n,
                 energy_analytic=level.energy,
-                energy_oracle=fine.eigenvalues[j],
+                energy_oracle=energies[j],
                 abs_gap=abs_gaps[j],
                 self_gap=self_gaps[j],
                 convergence_order=(

@@ -98,13 +98,17 @@ class OrthonormalBasis:
 class QesLevel:
     """One analytic eigenvalue with its polynomial, node count and working point."""
 
-    energy: float
-    mu: float  # the eigenvalue of H: E = -alpha^2 mu
+    mu: float  # the eigenvalue of H
     basis_coefficients: tuple[float, ...]  # P = sum_k c_k q_k(z), c orthonormal
     qes_set: QesSet
     node_count: int
     params: PotentialParams
     basis: OrthonormalBasis
+
+    @property
+    def energy(self) -> float:
+        """E = -alpha^2 mu; solve_levels has checked that it is finite."""
+        return -self.mu * self.params.alpha * self.params.alpha
 
     @property
     def parity(self) -> str:
@@ -369,7 +373,7 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     jacobi.flat[len(h) :: len(h) + 1] = off
     # eigh sorts mu ascending, and E = -alpha^2 mu: level j has mus[j].
     mus = np.linalg.eigh(jacobi)[0][::-1]
-    energies = params.scaled("E = -alpha^2 mu", (-mus).tolist(), 2)
+    params.scaled("E = -alpha^2 mu", (-mus).tolist(), 2)
     if qes_set.n == 0:
         alpha = beta = np.empty(0)
         coefficients = np.ones((1, 1))
@@ -382,7 +386,7 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     odd = 1 if qes_set.parity == "odd" else 0
     levels = []
     for j, row in enumerate(coefficients.tolist()):
-        level = QesLevel(energies[j], mus[j], tuple(row), qes_set, 2 * j + odd, params, basis)
+        level = QesLevel(mus[j], tuple(row), qes_set, 2 * j + odd, params, basis)
         object.__setattr__(level, "_set_table", (table, j))
         levels.append(level)
     return levels

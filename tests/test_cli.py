@@ -669,7 +669,7 @@ class TestExitCodes:
         doc = json.loads(captured.out)
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "InadmissibleParametersError"
-        assert "wall L = 2.99" in doc["error"]["message"]
+        assert "wall xi = alpha L = 2.99" in doc["error"]["message"]
         assert "--" not in doc["error"]["message"]
 
     def test_wall_at_inf_minus_inf_leaves_stderr_empty(self, schema):
@@ -682,7 +682,7 @@ class TestExitCodes:
         doc = json.loads(result.stdout)
         jsonschema.validate(doc, schema)
         assert doc["error"]["type"] == "InadmissibleParametersError"
-        assert "wall L = 3.75" in doc["error"]["message"]
+        assert "wall xi = alpha L = 375.1" in doc["error"]["message"]
 
     @pytest.mark.parametrize(
         "argv, kind",
@@ -789,9 +789,10 @@ class TestExitCodes:
         # s = 1e100: the start grid leaves eps ~ s^2 unresolved, and the rule
         # asks for ~1e100 points.
         ("1e200", "1", "the oracle's sizing rule asks for N = 1.07e+100 grid points at "
-                        "s = 1e+100; N is limited to 8192"),
-        # s = 1e160: V / alpha^2 has no float64 value, so no grid is sized.
-        ("1e300", "1e-10", "s^2 = V1 / alpha^2 overflows float64 at s = 1e+160"),
+                        "s = 1e+100; N is limited to 12288"),
+        # s = 1e160: v = V / alpha^2 has no float64 value, so no grid is sized.
+        ("1e300", "1e-10", "v = V / alpha^2 overflows float64 at s = 1e+160, at the "
+                           "oracle's wall xi = alpha L = 2.99"),
     ], ids=["s1e100", "s1e160"])
     def test_grid_beyond_its_cap_is_inadmissible(self, capsys, schema, v1, alpha, message):
         code = main(["verify", "--v1", v1, "--alpha", alpha, "--lambda", "1"])

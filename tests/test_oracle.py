@@ -23,13 +23,17 @@ from qhj_spectra import (
     solve_classification,
     verify_qes,
 )
+from qhj_spectra import oracle
 from qhj_spectra.oracle import (
+    EXTRA_ORACLE_LEVELS,
+    MAX_GRID_POINTS,
     START_STEP,
     _checked_spectrum,
     _kinetic_table,
     _sector_hamiltonian,
     _sign_changes,
 )
+from qhj_spectra.solver import MAX_BLOCK_N
 
 
 def quick_grid(params, big_l=None, n=90):
@@ -342,6 +346,32 @@ class TestLowestEigenvalues:
         assert reference.grid.point_count_N == 90
         assert spectrum.eigenvalues == pytest.approx(reference.eigenvalues, abs=1e-10)
 
+    def test_largest_blocks_stay_under_the_grid_cap(self, monkeypatch):
+        # lambda = 501, s = 0.1: sets 3 and 4 have n = MAX_BLOCK_N, the largest
+        # blocks, at the measured envelope's smallest s.  From the 1509-point
+        # start the rule asks for 6413 points (which resolve: k_max h = 0.907),
+        # and verify's fine start is ceil(1.5 N) = 9620, under the cap.  The
+        # start is solved; the grid the rule asks for next is only recorded.
+        params = PotentialParams.from_lambda(0.01, 501.0)
+        assert max(q.n for q in enumerate_qes_sets(params.lam).sets) == MAX_BLOCK_N
+        asked = []
+
+        class Asked(Exception):
+            pass
+
+        def recorded(grid, parity, potential):
+            asked.append(grid.point_count_N)
+            if len(asked) > 1:
+                raise Asked
+            return _sector_hamiltonian(grid, parity, potential)
+
+        monkeypatch.setattr(oracle, "_sector_hamiltonian", recorded)
+        k = MAX_BLOCK_N + 1 + EXTRA_ORACLE_LEVELS
+        with pytest.raises(Asked):
+            lowest_eigenvalues(params, default_grid(params), k, "even")
+        assert asked == [1509, 6413]
+        assert math.ceil(1.5 * asked[-1]) == 9620 <= MAX_GRID_POINTS
+
     def test_boundary_insensitivity(self):
         # Moving the wall 20% farther out, at the same step, leaves the level.
         params = PotentialParams(1.0, -3.0, 1.0)
@@ -380,8 +410,8 @@ class TestVerify:
         params = PotentialParams(1.0, -2.0, 1.0)
         classification = enumerate_qes_sets(1.0)
         levels = solve_classification(params, classification)
-        # verify reads a level through its mu = -E / alpha^2.
-        fake = [replace(levels[0], energy=-1.7, mu=1.7), levels[1]]
+        # E = -alpha^2 mu = -1.7.
+        fake = [replace(levels[0], mu=1.7), levels[1]]
         report = verify_qes(params, classification, tolerance=1e-4, analytic_levels=fake)
         assert not report.overall_pass
         # Set 3's even sector has its lowest eigenvalue at -1.25.
@@ -394,7 +424,7 @@ class TestVerify:
         levels = solve_classification(params, classification)
         # Set 4's level moved onto set 3's energy: its odd sector has no
         # eigenvalue there.
-        fake = [levels[0], replace(levels[1], energy=levels[0].energy, mu=levels[0].mu)]
+        fake = [levels[0], replace(levels[1], mu=levels[0].mu)]
         report = verify_qes(params, classification, tolerance=1e-4, analytic_levels=fake)
         assert not report.overall_pass
         assert report.rows[0].abs_gap <= 1e-4
@@ -468,7 +498,7 @@ class TestVerify:
         params = PotentialParams(1e307, -2.0 * math.sqrt(1e307), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InadmissibleParametersError, match="wall L = 2.99"):
+            with pytest.raises(InadmissibleParametersError, match="wall xi = alpha L = 2.99"):
                 verify_qes(params, enumerate_qes_sets(1.0))
 
     def test_tiny_s_passes(self):

@@ -610,7 +610,7 @@ class TestWavefunction:
         qes_set, params = params_for(3, 1)
         level = solve_levels(build_pencil(qes_set, params), params)[0]
         with pytest.raises(InvariantViolationError, match="below the minimum of V"):
-            wavefunction(replace(level, energy=-100.0, mu=100.0), params)
+            wavefunction(replace(level, mu=100.0), params)
         with pytest.raises(InvariantViolationError, match="no finite value"):
             wavefunction(replace(level, basis_coefficients=(math.nan, 1.0)), params)
 
@@ -1191,7 +1191,7 @@ class TestSetTables:
         (level, _) = solve_levels(build_pencil(qes_set, params), params)
         # A normalisation row with no finite value on its lattice.
         rows = [(0.6, 0.8), (math.nan, 0.8)]
-        table = solver._SetTable(np.array(rows), [level.energy] * 2, level.basis, qes_set, params)
+        table = solver._SetTable(np.array(rows), [level.mu] * 2, level.basis, qes_set, params)
         good, bad = (replace(level, basis_coefficients=row) for row in rows)
         for j, member in enumerate((good, bad)):
             object.__setattr__(member, "_set_table", (table, j))
