@@ -25,11 +25,11 @@ level j must change sign j times on the nodes.
 Those sign changes are its moving poles, the zeros of P_n in z > 0 where
 p = -i psi'/psi has its poles.  An n = 0 set has P = 1 and no basis.
 
-psi is evaluated anywhere by the same scaled recurrence, then one product
-with the coefficients of a block of the set's levels: the levels of a set
-share one _SetTable, and a level built by hand gets its own.  A value's last
-bits depend on the block it was evaluated in, so psi and log_norm repeat
-only to about 1e-13 of the level's peak across blocks of other composition.
+A solved set (_SetTable) owns its pencil, mus, basis and coefficients; a
+QesLevel is a (set, row) view, evaluated by the same scaled recurrence, then
+one product with the coefficients of a block of the set's rows.  A value's
+last bits depend on that block, so psi and log_norm repeat only to about
+1e-13 of the level's peak across blocks of other composition.
 Where P is round-off in the basis, far below the peak, the QMF functions
 take it from its Frobenius series at z = 0 instead.
 A set scans its levels once, on the lattice alpha x_k = 0.005 k, to scale
@@ -43,7 +43,7 @@ import functools
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,14 +96,14 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class QesLevel:
-    """One analytic eigenvalue with its polynomial, node count and working point."""
+    """Row `row` of its solved set: replace(level, mu=...) changes only the
+    energy it reports, not the set's closed form, normalisation or nodes."""
 
     mu: float  # the eigenvalue of H
-    basis_coefficients: tuple[float, ...]  # P = sum_k c_k q_k(z), c orthonormal
     qes_set: QesSet
-    node_count: int
     params: PotentialParams
-    basis: OrthonormalBasis
+    row: int
+    set_table: _SetTable = field(compare=False, repr=False)
 
     @property
     def energy(self) -> float:
@@ -113,6 +113,18 @@ class QesLevel:
     @property
     def parity(self) -> str:
         return self.qes_set.parity
+
+    @property
+    def basis_coefficients(self) -> tuple[float, ...]:  # P = sum_k c_k q_k(z), c orthonormal
+        return tuple(self.set_table.coefficients[self.row].tolist())
+
+    @property
+    def basis(self) -> OrthonormalBasis:
+        return self.set_table.basis
+
+    @property
+    def node_count(self) -> int:  # solve_levels checked level j's j sign changes
+        return 2 * self.row + (1 if self.parity == "odd" else 0)
 
 
 @dataclass(frozen=True)
@@ -381,15 +393,8 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
         alpha, beta, coefficients = _basis_and_vectors(h, qes_set, params, mus)
     coefficients.setflags(write=False)
     basis = OrthonormalBasis(tuple(alpha.tolist()), tuple(beta.tolist()))
-    mus = mus.tolist()
-    table = _SetTable(coefficients, mus, basis, qes_set, params)
-    odd = 1 if qes_set.parity == "odd" else 0
-    levels = []
-    for j, row in enumerate(coefficients.tolist()):
-        level = QesLevel(mus[j], tuple(row), qes_set, 2 * j + odd, params, basis)
-        object.__setattr__(level, "_set_table", (table, j))
-        levels.append(level)
-    return levels
+    table = _SetTable(pencil, params, mus.tolist(), basis, coefficients)
+    return [QesLevel(mu, qes_set, params, j, table) for j, mu in enumerate(table.mus)]
 
 
 def solve_classification(
@@ -422,14 +427,12 @@ def wavefunction(level: QesLevel, params: PotentialParams) -> ClosedFormWavefunc
     params must be the level's own working point.
     """
     _require_own_params(level, params)
-    table, row = _set_table(level)
-    return ClosedFormWavefunction(level, table.log_norm(row))
+    return ClosedFormWavefunction(level, level.set_table.log_norm(level.row))
 
 
 def evaluate_wavefunction(wf: ClosedFormWavefunction, x):
     """psi(x), max-normalized; underflow-safe (extreme |x| returns 0)."""
-    table, row = _set_table(wf.level)
-    poly, log_scale = table.closed_form(row, np.asarray(x, dtype=float))
+    poly, log_scale = wf.level.set_table.closed_form(wf.level.row, np.asarray(x, dtype=float))
     value = poly * np.exp(log_scale - wf.log_norm)
     if value.ndim == 0:
         return float(value)
@@ -507,8 +510,8 @@ def _frobenius(level: QesLevel, z: float):
     """_series for P scaled to P(0) = 1 in monomials, its coefficients a_k from
     the rows of (H - mu) a = 0 with a_0 = 1, and m_k >= |a_k| bounding their
     propagated round-off in place of c_k in the scale."""
-    h = build_pencil(level.qes_set, level.params).matrix
-    mu = level.mu
+    table = level.set_table
+    h, mu = table.pencil.matrix, table.mus[level.row]
     d, u, l = h.diagonal().tolist(), h.diagonal(1).tolist(), [0.0] + h.diagonal(-1).tolist()
     a, m = [1.0], [1.0]
     for k in range(len(u)):  # l[0] = 0: a[-1] and m[-1] drop out
@@ -554,19 +557,20 @@ def schrodinger_residual(
 
 
 class _SetTable:
-    """Results shared by the levels of one set, computed for all of them (or a block) on first use.
+    """A solved set, the one owner of its levels' pencil, mus, basis and coefficients
+    (a row per level), with results computed for all its rows (or a block) on first use.
 
-    Row j belongs to level j: coefficients (levels x (n + 1)) and mus; a
-    row's failure is kept as its message and raised only for its own level.
+    Level j is row j; a row's failure is kept as its message and raised only
+    for its own level.
     """
 
-    def __init__(self, coefficients, mus, basis: OrthonormalBasis, qes_set: QesSet,
-                 params: PotentialParams):
-        self.coefficients = coefficients
-        self.mus = mus
-        self.recurrence = (np.array(basis.alpha, dtype=float), np.array(basis.beta, dtype=float))
-        self.qes_set = qes_set
+    def __init__(self, pencil: SpectralPencil, params: PotentialParams, mus,
+                 basis: OrthonormalBasis, coefficients):
+        self.pencil = pencil
         self.params = params
+        self.mus = mus
+        self.basis = basis
+        self.coefficients = coefficients
         self._log_norms = None
         self._block = None
 
@@ -587,7 +591,7 @@ class _SetTable:
                         if row < b.stop)
             with np.errstate(over="ignore", invalid="ignore"):
                 poly, log_scale = self._psi(rows, *_z_terms(self.params.alpha * x.ravel()))
-            if self.qes_set.p1 > 0.0:
+            if self.pencil.qes_set.p1 > 0.0:
                 poly *= np.sign(x.ravel())
             poly = poly.reshape(poly.shape[:1] + x.shape)
             log_scale = log_scale.reshape(x.shape)
@@ -639,8 +643,8 @@ class _SetTable:
 
     def _psi(self, rows, z, log_z, log_z2):
         """_evaluate for the given rows at the points z, with their ln z and ln(z + 2)."""
-        return _evaluate(self.coefficients[rows], *self.recurrence, z,
-                         _log_weight(self.qes_set, self.params.s, z, log_z, log_z2))
+        return _evaluate(self.coefficients[rows], self.basis.alpha, self.basis.beta, z,
+                         _log_weight(self.pencil.qes_set, self.params.s, z, log_z, log_z2))
 
 
 def _row_blocks(count: int, points: int) -> list[slice]:
@@ -649,20 +653,10 @@ def _row_blocks(count: int, points: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _set_table(level: QesLevel) -> tuple[_SetTable, int]:
-    """The level's set table and its row; a level solve_levels did not make
-    gets a table of one on first use."""
-    if not hasattr(level, "_set_table"):
-        table = _SetTable(np.array([level.basis_coefficients], dtype=float), [level.mu],
-                          level.basis, level.qes_set, level.params)
-        object.__setattr__(level, "_set_table", (table, 0))
-    return level._set_table
-
-
 def count_moving_poles(level: QesLevel) -> int:
-    """Number of P_n zeros in z > 0: the sign changes on its set's quadrature
-    nodes that solve_levels counted into node_count = 2 poles + 1 if odd."""
-    return (level.node_count - (1 if level.parity == "odd" else 0)) // 2
+    """Number of P_n zeros in z > 0: level j of its set has j sign changes on
+    the set's quadrature nodes, which solve_levels checked."""
+    return level.row
 
 
 def moving_pole_contour_value(level: QesLevel) -> complex:

@@ -42,8 +42,7 @@ from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
 
 def closed_form(level, x):
     # The unnormalized log|psi| and sign of one level, read from its set's table.
-    table, row = solver._set_table(level)
-    poly, log_scale = table.closed_form(row, np.asarray(x, dtype=float))
+    poly, log_scale = level.set_table.closed_form(level.row, np.asarray(x, dtype=float))
     with np.errstate(divide="ignore"):
         return np.log(np.abs(poly)) + log_scale, np.sign(poly)
 
@@ -56,6 +55,16 @@ def dense_closed_form(level, points=4000):
     x = np.linspace(0.0, oracle.default_grid(level.params).half_width_L / alpha, points + 1)[1:]
     psi = evaluate_wavefunction(wavefunction(level, level.params), x)
     return np.cosh(alpha * x) - 1.0, psi
+
+
+def one_row(level, coefficients=None, mu=None):
+    # Row 0 of a set of one row, built from the level's set: its coefficients
+    # (or the given ones) and mu, evaluated and normalised alone.
+    table = level.set_table
+    row = level.basis_coefficients if coefficients is None else coefficients
+    mu = level.mu if mu is None else mu
+    alone = solver._SetTable(table.pencil, table.params, [mu], table.basis, np.array([row]))
+    return solver.QesLevel(mu, level.qes_set, level.params, 0, alone)
 
 
 def params_for(set_index, n, v1=1.0, alpha=1.0):
@@ -299,6 +308,32 @@ class TestLargeBlocks:
             # QMF pieces there come from P's series at z = 0.
             for x in (0.3, 0.7, 1.1):
                 assert abs(schrodinger_residual(wf, level.energy, params, x)) < bound
+
+    def test_barrier_series_reads_the_sets_pencil(self, monkeypatch):
+        # At (20.5, 1), x = 0.3, ten deep levels hold less than 1e-12 of
+        # their peak and take P from its series at z = 0, whose monomial
+        # coefficients come from the rows of H: the pencil their set was
+        # solved from, not one built again per evaluation.
+        lam, s = 20.5, 1.0
+        params = PotentialParams(s * s, -2.0 * s * lam, 1.0)
+        wfs = [wavefunction(level, params)
+               for level in solve_classification(params, enumerate_qes_sets(lam))]
+        series, frobenius = [], solver._frobenius
+
+        def counted(level, z):
+            series.append(level)
+            return frobenius(level, z)
+
+        def no_pencil(*args):
+            raise AssertionError("a pencil was built after the solve")
+
+        monkeypatch.setattr(solver, "_frobenius", counted)
+        monkeypatch.setattr(solver, "build_pencil", no_pencil)
+        for wf in wfs:
+            energy = wf.level.energy
+            residual = schrodinger_residual(wf, energy, params, 0.3)
+            assert abs(residual) < 1e-8 * max(1.0, abs(energy))
+        assert len(series) == 10
 
     def test_underflowed_eigenvector_is_a_precise_failure(self):
         # At (40, 0.27) the monomial eigenvector's smallest component
@@ -610,9 +645,9 @@ class TestWavefunction:
         qes_set, params = params_for(3, 1)
         level = solve_levels(build_pencil(qes_set, params), params)[0]
         with pytest.raises(InvariantViolationError, match="below the minimum of V"):
-            wavefunction(replace(level, mu=100.0), params)
+            wavefunction(one_row(level, mu=100.0), params)
         with pytest.raises(InvariantViolationError, match="no finite value"):
-            wavefunction(replace(level, basis_coefficients=(math.nan, 1.0)), params)
+            wavefunction(one_row(level, coefficients=(math.nan, 1.0)), params)
 
     def test_empty_x_gives_an_empty_array(self):
         qes_set, params = params_for(1, 1)
@@ -973,25 +1008,27 @@ class TestSetTables:
 
     @staticmethod
     def alone(level):
-        # An equal level that reads a table of its own.
-        return replace(level, basis_coefficients=level.basis_coefficients)
+        # The level's row, as the one row of a set of its own.
+        return one_row(level)
 
     def test_shared_rows_equal_a_table_of_one(self, monkeypatch):
         # A level normalised from its set's scan has, to round-off, the
-        # log_norm of the same level scanned alone (the set's rows are one
-        # product, whose bits depend on the block's shape).
+        # log_norm of the same row scanned alone (the set's rows are one
+        # product, whose bits depend on the block's shape).  An equal level,
+        # made by replace, is the same row of the same set.
         split_sets = 0
         for lam, params in self.working_points():
             for level in solve_classification(params, enumerate_qes_sets(lam)):
-                alone = self.alone(level)
-                assert alone == level
-                assert solver._set_table(alone)[0] is not solver._set_table(level)[0]
+                alone, same = self.alone(level), replace(level)
+                assert alone.set_table is not level.set_table
+                assert alone.basis_coefficients == level.basis_coefficients
+                assert same == level and same.set_table is level.set_table
                 wf = wavefunction(level, params)
                 assert wf.log_norm == pytest.approx(wavefunction(alone, params).log_norm,
                                                     rel=1e-14, abs=1e-14)
                 value = moving_pole_contour_value(level)
-                assert value == moving_pole_contour_value(alone)
-                assert count_moving_poles(level) == count_moving_poles(alone)
+                assert value == moving_pole_contour_value(same)
+                assert count_moving_poles(level) == count_moving_poles(same)
             if (lam, params.v1) == (10.0, 0.05) and params.alpha == 1.0:
                 # One scan of the set's 10 rows, on a lattice past 5/alpha.
                 with monkeypatch.context() as patch:
@@ -1099,14 +1136,14 @@ class TestSetTables:
                     patch.setattr(solver, "_BLOCK_ENTRIES", bound)
                     patch.setattr(solver, "_evaluate", scan)
                     patch.setattr(solver, "_q_table", table)
-                    blocked = filled(solver._set_table(rows[0])[0])
+                    blocked = filled(rows[0].set_table)
                 assert all(rows * points <= bound or rows == 1 for rows, points in blocks)
                 assert all(entries <= bound for entries in chunks)
                 norm_rows = [rows for rows, _ in blocks]
                 assert len(norm_rows) > 1 and sum(norm_rows) == len(rows)
                 with monkeypatch.context() as patch:
                     patch.setattr(solver, "_BLOCK_ENTRIES", 2**30)
-                    single = filled(solver._set_table(whole[0])[0])
+                    single = filled(whole[0].set_table)
                 np.testing.assert_allclose(blocked, single, rtol=1e-14)
 
     def test_evaluation_runs_in_bounded_row_blocks(self, monkeypatch):
@@ -1127,14 +1164,14 @@ class TestSetTables:
         params = PotentialParams(1.0, -41.0, 1.0)
         levels = solve_classification(params, enumerate_qes_sets(20.5))
         wfs = [wavefunction(level, params) for level in levels]
-        tables = {id(table): table for table, _ in map(solver._set_table, levels)}
+        tables = {id(level.set_table): level.set_table for level in levels}
         for points in (1001, 20001):
             blocks.clear()
             held = []
             x = np.linspace(-5.0, 5.0, points)
             for wf in wfs:
                 evaluate_wavefunction(wf, x)
-                table, row = solver._set_table(wf.level)
+                table, row = wf.level.set_table, wf.level.row
                 if table._block is not None:
                     rows, key, *kept, unread = table._block
                     assert key == (x.shape, x.tobytes())
@@ -1151,11 +1188,10 @@ class TestSetTables:
                 assert len(blocks) == len(levels) and not held
             for table in tables.values():
                 assert [name for name, value in vars(table).items()
-                        if isinstance(value, (np.ndarray, tuple))] == ["coefficients",
-                                                                       "recurrence"]
+                        if isinstance(value, (np.ndarray, tuple))] == ["coefficients"]
         alone = self.alone(levels[0])
         evaluate_wavefunction(replace(wfs[0], level=alone), x[:1001])
-        assert solver._set_table(alone)[0]._block is None
+        assert alone.set_table._block is None
 
     def test_a_spectrum_sweep_releases_every_block(self, monkeypatch):
         # Every level of (lambda, s) = (10, 1) evaluated at one x, as the
@@ -1169,32 +1205,50 @@ class TestSetTables:
         for wf in wfs:
             evaluate_wavefunction(wf, x)
         assert scans == [(10, 1001)] * 2
-        assert all(solver._set_table(level)[0]._block is None for level in levels)
+        assert all(level.set_table._block is None for level in levels)
 
-    def test_replaced_level_never_reads_its_sets_table(self):
+    def test_a_one_row_set_never_reads_the_solved_sets_table(self):
         qes_set, params = params_for(1, 1)
         ground, excited = solve_levels(build_pencil(qes_set, params), params)
         wavefunction(ground, params)
         # Poison the filled table of the set: a level that read it would
         # return these values.
-        table, _ = solver._set_table(ground)
-        table._log_norms = [1e300, 1e300]
+        ground.set_table._log_norms = [1e300, 1e300]
         for coefficients in [ground.basis_coefficients, excited.basis_coefficients,
                              (-0.6, 0.8)]:
-            other = replace(ground, basis_coefficients=coefficients)
+            other = one_row(ground, coefficients)
             expected, _ = TestWavefunction.uncached_log_norm(other, params)
             assert wavefunction(other, params).log_norm == expected
         assert wavefunction(ground, params).log_norm == 1e300
+
+    def test_a_replaced_level_reads_its_sets_row(self, monkeypatch):
+        # replace(level, mu=...) changes only the energy the level reports:
+        # E = -1000 lies below V's minimum, -101 at (10, 1), so a level
+        # normalised alone would fail, but the replaced level is its set's
+        # row, read from the set's one scan, with the row's values and nodes.
+        params = PotentialParams(1.0, -20.0, 1.0)
+        levels = solve_levels(build_pencil(enumerate_qes_sets(10.0).sets[0], params), params)
+        scans = self.record_scans(monkeypatch)
+        norms = [wavefunction(level, params).log_norm for level in levels]
+        moved = [replace(level, mu=1000.0) for level in levels]
+        assert [wavefunction(level, params).log_norm for level in moved] == norms
+        assert scans == [(len(levels), 1001)]
+        x = np.linspace(-5.0, 5.0, 101)
+        for level, other in zip(levels, moved):
+            assert other.energy == -1000.0 and other.set_table is level.set_table
+            assert (other.row, other.node_count) == (level.row, level.node_count)
+            np.testing.assert_array_equal(
+                evaluate_wavefunction(wavefunction(other, params), x),
+                evaluate_wavefunction(wavefunction(level, params), x))
 
     def test_a_failing_row_fails_only_its_own_level(self):
         qes_set, params = params_for(1, 1)
         (level, _) = solve_levels(build_pencil(qes_set, params), params)
         # A normalisation row with no finite value on its lattice.
         rows = [(0.6, 0.8), (math.nan, 0.8)]
-        table = solver._SetTable(np.array(rows), [level.mu] * 2, level.basis, qes_set, params)
-        good, bad = (replace(level, basis_coefficients=row) for row in rows)
-        for j, member in enumerate((good, bad)):
-            object.__setattr__(member, "_set_table", (table, j))
+        table = solver._SetTable(level.set_table.pencil, params, [level.mu] * 2, level.basis,
+                                 np.array(rows))
+        good, bad = (solver.QesLevel(level.mu, qes_set, params, j, table) for j in range(2))
         with pytest.raises(InvariantViolationError, match="no finite value"):
             wavefunction(bad, params)
         assert wavefunction(good, params).log_norm == pytest.approx(
@@ -1203,7 +1257,7 @@ class TestSetTables:
     def test_a_row_with_no_finite_value_is_scanned_once(self, monkeypatch):
         params = PotentialParams(1.0, -4.0, 1.0)
         level = solve_classification(params, enumerate_qes_sets(2.0))[0]
-        nan_level = replace(level, basis_coefficients=(math.nan, 1.0))
+        nan_level = one_row(level, coefficients=(math.nan, 1.0))
         scans = self.record_scans(monkeypatch)
         for _ in range(2):
             with pytest.raises(InvariantViolationError, match="no finite value"):
@@ -1229,7 +1283,7 @@ class TestSetTables:
         levels = solve_classification(params, classification)
         assert verify_qes(params, classification, analytic_levels=levels).overall_pass
         for level in levels:
-            table, _ = solver._set_table(level)
+            table = level.set_table
             assert table._log_norms is None and table._block is None
 
 
