@@ -154,14 +154,13 @@ def _require_finite(name: str, value):
 
 
 def _v1_alpha(settings, default=None) -> tuple[float, float]:
-    """Positive V1 and alpha, with s = sqrt(V1)/alpha finite."""
+    """Positive V1 and alpha."""
     v1 = _require_number(settings, "v1", default)
     alpha = _require_number(settings, "alpha", default)
     if v1 <= 0.0:
         raise UsageError("v1 must be positive")
     if alpha <= 0.0:
         raise UsageError("alpha must be positive")
-    _require_finite("s = sqrt(V1)/alpha", math.sqrt(v1) / alpha)
     return v1, alpha
 
 
@@ -171,6 +170,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
     Exactly one of --v2, (--set and --n), --lambda selects the working point.
     """
     v1, alpha = _v1_alpha(settings)
+    _require_finite("s = sqrt(V1)/alpha", math.sqrt(v1) / alpha)
     chosen = [settings.get(name) is not None for name in ("v2", "set", "lambda")]
     if sum(chosen) != 1:
         raise UsageError(
@@ -388,6 +388,7 @@ def cmd_sample(settings) -> tuple[int, str]:
 
 def cmd_table(settings) -> tuple[int, dict]:
     v1, alpha = _v1_alpha(settings, default=1.0)
+    _require_finite("s = sqrt(V1)/alpha", math.sqrt(v1) / alpha)
     # V2 at the tables' largest lambda, 3/2; their energies check themselves.
     _require_finite("V2 = -2 sqrt(V1) alpha lambda", -3.0 * math.sqrt(v1) * alpha)
     document = reproduce_paper_tables(v1, alpha)

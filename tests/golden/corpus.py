@@ -1,7 +1,7 @@
 """Golden CLI corpus: record and compare every case of cases.json.
 
 Each case is one CLI invocation: its argv, an optional config file (its JSON
-content; the argv names it as "{config}") and its environment
+content; the argv names it as "{config}", and so does its output) and its environment
 (PYTHONWARNINGS=error unless the case says otherwise).  expected/<name>.txt
 holds what it printed: a JSON header line with the exit code and stderr,
 then stdout verbatim.  A traceback is kept as its last line only, and a
@@ -65,6 +65,14 @@ def load_cases(names=None) -> list[dict]:
     return cases
 
 
+def _named(case, argv, text: str) -> str:
+    """text with the config file's temporary path written back as "{config}"."""
+    for given, arg in zip(case["argv"], argv):
+        if given == "{config}":
+            text = text.replace(arg, given)
+    return text
+
+
 @contextlib.contextmanager
 def _argv(case):
     """The case's argv, with "{config}" replaced by a file holding its config."""
@@ -91,8 +99,9 @@ def run_fresh(case) -> tuple[int, str, str]:
             [sys.executable, "-m", "qhj_spectra.cli", *argv],
             capture_output=True, env=env, timeout=600,
         )
-    # Bytes, decoded as is: sample's CSV ends its lines with CRLF.
-    return result.returncode, result.stdout.decode("utf-8"), result.stderr.decode("utf-8")
+        # Bytes, decoded as is: sample's CSV ends its lines with CRLF.
+        return (result.returncode, _named(case, argv, result.stdout.decode("utf-8")),
+                _named(case, argv, result.stderr.decode("utf-8")))
 
 
 def run_in_process(case) -> tuple[int, str, str]:
@@ -107,7 +116,7 @@ def run_in_process(case) -> tuple[int, str, str]:
         warnings.simplefilter(_environment(case)["PYTHONWARNINGS"] or "default")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+        return code, _named(case, argv, out.getvalue()), _named(case, argv, err.getvalue())
 
 
 def render(code: int, stdout: str, stderr: str) -> str:

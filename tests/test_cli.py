@@ -708,7 +708,7 @@ class TestExitCodes:
             "solve-denominator-zero",
             "classify-denominator-zero",
             "v2-inf",
-            "classify-s-inf",
+            "classify-lambda-inf-tiny-alpha",
             "classify-lambda-inf",
             "solve-lambda-inf",
             "set-v2-inf",
