@@ -262,8 +262,8 @@ def _q_table(alpha, beta, z: np.ndarray, top: float, log_w=None):
         if stieltjes:
             alpha[k], beta[k] = a, math.sqrt(float(np.dot(weight * row, row)))
             if not 0.0 < beta[k] < math.inf:
-                raise InvariantViolationError(
-                    f"the basis's quadrature cannot hold q_{k + 1}: beta_{k + 1} = {beta[k]!r}")
+                raise InvariantViolationError(f"the basis's quadrature cannot hold "
+                                              f"q_{k + 1}: beta_{k + 1} = {float(beta[k])!r}")
         b_next = float(beta[k])
         row /= b_next
         bound *= max(1.0, (top + abs(a) + b) / b_next)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 import warnings
@@ -23,7 +24,7 @@ from qhj_spectra import (
     solve_classification,
     verify_qes,
 )
-from qhj_spectra import oracle
+from qhj_spectra import cli, oracle
 from qhj_spectra.oracle import (
     EXTRA_ORACLE_LEVELS,
     MAX_GRID_POINTS,
@@ -66,6 +67,10 @@ class TestGridSpec:
     def test_non_finite_half_width_rejected(self, big_l):
         with pytest.raises(ValueError, match="half_width_L must be finite"):
             GridSpec(half_width_L=big_l, point_count_N=1000)
+
+    def test_wall_at_the_origin_rejected(self):
+        with pytest.raises(ValueError, match="^half_width_L must be positive$"):
+            GridSpec(half_width_L=0.0, point_count_N=3)
 
 
 class TestDefaultGrid:
@@ -329,6 +334,29 @@ class TestLowestEigenvalues:
             params, quick_grid(params, n=50), k=50, parity="even"
         )
         assert len(spectrum.eigenvalues) == 50
+
+    def test_no_eigenvalues_rejected(self):
+        params = PotentialParams(1.0, -3.0, 1.0)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            lowest_eigenvalues(params, quick_grid(params, n=50), k=0, parity="even")
+
+    def test_unordered_eigenvalues_are_an_internal_failure(self, monkeypatch, capsys):
+        # eigh's values with the second made equal to the first: the check
+        # that they strictly increase fails, and the CLI exits 3, not 2.
+        checked = oracle._checked_spectrum
+
+        def tied(potential, k, parity, values, vectors):
+            values = values.copy()
+            values[1] = values[0]
+            return checked(potential, k, parity, values, vectors)
+
+        monkeypatch.setattr(oracle, "_checked_spectrum", tied)
+        message = "oracle eigenvalues are not strictly increasing"
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            verify_qes(PotentialParams(1.0, -4.0, 1.0), enumerate_qes_sets(2.0))
+        assert cli.main(["verify", "--v1", "1", "--alpha", "1", "--lambda", "2"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "InvariantViolationError", "message": message}
 
     def test_unresolved_grid_is_refined_before_it_is_returned(self):
         # lambda = 10, s = 1: 20 points leave the 12th even eigenvalue off by

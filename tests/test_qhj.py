@@ -38,6 +38,10 @@ class TestRiccatiFixedTerm:
         assert term.double_pole_coefficient(1) == Fraction(3, 16)
         assert term.double_pole_coefficient(-1) == Fraction(3, 16)
 
+    def test_double_pole_coefficient_only_at_the_fixed_poles(self):
+        with pytest.raises(ValueError, match=r"^fixed poles sit at y = \+-1, got 0$"):
+            riccati_fixed_term(PotentialParams(1.0, -3.0, 1.0)).double_pole_coefficient(0)
+
     @given(v1=positive_v1, v2=any_v2, alpha=positive_alpha,
            energy=st.floats(min_value=-20, max_value=20))
     @settings(max_examples=30, deadline=None)

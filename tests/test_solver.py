@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1285,6 +1287,89 @@ class TestSetTables:
         for level in levels:
             table = level.set_table
             assert table._log_norms is None and table._block is None
+
+
+class TestFailures:
+    # Each library raise, reached directly, and the invariant failures, with
+    # the fault injected, also through the CLI: an internal failure exits 3,
+    # not 2, which is a usage error.
+    ARGV = ["solve", "--v1", "1", "--alpha", "1", "--set", "1", "--n", "1"]
+
+    @staticmethod
+    def solved():
+        qes_set, params = params_for(1, 1)
+        return solve_levels(build_pencil(qes_set, params), params)
+
+    def cli_error(self, capsys):
+        code = cli.main(self.ARGV)
+        return code, json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [0.5, -math.inf]])
+    def test_evaluation_rejects_non_finite_x(self, x):
+        level = self.solved()[0]
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            evaluate_wavefunction(wavefunction(level, level.params), x)
+
+    def test_node_table_cap_is_a_usage_error(self, monkeypatch, capsys):
+        # (lambda, s) = (1.5, 1), set 1 has n = 1 on 46 nodes: 92 entries.
+        monkeypatch.setattr(solver, "_MAX_NODE_ENTRIES", 91)
+        message = ("set 1 with n = 1 needs 46 quadrature nodes at s = 1.0; "
+                   "(n + 1) x nodes is limited to 91")
+        with pytest.raises(InadmissibleParametersError, match=f"^{re.escape(message)}$"):
+            self.solved()
+        assert self.cli_error(capsys) == (
+            2, {"type": "InadmissibleParametersError", "message": message})
+
+    def test_quadrature_that_cannot_hold_the_basis(self, monkeypatch, capsys):
+        # The weight on one node alone: q_1 vanishes on the quadrature.
+        nodes = solver._nodes
+
+        def one_node(qes_set, params, mu_top):
+            z, _ = nodes(qes_set, params, mu_top)
+            return z, np.where(np.arange(z.size) == 0, 0.0, -np.inf)
+
+        monkeypatch.setattr(solver, "_nodes", one_node)
+        message = "the basis's quadrature cannot hold q_1: beta_1 = 0.0"
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            self.solved()
+        assert self.cli_error(capsys) == (
+            3, {"type": "InvariantViolationError", "message": message})
+
+    def test_basis_that_misses_the_energies(self, monkeypatch, capsys):
+        # alpha_0 moved by the nodes' scale after the Stieltjes procedure.
+        q_table = solver._q_table
+
+        def shifted(alpha, beta, z, top, log_w=None):
+            table = q_table(alpha, beta, z, top, log_w)
+            if log_w is not None:
+                alpha[0] += 1.0
+            return table
+
+        monkeypatch.setattr(solver, "_q_table", shifted)
+        pattern = "^the basis of set 1 with n = 1 reproduces its energies' mu only to "
+        with pytest.raises(InvariantViolationError, match=pattern):
+            self.solved()
+        code, error = self.cli_error(capsys)
+        assert code == 3 and error["type"] == "InvariantViolationError"
+        assert re.match(pattern, error["message"])
+
+    def test_basis_with_a_false_node(self, monkeypatch, capsys):
+        # The q_k's signs flipped on the outer half of the nodes: every
+        # level gains a sign change there.
+        q_table = solver._q_table
+
+        def flipped(alpha, beta, z, top, log_w=None):
+            t, log_scale = q_table(alpha, beta, z, top, log_w)
+            if log_w is not None:
+                t[:, z.size // 2:] *= -1.0
+            return t, log_scale
+
+        monkeypatch.setattr(solver, "_q_table", flipped)
+        message = "Sturm ordering violated: level 0 of set 1 has 2 nodes"
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            self.solved()
+        assert self.cli_error(capsys) == (
+            3, {"type": "InvariantViolationError", "message": message})
 
 
 class TestPaperTables:
