@@ -177,7 +177,6 @@ def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
     return log_w
 
 
-@functools.lru_cache(maxsize=64)
 def _node_wall(s: float, lam: float) -> float:
     """alpha L = acosh(1 + z), z = z_e + u: every zero of the basis's q_n lies
     below z_e = 2 lam / s (Laguerre's bound for w^2, a polynomial of degree
@@ -210,14 +209,8 @@ def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
             f"set {qes_set.set_index} with n = {qes_set.n} needs {count} quadrature "
             f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_NODE_ENTRIES}"
         )
-    z, log_z, log_z2 = _node_terms(alpha_l, count)
+    z, log_z, log_z2 = _z_terms((np.arange(count) + 0.5) * (alpha_l / count))
     return z, _log_weight(qes_set, s, z, log_z, log_z2)
-
-
-@functools.lru_cache(maxsize=8)
-def _node_terms(alpha_l: float, count: int):
-    """_z_terms at the nodes, which a working point's sets share when they ask for one count."""
-    return _z_terms((np.arange(count) + 0.5) * (alpha_l / count))
 
 
 def _z_terms(xi: np.ndarray):
