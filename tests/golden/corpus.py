@@ -1,7 +1,7 @@
 """Golden CLI corpus: record and compare every case of cases.json.
 
 Each case is one CLI invocation: its argv, an optional config file (its JSON
-content; the argv names it as "{config}", and so does its output) and its environment
+content; the argv, and the output, name it as "{config}") and its environment
 (PYTHONWARNINGS=error unless the case says otherwise).  expected/<name>.txt
 holds what it printed: a JSON header line with the exit code and stderr,
 then stdout verbatim.  A traceback is kept as its last line only, and a
