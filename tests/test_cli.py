@@ -696,8 +696,10 @@ class TestExitCodes:
              "DegeneratePotentialError"),
             # The derived V2 is -inf.
             (["solve", "--v1", "1e300", "--alpha", "1e300", "--lambda", "1.5"], "usage"),
-            # The derived lambda is inf.
+            # s is inf here too; classify has no use for s and rejects the
+            # derived lambda, which is inf as well.
             (["classify", "--v1", "1", "--v2", "-3", "--alpha", "1e-320"], "usage"),
+            # The derived lambda is inf.
             (["classify", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"], "usage"),
             (["solve", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"], "usage"),
             (["solve", "--v1", "1e300", "--alpha", "1", "--set", "1", "--n", "1e300"],
@@ -708,7 +710,7 @@ class TestExitCodes:
             "solve-denominator-zero",
             "classify-denominator-zero",
             "v2-inf",
-            "classify-lambda-inf-tiny-alpha",
+            "classify-s-inf",
             "classify-lambda-inf",
             "solve-lambda-inf",
             "set-v2-inf",
