@@ -17,7 +17,7 @@ set is solved by it twice: from default_grid, whose step alpha h is at most
 START_STEP (the coarse solve), then from 1.5 times as many points as the
 coarse grid resolved on (the fine solve).
 The fine eigenvalue is reported, and its distance to the coarse one is the
-level's self-gap.  The self-gap is reported, not gated: overall_pass reads
+level's self-gap; the report keeps each set's fine spectrum, vectors included.  The self-gap is reported, not gated: overall_pass reads
 only the gaps |E_analytic - E_oracle| / alpha^2 = |mu + eps| and the node
 counts, so its verdict is the same at every alpha.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,13 +107,15 @@ class LevelComparison:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Full adjudication: gaps, self-gaps, node counts and the grid solved."""
+    """Full adjudication: gaps, self-gaps, node counts, the grid and spectra solved."""
 
     rows: tuple[LevelComparison, ...]
     max_self_gap: float
     overall_pass: bool
     unmatched_oracle: tuple[float, ...]
     grid: GridSpec  # the finest grid solved; every set used its wall
+    # Each set's fine spectrum, in classification.sets order; arrays, so not compared.
+    spectra: tuple[NumericSpectrum, ...] = field(compare=False, repr=False)
 
 
 def default_grid(params: PotentialParams) -> GridSpec:
@@ -304,7 +306,7 @@ def verify_qes(
 
     rows: dict[int, LevelComparison] = {}
     unmatched: list[float] = []
-    finest = start
+    spectra: list[NumericSpectrum] = []
     passed = True
     for qes_set in classification.sets:
         members = sorted(
@@ -317,7 +319,7 @@ def verify_qes(
             start.half_width_L, math.ceil(1.5 * coarse.grid.point_count_N)
         )
         fine = lowest_eigenvalues(params, fine_start, k, qes_set.parity)
-        finest = max(finest, fine.grid, key=lambda g: g.point_count_N)
+        spectra.append(fine)
         energies = params.scaled("the oracle's E = alpha^2 eps", fine.eigenvalues, 2)
         unmatched.extend(energies[len(members):])
         odd = 1 if qes_set.parity == "odd" else 0
@@ -357,5 +359,6 @@ def verify_qes(
         max_self_gap=max(r.self_gap for r in ordered),
         overall_pass=overall,
         unmatched_oracle=tuple(sorted(unmatched)),
-        grid=finest,
+        grid=max((fine.grid for fine in spectra), key=lambda g: g.point_count_N),
+        spectra=tuple(spectra),
     )

@@ -5,7 +5,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from golden import corpus
+from qhj_spectra import PotentialParams, enumerate_qes_sets, verify_qes
 
 _SPEC = importlib.util.spec_from_file_location(
     "envelope", Path(__file__).resolve().parent.parent / "tools" / "envelope.py")
@@ -42,6 +45,27 @@ class TestEnvelopeCompare:
         new = self.scan((1.0, 1.0, {"outcome": "pass"}),
                         (4.0, 1.0, {"outcome": "ValueError: x", "max_gap": 1.0}))
         assert envelope.compare(old, new) == []
+
+
+class TestEnvelopeScan:
+    def test_the_psi_gap_reads_verifys_spectra(self, monkeypatch):
+        # A point's psi gap is taken against the fine spectra verify_qes
+        # returns: scanning it decomposes exactly the matrices verify_qes does.
+        sizes = []
+        original = np.linalg.eigh
+
+        def recorded(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        lam, s = 5.5, 1.0
+        verify_qes(PotentialParams.from_lambda(s * s, lam, 1.0), enumerate_qes_sets(lam))
+        verified, sizes[:] = list(sizes), []
+        record = envelope.scan_point(lam, s)
+        assert record["outcome"] == "pass"
+        assert record["psi_gap"] <= 1e-10
+        assert sizes == verified
 
 
 class TestCorpusCompare:

@@ -520,6 +520,28 @@ class TestVerify:
             assert start == 69 < coarse
             assert fine == math.ceil(1.5 * coarse)
 
+    @pytest.mark.parametrize("lam, s", [(2.0, 1.0), (10.0, 0.3)])
+    def test_report_holds_each_sets_fine_spectrum(self, lam, s):
+        # One spectrum per set, in classification.sets order: its eigenvalue
+        # j, scaled, is the energy_oracle of the set's level j, and the
+        # report's grid is the largest of their grids.  The spectra hold
+        # arrays, so they take no part in the report's equality.
+        params = PotentialParams.from_lambda(s * s, lam, 1.0)
+        classification = enumerate_qes_sets(lam)
+        report = verify_qes(params, classification)
+        assert len(report.spectra) == len(classification.sets)
+        for qes_set, spectrum in zip(classification.sets, report.spectra):
+            k = qes_set.n + 1 + EXTRA_ORACLE_LEVELS
+            assert spectrum.eigenvectors.shape == (spectrum.grid.point_count_N, k)
+            rows = sorted((row for row in report.rows if row.set_index == qes_set.set_index),
+                          key=lambda row: row.energy_analytic)
+            energies = params.scaled("E", spectrum.eigenvalues, 2)
+            assert [row.energy_oracle for row in rows] == energies[: qes_set.n + 1]
+        assert report.grid == max((spectrum.grid for spectrum in report.spectra),
+                                  key=lambda grid: grid.point_count_N)
+        assert report == verify_qes(params, classification)
+        assert "spectra" not in repr(report)
+
     def test_wall_beyond_float64_is_inadmissible(self):
         # At V1 = 1e307 the tail wall is at y = cosh(alpha L) = 10, where
         # V1 sinh^2 already overflows: nothing is solved.

@@ -9,8 +9,8 @@ Per point it records:
   characters of its message;
 - max_gap and max_self_gap from verify_qes;
 - psi_gap: the largest, over the levels, of the max-normalised gap between
-  the closed form and the oracle's eigenvector j, solved again on the
-  report's finest grid, scaled to the closed form at the vector's peak;
+  the closed form and the oracle's eigenvector j on its set's fine grid,
+  from verify_qes's report, scaled to the closed form at the vector's peak;
 - N, the oracle's finest grid, and the wall time of the point.
 
     python tools/envelope.py --output ENVELOPE_32.json
@@ -35,16 +35,13 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from qhj_spectra import (  # noqa: E402
-    GridSpec,
     PotentialParams,
     enumerate_qes_sets,
     evaluate_wavefunction,
-    lowest_eigenvalues,
     solve_classification,
     verify_qes,
     wavefunction,
 )
-from qhj_spectra.oracle import EXTRA_ORACLE_LEVELS  # noqa: E402
 
 BASE_LAMBDAS = tuple(0.5 * k for k in range(1, 80))
 BASE_S = tuple(10.0 ** (i / 12.0 - 1.0) for i in range(25))
@@ -53,16 +50,13 @@ GAP_FLOOR = 1e-10
 GAPS = ("max_gap", "max_self_gap", "psi_gap")
 
 
-def psi_gap(params, classification, levels, grid: GridSpec) -> float:
-    """The worst level's max |psi - v| over grid, psi max-normalised and v the
-    oracle's eigenvector j scaled to psi at v's peak."""
+def psi_gap(params, classification, levels, report) -> float:
+    """The worst level's max |psi - v| over its set's fine grid, psi
+    max-normalised and v the oracle's eigenvector j scaled to psi at v's peak."""
     worst = 0.0
-    for qes_set in classification.sets:
+    for qes_set, spectrum in zip(classification.sets, report.spectra):
         members = sorted((lvl for lvl in levels if lvl.qes_set == qes_set),
                          key=lambda lvl: lvl.energy)
-        spectrum = lowest_eigenvalues(
-            params, grid, qes_set.n + 1 + EXTRA_ORACLE_LEVELS, qes_set.parity
-        )
         x = spectrum.grid.points() / params.alpha  # the grid is one of alpha x
         for j, level in enumerate(members):
             psi = evaluate_wavefunction(wavefunction(level, params), x)
@@ -87,7 +81,7 @@ def scan_point(lam: float, s: float) -> dict:
             max_self_gap=report.max_self_gap,
             N=report.grid.point_count_N,
         )
-        record["psi_gap"] = psi_gap(params, classification, levels, report.grid)
+        record["psi_gap"] = psi_gap(params, classification, levels, report)
     except Exception as exc:  # every failure is recorded, typed
         record["outcome"] = f"{type(exc).__name__}: {str(exc)[:60]}"
     record["seconds"] = time.perf_counter() - start
