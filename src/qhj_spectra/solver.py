@@ -32,9 +32,10 @@ last bits depend on that block, so psi and log_norm repeat only to about
 1e-13 of the level's peak across blocks of other composition.
 Where P is round-off in the basis, far below the peak, the QMF functions
 take it from its Frobenius series at z = 0 instead.
-A set scans its levels once, on the lattice alpha x_k = 0.005 k, to scale
-each to max |psi| = 1.  All of it is computed from (s, lambda) in xi = alpha x:
-alpha enters only as xi = alpha x and E = -alpha^2 mu (PotentialParams.scaled).
+A set scans its levels once, on the lattice alpha x_k = 0.005 u k with
+u = min(1, 10 / sqrt(s)), to scale each to max |psi| = 1.  All of it is
+computed from (s, lambda) in xi = alpha x: alpha enters only as xi = alpha x
+and E = -alpha^2 mu (PotentialParams.scaled).
 """
 
 from __future__ import annotations
@@ -404,9 +405,9 @@ def solve_classification(
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_terms(count: int):
-    """_z_terms at the first count points of the normalisation lattice alpha x_k = 0.005 k."""
-    return _z_terms(np.arange(count) * 0.005)
+def _grid_terms(count: int, unit: float):
+    """_z_terms at the first count points of the normalisation lattice alpha x_k = 0.005 u k."""
+    return _z_terms(np.arange(count) * (0.005 * unit))
 
 
 def _require_own_params(level: QesLevel, params: PotentialParams) -> None:
@@ -600,26 +601,34 @@ class _SetTable:
         return poly[row - rows.start], log_scale
 
     def log_norm(self, row: int) -> float:
-        """Level row's log_norm: the max of log(|psi| e^s) on the lattice alpha x_k = 0.005 k.
+        """Level row's log_norm: the max of log(|psi| e^s) on the lattice
+        alpha x_k = 0.005 u k, u = min(1, 10 / sqrt(s)).
 
+        The well is about 1 / sqrt(s) wide in alpha x, so for s > 100 the unit
+        u shrinks with it; for s <= 100 the lattice is alpha x_k = 0.005 k.
         |psi| is even in x and has no interior maximum where V > E, so a
         level's peak lies inside its outer turning point y_t = cosh(alpha x_t):
         V / alpha^2 = s^2 y^2 - 2 s lam y - s^2 meets E / alpha^2 = -mu at
-        y_t = (lam + sqrt(lam^2 + s^2 - mu)) / s.  The first call scans every
-        row once, out to the farther of alpha x = 5 and the set's farthest y_t;
-        past its own y_t a row's |psi| only falls, so each row's maximum is
-        the one on its own range.
+        y_t = (lam + sqrt(lam^2 + s^2 - mu)) / s, taken with every term over s
+        where s^2 overflows.  The first call scans every row once, out to the
+        farther of alpha x = 5 u and the set's farthest y_t; past its own y_t
+        a row's |psi| only falls, so each row's maximum is the one on its own range.
         """
         if self._log_norms is None:
             lam, s = self.params.lam, self.params.s
-            # lam^2 + s^2 - mu per row; negative or NaN has no y_t.
-            spreads = [lam * lam + s * s - mu for mu in self.mus]
-            y_turn = max([(lam + math.sqrt(d)) / s for d in spreads if d >= 0.0], default=1.0)
+            unit = min(1.0, 10.0 / math.sqrt(s))
+            # y_t's terms over c: c = s where s^2 overflows, else 1 (the same bits).
+            c = 1.0 if math.isfinite(s * s) else s
+            lam_c, s_c = lam / c, s / c
+            # (lam^2 + s^2 - mu) / c^2 per row; negative or NaN has no y_t.
+            spreads = [lam_c * lam_c + s_c * s_c - mu / c / c for mu in self.mus]
+            y_turn = max([(lam_c + math.sqrt(d)) / s_c for d in spreads if d >= 0.0], default=1.0)
             # Past y = float max, z overflows and psi has no value.
-            count = math.ceil(200.0 * max(5.0, math.acosh(min(y_turn, sys.float_info.max)))) + 1
+            x_turn = math.acosh(min(y_turn, sys.float_info.max))
+            count = math.ceil(200.0 * max(5.0, x_turn / unit)) + 1
             maxima = []
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                z_terms = _grid_terms(count)
+                z_terms = _grid_terms(count, unit)
                 for rows in _row_blocks(len(spreads), count):
                     poly, log_scale = self._psi(rows, *z_terms)
                     log_abs = np.log(np.abs(poly))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -878,6 +879,45 @@ class TestExitCodes:
             "type": "InadmissibleParametersError",
             "message": "E = -alpha^2 mu overflows float64 at alpha = 1e+160",
         }
+
+    @given(
+        command=st.sampled_from(["classify", "solve", "sample", "table"]),
+        v1=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+        alpha=st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e),
+        lam=st.integers(min_value=1, max_value=80).map(lambda m: m / 2.0),
+        points=st.integers(min_value=2, max_value=101),
+        well_widths=st.none() | st.floats(min_value=0.1, max_value=100.0),
+    )
+    # A window of +-5 well widths at s = 1e12, where the lattice's step was
+    # wider than the well: a RuntimeWarning (exit 3), now a CSV.
+    @example(command="sample", v1=1e24, alpha=1.0, lam=1.5, points=101, well_widths=5.0)
+    # s = 5.5e54, where the lattice had no finite value (exit 3); the
+    # default window +-5/alpha holds none of the peak (exit 2).
+    @example(command="sample", v1=1.748955475109327e+65, alpha=7.568016110058467e-23,
+             lam=40.0, points=51, well_widths=None)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_no_run_fails_internally_across_the_float_range(
+        self, command, v1, alpha, lam, points, well_widths
+    ):
+        # Across the float range every run either answers or is a usage
+        # error, under warnings as errors: none exits 3.  sample's window is
+        # +-well_widths well widths 1 / (alpha sqrt(s)), or its default.
+        argv = [command, "--v1", repr(v1), "--alpha", repr(alpha)]
+        if command == "classify":
+            argv.append(f"--v2={-2.0 * math.sqrt(v1) * alpha * lam!r}")
+        elif command != "table":
+            argv += ["--lambda", repr(lam)]
+        if command == "sample":
+            argv += ["--points", str(points)]
+            if well_widths is not None:
+                half = well_widths / (alpha * math.sqrt(math.sqrt(v1) / alpha))
+                argv += [f"--x-min={-half!r}", f"--x-max={half!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2), (argv, out.getvalue()[-300:], err.getvalue()[-300:])
 
     def test_module_entry_point(self, schema):
         result = run_module("classify", "--v1", "1", "--v2", "-3", "--alpha", "1")

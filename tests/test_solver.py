@@ -565,6 +565,23 @@ class TestWavefunction:
                 z = 2 * mpmath.sinh(mpmath.mpf(float(xi)) / 2) ** 2
                 assert abs(value - mpmath.exp(-s * z) * (1 + slope * z)) <= 1e-15, xi
 
+    @pytest.mark.parametrize("s", [1e6, 1e12, 1e60])
+    @pytest.mark.parametrize("lam", [1.5, 40.0])
+    def test_lattice_resolves_narrow_wells(self, lam, s):
+        # The well is about 1 / (alpha sqrt(s)) wide, and the lattice's step
+        # 0.005 u / alpha shrinks with it (u = min(1, 10 / sqrt(s))): every
+        # level's max-normalised peak reads 1 on a dense grid across the well.
+        # A step of 0.005 / alpha fell between the points of the peak: set 2's
+        # level read 32551 at s = 1e6 and inf at s = 1e12.
+        params = PotentialParams.from_lambda(s * s, lam, 1.0)
+        x = np.linspace(-20.0, 20.0, 20001) / math.sqrt(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for level in solve_classification(params, enumerate_qes_sets(lam)):
+                psi = evaluate_wavefunction(wavefunction(level, params), x)
+                assert np.isfinite(psi).all()
+                assert np.max(np.abs(psi)) <= 1.01
+
     @staticmethod
     def lattice_count(levels, params):
         # wavefunction's lattice rule: alpha x_k = 0.005 k out to alpha x = 5,
@@ -659,7 +676,7 @@ class TestWavefunction:
         assert evaluate_wavefunction(wavefunction(level, params), x).shape == (0,)
 
     def test_cached_tables_are_read_only(self):
-        tables = solver._grid_terms(1001)
+        tables = solver._grid_terms(1001, 1.0)
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
