@@ -584,8 +584,9 @@ class TestWavefunction:
 
     @staticmethod
     def lattice_count(levels, params):
-        # wavefunction's lattice rule: alpha x_k = 0.005 k out to alpha x = 5,
-        # or to the farthest outer turning point of the levels scanned together.
+        # wavefunction's lattice rule at s <= 100: alpha x_k = 0.005 k out to
+        # alpha x = 5, or to the farthest outer turning point of the levels
+        # scanned together.
         lam, s = params.lam, params.s
         y_turn = max((lam + math.sqrt(lam * lam + s * s + level.energy / params.alpha**2)) / s
                      for level in levels)
