@@ -345,7 +345,9 @@ def cmd_sample(settings) -> tuple[int, str]:
             f"--points must be at most {MAX_SAMPLE_POINTS}, got {settings['points']}"
         )
     if settings.get("x_min") is None or settings.get("x_max") is None:
-        (half,) = params.scaled("the default window +-5/alpha", [5.0], -1)
+        # Five well units u either side, so the window follows a narrow well.
+        (half,) = params.scaled("the default window +-5u/alpha",
+                                [5.0 * params.well_unit], -1)
         settings = {"x_min": -half, "x_max": half, **settings}
     x_min = _require_number(settings, "x_min")
     x_max = _require_number(settings, "x_max")

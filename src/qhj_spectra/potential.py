@@ -92,6 +92,12 @@ class PotentialParams:
             )
         return math.sqrt(self.v1) / self.alpha
 
+    @property
+    def well_unit(self) -> float:
+        """u = min(1, 10 / sqrt(s)), a length in xi = alpha x that follows the
+        well, about 1 / sqrt(s) wide: 1 for s <= 100, then shrinking with it."""
+        return min(1.0, 10.0 / math.sqrt(self.s))
+
     def scaled(self, name: str, reduced: list[float], power: int) -> list[float]:
         """The (s, lambda) core's values, Python floats, in units: energies
         (power 2, E = alpha^2 eps) or lengths (power -1, x = xi / alpha).  One

@@ -602,7 +602,7 @@ class _SetTable:
 
     def log_norm(self, row: int) -> float:
         """Level row's log_norm: the max of log(|psi| e^s) on the lattice
-        alpha x_k = 0.005 u k, u = min(1, 10 / sqrt(s)).
+        alpha x_k = 0.005 u k, u = params.well_unit = min(1, 10 / sqrt(s)).
 
         The well is about 1 / sqrt(s) wide in alpha x, so for s > 100 the unit
         u shrinks with it; for s <= 100 the lattice is alpha x_k = 0.005 k.
@@ -615,8 +615,7 @@ class _SetTable:
         a row's |psi| only falls, so each row's maximum is the one on its own range.
         """
         if self._log_norms is None:
-            lam, s = self.params.lam, self.params.s
-            unit = min(1.0, 10.0 / math.sqrt(s))
+            lam, s, unit = self.params.lam, self.params.s, self.params.well_unit
             # y_t's terms over c: c = s where s^2 overflows, else 1 (the same bits).
             c = 1.0 if math.isfinite(s * s) else s
             lam_c, s_c = lam / c, s / c

@@ -483,6 +483,22 @@ class TestSample:
         assert evaluated == sorted(level.basis_coefficients for level in levels)
         assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]
 
+    def test_default_window_follows_a_narrow_well(self):
+        # s = 1e12: the well is about 1e-6 wide, so the default window is
+        # +-5u/alpha with u = 10 / sqrt(s) = 1e-5, not +-5/alpha, whose step
+        # of 0.01 held none of the peak (exit 2).  Every column peaks at 1.
+        result = run_module("sample", "--v1", "1e24", "--alpha", "1", "--lambda", "1.5",
+                            env={"PYTHONWARNINGS": "error"})
+        assert result.returncode == 0
+        assert result.stderr == ""
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert rows[0][2:] == ["psi_set1_n1_E-2e+12", "psi_set1_n1_E2e+12", "psi_set2_n0_E-1"]
+        data = np.array(rows[1:], dtype=float)
+        assert data.shape == (1001, 5)
+        assert data[0, 0] == pytest.approx(-5e-5, rel=1e-12)
+        assert data[-1, 0] == pytest.approx(5e-5, rel=1e-12)
+        assert np.abs(data[:, 2:]).max(axis=0).tolist() == [1.0] * 3
+
     @pytest.mark.parametrize("args, ratio", [
         (("--v1", "1e-6", "--lambda", "10"), "7.64e-17"),
         (("--v1", "1", "--lambda", "1", "--x-max", "1000", "--points", "5"), "9.84e-32"),
@@ -791,7 +807,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("v1, alpha, message", [
         # s = 1e100: the start grid leaves eps ~ s^2 unresolved, and the rule
         # asks for ~1e100 points.
-        ("1e200", "1", "the oracle's sizing rule asks for N = 1.07e+100 grid points at "
+        ("1e200", "1", "the oracle's sizing rule asks for N = 1.68e+100 grid points at "
                         "s = 1e+100; N is limited to 12288"),
         # s = 1e160: v = V / alpha^2 has no float64 value, so no grid is sized.
         ("1e300", "1e-10", "v = V / alpha^2 overflows float64 at s = 1e+160, at the "
@@ -891,8 +907,9 @@ class TestExitCodes:
     # A window of +-5 well widths at s = 1e12, where the lattice's step was
     # wider than the well: a RuntimeWarning (exit 3), now a CSV.
     @example(command="sample", v1=1e24, alpha=1.0, lam=1.5, points=101, well_widths=5.0)
-    # s = 5.5e54, where the lattice had no finite value (exit 3); the
-    # default window +-5/alpha holds none of the peak (exit 2).
+    # s = 5.5e54, where the lattice had no finite value (exit 3) and then
+    # the default window +-5/alpha held none of the peak (exit 2); the
+    # window +-5u/alpha follows the well, and every column peaks at 1.
     @example(command="sample", v1=1.748955475109327e+65, alpha=7.568016110058467e-23,
              lam=40.0, points=51, well_widths=None)
     @settings(max_examples=120, deadline=None, derandomize=True)

@@ -81,7 +81,7 @@ class TestDefaultGrid:
         grid = default_grid(PotentialParams(1.0, -3.0, 1.0))
         y = math.cosh(grid.half_width_L)
         assert y - 1.5 * math.log(y) == pytest.approx(40.0, abs=1e-9)
-        assert grid.point_count_N == math.ceil(math.acosh(y) / START_STEP) == 34
+        assert grid.point_count_N == math.ceil(math.acosh(y) / START_STEP) == 23
 
     def test_strong_well_hits_floor(self):
         grid = default_grid(PotentialParams(100.0, -3.0, 1.0))
@@ -127,6 +127,19 @@ class TestDefaultGrid:
                     assert grid.step <= START_STEP
                 grids.add(grid)
             assert len(grids) == 1
+
+    def test_start_step_holds_the_gaps_down_on_the_scan(self):
+        # The envelope scan's half-integer lambda <= 10 x its 25 s, alpha = 1
+        # (500 verify calls, about 1-2 s): the start step keeps every gap to
+        # the analytic energies and every self-gap at round-off.  A step of
+        # 0.25 leaves self-gaps up to 5.2e-10 at lambda = 3, s <= 0.26.
+        for twice_lam, i in itertools.product(range(1, 21), range(25)):
+            lam, s = twice_lam / 2.0, 10.0 ** (i / 12 - 1)
+            report = verify_qes(PotentialParams.from_lambda(s * s, lam, 1.0),
+                                enumerate_qes_sets(lam))
+            assert report.overall_pass, (lam, s)
+            assert all(row.abs_gap <= 1e-10 for row in report.rows), (lam, s)
+            assert report.max_self_gap <= 1e-10, (lam, s)
 
 
 class TestNodeCount:
@@ -493,7 +506,7 @@ class TestVerify:
         report = verify_qes(params, classification, analytic_levels=levels)
         assert report.overall_pass
         assert len(classification.sets) == 2
-        assert calls == [("eigh", 34), ("eigh", 51)] * 2
+        assert calls == [("eigh", 23), ("eigh", 35)] * 2
 
     def test_resized_start_grid_passes(self, monkeypatch):
         # The default 69-point start is too coarse for lambda = 20.5 at s = 1:
@@ -577,7 +590,7 @@ class TestVerify:
             assert report.max_self_gap <= 1e-10
             assert all(r.abs_gap <= 1e-10 for r in report.rows)
             # The start already resolves the anchors, so the finer grid has
-            # ceil(1.5 N) points: 77 or 78 at s = 0.1, 50 or 51 at s = 1.
+            # ceil(1.5 N) points: 53 at s = 0.1, 35 at s = 1.
             start = default_grid(params).point_count_N
             assert report.grid.point_count_N == math.ceil(1.5 * start)
 
