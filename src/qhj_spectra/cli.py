@@ -170,7 +170,6 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
     Exactly one of --v2, (--set and --n), --lambda selects the working point.
     """
     v1, alpha = _v1_alpha(settings)
-    _require_finite("s = sqrt(V1)/alpha", math.sqrt(v1) / alpha)
     chosen = [settings.get(name) is not None for name in ("v2", "set", "lambda")]
     if sum(chosen) != 1:
         raise UsageError(
@@ -195,6 +194,7 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
             params = PotentialParams.from_lambda(v1, lam, alpha)
         except ValueError as exc:  # V2 = -2 sqrt(V1) alpha lambda overflows
             raise UsageError(str(exc)) from None
+    _require_finite("s = sqrt(V1)/alpha", params.s)
     lam = _require_finite("lambda", params.lam)
     if has_set:
         classification = QesClassification(lam=lam, sets=(qes_set,))
@@ -345,9 +345,9 @@ def cmd_sample(settings) -> tuple[int, str]:
             f"--points must be at most {MAX_SAMPLE_POINTS}, got {settings['points']}"
         )
     if settings.get("x_min") is None or settings.get("x_max") is None:
-        # Five well units u either side, so the window follows a narrow well.
-        (half,) = params.scaled("the default window +-5u/alpha",
-                                [5.0 * params.well_unit], -1)
+        # Five well units u either side, so the window follows a narrow well;
+        # 5u/alpha <= 50 / (V1^(1/4) alpha^(1/2)) is finite for V1, alpha > 0.
+        half = 5.0 * params.well_unit / params.alpha
         settings = {"x_min": -half, "x_max": half, **settings}
     x_min = _require_number(settings, "x_min")
     x_max = _require_number(settings, "x_max")

@@ -1,7 +1,7 @@
 """Independent sinc-DVR eigenvalue oracle for -psi'' + V psi = E psi.
 
-It solves -phi'' + v phi = eps phi in xi = alpha x, v = V / alpha^2, which
-depends on (s, lambda) alone: its grids are grids of xi, and E = alpha^2 eps.
+It solves -phi'' + v phi = eps phi in xi = alpha x, v = V / alpha^2 built from
+the working point's (s, lambda) alone: its grids are grids of xi; E = alpha^2 eps.
 v is even, so each QES set, whose residue b1 fixes its parity, is checked
 in its own sector.  The cell-centred half-line points xi_i = (i - 1/2) h and
 their mirror images form one uniform grid of step h.  On it the sinc
@@ -206,9 +206,9 @@ def _sector_hamiltonian(
 
 
 def _potential(params: PotentialParams, xi):
-    """v = (V1 / alpha^2) sinh^2 xi + (V2 / alpha^2) cosh xi: at alpha = 1, V bit for bit."""
-    a = params.alpha
-    return (params.v1 / a / a) * np.sinh(xi) ** 2 + (params.v2 / a / a) * np.cosh(xi)
+    """v = V / alpha^2 = s^2 sinh^2 xi - 2 s lambda cosh xi, from params' (s, lam) alone."""
+    s, lam = params.s, params.lam
+    return s * s * np.sinh(xi) ** 2 - 2.0 * s * lam * np.cosh(xi)
 
 
 def _sign_changes(columns: np.ndarray) -> np.ndarray:
@@ -301,7 +301,7 @@ def verify_qes(
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
     start = default_grid(params)
-    # Far out, v1 sinh^2 + v2 cosh can be inf + -inf: ignore both warnings.
+    # Far out, s^2 sinh^2 - 2 s lambda cosh can be inf - inf: ignore both warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         wall = _potential(params, start.half_width_L)
     if not math.isfinite(wall):

@@ -5,12 +5,13 @@ derivative substitutions, the bound-state problem becomes
 
     chi'(y) + chi(y)^2 + G(y) = 0,
 
-where G carries two fixed double poles at y = +1 and y = -1 and a linear-in-E
-part.  This module extracts the exact fixed-pole residues and the constant and
-1/y coefficients of chi at infinity, and alone knows the QES condition: a set,
-its Table 3.1 index (fixing b1, b1' in {1/4, 3/4}) and degree n, is admitted
-when lambda = b1 + b1' + n, i.e. M = 2 lambda = 2n + k with k = 2 (b1 + b1'),
-for the working point's own lambda, PotentialParams.lam.
+where G carries two fixed double poles at y = +1 and y = -1 and a part linear
+in eps = E / alpha^2; the potential enters only through the working point's
+s and lambda.  This module extracts the exact fixed-pole residues and the
+constant and 1/y coefficients of chi at infinity, and alone knows the QES
+condition: a set, its Table 3.1 index (fixing b1, b1' in {1/4, 3/4}) and
+degree n, is admitted when lambda = b1 + b1' + n, i.e. M = 2 lambda = 2n + k
+with k = 2 (b1 + b1'), for the working point's own lambda, PotentialParams.lam.
 """
 
 from __future__ import annotations
@@ -28,28 +29,27 @@ INTEGER_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class RiccatiFixedTerm:
-    """The fixed term G(y; E), evaluable at complex y != +-1.
+    """The fixed term G(y; eps), evaluable at complex y != +-1, in eps = E / alpha^2.
 
-    G(y; E) = (y^2 + 2) / (4 (y^2 - 1)^2)
-              + (E - V1 y^2 - V2 y + V1) / (alpha^2 (y^2 - 1))
+    G(y; eps) = (y^2 + 2) / (4 (y^2 - 1)^2)
+                + (eps - s^2 y^2 + 2 s lambda y + s^2) / (y^2 - 1);
+
+    its second term is the paper's (E - V1 y^2 - V2 y + V1) / (alpha^2 (y^2 - 1)).
     """
 
-    v1: float
-    v2: float
-    alpha: float
+    s: float
+    lam: float
 
-    def evaluate(self, y, energy):
-        q = y * y - 1.0
-        return (y * y + 2.0) / (4.0 * q * q) + (
-            energy - self.v1 * y * y - self.v2 * y + self.v1
-        ) / (self.alpha * self.alpha * q)
+    def evaluate(self, y, eps):
+        q, s = y * y - 1.0, self.s
+        return (y * y + 2.0) / (4.0 * q * q) + (eps - s * s * q + 2.0 * s * self.lam * y) / q
 
     @staticmethod
     def double_pole_coefficient(location: int) -> Fraction:
         """Exact coefficient of 1/(y - location)^2; equals 3/16 at both poles.
 
         Only the first term of G contributes (the second has simple poles),
-        so the value is independent of E, V1, V2 and alpha.
+        so the value is independent of eps, s and lambda.
         """
         if location not in (1, -1):
             raise ValueError(f"fixed poles sit at y = +-1, got {location}")
@@ -63,8 +63,8 @@ class FixedPoleAnalysis:
     location: int
     residues: tuple[Fraction, Fraction]
     double_pole_coefficient: Fraction
-    # Constant Laurent coefficient candidates +-sqrt(V1)/alpha (sign fixed
-    # only by the behavior at infinity).
+    # Constant Laurent coefficient candidates +-s = +-sqrt(V1)/alpha (sign
+    # fixed only by the behavior at infinity).
     a0_candidates: tuple[float, float]
 
 
@@ -117,9 +117,9 @@ class QesClassification:
 
 
 def riccati_fixed_term(params: PotentialParams) -> RiccatiFixedTerm:
-    """Build G(y; E) for the real variant; requires V1 > 0."""
+    """Build G(y; eps) for the real variant at params' (s, lambda); requires V1 > 0."""
     _require_positive_v1(params.v1)
-    return RiccatiFixedTerm(v1=params.v1, v2=params.v2, alpha=params.alpha)
+    return RiccatiFixedTerm(s=params.s, lam=params.lam)
 
 
 def _exact_sqrt(value: Fraction) -> Fraction | None:
@@ -171,12 +171,11 @@ def fixed_pole_analysis(term: RiccatiFixedTerm, location: int) -> FixedPoleAnaly
     """Exact residues {1/4, 3/4} at the fixed pole y = location."""
     g2 = term.double_pole_coefficient(location)
     residues = indicial_residues(g2)
-    s = math.sqrt(term.v1) / term.alpha
     return FixedPoleAnalysis(
         location=location,
         residues=residues,
         double_pole_coefficient=g2,
-        a0_candidates=(s, -s),
+        a0_candidates=(term.s, -term.s),
     )
 
 

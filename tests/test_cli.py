@@ -823,7 +823,7 @@ class TestExitCodes:
         assert doc["error"]["type"] == "InadmissibleParametersError"
         assert doc["error"]["message"].startswith(message)
 
-    def test_block_beyond_root_finding_is_internal_failure(self, capsys, schema):
+    def test_lambda_forty_block_solves_with_every_node_count(self, capsys, schema):
         # lambda = 40 (n = 39, 38): the monomial eigenvector lost the signs of
         # its smallest components and the Sturm check failed the set.  In the
         # orthonormal basis every level keeps its node count, and solve exits 0.
@@ -860,12 +860,12 @@ class TestExitCodes:
             2 * j + odd for j in range(n + 1)]
         assert len(qes_set["basis"]["alpha"]) == len(qes_set["basis"]["beta"]) == n
 
-    def test_overflowing_diagonal_scaling_is_internal_failure(self, capsys):
+    def test_set_three_at_n_400_solves_without_a_warning(self, capsys):
         # Set 3's monomial scaling D overflowed float64 from n = 305 at s = 1
         # and the set failed; the orthonormal basis has no such scaling.
         self.solved_without_a_warning(capsys, 3, 400)
 
-    def test_underflowed_last_component_is_internal_failure(self, capsys):
+    def test_set_one_at_n_300_solves_without_a_warning(self, capsys):
         # Set 1's monomial eigenvector's last component underflowed to 0 at
         # n = 300 and the set failed; the basis has no leading-1 division.
         self.solved_without_a_warning(capsys, 1, 300)

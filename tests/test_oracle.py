@@ -646,3 +646,22 @@ class TestVerify:
                     assert math.ldexp(value, -2 * k) == unit_value, (k, value, unit_value)
                     compared += 1
         assert compared > 4 * 4 * len(unit.rows)
+
+    @pytest.mark.parametrize("lam, s", [(1.5, 1.0), (2.0, 0.3), (5.5, 3.0), (10.0, 0.3),
+                                        (20.5, 3.0)])
+    def test_report_depends_on_s_and_lambda_alone(self, lam, s):
+        # At any alpha, not only 2^k, V1 / alpha^2 and V2 / alpha^2 round
+        # differently from s^2 and -2 s lambda; the oracle reads the working
+        # point's (s, lambda) floats, so every eps is the one alpha = 1 gives
+        # at the same s float.
+        classification = enumerate_qes_sets(lam)
+        for alpha in (1e-150, 1e-3, 0.7, 3.0, 1e3, 1e150):
+            params = PotentialParams.from_lambda((s * alpha) ** 2, lam, alpha)
+            unit_params = PotentialParams.from_lambda(params.s**2, lam, 1.0)
+            report = verify_qes(params, classification)
+            unit = verify_qes(unit_params, classification)
+            assert params.s == unit_params.s
+            assert report.overall_pass == unit.overall_pass
+            assert report.grid.point_count_N == unit.grid.point_count_N
+            assert ([spectrum.eigenvalues for spectrum in report.spectra]
+                    == [spectrum.eigenvalues for spectrum in unit.spectra]), alpha

@@ -62,6 +62,22 @@ class TestRiccatiFixedTerm:
         term = riccati_fixed_term(PotentialParams(2.0, 0.0, 1.3))
         assert term.evaluate(y, energy) == pytest.approx(term.evaluate(-y, energy))
 
+    def test_matches_the_dimensional_fixed_term(self):
+        # The paper's G(y; E), from (V1, V2, alpha), against the term built
+        # from (s, lambda) at eps = E / alpha^2, at complex y off the poles.
+        rng = np.random.default_rng(38)
+        for _ in range(500):
+            v1, v2 = float(rng.uniform(0.05, 30.0)), float(rng.uniform(-30.0, 30.0))
+            alpha, energy = float(rng.uniform(0.2, 5.0)), float(rng.uniform(-50.0, 50.0))
+            y = complex(rng.uniform(-5.0, 5.0), rng.uniform(-2.0, 2.0))
+            if min(abs(y - 1.0), abs(y + 1.0)) < 1e-2:
+                continue
+            q = y * y - 1.0
+            expected = (y * y + 2.0) / (4.0 * q * q) + (
+                energy - v1 * y * y - v2 * y + v1) / (alpha * alpha * q)
+            term = riccati_fixed_term(PotentialParams(v1, v2, alpha))
+            assert term.evaluate(y, energy / alpha**2) == pytest.approx(expected, rel=1e-12)
+
     def test_requires_positive_v1(self):
         with pytest.raises(UnsupportedBranchError):
             riccati_fixed_term(PotentialParams(-1.0, -3.0, 1.0))

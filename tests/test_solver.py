@@ -337,7 +337,7 @@ class TestLargeBlocks:
             assert abs(residual) < 1e-8 * max(1.0, abs(energy))
         assert len(series) == 10
 
-    def test_underflowed_eigenvector_is_a_precise_failure(self):
+    def test_lambda_forty_small_s_keeps_every_node_count(self):
         # At (40, 0.27) the monomial eigenvector's smallest component
         # underflowed to 0 and the set failed; in the orthonormal basis no
         # entry over- or underflows, and every level keeps its node count.
@@ -356,7 +356,7 @@ class TestLargeBlocks:
                                        atol=1e-13)
 
     @pytest.mark.parametrize("set_index", [1, 2, 3, 4])
-    def test_underflowed_last_component_is_a_precise_failure(self, set_index):
+    def test_n_300_solves_in_energy_order_without_a_warning(self, set_index):
         # V1 = alpha = 1, n = 300: the monomial eigenvectors' last components
         # underflowed to 0 (from about n = 123) and the set failed.  In the
         # orthonormal basis it solves without a numpy warning: 301 levels in
@@ -878,9 +878,10 @@ class TestMovingPoles:
     )
     def test_node_count_by_descartes(self, coefficients, even_nodes):
         # Descartes' rule counts the zeros in z > 0 of a real-rooted P from
-        # its coefficients' signs: the node rule of solve_levels (the sign
-        # changes of P sampled in z > 0, ignoring values below 1e-12 of the
-        # peak) must count as many.  A second row checks that rows do not mix.
+        # its coefficients' signs: the oracle's node rule, _sign_changes (the
+        # sign changes of P sampled in z > 0, ignoring values below 1e-12 of
+        # the peak, counted by _row_sign_changes as solve_levels' basis counts
+        # them), must count as many.  A second row checks that rows do not mix.
         z = np.geomspace(1e-3, 1e3, 2001)
         weight = np.exp(-z)
         rows = np.stack([np.polyval(coefficients[::-1], z), np.ones_like(z)]) * weight
