@@ -27,9 +27,9 @@ p = -i psi'/psi has its poles.  An n = 0 set has P = 1 and no basis.
 
 A solved set (_SetTable) owns its pencil, mus, basis and coefficients; a
 QesLevel is a (set, row) view, evaluated by the same scaled recurrence, then
-one product with the coefficients of a block of the set's rows.  A value's
-last bits depend on that block, so psi and log_norm repeat only to about
-1e-13 of the level's peak across blocks of other composition.
+one product with the coefficients of all the set's rows (or its own alone).
+A value's last bits depend on that product, so psi and log_norm repeat only
+to about 1e-13 of the level's peak across products of other shapes.
 Where P is round-off in the basis, far below the peak, the QMF functions
 take it from its Frobenius series at z = 0 instead.
 A set scans its levels once, on the lattice alpha x_k = 0.005 u k with
@@ -54,15 +54,15 @@ from .qhj import SET_RESIDUES, QesClassification, QesSet, enumerate_qes_sets
 
 # The largest block degree n: a 501 x 501 float64 pencil is 2 MB.
 MAX_BLOCK_N = 500
-# Entries (rows x points, or basis functions x points) one block of an
-# evaluation holds at a time, unless it is one row or one point.
+# Entries (basis functions x points) of one chunk of the q_k table that
+# _evaluate builds, unless it is one point: a size that stays in cache.
 _BLOCK_ENTRIES = 2**14
-# The quadrature's nodes lie at most this far apart in alpha x, at least
-# _MIN_NODES resolve the weight, and a set's table of q_k at its nodes holds
-# at most _MAX_NODE_ENTRIES entries.
+# The quadrature's nodes lie at most this far apart in alpha x, and at least
+# _MIN_NODES resolve the weight.
 _NODE_STEP = 0.1
 _MIN_NODES = 40
-_MAX_NODE_ENTRIES = 2**23
+# Entries (64 MB) of a set's two tables: q_k at its nodes, and its rows at x.
+_MAX_TABLE_ENTRIES = 2**23
 # A mantissa beyond _RESCALE is divided by it, and its point's exponent raised.
 _RESCALE = 1e100
 _LOG_RESCALE = math.log(_RESCALE)
@@ -205,10 +205,10 @@ def _nodes(qes_set: QesSet, params: PotentialParams, mu_top: float):
     v_min = -(lam * lam + s * s) if lam > s else -2.0 * s * lam
     k_max_l = math.sqrt(max(-mu_top - v_min, 0.0)) * alpha_l
     count = max(math.ceil(k_max_l), math.ceil(alpha_l / _NODE_STEP), _MIN_NODES)
-    if count * (qes_set.n + 1) > _MAX_NODE_ENTRIES:
+    if count * (qes_set.n + 1) > _MAX_TABLE_ENTRIES:
         raise InadmissibleParametersError(
             f"set {qes_set.set_index} with n = {qes_set.n} needs {count} quadrature "
-            f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_NODE_ENTRIES}"
+            f"nodes at s = {s!r}; (n + 1) x nodes is limited to {_MAX_TABLE_ENTRIES}"
         )
     z, log_z, log_z2 = _z_terms((np.arange(count) + 0.5) * (alpha_l / count))
     return z, _log_weight(qes_set, s, z, log_z, log_z2)
@@ -276,8 +276,9 @@ def _q_table(alpha, beta, z: np.ndarray, top: float, log_w=None):
 def _evaluate(coefficients, alpha, beta, z, log_w):
     """(P, l) with psi = P exp(l) for each row of coefficients (rows x (n + 1))
     at the points z >= 0 (1-D), ln w at z given, the q_k tabled in chunks of at
-    most _BLOCK_ENTRIES entries or one point.  Where psi has no value in
-    float64 (the table overflows, or ln w is NaN at z = inf), P is 0 and l -inf.
+    most _BLOCK_ENTRIES entries or one point; P holds rows x points, which the
+    caller bounds.  Where psi has no value in float64 (the table overflows, or
+    ln w is NaN at z = inf), P is 0 and l -inf.
     """
     rows, points = coefficients.shape[0], z.size
     poly, log_scale = np.empty((rows, points)), np.empty(points)
@@ -552,7 +553,7 @@ def schrodinger_residual(
 
 class _SetTable:
     """A solved set, the one owner of its levels' pencil, mus, basis and coefficients
-    (a row per level), with results computed for all its rows (or a block) on first use.
+    (a row per level), with results computed for all its rows at once on first use.
 
     Level j is row j; a row's failure is kept as its message and raised only
     for its own level.
@@ -571,18 +572,19 @@ class _SetTable:
     def closed_form(self, row: int, x: np.ndarray):
         """(P, l), psi e^s = P exp(l) unnormalized, for level row at the finite points x.
 
-        The row's block of rows is evaluated in one pass (an odd level takes
-        the sign of x) and kept, read-only, with a private copy of x, until
-        each of its rows has been read; the set's other levels read their
-        rows from it while x is unchanged bit for bit.
+        Every row of the set is evaluated in one pass (an odd level takes the
+        sign of x), or only this one where rows x points would pass
+        _MAX_TABLE_ENTRIES.  The block is kept, read-only, with a private copy
+        of x, until each of its rows has been read; the set's other levels
+        read their rows from it while x is unchanged bit for bit.
         """
         block = self._block
         if block is None or not (block[0].start <= row < block[0].stop
                                  and block[1] == (x.shape, x.tobytes())):
             if not np.isfinite(x).all():
                 raise ValueError("x must be finite")
-            rows = next(b for b in _row_blocks(len(self.mus), max(x.size, 1))
-                        if row < b.stop)
+            count = len(self.mus)
+            rows = slice(0, count) if count * x.size <= _MAX_TABLE_ENTRIES else slice(row, row + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 poly, log_scale = self._psi(rows, *_z_terms(self.params.alpha * x.ravel()))
             if self.pencil.qes_set.p1 > 0.0:
@@ -591,7 +593,7 @@ class _SetTable:
             log_scale = log_scale.reshape(x.shape)
             poly.setflags(write=False)
             log_scale.setflags(write=False)
-            unread = set(range(rows.start, rows.start + len(poly)))
+            unread = set(range(rows.start, rows.stop))
             # A block of one row is never kept, so x is not copied for it.
             key = (x.shape, x.tobytes()) if len(unread) > 1 else None
             block = (rows, key, poly, log_scale, unread)
@@ -611,8 +613,9 @@ class _SetTable:
         V / alpha^2 = s^2 y^2 - 2 s lam y - s^2 meets E / alpha^2 = -mu at
         y_t = (lam + sqrt(lam^2 + s^2 - mu)) / s, taken with every term over s
         where s^2 overflows.  The first call scans every row once, out to the
-        farther of alpha x = 5 u and the set's farthest y_t; past its own y_t
-        a row's |psi| only falls, so each row's maximum is the one on its own range.
+        farther of alpha x = 5 u and the set's farthest y_t, all rows together
+        in lattice chunks of _BLOCK_ENTRIES // rows points; past its own y_t a
+        row's |psi| only falls, so each row's maximum is the one on its own range.
         """
         if self._log_norms is None:
             lam, s, unit = self.params.lam, self.params.s, self.params.well_unit
@@ -625,19 +628,21 @@ class _SetTable:
             # Past y = float max, z overflows and psi has no value.
             x_turn = math.acosh(min(y_turn, sys.float_info.max))
             count = math.ceil(200.0 * max(5.0, x_turn / unit)) + 1
-            maxima = []
+            maxima = np.full(len(spreads), -np.inf)
+            step = max(1, _BLOCK_ENTRIES // len(spreads))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 z_terms = _grid_terms(count, unit)
-                for rows in _row_blocks(len(spreads), count):
-                    poly, log_scale = self._psi(rows, *z_terms)
+                for start in range(0, count, step):
+                    part = (t[start:start + step] for t in z_terms)
+                    poly, log_scale = self._psi(slice(None), *part)
                     log_abs = np.log(np.abs(poly))
                     log_abs += log_scale
-                    maxima += log_abs.max(axis=1, initial=-np.inf).tolist()
+                    np.maximum(maxima, log_abs.max(axis=1), out=maxima)
             self._log_norms = [
                 f"E = -alpha^2 mu at mu = {mu!r} lies below the minimum of V" if not d >= 0.0
                 else value if value > -math.inf
                 else "the closed form has no finite value on its lattice"
-                for value, d, mu in zip(maxima, spreads, self.mus)]
+                for value, d, mu in zip(maxima.tolist(), spreads, self.mus)]
         if isinstance(self._log_norms[row], str):
             raise InvariantViolationError(self._log_norms[row])
         return self._log_norms[row]
@@ -646,12 +651,6 @@ class _SetTable:
         """_evaluate for the given rows at the points z, with their ln z and ln(z + 2)."""
         return _evaluate(self.coefficients[rows], self.basis.alpha, self.basis.beta, z,
                          _log_weight(self.pencil.qes_set, self.params.s, z, log_z, log_z2))
-
-
-def _row_blocks(count: int, points: int) -> list[slice]:
-    """Slices splitting count rows into blocks of _BLOCK_ENTRIES // points rows or one."""
-    step = max(1, _BLOCK_ENTRIES // points)
-    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def count_moving_poles(level: QesLevel) -> int:

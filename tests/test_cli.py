@@ -452,7 +452,7 @@ class TestSample:
     @pytest.mark.parametrize("v1, lam", [("1", "1.5"), ("1", "10"), ("0.05", "10")])
     def test_one_closed_form_evaluation_per_column(self, capsys, monkeypatch, v1, lam):
         # Each column is psi over its maximum on the sampled points, read
-        # from one evaluation per row block of its set: every level's row is
+        # from one evaluation of all its set's rows: every level's row is
         # evaluated at the sampled points exactly once, and each peak is
         # exactly 1.
         evaluate, solve = solver._evaluate, cli.solve_classification
@@ -475,10 +475,7 @@ class TestSample:
         rows = list(csv.reader(io.StringIO(out)))
         psi = np.array(rows[1:], dtype=float)[:, 2:]
         assert psi.shape == (1001, round(2 * float(lam)))
-        per_set = [sum(level.qes_set == qes_set for level in levels)
-                   for qes_set in {level.qes_set for level in levels}]
-        assert len(per_set) == 2
-        assert len(blocks) == sum(len(solver._row_blocks(count, 1001)) for count in per_set)
+        assert len({level.qes_set for level in levels}) == len(blocks) == 2
         evaluated = sorted(row for block in blocks for row in block)
         assert evaluated == sorted(level.basis_coefficients for level in levels)
         assert np.abs(psi).max(axis=0).tolist() == [1.0] * psi.shape[1]

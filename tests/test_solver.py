@@ -595,15 +595,17 @@ class TestWavefunction:
     @classmethod
     def uncached_log_norm(cls, level, params, members=None):
         # wavefunction's lattice rule, with z, ln z and ln(z + 2) computed
-        # afresh, and the level's row evaluated in the block its set scans it
-        # with: members are the levels scanned together (default: the level alone).
+        # afresh, and the level's row evaluated with its set's rows in the
+        # lattice chunks its set scans them in: members are the levels
+        # scanned together (default: the level alone).
         members = [level] if members is None else members
         count = cls.lattice_count(members, params)
         sh = np.sinh(0.5 * (np.arange(count) * 0.005))
         z = 2.0 * sh * sh
         rows = [member.basis_coefficients for member in members]
         index = rows.index(level.basis_coefficients)
-        block = next(b for b in solver._row_blocks(len(rows), count) if index < b.stop)
+        step = max(1, solver._BLOCK_ENTRIES // len(rows))
+        peak = -math.inf
         # As in wavefunction: ln z = -inf at x = 0 for an odd level.
         with np.errstate(divide="ignore"):
             log_w = -params.s * z
@@ -611,11 +613,14 @@ class TestWavefunction:
                 log_w += level.qes_set.p1 * np.log(z)
             if level.qes_set.p2 > 0.0:
                 log_w += level.qes_set.p2 * np.log(z + 2.0)
-            poly, log_scale = solver._evaluate(np.array(rows[block]), np.array(level.basis.alpha),
-                                               np.array(level.basis.beta), z, log_w)
-            log_abs = np.log(np.abs(poly[index - block.start]))
-        log_abs += log_scale
-        return float(np.max(log_abs[np.isfinite(log_abs)])), count
+            for start in range(0, count, step):
+                part = slice(start, start + step)
+                poly, log_scale = solver._evaluate(
+                    np.array(rows), np.array(level.basis.alpha), np.array(level.basis.beta),
+                    z[part], log_w[part])
+                log_abs = np.log(np.abs(poly[index])) + log_scale
+                peak = max(peak, float(np.max(log_abs[np.isfinite(log_abs)], initial=-np.inf)))
+        return peak, count
 
     def test_log_norm_matches_uncached_grid_bit_for_bit(self):
         # Every level is scanned with its whole set on the alpha-free lattice;
@@ -1001,11 +1006,12 @@ class TestMovingPoles:
 
 
 class TestSetTables:
-    # The spectrum_sweep timed mix, (20.5, 1), (10, 0.1) and the mixed point
-    # lambda = 10, V1 = 0.05, where 8 of each set's 10 levels turn past
-    # 5/alpha, so that the set's lattice reaches past it.
+    # The spectrum_sweep timed mix, (20.5, 1), (10, 0.1), (80.5, 1), whose
+    # sets of 81 and 80 levels are each one product of all their rows, and
+    # the mixed point lambda = 10, V1 = 0.05, where 8 of each set's 10 levels
+    # turn past 5/alpha, so that the set's lattice reaches past it.
     MIX = [(lam, s) for lam in (1.0, 1.5, 2.0, 5.5) for s in (0.3, 1.0, 3.0)] + [
-        (10.0, 1.0), (10.0, 3.0), (20.5, 1.0), (10.0, 0.1),
+        (10.0, 1.0), (10.0, 3.0), (20.5, 1.0), (10.0, 0.1), (80.5, 1.0),
     ]
 
     @classmethod
@@ -1065,8 +1071,8 @@ class TestSetTables:
         assert split_sets == 2
 
     def test_shared_evaluation_equals_a_table_of_one(self):
-        # Each level's values are read from one evaluation per row block of
-        # its set; they agree, to round-off of the level's peak, with a level
+        # Each level's values are read from one evaluation of all its set's
+        # rows; they agree, to round-off of the level's peak, with a level
         # evaluated alone, in energy order (the two sets interleaved) and in
         # reverse, at a grid, a 2-D x and scalars.
         for lam, params in self.working_points():
@@ -1126,14 +1132,14 @@ class TestSetTables:
         # was evaluated again, the copy was not.
         assert calls == [len(levels)] + [1] * 3 + [len(levels)] + [1] * (len(levels) - 3)
 
-    def test_first_pass_runs_in_bounded_row_blocks(self, monkeypatch):
+    def test_first_pass_scans_every_row_in_bounded_lattice_chunks(self, monkeypatch):
         # A lambda = 20.5 set (about 20 levels of degree about 20) scans its
-        # normalisation grid in blocks of rows, each of at most
-        # _BLOCK_ENTRIES rows x points unless it is one row, and tables its
+        # normalisation lattice with all its rows at once, in chunks of at
+        # most _BLOCK_ENTRIES rows x points unless one point, and tables its
         # q_k in chunks of at most _BLOCK_ENTRIES entries unless one point;
-        # every row's log_norm matches the whole set as one block to
+        # every row's log_norm matches the whole lattice as one chunk to
         # round-off.  The default bound splits the 1001-point scan; 1000
-        # leaves one row per block and 47 points per chunk.
+        # leaves 47 points per chunk.
         evaluate, q_table = solver._evaluate, solver._q_table
         blocks, chunks = [], []
 
@@ -1160,22 +1166,24 @@ class TestSetTables:
                     patch.setattr(solver, "_evaluate", scan)
                     patch.setattr(solver, "_q_table", table)
                     blocked = filled(rows[0].set_table)
-                assert all(rows * points <= bound or rows == 1 for rows, points in blocks)
+                assert all(count == len(rows) for count, _ in blocks)
+                assert all(count * points <= bound or points == 1 for count, points in blocks)
                 assert all(entries <= bound for entries in chunks)
-                norm_rows = [rows for rows, _ in blocks]
-                assert len(norm_rows) > 1 and sum(norm_rows) == len(rows)
+                assert len(blocks) > 1 and sum(points for _, points in blocks) == 1001
                 with monkeypatch.context() as patch:
                     patch.setattr(solver, "_BLOCK_ENTRIES", 2**30)
                     single = filled(whole[0].set_table)
                 np.testing.assert_allclose(blocked, single, rtol=1e-14)
 
-    def test_evaluation_runs_in_bounded_row_blocks(self, monkeypatch):
-        # A lambda = 20.5 set (about 20 levels) evaluates its closed forms in
-        # blocks of at most _BLOCK_ENTRIES rows x points, or one row: a
-        # 20001-point x goes one row per block.  A table holds only its last
-        # block, with a private copy of its x, until each of the block's rows
-        # has been read: at most 2 _BLOCK_ENTRIES floats while a sweep runs,
-        # none for a 20001-point x or a table of one, and none after it.
+    def test_evaluation_holds_one_block_within_the_table_bound(self, monkeypatch):
+        # A lambda = 20.5 set (about 20 levels) evaluates all its rows in one
+        # block where rows x points is at most _MAX_TABLE_ENTRIES, else each
+        # level's row alone.  With the bound at 20 x 20001 entries, a
+        # 20001-point x still goes in one block for set 2's 20 rows, but one
+        # row per block for set 1's 21.  A table holds only its last block,
+        # with a private copy of its x, until each of the block's rows has
+        # been read: at most the bound plus one row of floats while a sweep
+        # runs, none for a block of one row or a table of one, and none after it.
         evaluate, blocks = solver._evaluate, []
 
         def counted(*args):
@@ -1188,27 +1196,33 @@ class TestSetTables:
         levels = solve_classification(params, enumerate_qes_sets(20.5))
         wfs = [wavefunction(level, params) for level in levels]
         tables = {id(level.set_table): level.set_table for level in levels}
-        for points in (1001, 20001):
+        sizes = sorted(len(table.mus) for table in tables.values())
+        assert sizes == [20, 21]
+        for points, bound in [(1001, None), (20001, None), (20001, 20 * 20001)]:
+            bound = bound or solver._MAX_TABLE_ENTRIES
             blocks.clear()
             held = []
             x = np.linspace(-5.0, 5.0, points)
-            for wf in wfs:
-                evaluate_wavefunction(wf, x)
-                table, row = wf.level.set_table, wf.level.row
-                if table._block is not None:
-                    rows, key, *kept, unread = table._block
-                    assert key == (x.shape, x.tobytes())
-                    assert row not in unread
-                    held.append(sum(array.nbytes for array in kept) // 8)
-            assert all(rows * size <= solver._BLOCK_ENTRIES or rows == 1
-                       for rows, size in blocks)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_MAX_TABLE_ENTRIES", bound)
+                for wf in wfs:
+                    evaluate_wavefunction(wf, x)
+                    table, row = wf.level.set_table, wf.level.row
+                    if len(table.mus) * points > bound:
+                        assert table._block is None
+                    elif table._block is not None:
+                        rows, key, *kept, unread = table._block
+                        assert key == (x.shape, x.tobytes())
+                        assert row not in unread
+                        held.append(sum(array.nbytes for array in kept) // 8)
+            assert all(rows * size <= bound or rows == 1 for rows, size in blocks)
             assert {size for _, size in blocks} == {points}
             assert sum(rows for rows, _ in blocks) == len(levels)
-            if points == 1001:
-                assert len(tables) == 2 and len(blocks) == 4
-                assert held and max(held) <= 2 * solver._BLOCK_ENTRIES
+            assert held and max(held) <= bound + points
+            if bound == solver._MAX_TABLE_ENTRIES:
+                assert sorted(rows for rows, _ in blocks) == sizes
             else:
-                assert len(blocks) == len(levels) and not held
+                assert sorted(blocks) == [(1, points)] * 21 + [(20, points)]
             for table in tables.values():
                 assert [name for name, value in vars(table).items()
                         if isinstance(value, (np.ndarray, tuple))] == ["coefficients"]
@@ -1229,6 +1243,32 @@ class TestSetTables:
             evaluate_wavefunction(wf, x)
         assert scans == [(10, 1001)] * 2
         assert all(level.set_table._block is None for level in levels)
+
+    @pytest.mark.parametrize("lam", [80.5, 200.5])
+    def test_a_large_set_is_scanned_and_evaluated_whole(self, monkeypatch, lam):
+        # At s = 1 the sets hold 80 to 201 levels.  Each set's normalisation
+        # scan calls _evaluate once per lattice chunk of _BLOCK_ENTRIES // rows
+        # points, with every row of the set, and every level evaluated on one
+        # 1001-point x costs one call per set.
+        params = PotentialParams.from_lambda(1.0, lam, 1.0)
+        levels = solve_classification(params, enumerate_qes_sets(lam))
+        scans = self.record_scans(monkeypatch)
+        wfs = [wavefunction(level, params) for level in levels]
+        chunks, whole = [], []
+        for qes_set in enumerate_qes_sets(lam).sets:
+            members = [level for level in levels if level.qes_set == qes_set]
+            rows = len(members)
+            count = TestWavefunction.lattice_count(members, params)
+            step = solver._BLOCK_ENTRIES // rows
+            chunks += [(rows, min(step, count - start)) for start in range(0, count, step)]
+            whole.append((rows, 1001))
+        assert min(rows for rows, _ in whole) >= 80
+        assert sorted(scans) == sorted(chunks)
+        scans.clear()
+        x = np.linspace(-5.0, 5.0, 1001)
+        for wf in wfs:
+            evaluate_wavefunction(wf, x)
+        assert sorted(scans) == sorted(whole)
 
     def test_a_one_row_set_never_reads_the_solved_sets_table(self):
         qes_set, params = params_for(1, 1)
@@ -1327,7 +1367,7 @@ class TestFailures:
 
     def test_node_table_cap_is_a_usage_error(self, monkeypatch, capsys):
         # (lambda, s) = (1.5, 1), set 1 has n = 1 on 46 nodes: 92 entries.
-        monkeypatch.setattr(solver, "_MAX_NODE_ENTRIES", 91)
+        monkeypatch.setattr(solver, "_MAX_TABLE_ENTRIES", 91)
         message = ("set 1 with n = 1 needs 46 quadrature nodes at s = 1.0; "
                    "(n + 1) x nodes is limited to 91")
         with pytest.raises(InadmissibleParametersError, match=f"^{re.escape(message)}$"):
