@@ -195,6 +195,8 @@ def _working_point(settings) -> tuple[PotentialParams, QesClassification]:
         except ValueError as exc:  # V2 = -2 sqrt(V1) alpha lambda overflows
             raise UsageError(str(exc)) from None
     _require_finite("s = sqrt(V1)/alpha", params.s)
+    if params.s == 0.0:
+        raise UsageError("s = sqrt(V1)/alpha = 0.0 underflows float64 at this working point")
     lam = _require_finite("lambda", params.lam)
     if has_set:
         classification = QesClassification(lam=lam, sets=(qes_set,))

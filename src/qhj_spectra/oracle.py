@@ -132,7 +132,8 @@ def default_grid(params: PotentialParams) -> GridSpec:
     s in [0.1, 10], alpha = 1) the starts run on 15 to 126 points, and the
     largest self-gap is 2.9e-11.  The start is meant to be cheap, not final:
     at 1882 of the 1975 points some set's start does not resolve, and the
-    rule grows it before the coarse solve."""
+    rule grows it before the coarse solve.  Raises InadmissibleParametersError
+    where y, or v = V / alpha^2 at the wall, is beyond float64."""
     # A decaying y^lambda (lambda < 0) only moves the wall inwards.
     s, lam = params.s, max(params.lam, 0.0)
     y, previous = 10.0, 0.0
@@ -141,9 +142,23 @@ def default_grid(params: PotentialParams) -> GridSpec:
         # from y = 10, with contraction lam / (s y) < 1/ln(10) at the root.
         while y - previous > 1e-12 * y:
             previous, y = y, (40.0 + lam * math.log(y)) / s
+    if not math.isfinite(y):
+        raise InadmissibleParametersError(
+            f"the oracle's wall y = cosh(alpha L) overflows float64 at s = {params.s!r}, "
+            "where the QES levels' tails fall below exp(-40)"
+        )
+    wall = math.acosh(y)
+    # Far out, s^2 sinh^2 - 2 s lambda cosh can be inf - inf: ignore both warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_wall = _potential(params, wall)
+    if not math.isfinite(v_wall):
+        raise InadmissibleParametersError(
+            f"v = V / alpha^2 overflows float64 at s = {params.s!r}, at the oracle's "
+            f"wall xi = alpha L = {wall!r}, where the QES levels' "
+            "tails fall below exp(-40)"
+        )
     # The largest QES set has floor(lambda + 1/2) levels.
     k = math.floor(lam + 0.5) + EXTRA_ORACLE_LEVELS
-    wall = math.acosh(y)
     return GridSpec(wall, max(3 * k, math.ceil(wall / START_STEP)))
 
 
@@ -296,20 +311,11 @@ def verify_qes(
     published value fails the match).  A level whose |mu + eps| =
     |E_analytic - E_oracle| / alpha^2 exceeds tolerance fails overall_pass.
     Raises InadmissibleParametersError, before anything is solved, when
-    v = V / alpha^2 at the wall is beyond float64.
+    default_grid's wall, or v = V / alpha^2 at it, is beyond float64.
     """
     if not classification.sets:
         raise ValueError("classification is empty; nothing to verify")
     start = default_grid(params)
-    # Far out, s^2 sinh^2 - 2 s lambda cosh can be inf - inf: ignore both warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        wall = _potential(params, start.half_width_L)
-    if not math.isfinite(wall):
-        raise InadmissibleParametersError(
-            f"v = V / alpha^2 overflows float64 at s = {params.s!r}, at the oracle's "
-            f"wall xi = alpha L = {start.half_width_L!r}, where the QES levels' "
-            "tails fall below exp(-40)"
-        )
     if analytic_levels is None:
         analytic_levels = solve_classification(params, classification)
 

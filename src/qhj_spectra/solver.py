@@ -158,10 +158,18 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
     # The diagonal, sub- and superdiagonal are written in place through the
     # flat index (stride n + 2), so only one matrix is built.
     matrix = np.zeros((n + 1, n + 1))
-    matrix.flat[:: n + 2] = (k * (k - 1.0) + (2.0 * sigma + 1.0 - 4.0 * s) * k
-                             + 2.0 * s * n + sigma**2 - 2.0 * s * delta)
-    matrix.flat[n + 1 :: n + 2] = 2.0 * s * (n - k[1:] + 1.0)
-    matrix.flat[1 :: n + 2] = (k[:-1] + 1.0) * (2.0 * k[:-1] + 1.0 + 4.0 * p1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix.flat[:: n + 2] = (k * (k - 1.0) + (2.0 * sigma + 1.0 - 4.0 * s) * k
+                                 + 2.0 * s * n + sigma**2 - 2.0 * s * delta)
+        matrix.flat[n + 1 :: n + 2] = 2.0 * s * (n - k[1:] + 1.0)
+        matrix.flat[1 :: n + 2] = (k[:-1] + 1.0) * (2.0 * k[:-1] + 1.0 + 4.0 * p1)
+        products = matrix.diagonal(1) * matrix.diagonal(-1)
+    # solve_levels takes sqrt(H[k, k+1] H[k+1, k]) for its Jacobi form.
+    if not (np.isfinite(matrix).all() and np.isfinite(products).all()):
+        raise InadmissibleParametersError(
+            f"set {qes_set.set_index} with n = {n} has a pencil entry or a product "
+            f"H[k, k+1] H[k+1, k] beyond float64 at s = {s!r}"
+        )
     matrix.setflags(write=False)
     return SpectralPencil(matrix=matrix, qes_set=qes_set)
 

@@ -718,6 +718,10 @@ class TestExitCodes:
             (["solve", "--v1", "1e-200", "--v2=-1e300", "--alpha", "1e-100"], "usage"),
             (["solve", "--v1", "1e300", "--alpha", "1", "--set", "1", "--n", "1e300"],
              "usage"),
+            # s = sqrt(V1)/alpha underflows to 0: no wall, no well width.
+            (["verify", "--v1", "5e-324", "--alpha", "1e300", "--lambda", "1"], "usage"),
+            (["sample", "--v1", "5e-324", "--alpha", "1e300", "--lambda", "1"], "usage"),
+            (["solve", "--v1", "5e-324", "--alpha", "1e300", "--lambda", "1"], "usage"),
         ],
         ids=[
             "s-inf",
@@ -728,6 +732,9 @@ class TestExitCodes:
             "classify-lambda-inf",
             "solve-lambda-inf",
             "set-v2-inf",
+            "verify-s-zero",
+            "sample-s-zero",
+            "solve-s-zero",
         ],
     )
     def test_derived_numbers_beyond_float64_are_usage_errors(
@@ -801,17 +808,39 @@ class TestExitCodes:
         assert captured.err.startswith("Traceback")
         assert f"{error.__name__}: injected failure" in captured.err
 
-    @pytest.mark.parametrize("v1, alpha, message", [
+    @pytest.mark.parametrize("v1, alpha, lam, message", [
         # s = 1e100: the start grid leaves eps ~ s^2 unresolved, and the rule
         # asks for ~1e100 points.
-        ("1e200", "1", "the oracle's sizing rule asks for N = 1.68e+100 grid points at "
-                        "s = 1e+100; N is limited to 12288"),
+        ("1e200", "1", "1", "the oracle's sizing rule asks for N = 1.68e+100 grid points "
+                            "at s = 1e+100; N is limited to 12288"),
         # s = 1e160: v = V / alpha^2 has no float64 value, so no grid is sized.
-        ("1e300", "1e-10", "v = V / alpha^2 overflows float64 at s = 1e+160, at the "
-                           "oracle's wall xi = alpha L = 2.99"),
-    ], ids=["s1e100", "s1e160"])
-    def test_grid_beyond_its_cap_is_inadmissible(self, capsys, schema, v1, alpha, message):
-        code = main(["verify", "--v1", v1, "--alpha", alpha, "--lambda", "1"])
+        ("1e300", "1e-10", "1", "v = V / alpha^2 overflows float64 at s = 1e+160, at the "
+                                "oracle's wall xi = alpha L = 2.99"),
+        # s = 1e-305: the wall y = cosh(alpha L) ~ 40 / s overflows.
+        ("1e-10", "1e300", "10", "the oracle's wall y = cosh(alpha L) overflows float64 "
+                                 "at s = 1e-305"),
+    ], ids=["s1e100", "s1e160", "s1e-305"])
+    def test_grid_beyond_its_cap_is_inadmissible(self, capsys, schema, v1, alpha, lam, message):
+        code = main(["verify", "--v1", v1, "--alpha", alpha, "--lambda", lam])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        jsonschema.validate(doc, schema)
+        assert doc["error"]["type"] == "InadmissibleParametersError"
+        assert doc["error"]["message"].startswith(message)
+
+    @pytest.mark.parametrize("command, lam, message", [
+        # s = 1e305: H[k, k+1] H[k+1, k] overflows at lambda = 40, and the
+        # diagonal itself at lambda = 500.5.
+        ("solve", "40", "set 3 with n = 39 has a pencil entry or a product "
+                        "H[k, k+1] H[k+1, k] beyond float64 at s = 1e+305"),
+        ("sample", "40", "set 3 with n = 39 has a pencil entry"),
+        ("solve", "500.5", "set 1 with n = 500 has a pencil entry"),
+        ("sample", "500.5", "set 1 with n = 500 has a pencil entry"),
+    ])
+    def test_pencil_beyond_float64_is_inadmissible(self, capsys, schema, command, lam, message):
+        code = main([command, "--v1", "1e10", "--alpha", "1e-300", "--lambda", lam])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == ""
@@ -909,6 +938,9 @@ class TestExitCodes:
     # window +-5u/alpha follows the well, and every column peaks at 1.
     @example(command="sample", v1=1.748955475109327e+65, alpha=7.568016110058467e-23,
              lam=40.0, points=51, well_widths=None)
+    # s = 1e305, where H[k, k+1] H[k+1, k] overflowed (exit 3).
+    @example(command="solve", v1=1e10, alpha=1e-300, lam=40.0, points=2, well_widths=None)
+    @example(command="sample", v1=1e10, alpha=1e-300, lam=40.0, points=2, well_widths=None)
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_no_run_fails_internally_across_the_float_range(
         self, command, v1, alpha, lam, points, well_widths
