@@ -12,7 +12,8 @@ The wall xi = L sits where s y - lambda ln y >= 40 (y = cosh L), past
 the y^lambda exp(-s y) tail of every QES level.  A set's levels, in energy
 order, are matched by index to its sector's lowest eigenvalues.
 lowest_eigenvalues sizes its grid from the sector's own eigenvalues, never
-from the analytic side, and returns only a spectrum its grid resolves.  Each
+from the analytic side, and returns only a spectrum its grid resolves and
+solver.sturm_signs passes: half-line eigenvector j changes sign j times.  Each
 set is solved by it twice: from default_grid, whose step alpha h is at most
 START_STEP = 0.2 (the coarse solve), then from 1.5 times as many points as
 the coarse grid resolved on (the fine solve).  The fine eigenvalue is
@@ -31,14 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateVectorError,
-    InadmissibleParametersError,
-    InvariantViolationError,
-)
+from .errors import InadmissibleParametersError, InvariantViolationError
 from .potential import PotentialParams
 from .qhj import QesClassification
-from .solver import QesLevel, _row_sign_changes, solve_classification
+from .solver import QesLevel, sign_changes, solve_classification, sturm_signs
 
 # Default bound on |E_analytic - E_oracle| / alpha^2 for a level to pass.
 DEFAULT_TOLERANCE = 1e-6
@@ -163,11 +160,11 @@ def default_grid(params: PotentialParams) -> GridSpec:
 
 
 def node_count(vector: np.ndarray) -> int:
-    """Strict sign changes, ignoring entries below 1e-12 of the peak.
+    """Strict sign changes, ignoring entries below 1e-12 of the peak (solver.sign_changes).
 
     An empty, all-zero or non-finite vector raises DegenerateVectorError.
     """
-    return int(_sign_changes(np.asarray(vector, dtype=float).reshape(-1, 1))[0])
+    return int(sign_changes(np.asarray(vector, dtype=float).reshape(1, -1))[1][0])
 
 
 def _require_points(grid: GridSpec, k: int) -> None:
@@ -226,19 +223,6 @@ def _potential(params: PotentialParams, xi):
     return s * s * np.sinh(xi) ** 2 - 2.0 * s * lam * np.cosh(xi)
 
 
-def _sign_changes(columns: np.ndarray) -> np.ndarray:
-    """node_count of every column at once: strict sign changes, ignoring
-    entries below 1e-12 of the column's peak."""
-    magnitudes = np.abs(columns.T)
-    peaks = magnitudes.max(axis=1, initial=0.0)
-    if not np.isfinite(peaks).all():
-        raise DegenerateVectorError("non-finite vector has no node count")
-    if not (peaks > 0.0).all():
-        raise DegenerateVectorError("all-zero vector has no node count")
-    kept = magnitudes >= 1e-12 * peaks[:, None]
-    return _row_sign_changes(np.where(kept, np.sign(columns.T), 0.0))
-
-
 def _checked_spectrum(
     potential: np.ndarray, k: int, parity: str, values: np.ndarray, vectors: np.ndarray,
 ) -> tuple[tuple[float, ...], np.ndarray]:
@@ -255,14 +239,9 @@ def _checked_spectrum(
     window = allowed.copy()
     window[1:] |= allowed[:-1]
     window[:-1] |= allowed[1:]
-    nodes = _sign_changes(np.where(window, vectors, 0.0))
-    wrong = np.flatnonzero(nodes != np.arange(k))
-    if wrong.size:
-        j = int(wrong[0])
-        raise InvariantViolationError(
-            f"Sturm oscillation violated: {parity} eigenvector {j} has "
-            f"{nodes[j]} sign changes on the half-line"
-        )
+    sturm_signs(np.where(window, vectors, 0.0).T, lambda j, changes: (
+        f"Sturm oscillation violated: {parity} eigenvector {j} has "
+        f"{changes} sign changes on the half-line"))
     return tuple(values.tolist()), vectors
 
 
@@ -337,7 +316,6 @@ def verify_qes(
         spectra.append(fine)
         energies = params.scaled("the oracle's E = alpha^2 eps", fine.eigenvalues, 2)
         unmatched.extend(energies[len(members):])
-        odd = 1 if qes_set.parity == "odd" else 0
         grid_ratio = fine.grid.point_count_N / coarse.grid.point_count_N
         # The gaps in units of alpha^2, from mu and eps alone.
         mus = [analytic_levels[i].mu for i in members]
@@ -362,8 +340,8 @@ def verify_qes(
                 ),
                 node_count_analytic=level.node_count,
                 # Both grids' solves have checked that eigenvector j has j sign
-                # changes on the half-line; mirrored, 2 j + odd.
-                node_count_oracle=2 * j + odd,
+                # changes on the half-line.
+                node_count_oracle=qes_set.node_count(j),
                 parity=level.parity,
             )
 

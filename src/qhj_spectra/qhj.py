@@ -103,6 +103,10 @@ class QesSet:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "lam", (2 * self.n + k) / 2)
 
+    def node_count(self, sign_changes: int) -> int:
+        """Nodes on the line of a level with sign_changes on x > 0, mirrored (+1 at 0 if odd)."""
+        return 2 * sign_changes + (1 if self.parity == "odd" else 0)
+
 
 @dataclass(frozen=True)
 class QesClassification:

@@ -21,7 +21,7 @@ decays like exp(-2 s cosh(alpha x)).  A node's values are mantissas times a
 shared exp(l), so neither w's decay nor q_k's growth leaves float64.  In the
 basis the set's operator is a symmetric tridiagonal A: its eigenvalues must
 reproduce eig(H), its eigenvectors are the levels' basis coefficients, and
-level j must change sign j times on the nodes.
+level j must change sign j times on the nodes (sturm_signs, the oracle's check too).
 Those sign changes are its moving poles, the zeros of P_n in z > 0 where
 p = -i psi'/psi has its poles.  An n = 0 set has P = 1 and no basis.
 
@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InadmissibleParametersError, InvariantViolationError, QmfPoleError
+from .errors import (DegenerateVectorError, InadmissibleParametersError,
+                     InvariantViolationError, QmfPoleError)
 from .potential import PotentialParams, Variant, evaluate_potential
 from .qhj import SET_RESIDUES, QesClassification, QesSet, enumerate_qes_sets
 
@@ -125,7 +126,7 @@ class QesLevel:
 
     @property
     def node_count(self) -> int:  # solve_levels checked level j's j sign changes
-        return 2 * self.row + (1 if self.parity == "odd" else 0)
+        return self.qes_set.node_count(self.row)
 
 
 @dataclass(frozen=True)
@@ -316,8 +317,8 @@ def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
     A[k, k] = H[k, k] - S_k H[k, k-1] + S_(k+1) H[k+1, k] and
     A[k+1, k] = H[k+1, k] beta_(k+1): compare the z^(k+1) and z^k
     coefficients of L pi_k for the monic pi_k = z^k - S_k z^(k-1) + ...
-    Level j has j sign changes on the nodes, skipping values below 1e-12 of
-    its peak, and the sign of a monic P: positive beyond its outermost zero.
+    sturm_signs checks that level j has j sign changes on the nodes, and its
+    signs give the sign of a monic P: positive beyond its outermost zero.
     """
     n, index = qes_set.n, qes_set.set_index
     z, log_w = _nodes(qes_set, params, float(mus[-1]))
@@ -341,34 +342,45 @@ def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
             f"the basis of set {index} with n = {n} reproduces its energies' mu "
             f"only to {miss:.3g}"
         )
-    # The signs of sqrt(omega) P_j at the nodes, a row per level, 0 below
-    # 1e-12 of the row's peak.
-    psi = (vectors.T @ t) * np.exp(log_scale)
-    magnitude = np.abs(psi)
-    signs = np.sign(psi)
-    signs[magnitude < 1e-12 * magnitude.max(axis=1, keepdims=True)] = 0.0
-    changes = _row_sign_changes(signs)
-    wrong = np.flatnonzero(changes != np.arange(n + 1))
-    if wrong.size:
-        j = int(wrong[0])
-        odd = 1 if qes_set.parity == "odd" else 0
-        raise InvariantViolationError(
-            f"Sturm ordering violated: level {j} of set {index} has "
-            f"{2 * int(changes[j]) + odd} nodes"
-        )
+    # sqrt(omega) P_j at the nodes, a row per level.
+    signs = sturm_signs((vectors.T @ t) * np.exp(log_scale), lambda j, changes: (
+        f"Sturm ordering violated: level {j} of set {index} has "
+        f"{qes_set.node_count(changes)} nodes"))
     vectors *= signs[np.arange(n + 1), len(z) - 1 - np.abs(signs[:, ::-1]).argmax(axis=1)]
     return alpha, beta, vectors.T
 
 
-def _row_sign_changes(signs: np.ndarray) -> np.ndarray:
-    """Sign changes along each row of a 2-D table of signs, zeros skipped."""
+def sign_changes(table: np.ndarray):
+    """The node rule for each row of a 2-D table: (signs, changes), the signs
+    0 below 1e-12 of the row's peak, and the strict sign changes of the rest.
+    A non-finite, all-zero or empty row raises DegenerateVectorError."""
+    magnitude = np.abs(table)
+    peaks = magnitude.max(axis=1, initial=0.0)
+    if not np.isfinite(peaks).all():
+        raise DegenerateVectorError("non-finite vector has no node count")
+    if not (peaks > 0.0).all():
+        raise DegenerateVectorError("all-zero vector has no node count")
+    signs = np.sign(table)
+    signs[magnitude < 1e-12 * peaks[:, None]] = 0.0
     kept = signs != 0.0
     row = np.nonzero(kept)[0]
-    signs = signs[kept]
+    kept_signs = signs[kept]
     # The kept entries, row after row, each with its row's index: a change
     # is a flip between neighbours of the same row.
-    flips = (signs[1:] != signs[:-1]) & (row[1:] == row[:-1])
-    return np.bincount(row[1:][flips], minlength=len(kept))
+    flips = (kept_signs[1:] != kept_signs[:-1]) & (row[1:] == row[:-1])
+    return signs, np.bincount(row[1:][flips], minlength=len(kept))
+
+
+def sturm_signs(table: np.ndarray, message) -> np.ndarray:
+    """sign_changes' signs once row j of the table changes sign j times (Sturm
+    oscillation); else InvariantViolationError(message(j, changes)) for the
+    first row j that does not."""
+    signs, changes = sign_changes(table)
+    wrong = np.flatnonzero(changes != np.arange(len(changes)))
+    if wrong.size:
+        j = int(wrong[0])
+        raise InvariantViolationError(message(j, int(changes[j])))
+    return signs
 
 
 def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLevel]:

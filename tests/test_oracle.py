@@ -32,9 +32,8 @@ from qhj_spectra.oracle import (
     _checked_spectrum,
     _kinetic_table,
     _sector_hamiltonian,
-    _sign_changes,
 )
-from qhj_spectra.solver import MAX_BLOCK_N
+from qhj_spectra.solver import MAX_BLOCK_N, sign_changes
 
 
 def quick_grid(params, big_l=None, n=90):
@@ -212,14 +211,14 @@ class TestNodeCount:
         matrix[np.arange(rows)[:, None] < lead] *= 1e-13
         # Keep every column's peak an ordinary entry.
         matrix[rng.integers(0, rows, size=columns), np.arange(columns)] = 1.0
-        counts = _sign_changes(matrix)
+        counts = sign_changes(matrix.T)[1]
         assert counts.tolist() == [node_count(matrix[:, j]) for j in range(columns)]
 
     def test_column_sign_changes_reject_a_zero_column(self):
         matrix = np.ones((4, 3))
         matrix[:, 1] = 0.0
         with pytest.raises(DegenerateVectorError):
-            _sign_changes(matrix)
+            sign_changes(matrix.T)
 
 
 class TestLowestEigenvalues:
@@ -269,7 +268,7 @@ class TestLowestEigenvalues:
             [-1e-9, 1e-8],  # tail noise, above 1e-12 of the peak
         ])
         # Out to the wall, the vectors have 1 and 2 sign changes.
-        assert _sign_changes(vectors).tolist() == [1, 2]
+        assert sign_changes(vectors.T)[1].tolist() == [1, 2]
         eps, _ = _checked_spectrum(potential, 2, "even", values, vectors)
         assert eps == (1.0, 2.0)
         # A sign change inside the allowed region still counts.
@@ -365,6 +364,29 @@ class TestLowestEigenvalues:
 
         monkeypatch.setattr(oracle, "_checked_spectrum", tied)
         message = "oracle eigenvalues are not strictly increasing"
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            verify_qes(PotentialParams(1.0, -4.0, 1.0), enumerate_qes_sets(2.0))
+        assert cli.main(["verify", "--v1", "1", "--alpha", "1", "--lambda", "2"]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "InvariantViolationError", "message": message}
+
+    def test_false_node_is_a_sturm_violation(self, monkeypatch, capsys):
+        # An even ground state with a false node, crafted, then injected past
+        # the peak of the solved one: the check's message, byte for byte,
+        # and the CLI exits 3 with it.
+        message = ("Sturm oscillation violated: even eigenvector 0 has 2 sign "
+                   "changes on the half-line")
+        vectors = np.array([[1.0], [2.0], [-1.0], [0.5]])
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            _checked_spectrum(np.zeros(4), 1, "even", np.array([1.0]), vectors)
+        checked = oracle._checked_spectrum
+
+        def false_node(potential, k, parity, values, vectors):
+            vectors = vectors.copy()
+            vectors[np.abs(vectors[:, 0]).argmax() + 1, 0] *= -1.0
+            return checked(potential, k, parity, values, vectors)
+
+        monkeypatch.setattr(oracle, "_checked_spectrum", false_node)
         with pytest.raises(InvariantViolationError, match=f"^{message}$"):
             verify_qes(PotentialParams(1.0, -4.0, 1.0), enumerate_qes_sets(2.0))
         assert cli.main(["verify", "--v1", "1", "--alpha", "1", "--lambda", "2"]) == 3
@@ -487,6 +509,20 @@ class TestVerify:
         top_qes = max(r.energy_analytic for r in report.rows)
         assert len(report.unmatched_oracle) == 4
         assert all(e > top_qes for e in report.unmatched_oracle)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 10.0])
+    def test_node_counts_have_one_owner(self, lam):
+        # The analytic count, the oracle's and the set's mirroring of row j
+        # onto the line agree for every level, and are 2 j + 1 for odd sets.
+        params = PotentialParams.from_lambda(1.0, lam, 1.0)
+        classification = enumerate_qes_sets(lam)
+        levels = solve_classification(params, classification)
+        report = verify_qes(params, classification, analytic_levels=levels)
+        assert len(report.rows) == len(levels) == int(2 * lam)
+        for level, row in zip(levels, report.rows):
+            counts = (level.node_count, row.node_count_oracle,
+                      level.qes_set.node_count(level.row))
+            assert counts == (2 * level.row + (level.parity == "odd"),) * 3
 
     def test_one_dense_decomposition_per_grid(self, monkeypatch):
         # The start grid resolves both sets, so each set solves it once and

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qhj_spectra
 from qhj_spectra import (
+    DegenerateVectorError,
     InadmissibleParametersError,
     InvariantViolationError,
     PotentialParams,
@@ -37,8 +38,7 @@ from qhj_spectra import (
     wavefunction,
 )
 from qhj_spectra import cli, oracle, potential, qhj, solver
-from qhj_spectra.oracle import _sign_changes
-from qhj_spectra.solver import _row_sign_changes
+from qhj_spectra.solver import sign_changes
 from qhj_spectra.qhj import INTEGER_TOLERANCE, SET_RESIDUES, QesSet
 
 
@@ -883,14 +883,14 @@ class TestMovingPoles:
     )
     def test_node_count_by_descartes(self, coefficients, even_nodes):
         # Descartes' rule counts the zeros in z > 0 of a real-rooted P from
-        # its coefficients' signs: the oracle's node rule, _sign_changes (the
-        # sign changes of P sampled in z > 0, ignoring values below 1e-12 of
-        # the peak, counted by _row_sign_changes as solve_levels' basis counts
-        # them), must count as many.  A second row checks that rows do not mix.
+        # its coefficients' signs: the node rule that solve_levels' basis and
+        # the oracle share, sign_changes (the sign changes of P sampled in
+        # z > 0, ignoring values below 1e-12 of the peak), must count as
+        # many.  A second row checks that rows do not mix.
         z = np.geomspace(1e-3, 1e3, 2001)
         weight = np.exp(-z)
         rows = np.stack([np.polyval(coefficients[::-1], z), np.ones_like(z)]) * weight
-        changes = _sign_changes(rows.T).tolist()
+        changes = sign_changes(rows)[1].tolist()
         assert [2 * count for count in changes] == [even_nodes, 0]
         assert [2 * count + 1 for count in changes] == [even_nodes + 1, 1]
 
@@ -902,17 +902,43 @@ class TestMovingPoles:
     )
     def test_node_count_rows_match_one_row_at_a_time(self, rows, width, entropy):
         # Exact zeros of both signs among ordinary entries, rows of zeros
-        # included; each row counted as if alone, zeros dropped first.
+        # included; each row counted as if alone, zeros dropped first.  A
+        # row of zeros has no node count: the whole table is rejected.
         rng = np.random.default_rng(entropy)
         table = rng.standard_normal((rows, width))
         table[rng.random((rows, width)) < 0.4] = 0.0
         table[rng.random((rows, width)) < 0.1] = -0.0
+        if not table.any(axis=1).all():
+            with pytest.raises(DegenerateVectorError, match="^all-zero vector"):
+                sign_changes(table)
+            return
         expected = []
         for row in table:
             signs = np.sign(row)
             signs = signs[signs != 0.0]
             expected.append(int(np.count_nonzero(signs[1:] != signs[:-1])))
-        assert _row_sign_changes(np.sign(table)).tolist() == expected
+        assert sign_changes(table)[1].tolist() == expected
+
+    def test_both_solvers_check_sturm_through_one_function(self, monkeypatch):
+        # solve_levels' basis (a row per level on its nodes) and the oracle's
+        # checked sector solve (a row per eigenvector on the grid) both call
+        # the one sturm_signs.
+        assert oracle.sturm_signs is solver.sturm_signs
+        tables = []
+        original = solver.sturm_signs
+
+        def counted(table, message):
+            tables.append(table.shape)
+            return original(table, message)
+
+        monkeypatch.setattr(solver, "sturm_signs", counted)
+        monkeypatch.setattr(oracle, "sturm_signs", counted)
+        qes_set, params = params_for(1, 1)
+        solve_levels(build_pencil(qes_set, params), params)
+        assert [rows for rows, _ in tables] == [2]
+        grid = oracle.GridSpec(oracle.default_grid(params).half_width_L, 90)
+        oracle.lowest_eigenvalues(params, grid, 3, "odd")
+        assert [rows for rows, _ in tables] == [2, 3] and tables[1][1] == 90
 
     def test_contour_value_close_to_integer(self):
         qes_set, params = params_for(1, 1)
