@@ -68,6 +68,8 @@ class GridSpec:
             raise ValueError("half_width_L must be positive")
         if not math.isfinite(self.half_width_L):
             raise ValueError("half_width_L must be finite")
+        if not isinstance(self.point_count_N, int):
+            raise ValueError(f"point_count_N must be an int, got {self.point_count_N!r}")
         if self.point_count_N < 1:
             raise ValueError("point_count_N must be at least 1")
 
@@ -275,6 +277,23 @@ def lowest_eigenvalues(
         grid = GridSpec(grid.half_width_L, math.ceil(1.1 * k_max * grid.half_width_L))
 
 
+def _require_classified(params: PotentialParams, classification: QesClassification,
+                        levels: list[QesLevel]) -> None:
+    """ValueError unless levels hold each (set, row) of classification once, solved at params."""
+    missing = dict.fromkeys((q, j) for q in classification.sets for j in range(q.n + 1))
+    for level in levels:
+        q = level.qes_set
+        name = f"level {level.row} of set {q.set_index} with n = {q.n}"
+        if (q, level.row) not in missing:
+            raise ValueError(f"analytic_levels holds {name} twice or outside the classification")
+        if level.params != params:
+            raise ValueError(f"analytic_levels' {name} was solved at other parameters")
+        del missing[q, level.row]
+    if missing:
+        q, j = next(iter(missing))
+        raise ValueError(f"analytic_levels lacks level {j} of set {q.set_index} with n = {q.n}")
+
+
 def verify_qes(
     params: PotentialParams,
     classification: QesClassification,
@@ -287,8 +306,11 @@ def verify_qes(
     past the tail of every QES level.  Level j of a set (energy order) is
     compared with eigenvalue j of the sector of the set's parity.
     analytic_levels overrides the solved levels (used to demonstrate that a
-    published value fails the match).  A level whose |mu + eps| =
-    |E_analytic - E_oracle| / alpha^2 exceeds tolerance fails overall_pass.
+    published value fails the match): one level per (set, row) of the
+    classification, each solved at params, though its mu may be replaced,
+    or ValueError names the first level or set that breaks this.  A level
+    whose |mu + eps| = |E_analytic - E_oracle| / alpha^2 exceeds tolerance
+    fails overall_pass.
     Raises InadmissibleParametersError, before anything is solved, when
     default_grid's wall, or v = V / alpha^2 at it, is beyond float64.
     """
@@ -297,6 +319,8 @@ def verify_qes(
     start = default_grid(params)
     if analytic_levels is None:
         analytic_levels = solve_classification(params, classification)
+    else:
+        _require_classified(params, classification, analytic_levels)
 
     rows: dict[int, LevelComparison] = {}
     unmatched: list[float] = []

@@ -98,6 +98,8 @@ class QesSet:
 
     def __post_init__(self):
         derived, k = _SET_CONSTANTS[self.set_index]  # KeyError for an unknown index
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"n must be a non-negative int, got {self.n!r}")
         # As dataclass does when frozen (a __dict__ update slows later reads).
         for name, value in derived.items():
             object.__setattr__(self, name, value)

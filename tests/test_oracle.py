@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -61,6 +62,12 @@ class TestGridSpec:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             GridSpec(half_width_L=3.0, point_count_N=0)
+
+    @pytest.mark.parametrize("count", [20.0, 3.5, "20", None])
+    def test_non_int_point_count_rejected(self, count):
+        # A float N, even a whole one, sizes no grid: rejected where it is built.
+        with pytest.raises(ValueError, match=f"^point_count_N must be an int, got {count!r}$"):
+            GridSpec(half_width_L=3.0, point_count_N=count)
 
     @pytest.mark.parametrize("big_l", [math.nan, math.inf])
     def test_non_finite_half_width_rejected(self, big_l):
@@ -494,6 +501,31 @@ class TestVerify:
         # The odd sector's lowest eigenvalue is 0.75, two above -1.25.
         assert report.rows[1].parity == "odd"
         assert report.rows[1].abs_gap == pytest.approx(2.0, abs=1e-4)
+
+    @staticmethod
+    def levels_at(lam, v1=1.0):
+        params = PotentialParams.from_lambda(v1, lam, 1.0)
+        return solve_classification(params, enumerate_qes_sets(lam))
+
+    @pytest.mark.parametrize("levels, message", [
+        # Levels of another lambda, a foreign level among the right ones, a
+        # level left out (which would leave a row uncompared), a level given
+        # twice, and the right sets solved at another V1.
+        (lambda self: self.levels_at(2.5),
+         "analytic_levels holds level 0 of set 1 with n = 2 twice or outside the classification"),
+        (lambda self: self.levels_at(1.5) + self.levels_at(2.5)[-1:],
+         "analytic_levels holds level 2 of set 1 with n = 2 twice or outside the classification"),
+        (lambda self: self.levels_at(1.5)[:1],
+         "analytic_levels lacks level 1 of set 1 with n = 1"),
+        (lambda self: self.levels_at(1.5) * 2,
+         "analytic_levels holds level 0 of set 1 with n = 1 twice or outside the classification"),
+        (lambda self: self.levels_at(1.5, v1=4.0),
+         "analytic_levels' level 0 of set 1 with n = 1 was solved at other parameters"),
+    ], ids=["other-lambda", "foreign-level", "missing-level", "twice", "other-params"])
+    def test_levels_outside_the_classification_rejected(self, levels, message):
+        params = PotentialParams.from_lambda(1.0, 1.5, 1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_qes(params, enumerate_qes_sets(1.5), analytic_levels=levels(self))
 
     # Tunnelling doublets (V1 = s^2, alpha = 1) that the full-line oracle
     # could not separate or assign a parity to.

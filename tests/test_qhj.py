@@ -279,6 +279,13 @@ class TestQesSet:
         with pytest.raises(KeyError):
             QesSet(set_index, 0)
 
+    @pytest.mark.parametrize("n", [-1, 1.5, 2.0, "1", None])
+    def test_malformed_n_raises(self, n):
+        # A negative n has no pencil, and a float n (even a whole one) no
+        # integer pencil size: both are rejected where the set is built.
+        with pytest.raises(ValueError, match=f"^n must be a non-negative int, got {n!r}$"):
+            QesSet(1, n)
+
     @given(n=st.integers(min_value=0, max_value=2**70))
     def test_lam_rounds_like_fraction_arithmetic(self, n):
         for set_index, (b1, b1p) in self.RESIDUES.items():
