@@ -283,30 +283,26 @@ def _q_table(alpha, beta, z: np.ndarray, top: float, log_w=None):
 
 
 def _evaluate(coefficients, alpha, beta, z, log_w):
-    """(P, l) with psi = P exp(l) for each row of coefficients (rows x (n + 1))
-    at the points z >= 0 (1-D), ln w at z given, the q_k tabled in chunks of at
-    most _BLOCK_ENTRIES entries or one point; P holds rows x points, which the
-    caller bounds.  Where psi has no value in float64 (the table overflows, or
-    ln w is NaN at z = inf), P is 0 and l -inf.
+    """The one chunk loop of a set's rows: yields (part, P, l), psi = P exp(l)
+    for each row of coefficients (rows x (n + 1)) at the points z[part], for
+    z >= 0 (1-D) and ln w at z given; each chunk tables the q_k for at most
+    _BLOCK_ENTRIES entries or one point.  Where psi has no value in float64
+    (the table overflows, or ln w is NaN at z = inf), P is 0 and l -inf.
+    The caller sets np.errstate: overflow and invalid arise by design.
     """
-    rows, points = coefficients.shape[0], z.size
-    poly, log_scale = np.empty((rows, points)), np.empty(points)
-    finite = np.empty(points, dtype=bool)
     top = float(z.max(initial=0.0))
     step = max(1, _BLOCK_ENTRIES // (len(alpha) + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, points, step):
-            part = slice(start, start + step)
-            t, log_scale[part] = _q_table(alpha, beta, z[part], top)
-            np.matmul(coefficients, t, out=poly[:, part])
-            # An overflowed entry leaves every later row non-finite.
-            np.isfinite(t[-1], out=finite[part])
-        log_scale += log_w
-    bad = ~finite | np.isnan(log_scale)
-    if bad.any():
-        poly[:, bad] = 0.0
-        log_scale[bad] = -np.inf
-    return poly, log_scale
+    for start in range(0, z.size, step):
+        part = slice(start, start + step)
+        t, log_scale = _q_table(alpha, beta, z[part], top)
+        poly = coefficients @ t
+        log_scale += log_w[part]
+        # An overflowed entry leaves every later row non-finite.
+        bad = ~np.isfinite(t[-1]) | np.isnan(log_scale)
+        if bad.any():
+            poly[:, bad] = 0.0
+            log_scale[bad] = -np.inf
+        yield part, poly, log_scale
 
 
 def _basis_and_vectors(h: np.ndarray, qes_set: QesSet, params: PotentialParams,
@@ -605,8 +601,11 @@ class _SetTable:
                 raise ValueError("x must be finite")
             count = len(self.mus)
             rows = slice(0, count) if count * x.size <= _MAX_TABLE_ENTRIES else slice(row, row + 1)
+            poly, log_scale = np.empty((rows.stop - rows.start, x.size)), np.empty(x.size)
             with np.errstate(over="ignore", invalid="ignore"):
-                poly, log_scale = self._psi(rows, *_z_terms(self.params.alpha * x.ravel()))
+                z_terms = _z_terms(self.params.alpha * x.ravel())
+                for part, chunk, chunk_scale in self._psi(rows, *z_terms):
+                    poly[:, part], log_scale[part] = chunk, chunk_scale
             if self.pencil.qes_set.p1 > 0.0:
                 poly *= np.sign(x.ravel())
             poly = poly.reshape(poly.shape[:1] + x.shape)
@@ -633,8 +632,8 @@ class _SetTable:
         V / alpha^2 = s^2 y^2 - 2 s lam y - s^2 meets E / alpha^2 = -mu at
         y_t = (lam + sqrt(lam^2 + s^2 - mu)) / s, taken with every term over s
         where s^2 overflows.  The first call scans every row once, out to the
-        farther of alpha x = 5 u and the set's farthest y_t, all rows together
-        in lattice chunks of _BLOCK_ENTRIES // rows points; past its own y_t a
+        farther of alpha x = 5 u and the set's farthest y_t, all rows together,
+        reducing _evaluate's chunks to a running maximum; past its own y_t a
         row's |psi| only falls, so each row's maximum is the one on its own range.
         """
         if self._log_norms is None:
@@ -649,12 +648,8 @@ class _SetTable:
             x_turn = math.acosh(min(y_turn, sys.float_info.max))
             count = math.ceil(200.0 * max(5.0, x_turn / unit)) + 1
             maxima = np.full(len(spreads), -np.inf)
-            step = max(1, _BLOCK_ENTRIES // len(spreads))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                z_terms = _grid_terms(count, unit)
-                for start in range(0, count, step):
-                    part = (t[start:start + step] for t in z_terms)
-                    poly, log_scale = self._psi(slice(None), *part)
+                for _, poly, log_scale in self._psi(slice(None), *_grid_terms(count, unit)):
                     log_abs = np.log(np.abs(poly))
                     log_abs += log_scale
                     np.maximum(maxima, log_abs.max(axis=1), out=maxima)
@@ -668,7 +663,7 @@ class _SetTable:
         return self._log_norms[row]
 
     def _psi(self, rows, z, log_z, log_z2):
-        """_evaluate for the given rows at the points z, with their ln z and ln(z + 2)."""
+        """_evaluate's chunks for the given rows at the points z, with their ln z and ln(z + 2)."""
         return _evaluate(self.coefficients[rows], self.basis.alpha, self.basis.beta, z,
                          _log_weight(self.pencil.qes_set, self.params.s, z, log_z, log_z2))
 

@@ -595,29 +595,26 @@ class TestWavefunction:
     @classmethod
     def uncached_log_norm(cls, level, params, members=None):
         # wavefunction's lattice rule, with z, ln z and ln(z + 2) computed
-        # afresh, and the level's row evaluated with its set's rows in the
-        # lattice chunks its set scans them in: members are the levels
-        # scanned together (default: the level alone).
+        # afresh, and the level's row evaluated with its set's rows over the
+        # whole lattice, reduced chunk by chunk as its set scans them:
+        # members are the levels scanned together (default: the level alone).
         members = [level] if members is None else members
         count = cls.lattice_count(members, params)
         sh = np.sinh(0.5 * (np.arange(count) * 0.005))
         z = 2.0 * sh * sh
         rows = [member.basis_coefficients for member in members]
         index = rows.index(level.basis_coefficients)
-        step = max(1, solver._BLOCK_ENTRIES // len(rows))
         peak = -math.inf
         # As in wavefunction: ln z = -inf at x = 0 for an odd level.
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_w = -params.s * z
             if level.qes_set.p1 > 0.0:
                 log_w += level.qes_set.p1 * np.log(z)
             if level.qes_set.p2 > 0.0:
                 log_w += level.qes_set.p2 * np.log(z + 2.0)
-            for start in range(0, count, step):
-                part = slice(start, start + step)
-                poly, log_scale = solver._evaluate(
+            for _, poly, log_scale in solver._evaluate(
                     np.array(rows), np.array(level.basis.alpha), np.array(level.basis.beta),
-                    z[part], log_w[part])
+                    z, log_w):
                 log_abs = np.log(np.abs(poly[index])) + log_scale
                 peak = max(peak, float(np.max(log_abs[np.isfinite(log_abs)], initial=-np.inf)))
         return peak, count
@@ -1062,6 +1059,20 @@ class TestSetTables:
         return scans
 
     @staticmethod
+    def record_chunks(monkeypatch):
+        # (rows, points) of every chunk that a normalisation scan or an
+        # evaluation is yielded in.
+        evaluate, chunks = solver._evaluate, []
+
+        def counted(*args):
+            for chunk in evaluate(*args):
+                chunks.append(chunk[1].shape)
+                yield chunk
+
+        monkeypatch.setattr(solver, "_evaluate", counted)
+        return chunks
+
+    @staticmethod
     def alone(level):
         # The level's row, as the one row of a set of its own.
         return one_row(level)
@@ -1160,18 +1171,14 @@ class TestSetTables:
 
     def test_first_pass_scans_every_row_in_bounded_lattice_chunks(self, monkeypatch):
         # A lambda = 20.5 set (about 20 levels of degree about 20) scans its
-        # normalisation lattice with all its rows at once, in chunks of at
-        # most _BLOCK_ENTRIES rows x points unless one point, and tables its
+        # normalisation lattice with all its rows at once, in one _evaluate
+        # call that yields chunks of at most _BLOCK_ENTRIES rows x points
+        # unless one point, and tables its
         # q_k in chunks of at most _BLOCK_ENTRIES entries unless one point;
         # every row's log_norm matches the whole lattice as one chunk to
         # round-off.  The default bound splits the 1001-point scan; 1000
         # leaves 47 points per chunk.
-        evaluate, q_table = solver._evaluate, solver._q_table
-        blocks, chunks = [], []
-
-        def scan(coefficients, *args):
-            blocks.append((coefficients.shape[0], args[2].size))
-            return evaluate(coefficients, *args)
+        q_table, chunks = solver._q_table, []
 
         def table(alpha, beta, z, top):
             chunks.append((len(alpha) + 1) * z.size)
@@ -1185,13 +1192,14 @@ class TestSetTables:
             for qes_set in enumerate_qes_sets(20.5).sets:
                 rows = solve_levels(build_pencil(qes_set, params), params)
                 whole = solve_levels(build_pencil(qes_set, params), params)
-                blocks.clear()
                 chunks.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(solver, "_BLOCK_ENTRIES", bound)
-                    patch.setattr(solver, "_evaluate", scan)
+                    scans = self.record_scans(patch)
+                    blocks = self.record_chunks(patch)
                     patch.setattr(solver, "_q_table", table)
                     blocked = filled(rows[0].set_table)
+                assert scans == [(len(rows), 1001)]
                 assert all(count == len(rows) for count, _ in blocks)
                 assert all(count * points <= bound or points == 1 for count, points in blocks)
                 assert all(entries <= bound for entries in chunks)
@@ -1210,12 +1218,15 @@ class TestSetTables:
         # with a private copy of its x, until each of the block's rows has
         # been read: at most the bound plus one row of floats while a sweep
         # runs, none for a block of one row or a table of one, and none after it.
+        # A block is recorded with the points of all the chunks it was filled from.
         evaluate, blocks = solver._evaluate, []
 
         def counted(*args):
-            result = evaluate(*args)
-            blocks.append((args[0].shape[0], result[0][0].size))
-            return result
+            points = 0
+            for chunk in evaluate(*args):
+                points += chunk[1].shape[1]
+                yield chunk
+            blocks.append((args[0].shape[0], points))
 
         monkeypatch.setattr(solver, "_evaluate", counted)
         params = PotentialParams(1.0, -41.0, 1.0)
@@ -1273,23 +1284,26 @@ class TestSetTables:
     @pytest.mark.parametrize("lam", [80.5, 200.5])
     def test_a_large_set_is_scanned_and_evaluated_whole(self, monkeypatch, lam):
         # At s = 1 the sets hold 80 to 201 levels.  Each set's normalisation
-        # scan calls _evaluate once per lattice chunk of _BLOCK_ENTRIES // rows
-        # points, with every row of the set, and every level evaluated on one
-        # 1001-point x costs one call per set.
+        # scan calls _evaluate once, which yields one lattice chunk per
+        # _BLOCK_ENTRIES // rows points, with every row of the set, and every
+        # level evaluated on one 1001-point x costs one call per set.
         params = PotentialParams.from_lambda(1.0, lam, 1.0)
         levels = solve_classification(params, enumerate_qes_sets(lam))
         scans = self.record_scans(monkeypatch)
+        scanned = self.record_chunks(monkeypatch)
         wfs = [wavefunction(level, params) for level in levels]
-        chunks, whole = [], []
+        chunks, lattices, whole = [], [], []
         for qes_set in enumerate_qes_sets(lam).sets:
             members = [level for level in levels if level.qes_set == qes_set]
             rows = len(members)
             count = TestWavefunction.lattice_count(members, params)
             step = solver._BLOCK_ENTRIES // rows
             chunks += [(rows, min(step, count - start)) for start in range(0, count, step)]
+            lattices.append((rows, count))
             whole.append((rows, 1001))
         assert min(rows for rows, _ in whole) >= 80
-        assert sorted(scans) == sorted(chunks)
+        assert sorted(scans) == sorted(lattices)
+        assert sorted(scanned) == sorted(chunks)
         scans.clear()
         x = np.linspace(-5.0, 5.0, 1001)
         for wf in wfs:
