@@ -68,7 +68,7 @@ class GridSpec:
             raise ValueError("half_width_L must be positive")
         if not math.isfinite(self.half_width_L):
             raise ValueError("half_width_L must be finite")
-        if not isinstance(self.point_count_N, int):
+        if not isinstance(self.point_count_N, int) or isinstance(self.point_count_N, bool):
             raise ValueError(f"point_count_N must be an int, got {self.point_count_N!r}")
         if self.point_count_N < 1:
             raise ValueError("point_count_N must be at least 1")

@@ -97,8 +97,11 @@ class QesSet:
     lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # bool is an int, but True is neither an index nor a size.
+        if not isinstance(self.set_index, int) or isinstance(self.set_index, bool):
+            raise ValueError(f"set_index must be an int, got {self.set_index!r}")
         derived, k = _SET_CONSTANTS[self.set_index]  # KeyError for an unknown index
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError(f"n must be a non-negative int, got {self.n!r}")
         # As dataclass does when frozen (a __dict__ update slows later reads).
         for name, value in derived.items():

@@ -77,6 +77,7 @@ class SpectralPencil:
 
     matrix: np.ndarray
     qes_set: QesSet
+    params: PotentialParams = field(compare=False, repr=False)  # the working point built at
 
     @property
     def size(self) -> int:
@@ -172,7 +173,7 @@ def build_pencil(qes_set: QesSet, params: PotentialParams) -> SpectralPencil:
             f"H[k, k+1] H[k+1, k] beyond float64 at s = {s!r}"
         )
     matrix.setflags(write=False)
-    return SpectralPencil(matrix=matrix, qes_set=qes_set)
+    return SpectralPencil(matrix=matrix, qes_set=qes_set, params=params)
 
 
 def _log_weight(qes_set: QesSet, s: float, z, log_z, log_z2):
@@ -385,9 +386,13 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
     The energies are the eigenvalues mu of H's symmetric Jacobi form (H's
     diagonal, both off-diagonals sqrt(H[k, k+1] H[k+1, k])), E = -alpha^2 mu.
     For n >= 1 the coefficients are the eigenvectors of the set's matrix A
-    in its orthonormal basis.  Raises InvariantViolationError when eig(A)
-    misses mu, or when level j does not change sign j times on the nodes.
+    in its orthonormal basis.  Raises InadmissibleParametersError unless
+    params is the working point the pencil was built at, and
+    InvariantViolationError when eig(A) misses mu, or when level j does not
+    change sign j times on the nodes.
     """
+    if params != pencil.params:
+        raise InadmissibleParametersError("pencil was built for different parameters")
     h = pencil.matrix
     qes_set = pencil.qes_set
     off = np.sqrt(h.diagonal(1) * h.diagonal(-1))
@@ -404,7 +409,7 @@ def solve_levels(pencil: SpectralPencil, params: PotentialParams) -> list[QesLev
         alpha, beta, coefficients = _basis_and_vectors(h, qes_set, params, mus)
     coefficients.setflags(write=False)
     basis = OrthonormalBasis(tuple(alpha.tolist()), tuple(beta.tolist()))
-    table = _SetTable(pencil, params, mus.tolist(), basis, coefficients)
+    table = _SetTable(pencil, mus.tolist(), basis, coefficients)
     return [QesLevel(mu, qes_set, params, j, table) for j, mu in enumerate(table.mus)]
 
 
@@ -575,10 +580,8 @@ class _SetTable:
     for its own level.
     """
 
-    def __init__(self, pencil: SpectralPencil, params: PotentialParams, mus,
-                 basis: OrthonormalBasis, coefficients):
+    def __init__(self, pencil: SpectralPencil, mus, basis: OrthonormalBasis, coefficients):
         self.pencil = pencil
-        self.params = params
         self.mus = mus
         self.basis = basis
         self.coefficients = coefficients
@@ -603,7 +606,7 @@ class _SetTable:
             rows = slice(0, count) if count * x.size <= _MAX_TABLE_ENTRIES else slice(row, row + 1)
             poly, log_scale = np.empty((rows.stop - rows.start, x.size)), np.empty(x.size)
             with np.errstate(over="ignore", invalid="ignore"):
-                z_terms = _z_terms(self.params.alpha * x.ravel())
+                z_terms = _z_terms(self.pencil.params.alpha * x.ravel())
                 for part, chunk, chunk_scale in self._psi(rows, *z_terms):
                     poly[:, part], log_scale[part] = chunk, chunk_scale
             if self.pencil.qes_set.p1 > 0.0:
@@ -637,7 +640,8 @@ class _SetTable:
         row's |psi| only falls, so each row's maximum is the one on its own range.
         """
         if self._log_norms is None:
-            lam, s, unit = self.params.lam, self.params.s, self.params.well_unit
+            params = self.pencil.params
+            lam, s, unit = params.lam, params.s, params.well_unit
             # y_t's terms over c: c = s where s^2 overflows, else 1 (the same bits).
             c = 1.0 if math.isfinite(s * s) else s
             lam_c, s_c = lam / c, s / c
@@ -665,7 +669,7 @@ class _SetTable:
     def _psi(self, rows, z, log_z, log_z2):
         """_evaluate's chunks for the given rows at the points z, with their ln z and ln(z + 2)."""
         return _evaluate(self.coefficients[rows], self.basis.alpha, self.basis.beta, z,
-                         _log_weight(self.pencil.qes_set, self.params.s, z, log_z, log_z2))
+                         _log_weight(self.pencil.qes_set, self.pencil.params.s, z, log_z, log_z2))
 
 
 def count_moving_poles(level: QesLevel) -> int:

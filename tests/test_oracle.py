@@ -63,9 +63,10 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="at least 1"):
             GridSpec(half_width_L=3.0, point_count_N=0)
 
-    @pytest.mark.parametrize("count", [20.0, 3.5, "20", None])
+    @pytest.mark.parametrize("count", [20.0, 3.5, "20", None, True, False])
     def test_non_int_point_count_rejected(self, count):
-        # A float N, even a whole one, sizes no grid: rejected where it is built.
+        # A float N, even a whole one, or a bool (True would build a
+        # one-point grid) sizes no grid: rejected where it is built.
         with pytest.raises(ValueError, match=f"^point_count_N must be an int, got {count!r}$"):
             GridSpec(half_width_L=3.0, point_count_N=count)
 

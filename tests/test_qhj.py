@@ -279,12 +279,18 @@ class TestQesSet:
         with pytest.raises(KeyError):
             QesSet(set_index, 0)
 
-    @pytest.mark.parametrize("n", [-1, 1.5, 2.0, "1", None])
+    @pytest.mark.parametrize("n", [-1, 1.5, 2.0, "1", None, True, False])
     def test_malformed_n_raises(self, n):
-        # A negative n has no pencil, and a float n (even a whole one) no
-        # integer pencil size: both are rejected where the set is built.
+        # A negative n has no pencil, and a float n (even a whole one) or a
+        # bool no integer pencil size: all are rejected where the set is built.
         with pytest.raises(ValueError, match=f"^n must be a non-negative int, got {n!r}$"):
             QesSet(1, n)
+
+    @pytest.mark.parametrize("set_index", [True, False, 1.0, "1", None])
+    def test_malformed_index_raises(self, set_index):
+        # True would read as set 1 and 1.0 as set 1 too; neither is an index.
+        with pytest.raises(ValueError, match=f"^set_index must be an int, got {set_index!r}$"):
+            QesSet(set_index, 1)
 
     @given(n=st.integers(min_value=0, max_value=2**70))
     def test_lam_rounds_like_fraction_arithmetic(self, n):

@@ -65,7 +65,7 @@ def one_row(level, coefficients=None, mu=None):
     table = level.set_table
     row = level.basis_coefficients if coefficients is None else coefficients
     mu = level.mu if mu is None else mu
-    alone = solver._SetTable(table.pencil, table.params, [mu], table.basis, np.array([row]))
+    alone = solver._SetTable(table.pencil, [mu], table.basis, np.array([row]))
     return solver.QesLevel(mu, level.qes_set, level.params, 0, alone)
 
 
@@ -96,6 +96,23 @@ class TestPencil:
         with pytest.raises(InadmissibleParametersError,
                            match="needs M = 2 lambda = 3, got lambda = 1.45 at V2 = -2.9"):
             build_pencil(qes_set, PotentialParams(1.0, -2.9, 1.0))
+
+    @pytest.mark.parametrize("v1, alpha", [(1.0, 2.0), (1.0001, 1.0), (4.0, 2.0)])
+    def test_solve_levels_rejects_a_pencil_of_another_working_point(self, v1, alpha):
+        # Solving a pencil at another working point is the caller's error, as
+        # for wavefunction, not an InvariantViolationError from the basis
+        # missing mu (by 0.605, or by 2.98e-05 at V1 = 1.0001); it holds at
+        # another alpha with the same (s, lambda) too.  The pencil prints
+        # without its params.
+        qes_set, params = params_for(1, 1)
+        pencil = build_pencil(qes_set, params)
+        other = PotentialParams.from_lambda(v1, qes_set.lam, alpha)
+        assert other != params
+        with pytest.raises(InadmissibleParametersError, match="different parameters"):
+            solve_levels(pencil, other)
+        assert pencil.params is params
+        assert "params" not in repr(pencil)
+        assert len(solve_levels(pencil, replace(params))) == 2
 
     @given(
         set_index=st.integers(min_value=1, max_value=4),
@@ -1349,7 +1366,7 @@ class TestSetTables:
         (level, _) = solve_levels(build_pencil(qes_set, params), params)
         # A normalisation row with no finite value on its lattice.
         rows = [(0.6, 0.8), (math.nan, 0.8)]
-        table = solver._SetTable(level.set_table.pencil, params, [level.mu] * 2, level.basis,
+        table = solver._SetTable(level.set_table.pencil, [level.mu] * 2, level.basis,
                                  np.array(rows))
         good, bad = (solver.QesLevel(level.mu, qes_set, params, j, table) for j in range(2))
         with pytest.raises(InvariantViolationError, match="no finite value"):
